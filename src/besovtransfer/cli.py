@@ -33,14 +33,16 @@ from .errors import (
     ParamsError,
     ResolutionError,
 )
-from .grid import Grid, build_grid, validate_grid
+from .grid import CellId, Grid, build_grid, validate_grid
 from .spectral import (
     clt_variance,
+    correlations,
     decay_rate,
     eigenvalues,
     invariant_density,
     lasota_yorke_verify,
     peripheral_spectrum,
+    subdominant_modulus,
 )
 from .transfer import Constants, assemble_matrix, bound_ledger, lebesgue_bound_check
 
@@ -149,6 +151,7 @@ class Runner:
         self._system: Optional[BranchSystem] = None
         self._matrix = None
         self._density = None
+        self._eigenvalues = None
         self.written: List[Path] = []
 
     # -- cached stages ------------------------------------------------------
@@ -174,6 +177,11 @@ class Runner:
         if self._density is None:
             self._density = invariant_density(self.matrix())
         return self._density
+
+    def eigenvalues(self):
+        if self._eigenvalues is None:
+            self._eigenvalues = eigenvalues(self.matrix())
+        return self._eigenvalues
 
     # -- emitters -----------------------------------------------------------
 
@@ -226,7 +234,8 @@ class Runner:
         self.written.append(path)
 
     def emit_spectrum(self) -> None:
-        report = peripheral_spectrum(self.matrix())
+        report = peripheral_spectrum(self.matrix(), spectrum=self.eigenvalues(),
+                                     density=self.density())
         lines = ["re,im,modulus"]
         for lam in report.eigenvalues:
             lines.append(f"{float(lam.real)!r},{float(lam.imag)!r},{float(abs(lam))!r}")
@@ -243,19 +252,19 @@ class Runner:
         self.written.append(path)
 
     def emit_decay(self) -> None:
-        from .grid import CellId
         grid = self.system().grid
         # default observable: the zero-mean first-level difference
         u = atom_rep(CellId(1, 0), self.config.params, grid, 1.0) \
             + atom_rep(CellId(1, 1), self.config.params, grid, -1.0)
         v = evaluate(u, grid.max_level)
+        rho, _ = self.density()
         try:
-            rep = decay_rate(self.matrix(), u, v, k_max=40)
+            rep = decay_rate(self.matrix(), u, v, k_max=40,
+                             lambda2=subdominant_modulus(self.eigenvalues()), density=rho)
             cks, fitted, cert = rep.correlations, rep.fitted_rate, rep.certificate_rate
             degenerate = False
         except DegenerateFitError:
-            from .spectral import correlations as _corr
-            cks = _corr(self.matrix(), u, v, k_max=40)
+            cks = correlations(self.matrix(), u, v, k_max=40, density=rho)
             fitted, cert, degenerate = 0.0, 0.0, True
         lines = ["k,re,im,abs"]
         for k, c in enumerate(cks):

@@ -80,6 +80,16 @@ def eigenvalues(tm: TransferMatrix, top: int = 8,
     return ev
 
 
+def subdominant_modulus(ev: np.ndarray, tol: float = 1e-6) -> float:
+    """Largest eigenvalue modulus below 1 - tol (0 when there is none).
+
+    The spectral gap is 1 minus this, and it is the rate that correlation
+    decay is certified against.
+    """
+    inside = np.abs(ev)[np.abs(ev) < 1.0 - tol]
+    return float(inside.max()) if inside.size else 0.0
+
+
 def _subspace_iteration(mat: sp.spmatrix, k: int = 8, iters: int = 400,
                         seed: int = 0) -> np.ndarray:
     """Orthogonal iteration for the leading cluster of a large operator."""
@@ -149,9 +159,6 @@ def lasota_yorke_verify(tm: TransferMatrix, ensemble_size: int = 100,
             if excess > 1e-13 * n0:
                 lam_fit = max(lam_fit, (excess / n0) ** (1.0 / n))
     passed = lam_fit < 1.0 and lam_fit <= cap + 1e-9
-    if not passed:
-        # reported, not fatal: the certified contraction assumption failed
-        pass
     return LYReport(C=c_hat, lam=lam_fit, n_max=n_max,
                     ensemble_size=ensemble_size, cap=cap, passed=passed,
                     seed=seed)
@@ -264,7 +271,10 @@ def _root_of_unity_match(lam: complex, max_order: int,
 
 
 def peripheral_spectrum(tm: TransferMatrix, tol: float = 1e-6,
-                        transitivity_level: Optional[int] = None) -> SpectralReport:
+                        transitivity_level: Optional[int] = None,
+                        spectrum: Optional[np.ndarray] = None,
+                        density: Optional[Tuple[PiecewiseFn, DensityInfo]] = None
+                        ) -> SpectralReport:
     """Unit-circle eigenvalue cluster and its structure.
 
     The peripheral set holds eigenvalues of modulus >= 1 - tol; each is
@@ -272,26 +282,31 @@ def peripheral_spectrum(tm: TransferMatrix, tol: float = 1e-6,
     1-eigenspace dimension is the cardinality of its cluster, and
     semisimplicity is checked through the rank of the cluster's
     eigenvectors.
+
+    `spectrum` (as `eigenvalues(tm)` returns it) and `density` (as
+    `invariant_density(tm)` returns it) are computed here when not given.
+    Eigenvectors are computed only when a peripheral eigenvalue is
+    repeated and the matrix is small enough; the report then carries the
+    eigenvalues of that factorisation.
     """
-    want_vecs = tm.size <= 4096
-    if want_vecs:
+    ev = eigenvalues(tm) if spectrum is None else spectrum
+    near = max(tol, 1e-9)
+    vecs = None
+    if tm.size <= 4096 and any(np.count_nonzero(np.abs(ev - l) <= near) > 1
+                               for l in ev[np.abs(ev) >= 1.0 - tol]):
         ev, vecs = eigenvalues(tm, want_vectors=True)
-    else:
-        ev = eigenvalues(tm)
-        vecs = None
     peripheral = [complex(l) for l in ev if abs(l) >= 1.0 - tol]
-    dim1 = int(np.sum(np.abs(ev - 1.0) <= max(tol, 1e-9)))
+    dim1 = int(np.sum(np.abs(ev - 1.0) <= near))
     semisimple = True
-    if vecs is not None and peripheral:
+    if vecs is not None:
         for lam in {round(l.real, 8) + 1j * round(l.imag, 8) for l in peripheral}:
-            idx = np.nonzero(np.abs(ev - lam) <= max(tol, 1e-9))[0]
+            idx = np.nonzero(np.abs(ev - lam) <= near)[0]
             if len(idx) > 1:
                 rank = np.linalg.matrix_rank(vecs[:, idx], tol=1e-8)
                 if rank < len(idx):
                     semisimple = False
-    outside = [abs(l) for l in ev if abs(l) < 1.0 - tol]
-    gap = 1.0 - (max(outside) if outside else 0.0)
-    rho, info = invariant_density(tm)
+    gap = 1.0 - subdominant_modulus(ev, tol)
+    rho, info = invariant_density(tm) if density is None else density
     roots = {}
     for lam in peripheral:
         match = _root_of_unity_match(lam, max_order=max(len(peripheral), 8), tol=tol)
@@ -339,9 +354,18 @@ class DecayReport:
     passed: bool
 
 
+def _check_observable(tm: TransferMatrix, v: PiecewiseFn) -> None:
+    """Refuse an observable whose cells are not the matrix's bottom cells."""
+    if v.grid != tm.grid or v.level != tm.K:
+        raise ValueError(
+            f"observable on level {v.level} of {v.grid}, matrix on level {tm.K} "
+            f"of {tm.grid}: build the observable on the matrix's grid")
+
+
 def correlations(tm: TransferMatrix, u: AtomicRep, v: PiecewiseFn,
                  k_max: int, density: Optional[PiecewiseFn] = None) -> np.ndarray:
     """c_k = int v * transfer^k(u) - int v rho * int u, for k = 0..k_max."""
+    _check_observable(tm, v)
     grid, params = tm.grid, tm.params
     if density is None:
         density, _ = invariant_density(tm)
@@ -360,9 +384,13 @@ def correlations(tm: TransferMatrix, u: AtomicRep, v: PiecewiseFn,
 
 def decay_rate(tm: TransferMatrix, u: AtomicRep, v: PiecewiseFn,
                k_max: int = 40, k_fit_start: int = 5,
-               lambda2: Optional[float] = None) -> DecayReport:
-    """Geometric fit of the correlation sequence against the spectral rate."""
-    cks = correlations(tm, u, v, k_max)
+               lambda2: Optional[float] = None,
+               density: Optional[PiecewiseFn] = None) -> DecayReport:
+    """Geometric fit of the correlation sequence against the spectral rate.
+
+    `lambda2` defaults to `subdominant_modulus(eigenvalues(tm))`.
+    """
+    cks = correlations(tm, u, v, k_max, density=density)
     mags = np.abs(cks)
     usable = np.nonzero(mags > 1e-14)[0]
     usable = usable[usable >= k_fit_start]
@@ -374,9 +402,7 @@ def decay_rate(tm: TransferMatrix, u: AtomicRep, v: PiecewiseFn,
     slope = np.polyfit(ks, np.log(mags[usable]), 1)[0]
     fitted = float(np.exp(slope))
     if lambda2 is None:
-        ev = eigenvalues(tm)
-        inside = [abs(l) for l in ev if abs(l) < 1.0 - 1e-6]
-        lambda2 = max(inside) if inside else 0.0
+        lambda2 = subdominant_modulus(eigenvalues(tm))
     passed = fitted <= lambda2 + 0.02
     return DecayReport(correlations=cks, fitted_rate=fitted,
                        certificate_rate=lambda2, k_fit_start=k_fit_start,
@@ -413,6 +439,18 @@ def multiplier_matrix(tm: TransferMatrix, phase: np.ndarray) -> np.ndarray:
     return out
 
 
+def apply_multiplier(tm: TransferMatrix, phase: np.ndarray,
+                     vec: np.ndarray) -> np.ndarray:
+    """multiplier_matrix(tm, phase) @ vec without building the matrix.
+
+    Evaluates the expansion on the bottom cells, multiplies by the phase
+    and expands the product again; each column of the matrix is this map
+    applied to a unit vector.
+    """
+    grid, K, params = tm.grid, tm.K, tm.params
+    return canonical_vector(phase * evaluate_vector(vec, grid, K, params), grid, K, params)
+
+
 def _leading_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray], n: int,
                         iters: int = 300, tol: float = 1e-14
                         ) -> Tuple[complex, bool, float]:
@@ -443,6 +481,7 @@ def green_kubo_variance(tm: TransferMatrix, v: PiecewiseFn,
                         density: PiecewiseFn, k_cap: int = 200,
                         term_tol: float = 1e-14) -> float:
     """Lag-sum variance: c_0 + 2 sum_k int v * transfer^k(v rho)."""
+    _check_observable(tm, v)
     grid, params = tm.grid, tm.params
     mean_v = float(np.real(grid.integrate(tm.K, v.values * density.values)))
     vc = np.real(v.values) - mean_v
@@ -468,8 +507,10 @@ def clt_variance(tm: TransferMatrix, v: PiecewiseFn,
 
     The observable is centered against the computed density first; a
     perturbed family whose power iteration stalls (the next eigenvalue
-    approaches the leading one within 0.1) is refused.
+    approaches the leading one within 0.1) is refused.  The twisted
+    operator is applied matrix-free, as transfer after `apply_multiplier`.
     """
+    _check_observable(tm, v)
     grid, params = tm.grid, tm.params
     if density is None:
         density, _ = invariant_density(tm)
@@ -479,13 +520,15 @@ def clt_variance(tm: TransferMatrix, v: PiecewiseFn,
     if len(ts) < 2:
         raise ValueError("need at least two sample parameters")
     leading: Dict[float, complex] = {}
-    lam0, ok0, _ = _leading_eigenvalue(lambda x: tm.apply(x), basis_size(grid, tm.K))
+    n = basis_size(grid, tm.K)
+    lam0, ok0, _ = _leading_eigenvalue(tm.apply, n)
     if not ok0:
         raise GapCollapseError("unperturbed leading eigenvalue did not isolate")
     leading[0.0] = lam0
     for t in ts:
-        Mt = multiplier_matrix(tm, np.exp(1j * t * vc))
-        lam, ok, res = _leading_eigenvalue(lambda x: tm.apply(Mt @ x), Mt.shape[0])
+        phase = np.exp(1j * t * vc)
+        lam, ok, res = _leading_eigenvalue(
+            lambda x: tm.apply(apply_multiplier(tm, phase, x)), n)
         if not ok:
             raise GapCollapseError(
                 f"power iteration stalls at t={t} (residual {res:.2e}): "

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import besovtransfer.cli as cli
+import besovtransfer.spectral as spectral
 from besovtransfer.cli import EXIT_ASSUMPTION, EXIT_CONFIG, EXIT_OK, main
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -166,3 +168,28 @@ def test_max_cells_flag(tmp_path):
     rc = main(["matrix", "--config", str(cfg), "--out", str(tmp_path / "o"),
                "--max-cells", "100"])
     assert rc == EXIT_CONFIG
+
+
+def test_spectrum_and_decay_share_one_factorisation(tmp_path, monkeypatch):
+    calls = {"factorise": 0, "density": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eig", counted("factorise", np.linalg.eig))
+    monkeypatch.setattr(np.linalg, "eigvals", counted("factorise", np.linalg.eigvals))
+    density = counted("density", spectral.invariant_density)
+    monkeypatch.setattr(cli, "invariant_density", density)
+    monkeypatch.setattr(spectral, "invariant_density", density)
+    # beta=1.8 is not level-triangular, so its spectrum needs a dense factorisation
+    config = cli.RunConfig.from_json(
+        {"grid": {"arity": 2, "max_level": 6}, "map": {"map": "beta", "beta": 1.8},
+         "analyses": ["spectrum", "decay"]}, tmp_path)
+    cli.Runner(config).run()
+    assert calls == {"factorise": 1, "density": 1}
+    decay = json.loads((tmp_path / "decay.json").read_text())
+    gap = json.loads((tmp_path / "spectral.json").read_text())["gap"]
+    assert decay["certificate_rate"] == pytest.approx(1.0 - gap, abs=1e-15)

@@ -17,13 +17,16 @@ from besovtransfer.dynamics import MapSpec, make_map
 from besovtransfer.errors import DegenerateFitError
 from besovtransfer.grid import CellId, build_grid
 from besovtransfer.spectral import (
+    apply_multiplier,
     clt_variance,
     correlations,
     decay_rate,
     eigenvalues,
+    green_kubo_variance,
     invariant_density,
     lasota_yorke_verify,
     monte_carlo_variance,
+    multiplier_matrix,
     peripheral_spectrum,
     support_structure,
     transitivity_check,
@@ -45,6 +48,14 @@ def doubling_tm():
 def golden_tm():
     system = make_map(MapSpec("beta", beta=PHI), build_grid(2, 9), PARAMS, probe_level=8)
     return assemble_matrix(system, K=9)
+
+
+@pytest.fixture(scope="module")
+def beta18_tm():
+    # non-Markov: bottom cells cut at 0.8 and three points of its orbit
+    system = make_map(MapSpec("beta", beta=1.8), build_grid(2, 8), PARAMS)
+    assert system.grid.cuts
+    return assemble_matrix(system, K=8)
 
 
 def halves_spec(swap: bool):
@@ -302,3 +313,44 @@ def test_clt_monte_carlo_oracle(doubling_tm):
                                   lambda x: np.cos(2 * np.pi * x))
     rep = clt_variance(doubling_tm, v)
     assert abs(sig - rep.sigma2) <= 5e-3
+
+
+def test_twist_matches_multiplier_matrix(doubling_tm, beta18_tm):
+    # the matrix-free twist is the dense multiplier applied to a vector
+    rng = np.random.default_rng(5)
+    for tm in (doubling_tm, beta18_tm):
+        v = PiecewiseFn.from_function(tm.grid, tm.K, lambda x: np.cos(2 * np.pi * x))
+        phase = np.exp(0.3j * v.values)
+        dense = multiplier_matrix(tm, phase)
+        for _ in range(3):
+            x = rng.standard_normal(tm.size) + 1j * rng.standard_normal(tm.size)
+            ref = dense @ x
+            err = np.linalg.norm(apply_multiplier(tm, phase, x) - ref)
+            assert err <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_observable_on_other_grid_refused():
+    # golden K=10 cuts the cell holding 1/phi; an observable built on the
+    # uncut grid has the right cell count but the wrong cells
+    system = make_map(MapSpec("beta", beta=PHI), build_grid(2, 10), PARAMS,
+                      probe_level=8)
+    assert system.grid.cuts
+    tm = assemble_matrix(system, K=10)
+    rho, _ = invariant_density(tm)
+    u = atom_rep(CellId(1, 0), PARAMS, tm.grid, 1.0) \
+        + atom_rep(CellId(1, 1), PARAMS, tm.grid, -1.0)
+
+    def cos(x):
+        return np.cos(2 * np.pi * x)
+
+    uncut = PiecewiseFn.from_function(build_grid(2, 10), 10, cos)
+    coarse = PiecewiseFn.from_function(tm.grid, 9, cos)
+    for v in (uncut, coarse):
+        with pytest.raises(ValueError, match="observable"):
+            correlations(tm, u, v, k_max=3, density=rho)
+        with pytest.raises(ValueError, match="observable"):
+            green_kubo_variance(tm, v, rho)
+        with pytest.raises(ValueError, match="observable"):
+            clt_variance(tm, v, density=rho)
+    v = PiecewiseFn.from_function(tm.grid, 10, cos)
+    assert correlations(tm, u, v, k_max=3, density=rho).shape == (4,)
