@@ -134,29 +134,29 @@ class PiecewiseFn:
     def lp_norm(self, t: float) -> float:
         return lp_norm(self, t)
 
+    def _values_of(self, other):
+        """other's cell values, refusing a function on other cells."""
+        if not isinstance(other, PiecewiseFn):
+            return other
+        if other.grid != self.grid or other.level != self.level:
+            raise ValueError(f"level {other.level} of {other.grid} is not level "
+                             f"{self.level} of {self.grid}")
+        return other.values
+
     def l1_distance(self, other: "PiecewiseFn") -> float:
-        if self.level != other.level:
-            raise ValueError("resolution mismatch")
-        return float(self.grid.integrate(self.level, np.abs(self.values - other.values)))
+        diff = self.values - self._values_of(other)
+        return float(self.grid.integrate(self.level, np.abs(diff)))
 
     def __mul__(self, other):
-        if isinstance(other, PiecewiseFn):
-            if other.level != self.level:
-                raise ValueError("resolution mismatch")
-            return PiecewiseFn(self.grid, self.level, self.values * other.values)
-        return PiecewiseFn(self.grid, self.level, self.values * other)
+        return PiecewiseFn(self.grid, self.level, self.values * self._values_of(other))
 
     __rmul__ = __mul__
 
     def __add__(self, other):
-        if isinstance(other, PiecewiseFn):
-            return PiecewiseFn(self.grid, self.level, self.values + other.values)
-        return PiecewiseFn(self.grid, self.level, self.values + other)
+        return PiecewiseFn(self.grid, self.level, self.values + self._values_of(other))
 
     def __sub__(self, other):
-        if isinstance(other, PiecewiseFn):
-            return PiecewiseFn(self.grid, self.level, self.values - other.values)
-        return PiecewiseFn(self.grid, self.level, self.values - other)
+        return PiecewiseFn(self.grid, self.level, self.values - self._values_of(other))
 
     def to_csv(self) -> str:
         lines = ["midpoint,value"]
@@ -191,9 +191,6 @@ class AtomicRep:
     coeffs: Dict[CellId, complex] = field(default_factory=dict)
     positive_flag: bool = False
     meta: Dict = field(default_factory=dict)
-
-    def max_level(self) -> int:
-        return max((c.level for c in self.coeffs), default=0)
 
     def copy(self) -> "AtomicRep":
         return AtomicRep(self.params, self.grid, dict(self.coeffs),
@@ -452,14 +449,23 @@ def canonical_rep(f: PiecewiseFn, params: BesovParams, positive: bool = False) -
     arrays = canonical_coeff_arrays(f.values, f.grid.arity, params.theta,
                                     base_level=0, positive=positive,
                                     leaf_widths=f.grid.cut_widths(f.level))
+    return tree_rep(arrays, CellId(0, 0), params, f.grid, positive)
+
+
+def tree_rep(arrays: List[np.ndarray], W: CellId, params: BesovParams, grid: Grid,
+             positive: bool) -> AtomicRep:
+    """The expansion with the canonical_coeff_arrays of the subtree of W, flagged
+    positive when `positive` is set and no coefficient is negative."""
     coeffs: Dict[CellId, complex] = {}
-    for k, arr in enumerate(arrays):
-        idx = np.nonzero(np.abs(arr) > 0.0)[0]
-        for j in idx:
-            coeffs[CellId(k, int(j))] = arr[j]
-    vals = np.asarray(list(coeffs.values()))
-    pos = bool(vals.size == 0 or (np.all(np.isreal(vals)) and np.all(np.real(vals) >= -1e-12)))
-    return AtomicRep(params, f.grid, coeffs, positive_flag=pos and positive)
+    for u, arr in enumerate(arrays):
+        base = W.index * grid.arity ** u
+        for j in np.nonzero(np.abs(arr) > 0.0)[0]:
+            coeffs[CellId(W.level + u, base + int(j))] = arr[j]
+    if positive:
+        vals = np.asarray(list(coeffs.values()))
+        positive = bool(vals.size == 0 or (np.all(np.isreal(vals))
+                                           and np.all(np.real(vals) >= -1e-12)))
+    return AtomicRep(params, grid, coeffs, positive_flag=positive)
 
 
 def canonical_vector(values: np.ndarray, grid: Grid, K: int, params: BesovParams) -> np.ndarray:
@@ -478,26 +484,21 @@ def subtree_rep(f: PiecewiseFn, W: CellId, params: BesovParams,
     subtree of W.  `theta` overrides the atom scaling exponent (used for
     finer-scale budgets).
     """
-    grid, K = f.grid, f.level
-    if W.level > K:
+    if W.level > f.level:
         raise ValueError("support cell below working resolution")
-    m = grid.arity
-    span = m ** (K - W.level)
-    sub = f.values[W.index * span:(W.index + 1) * span]
     th = params.theta if theta is None else theta
-    arrays = canonical_coeff_arrays(
-        sub, m, th, base_level=W.level, positive=positive,
-        leaf_widths=grid.cut_widths(K, W.index * span, (W.index + 1) * span))
-    coeffs: Dict[CellId, complex] = {}
-    for u, arr in enumerate(arrays):
-        k = W.level + u
-        base = W.index * m ** u
-        idx = np.nonzero(np.abs(arr) > 0.0)[0]
-        for j in idx:
-            coeffs[CellId(k, base + int(j))] = arr[j]
-    vals = np.asarray(list(coeffs.values()))
-    pos = bool(vals.size == 0 or (np.all(np.isreal(vals)) and np.all(np.real(vals) >= -1e-12)))
-    return AtomicRep(params, grid, coeffs, positive_flag=pos and positive)
+    return tree_rep(subtree_arrays(f, W, th, positive), W, params, f.grid, positive)
+
+
+def subtree_arrays(f: PiecewiseFn, W: CellId, theta: float,
+                   positive: bool = False) -> List[np.ndarray]:
+    """canonical_coeff_arrays of f on the subtree of W (atom exponent theta)."""
+    m = f.grid.arity
+    span = m ** (f.level - W.level)
+    lo, hi = W.index * span, (W.index + 1) * span
+    return canonical_coeff_arrays(f.values[lo:hi], m, theta, base_level=W.level,
+                                  positive=positive,
+                                  leaf_widths=f.grid.cut_widths(f.level, lo, hi))
 
 
 # -- conversions ---------------------------------------------------------------

@@ -31,7 +31,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import intervals as iv
 from .atoms import BesovParams, PiecewiseFn, coefficient_norm, subtree_rep
 from .domains import RegularDecomp, decompose, strong_regularity
 from .errors import (
@@ -82,16 +81,17 @@ class Branch:
     c_dc2: float = 1.0
     c_dgd1: float = 1.0
     c_dgd2: float = 1.0
-    eps_sign: int = 1
 
-    def forward_interval(self, lo: float, hi: float) -> Tuple[float, float]:
-        """Image h^{-1}([lo, hi)) as an interval (exact endpoint arithmetic)."""
-        a, b = float(self.h_inv(lo)), float(self.h_inv(hi))
+    def forward_interval(self, lo, hi):
+        """Image h^{-1}([lo, hi)) as an interval (exact endpoint arithmetic).
+
+        lo and hi are scalars or arrays of interval ends (elementwise).
+        """
+        a, b = self.h_inv(lo), self.h_inv(hi)
         if not self.increasing:
             a, b = b, a
-        a = min(max(a, self.dom[0]), self.dom[1])
-        b = min(max(b, self.dom[0]), self.dom[1])
-        return (a, b)
+        a, b = (np.minimum(np.maximum(x, self.dom[0]), self.dom[1]) for x in (a, b))
+        return (float(a), float(b)) if a.ndim == 0 else (a, b)
 
     def pullback_interval(self, lo: float, hi: float) -> Tuple[float, float]:
         """h([lo, hi)) for [lo, hi) inside the branch domain J."""
@@ -100,19 +100,23 @@ class Branch:
             a, b = b, a
         return (a, b)
 
-    def weight_integral(self, lo: float, hi: float) -> float:
-        """Signed integral of g over [lo, hi) inside J (exact when possible)."""
-        if hi <= lo:
-            return 0.0
+    def weight_integral(self, lo, hi):
+        """Signed integral of g over [lo, hi) inside J (exact when possible).
+
+        lo and hi are scalars or arrays (elementwise); an empty or reversed
+        interval integrates to 0.
+        """
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         if self.potential.kind == "jacobian":
-            a, b = self.pullback_interval(lo, hi)
-            return abs(b - a)
-        if self.potential.is_constant():
-            return self.potential.value * (hi - lo)
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        vals = self.potential(mid + half * _GL_NODES)
-        return float(np.dot(_GL_WEIGHTS, vals) * half)
+            out = np.abs(self.h(hi) - self.h(lo))
+        elif self.potential.is_constant():
+            out = self.potential.value * (hi - lo)
+        else:
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            nodes = np.multiply.outer(half, _GL_NODES) + mid[..., None]
+            vals = np.reshape(self.potential(nodes.ravel()), nodes.shape)
+            out = (vals @ _GL_WEIGHTS) * half
+        return np.where(hi > lo, out, 0.0)[()]
 
     def lambda_rs2(self, params: BesovParams) -> float:
         return max(self.c_dc2 ** params.eps, self.c_dgd2 ** (1.0 / params.p))
@@ -382,19 +386,19 @@ def scaling_constants(grid: Grid, branch: Branch,
     return a_r, front, base
 
 
-def potential_regularity(grid: Grid, branch: Branch, params: BesovParams,
-                         probe_level: int = 6,
-                         resolution: Optional[int] = None) -> float:
+def potential_regularity(gbar: PiecewiseFn, branch: Branch, params: BesovParams,
+                         probe_level: int = 6) -> float:
     """Measured regularity constant of the branch weight.
 
-    For each probing cell W in the branch domain, the finer-scale expansion
-    of g*1_W is compared against the budget
-    (|Q|/|image Q|)**(1/p-s+eps) * |W|**(1/p-beta) with Q the smallest cell
-    containing h(W).  The positive construction is used for nonnegative
-    weights so downstream positivity is preserved by the same numbers.
+    gbar holds the cell averages of the weight (weight_averages) on the
+    grid and level the weight is re-expanded at.  For each probing cell W
+    in the branch domain, the finer-scale expansion of g*1_W is compared
+    against the budget (|Q|/|image Q|)**(1/p-s+eps) * |W|**(1/p-beta) with
+    Q the smallest cell containing h(W).  The positive construction is used
+    for nonnegative weights so downstream positivity is preserved by the
+    same numbers.
     """
-    K = grid.max_level if resolution is None else resolution
-    gbar = weight_averages(grid, branch, K)
+    grid, K = gbar.grid, gbar.level
     top = min(probe_level, K)
     worst = 0.0
     exponent = 1.0 / params.p - params.s + params.eps
@@ -436,8 +440,8 @@ def weight_averages(grid: Grid, branch: Branch, K: int) -> PiecewiseFn:
     5-point Gauss-Legendre otherwise.  Cells outside the domain get 0.
     """
     vals = np.zeros(grid.n_cells(K))
-    for j, a, b, w_j in grid.overlaps(K, *branch.dom):
-        vals[j] = branch.weight_integral(a, b) / w_j
+    _, j, a, b, w = grid.overlaps(K, *branch.dom)
+    vals[j] = branch.weight_integral(a, b) / w
     return PiecewiseFn(grid, K, vals)
 
 
@@ -458,6 +462,18 @@ class BranchSystem:
     tail_mass_geometric: float = 0.0
     lebesgue_classes: Dict[str, List[int]] = field(default_factory=dict)
     probe_level: int = 10
+    # weight averages by (branch id, level) and the bin operator (a
+    # scipy.sparse matrix, see transfer.build_cell_operator) by level
+    weight_avgs: Dict[Tuple[int, int], PiecewiseFn] = field(
+        default_factory=dict, repr=False, compare=False)
+    cell_ops: Dict[int, object] = field(default_factory=dict, repr=False, compare=False)
+
+    def averages(self, branch: Branch, K: int) -> PiecewiseFn:
+        """weight_averages of a branch at level K, computed once per system."""
+        key = (branch.r, K)
+        if key not in self.weight_avgs:
+            self.weight_avgs[key] = weight_averages(self.grid, branch, K)
+        return self.weight_avgs[key]
 
     @property
     def lambda_rs2(self) -> float:
@@ -539,19 +555,13 @@ def _measure_overlaps(system: BranchSystem, t: int = 1) -> None:
     m_best, t_best = 0, 0.0
     check_levels = list(range(t, min(K, system.probe_level) + 1))
     for k in check_levels:
-        edges = grid.edges(k)
-        n = grid.n_cells(k)
-        m_here = np.zeros(n, dtype=int)
-        t_here = np.zeros(n)
+        m_here = np.zeros(grid.n_cells(k), dtype=int)
+        t_here = np.zeros(grid.n_cells(k))
         for b, th in zip(system.branches, thetas):
-            lo, hi = b.img
-            pad = 1e-12 * grid.width(k)
-            j0 = max(grid.locate(k, lo - pad), 0)
-            j1 = min(grid.locate(k, hi + pad) + 1, n)
-            for j in range(j0, j1):
-                if min(hi, edges[j + 1]) - max(lo, edges[j]) > 1e-14:
-                    m_here[j] += 1
-                    t_here[j] += th
+            _, j, lo, hi, _ = grid.overlaps(k, *b.img)
+            j = j[hi - lo > 1e-14]
+            m_here[j] += 1
+            t_here[j] += th
         m_best = max(m_best, int(m_here.max(initial=0)))
         t_best = max(t_best, float(t_here.max(initial=0.0)))
     system.m_overlap = m_best
@@ -683,7 +693,7 @@ def make_map(spec: MapSpec, grid: Grid, params: BesovParams,
                 c_dgd1 = max(c_dgd1, dec.c_dom)
         b.c_dgd1 = max(c_dgd1, 1.0)
         b.c_dgd2 = grid.arity ** (-alpha)
-        potential_regularity(grid, b, params,
+        potential_regularity(system.averages(b, grid.max_level), b, params,
                              probe_level=min(6, system.probe_level))
         system.strong_reports[b.r] = strong_regularity(grid, b.img, alpha_beta, t=0)
     if not allow_nonexpanding:

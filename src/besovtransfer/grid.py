@@ -168,10 +168,6 @@ class Grid:
             raise ValueError("root cell has no parent")
         return CellId(cell.level - 1, cell.index // self.arity)
 
-    def children(self, cell: CellId) -> List[CellId]:
-        m = self.arity
-        return [CellId(cell.level + 1, cell.index * m + i) for i in range(m)]
-
     def locate(self, level: int, x: float) -> int:
         """Index j with x in cell j, unclipped (n_cells for x at or past 1)."""
         if self.cuts and level == self.max_level:
@@ -202,34 +198,34 @@ class Grid:
             i1 = int(math.floor(hi * n + CONTAIN_TOL))
         return max(i0, 0), min(i1, n)
 
-    def overlaps(self, level: int, lo: float, hi: float
-                 ) -> List[Tuple[int, float, float, float]]:
-        """Cells of a level meeting [lo, hi) as (j, a, b, |cell j|).
+    def overlaps(self, level: int, lo, hi) -> Tuple[np.ndarray, ...]:
+        """Cells of a level meeting the pieces [lo[i], hi[i]) as COO arrays.
 
-        [a, b) is the nonempty overlap of cell j with [lo, hi); an upper
-        end within 1e-12 nominal widths past a cell edge does not reach
-        into the next cell.
+        lo and hi are arrays of piece ends, or scalars for a single piece.
+        Returns (piece, j, a, b, |cell j|), one entry per nonempty overlap
+        [a, b) of cell j with piece i, ordered by piece and then by cell.
+        An upper end within 1e-12 nominal widths past a cell edge does not
+        reach into the next cell; empty and reversed pieces meet no cell.
         """
+        lo, hi = (np.ravel(x).astype(float) for x in np.broadcast_arrays(lo, hi))
         n = self.n_cells(level)
         w = self.width(level)
-        out = []
-        if self.cuts and level == self.max_level:
-            e = self._cut_edge_list
-            j0 = max(bisect.bisect_right(e, lo) - 1, 0)
-            j1 = min(bisect.bisect_left(e, hi - 1e-12 * w), n)
-            for j in range(j0, j1):
-                c_lo, c_hi = e[j], e[j + 1]
-                a, b = max(c_lo, lo), min(c_hi, hi)
-                if b > a:
-                    out.append((j, a, b, c_hi - c_lo))
-            return out
-        j0 = max(int(lo / w), 0)
-        j1 = min(int(math.ceil(hi / w - 1e-12)), n)
-        for j in range(j0, j1):
-            a, b = max(j * w, lo), min((j + 1) * w, hi)
-            if b > a:
-                out.append((j, a, b, w))
-        return out
+        edges = self.edges(level)
+        if self.is_cut(level):
+            j0 = np.searchsorted(edges, lo, side="right") - 1
+            j1 = np.searchsorted(edges, hi - 1e-12 * w, side="left")
+        else:
+            j0 = (lo / w).astype(np.int64)
+            j1 = np.ceil(hi / w - 1e-12).astype(np.int64)
+        j0 = np.maximum(j0, 0)
+        count = np.maximum(np.minimum(j1, n) - j0, 0)
+        piece = np.repeat(np.arange(lo.size), count)
+        start = np.cumsum(count) - count
+        j = np.arange(piece.size) - np.repeat(start - j0, count)
+        a = np.maximum(edges[j], lo[piece])
+        b = np.minimum(edges[j + 1], hi[piece])
+        keep = b > a
+        return piece[keep], j[keep], a[keep], b[keep], self.widths(level)[j[keep]]
 
     def integrate(self, level: int, values: np.ndarray,
                   select: Optional[np.ndarray] = None):

@@ -63,6 +63,3 @@ def contains_interval(pieces: Iterable[Interval], sub: Interval, tol: float = 0.
             return True
     return False
 
-
-def contains_point(pieces: Iterable[Interval], x: float) -> bool:
-    return any(a <= x < b for a, b in pieces)

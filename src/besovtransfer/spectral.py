@@ -607,6 +607,8 @@ class SupportReport:
 def support_structure(density: PiecewiseFn, grid: Grid,
                       tol: float = 1e-9) -> SupportReport:
     """Cell-union description of the positivity set of a density."""
+    if grid != density.grid:
+        raise ValueError(f"density on {density.grid}, support asked on {grid}")
     K = density.level
     m = grid.arity
     mask = np.real(density.values) > tol

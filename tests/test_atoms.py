@@ -337,3 +337,20 @@ def test_atom_resolution_guards():
     deep = AtomicRep(PARAMS, GRID, {CellId(8, 1): 1.0})
     with pytest.raises(ValueError):
         evaluate(deep, resolution=5)
+
+
+def test_piecewise_functions_on_other_cells_are_refused():
+    # the golden map's working grid cuts a level-10 cell at 1/phi
+    from besovtransfer.dynamics import MapSpec, working_grid
+    from besovtransfer.spectral import support_structure
+    cut = working_grid(MapSpec("beta", beta=(1 + math.sqrt(5)) / 2), build_grid(2, 10))
+    assert cut.cuts
+    f = PiecewiseFn.constant(cut, 10, 1.0)
+    for other in (PiecewiseFn.constant(build_grid(2, 10), 10, 1.0),
+                  PiecewiseFn.constant(cut, 9, 1.0)):
+        for op in (f.__add__, f.__sub__, f.__mul__, f.l1_distance):
+            with pytest.raises(ValueError):
+                op(other)
+    assert (f + f).l1_distance(f * 2.0) == 0.0
+    with pytest.raises(ValueError):
+        support_structure(f, build_grid(2, 10))

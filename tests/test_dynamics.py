@@ -233,3 +233,33 @@ def test_theta_monotone_in_shift(doubling):
         b2.potential = b.potential
         thetas.append(b2.theta(PARAMS))
     assert thetas[0] > thetas[1] > thetas[2]
+
+
+def test_weight_integral_on_arrays_matches_scalar_calls(doubling, golden):
+    custom = MapSpec("doubling", potential="custom",
+                     custom_fn=lambda x: 0.5 + 0.1 * np.cos(2 * np.pi * np.asarray(x)))
+    systems = [
+        (doubling, 0.0), (golden, 0.0),
+        (make_map(MapSpec("gauss", r_max=5), build_grid(2, 8), PARAMS, probe_level=6), 0.0),
+        (make_map(MapSpec("lorenz_cusp"), build_grid(2, 8), PARAMS, probe_level=6), 0.0),
+        (make_map(MapSpec("beta", beta=1.8, potential="constant", constant=0.7),
+                  build_grid(2, 8), PARAMS), 0.0),
+        (make_map(custom, build_grid(2, 8), PARAMS), 1e-15),
+    ]
+    rng = np.random.default_rng(9)
+    for system, tol in systems:
+        for b in system.branches:
+            lo = rng.uniform(*b.dom, 25)
+            hi = np.minimum(lo + rng.uniform(-0.01, 0.2, 25), b.dom[1])
+            got = b.weight_integral(lo, hi)
+            want = np.array([b.weight_integral(x, y) for x, y in zip(lo, hi)])
+            assert got.shape == lo.shape
+            assert np.all(want[hi <= lo] == 0.0)
+            if tol == 0.0:
+                assert np.array_equal(got, want), (system.spec.name, b.r)
+            else:
+                assert np.max(np.abs(got - want)) <= tol
+            lo = rng.uniform(*b.img, 25)
+            hi = rng.uniform(lo, b.img[1])
+            flo, fhi = b.forward_interval(lo, hi)
+            assert list(zip(flo, fhi)) == [b.forward_interval(x, y) for x, y in zip(lo, hi)]

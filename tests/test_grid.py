@@ -144,3 +144,80 @@ def test_grid_json_roundtrip():
     assert g.to_json() == {"arity": 2, "max_level": 12}
     g2 = Grid.from_json(g.to_json())
     assert g2.arity == 2 and g2.max_level == 12
+
+
+# -- the interval kernel ---------------------------------------------------------
+
+def brute_force_overlaps(grid, level, lo, hi):
+    """Scan every cell of the level for its overlap with [lo, hi).
+
+    An upper end less than 1e-12 nominal widths past a cell's left edge
+    does not reach into that cell.
+    """
+    w = grid.width(level)
+    out = []
+    for j in range(grid.n_cells(level)):
+        c_lo, c_hi = grid.interval(CellId(level, j))
+        a, b = max(c_lo, lo), min(c_hi, hi)
+        if b > a and c_lo < hi - 1e-12 * w:
+            out.append((j, a, b, grid.measure(CellId(level, j))))
+    return out
+
+
+def _kernel_grids():
+    # bottom cells of a dyadic K=10 grid cut at 1/phi, 2 - phi and 0.3001
+    phi = (1 + 5 ** 0.5) / 2
+    cut = build_grid(2, 10).with_cuts([1 / phi, 2 - phi, 0.3001])
+    assert cut.cuts
+    return [(build_grid(2, 10), 10), (build_grid(2, 10), 6), (build_grid(3, 6), 6),
+            (build_grid(3, 6), 3), (cut, 10), (cut, 9)]
+
+
+def _kernel_pieces(grid, level, rng):
+    w = grid.width(level)
+    edges = grid.edges(level)
+    idx = rng.integers(2, len(edges) - 1, 12)
+    inner = edges[idx]
+    lo = rng.uniform(-0.05, 1.0, 40)
+    hi = lo + rng.uniform(0.0, 0.2, 40)
+    lo = np.concatenate([lo, inner - 0.3 * w, edges[idx - 2], inner, [0.4, 0.7, 0.5]])
+    hi = np.concatenate([hi,
+                         inner + 1e-13 * w,          # ends just past an edge
+                         inner + 0.5e-12 * w,
+                         inner + 0.3 * w,
+                         [0.4, 0.2, 1.3]])           # empty, reversed, past 1
+    return lo, hi
+
+
+def test_overlaps_matches_brute_force():
+    rng = np.random.default_rng(3)
+    for grid, level in _kernel_grids():
+        lo, hi = _kernel_pieces(grid, level, rng)
+        piece, j, a, b, wj = grid.overlaps(level, lo, hi)
+        assert np.all(np.diff(piece) >= 0)
+        for i in range(lo.size):
+            mine = piece == i
+            got = list(zip(j[mine].tolist(), a[mine].tolist(), b[mine].tolist(),
+                           wj[mine].tolist()))
+            assert got == brute_force_overlaps(grid, level, lo[i], hi[i]), (level, i)
+
+
+def test_overlaps_partition_each_piece():
+    rng = np.random.default_rng(5)
+    for grid, level in _kernel_grids():
+        lo = rng.uniform(0.0, 0.9, 30)
+        hi = lo + rng.uniform(0.0, 0.1, 30)
+        piece, j, a, b, wj = grid.overlaps(level, lo, hi)
+        lengths = np.bincount(piece, weights=b - a, minlength=lo.size)
+        clipped = np.minimum(hi, 1.0) - np.maximum(lo, 0.0)
+        assert np.max(np.abs(lengths - clipped)) <= 1e-12 * grid.width(level)
+        assert np.all(wj == grid.widths(level)[j])
+
+
+def test_overlaps_scalar_piece_and_empty_pieces():
+    grid = build_grid(2, 4)
+    piece, j, a, b, wj = grid.overlaps(4, 0.1, 0.3)
+    assert piece.tolist() == [0, 0, 0, 0] and j.tolist() == [1, 2, 3, 4]
+    assert a[0] == 0.1 and b[-1] == 0.3 and np.all(wj == 1 / 16)
+    for lo, hi in ((0.3, 0.3), (0.3, 0.1), ([], [])):
+        assert all(x.size == 0 for x in grid.overlaps(4, lo, hi))

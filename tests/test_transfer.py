@@ -16,7 +16,7 @@ from besovtransfer.atoms import (
     random_rep,
 )
 from besovtransfer.dynamics import MapSpec, make_map
-from besovtransfer.errors import AssumptionError, CapacityError
+from besovtransfer.errors import AssumptionError, CapacityError, ModeMismatchError
 from besovtransfer.grid import CellId, build_grid
 from besovtransfer.transfer import (
     apply_transfer,
@@ -137,6 +137,19 @@ def test_mode_cross_check(doubling, golden, gauss, beta18):
             rep = random_rep(system.grid, PARAMS, rng, n_atoms=12)
             out = apply_transfer(system, rep, mode="analytic", cross_check=True)
             assert out.meta["cross_check_l1"] <= 1e-6 + out.meta["defect_l1"]
+
+
+def test_cross_check_rejects_a_bin_operator_off_by_1e6(monkeypatch):
+    # the routes agree to ~1e-13; a bin operator scaled by 1 + 1e-6 is a
+    # broken route even though the mismatch is far below the sliver mass
+    import besovtransfer.transfer as transfer
+    build = transfer.build_cell_operator
+    monkeypatch.setattr(transfer, "build_cell_operator",
+                        lambda system, K=None: build(system, K) * (1 + 1e-6))
+    system = make_map(MapSpec("beta", beta=1.8), build_grid(2, 8), PARAMS)
+    rep = random_rep(system.grid, PARAMS, np.random.default_rng(53), n_atoms=15)
+    with pytest.raises(ModeMismatchError):
+        apply_transfer(system, rep, mode="analytic", cross_check=True)
 
 
 def test_mass_conservation(doubling, golden, gauss, beta18):
