@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -408,6 +409,21 @@ def _minima_pyramid(values: np.ndarray, m: int) -> List[np.ndarray]:
     return levels
 
 
+def _roots_and_arrays(values: np.ndarray, m: int, theta: float, base_level: int,
+                      positive: bool, leaf_widths: Optional[np.ndarray]):
+    """Per level: the pyramid value times the atom scale, and the coefficients."""
+    if positive:
+        pyramid = _minima_pyramid(np.maximum(np.real(values), 0.0), m)
+    else:
+        pyramid = _averages_pyramid(values, m, leaf_widths)
+    scales = [float(m) ** (-(base_level + u) * theta) for u in range(len(pyramid))]
+    if leaf_widths is not None:
+        scales[-1] = leaf_widths ** theta
+    roots = [a * s for a, s in zip(pyramid, scales)]
+    return roots, [roots[0]] + [(pyramid[u] - np.repeat(pyramid[u - 1], m)) * scales[u]
+                                for u in range(1, len(pyramid))]
+
+
 def canonical_coeff_arrays(values: np.ndarray, m: int, theta: float,
                            base_level: int = 0, positive: bool = False,
                            leaf_widths: Optional[np.ndarray] = None) -> List[np.ndarray]:
@@ -423,20 +439,88 @@ def canonical_coeff_arrays(values: np.ndarray, m: int, theta: float,
     bottom level: the leaf atoms are scaled by them and the averages
     weighted with them.
     """
-    if positive:
-        vals = np.real(values)
-        pyramid = _minima_pyramid(np.maximum(vals, 0.0), m)
-    else:
-        pyramid = _averages_pyramid(values, m, leaf_widths)
-    out: List[np.ndarray] = []
-    for u in range(len(pyramid)):
-        if leaf_widths is not None and u == len(pyramid) - 1:
-            scale = leaf_widths ** theta
-        else:
-            scale = float(m) ** (-(base_level + u) * theta)
-        diff = pyramid[0] if u == 0 else pyramid[u] - np.repeat(pyramid[u - 1], m)
-        out.append(diff * scale)
+    return _roots_and_arrays(values, m, theta, base_level, positive, leaf_widths)[1]
+
+
+def coefficient_table(f: PiecewiseFn, theta: float,
+                      positive: bool = False) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Every subtree expansion of f at once: (roots, arrays).
+
+    roots[k][j] is the average of f over cell (k, j) times that cell's atom
+    scale, and arrays is canonical_coeff_arrays of f over the whole tree.
+    For W = (k, j), subtree_arrays(f, W, theta, positive) is roots[k][j]
+    followed by arrays[k + u][j * m**u:(j + 1) * m**u] for u >= 1, bit for
+    bit: every pyramid reduction works within one parent.
+    """
+    return _roots_and_arrays(f.values, f.grid.arity, theta, 0, positive,
+                             f.grid.cut_widths(f.level))
+
+
+@lru_cache(maxsize=256)
+def _subtree_template(m: int, K: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    off = np.cumsum([0] + [m ** u for u in range(K)])
+    sizes = m ** np.arange(K - k + 1)
+    lead = np.concatenate([off[k + u] + np.arange(s) for u, s in enumerate(sizes)])
+    step = np.repeat(sizes, sizes)
+    lead.flags.writeable = step.flags.writeable = False
+    return lead, step
+
+
+def subtree_indices(grid: Grid, K: int, k: int, js: np.ndarray) -> np.ndarray:
+    """Basis indices (levels 0..K) of the subtrees of the level-k cells js.
+
+    Row i lists the subtree of cell (k, js[i]) in tree_rep order: its root,
+    then level by level with the index ascending.
+    """
+    lead, step = _subtree_template(grid.arity, K, k)
+    return lead + np.multiply.outer(js, step)
+
+
+def _sums_as_np_sum(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Per row of a, np.sum of the entries where keep holds, bit for bit.
+
+    np.sum adds pairwise, so the entries left out change the grouping:
+    rows are summed in groups of equal kept count, each as a 2-D row sum.
+    """
+    counts = keep.sum(axis=1)
+    out = np.zeros(a.shape[0], dtype=a.dtype)
+    for c in np.unique(counts[counts > 0]):
+        rows = np.nonzero(counts == c)[0]
+        out[rows] = a[rows][keep[rows]].reshape(-1, c).sum(axis=1)
     return out
+
+
+def subtree_norms(roots: List[np.ndarray], arrays: List[np.ndarray], m: int, k: int,
+                  i0: int, i1: int, params: BesovParams) -> np.ndarray:
+    """coefficient_norm of the subtree expansions of cells i0..i1 of level k.
+
+    Read from a coefficient_table; equal bit for bit to
+    coefficient_norm(tree_rep(subtree_arrays(...))) per cell, which drops
+    zero coefficients and levels without a nonzero one.
+    """
+    p, q = params.p, params.q
+    masses, present = [], []
+    for u in range(len(arrays) - k):
+        a = np.abs(roots[k][i0:i1] if u == 0
+                   else arrays[k + u][i0 * m ** u:i1 * m ** u]).reshape(i1 - i0, -1)
+        nz = a > 0.0
+        present.append(nz.any(axis=1))
+        if p == INF:
+            masses.append(a.max(axis=1))
+        else:
+            # Python's pow per value, which equals coefficient_norm's pow of a
+            # numpy scalar; numpy's vectorized pow can differ in the last bit
+            masses.append(np.array([s ** (1.0 / p)
+                                    for s in _sums_as_np_sum(a ** p, nz).tolist()]))
+    masses, present = np.stack(masses, axis=1), np.stack(present, axis=1)
+    if q == INF:
+        total = masses.max(axis=1)
+    else:
+        total = np.array([s ** (1.0 / q)
+                          for s in _sums_as_np_sum(masses ** q, present).tolist()])
+    if not np.all(np.isfinite(total)):
+        raise NormOverflowError("coefficient norm is not finite")
+    return total
 
 
 def canonical_rep(f: PiecewiseFn, params: BesovParams, positive: bool = False) -> AtomicRep:

@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .atoms import BesovParams, PiecewiseFn, coefficient_norm, subtree_rep
+from .atoms import BesovParams, PiecewiseFn, coefficient_table, subtree_norms
 from .domains import RegularDecomp, decompose, strong_regularity
 from .errors import (
     AssumptionError,
@@ -396,28 +396,30 @@ def potential_regularity(gbar: PiecewiseFn, branch: Branch, params: BesovParams,
     against the budget (|Q|/|image Q|)**(1/p-s+eps) * |W|**(1/p-beta) with
     Q the smallest cell containing h(W).  The positive construction is used
     for nonnegative weights so downstream positivity is preserved by the
-    same numbers.
+    same numbers.  The expansion norms of a whole probe level are read from
+    one coefficient_table of gbar (atoms.subtree_norms).
     """
     grid, K = gbar.grid, gbar.level
     top = min(probe_level, K)
     worst = 0.0
     exponent = 1.0 / params.p - params.s + params.eps
+    roots, arrays = coefficient_table(gbar, params.theta_beta, branch.potential.positive)
     for k in range(top + 1):
         i0, i1 = grid.contained_run(k, *branch.dom)
         level_worst = 0.0
-        for j in range(i0, i1):
-            W = CellId(k, j)
-            wlo, whi = grid.interval(W)
-            qlo, qhi = branch.pullback_interval(wlo, whi)
-            kq = _smallest_covering_level(grid, qlo, qhi)
-            Qiv = grid.interval(grid.cell_at(kq, 0.5 * (qlo + qhi)))
-            flo, fhi = branch.forward_interval(*Qiv)
-            ratio = (Qiv[1] - Qiv[0]) / max(fhi - flo, 1e-300)
-            rep = subtree_rep(gbar, W, params, positive=branch.potential.positive,
-                              theta=params.theta_beta)
-            num = coefficient_norm(rep)
-            den = ratio ** exponent * grid.measure(W) ** params.theta_beta
-            level_worst = max(level_worst, num / den)
+        if i1 > i0:
+            dens = []
+            for j in range(i0, i1):
+                W = CellId(k, j)
+                wlo, whi = grid.interval(W)
+                qlo, qhi = branch.pullback_interval(wlo, whi)
+                kq = _smallest_covering_level(grid, qlo, qhi)
+                Qiv = grid.interval(grid.cell_at(kq, 0.5 * (qlo + qhi)))
+                flo, fhi = branch.forward_interval(*Qiv)
+                ratio = (Qiv[1] - Qiv[0]) / max(fhi - flo, 1e-300)
+                dens.append(ratio ** exponent * grid.measure(W) ** params.theta_beta)
+            nums = subtree_norms(roots, arrays, grid.arity, k, i0, i1, params)
+            level_worst = max(level_worst, float(np.max(nums / np.asarray(dens))))
         worst = max(worst, level_worst)
         branch.potential.c_rp_levels[k] = level_worst
     branch.potential.c_rp = worst
@@ -462,9 +464,13 @@ class BranchSystem:
     tail_mass_geometric: float = 0.0
     lebesgue_classes: Dict[str, List[int]] = field(default_factory=dict)
     probe_level: int = 10
-    # weight averages by (branch id, level) and the bin operator (a
-    # scipy.sparse matrix, see transfer.build_cell_operator) by level
+    # weight averages and their coefficient tables (the per-level roots and
+    # the basis-ordered whole-tree coefficients, at the atom exponent) by
+    # (branch id, level), and the bin operator (a scipy.sparse matrix, see
+    # transfer.build_cell_operator) by level
     weight_avgs: Dict[Tuple[int, int], PiecewiseFn] = field(
+        default_factory=dict, repr=False, compare=False)
+    coeff_tables: Dict[Tuple[int, int], Tuple[List[np.ndarray], np.ndarray]] = field(
         default_factory=dict, repr=False, compare=False)
     cell_ops: Dict[int, object] = field(default_factory=dict, repr=False, compare=False)
 
@@ -474,6 +480,17 @@ class BranchSystem:
         if key not in self.weight_avgs:
             self.weight_avgs[key] = weight_averages(self.grid, branch, K)
         return self.weight_avgs[key]
+
+    def table(self, branch: Branch, K: int) -> Tuple[List[np.ndarray], np.ndarray]:
+        """coefficient_table of a branch's level-K weight averages at the atom
+        exponent (positive construction for positive weights), with the
+        arrays concatenated in basis order; computed once per system."""
+        key = (branch.r, K)
+        if key not in self.coeff_tables:
+            roots, arrays = coefficient_table(self.averages(branch, K), self.params.theta,
+                                              branch.potential.positive)
+            self.coeff_tables[key] = (roots, np.concatenate(arrays))
+        return self.coeff_tables[key]
 
     @property
     def lambda_rs2(self) -> float:

@@ -33,11 +33,13 @@ from .atoms import (
     BesovParams,
     PiecewiseFn,
     basis_size,
+    canonical_rep,
     coefficient_norm,
+    coefficient_norm_vector,
     evaluate,
+    evaluate_vector,
     level_offsets,
-    subtree_arrays,
-    tree_rep,
+    subtree_indices,
 )
 from .domains import decompose
 from .dynamics import Branch, BranchSystem
@@ -301,23 +303,28 @@ def transfer_atom(system: BranchSystem, Q: CellId,
                   coeff: complex = 1.0,
                   stats: Optional[_AssemblyStats] = None,
                   K: Optional[int] = None
-                  ) -> Tuple[Dict[CellId, complex], List[Sliver]]:
+                  ) -> Tuple[np.ndarray, np.ndarray, List[Sliver]]:
     """Output coefficients of the transfer applied to one atom.
 
     Follows the slicing / push-forward / re-expansion pipeline; constant
     weights produce a single coefficient per image cell, smooth weights
     spread over the cell subtrees via the martingale construction (or its
-    positive variant for nonnegative weights).  Truncation happens at
-    level K (default: the grid resolution): what the decompositions leave
-    below it is returned as slivers, which _reaggregate puts on the
+    positive variant for nonnegative weights), read from the branch's
+    coefficient table (BranchSystem.table).  Returns basis indices (level
+    offsets up to K) and values in the order they are produced, with
+    repeats where images overlap, and the slivers: truncation happens at
+    level K (default: the grid resolution), and what the decompositions
+    leave below it is returned as slivers, which _reaggregate puts on the
     bottom cells.
     """
     grid, params = system.grid, system.params
     K = grid.max_level if K is None else K
     theta = params.theta
+    off = level_offsets(grid, K)
     q_iv = grid.interval(Q)
     q_meas = grid.measure(Q)
-    out: Dict[CellId, complex] = {}
+    idx: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    val: List[np.ndarray] = [np.zeros(0)]
     slivers: List[Sliver] = []
 
     for b in system.branches:
@@ -334,6 +341,8 @@ def transfer_atom(system: BranchSystem, Q: CellId,
                       for P in dec_in.all_cells()]
             slice_defect = dec_in.defect_pieces
         amp0 = coeff * q_meas ** (-theta)     # function value of the atom
+        g0 = b.potential.value
+        table = None if b.potential.is_constant() else system.table(b, K)
 
         for P, wgt in pieces:
             p_iv = grid.interval(P)
@@ -347,23 +356,24 @@ def transfer_atom(system: BranchSystem, Q: CellId,
                 stats.observe(b, abs(P.level - kv),
                               grid.measure(P) / (vhi - vlo), dec_v.c_dom)
             amp = coeff * wgt * grid.measure(P) ** (-theta)   # == amp0
-            gbar = None
-            for W in dec_v.all_cells():
-                if b.potential.is_constant():
-                    g0 = b.potential.value
-                    cw = amp * g0 * grid.measure(W) ** theta
-                    out[W] = out.get(W, 0.0) + cw
-                    continue
-                if gbar is None:
-                    gbar = system.averages(b, K)
-                arrays = subtree_arrays(gbar, W, theta, positive=b.potential.positive)
-                for cell, v in tree_rep(arrays, W, params, grid, False).coeffs.items():
-                    out[cell] = out.get(cell, 0.0) + amp * v
+            if table is None:
+                cells = dec_v.all_cells()
+                idx.append(np.array([off[W.level] + W.index for W in cells], dtype=np.int64))
+                val.append(np.array([amp * g0 * grid.measure(W) ** theta for W in cells]))
+            else:
+                for k, cells in dec_v.families.items():
+                    js = np.fromiter((c.index for c in cells), dtype=np.int64, count=len(cells))
+                    rows = subtree_indices(grid, K, k, js)
+                    coefs = table[1][rows]             # whole-tree coefficients
+                    coefs[:, 0] = table[0][k][js]      # each subtree's root
+                    keep = coefs != 0.0
+                    idx.append(rows[keep])
+                    val.append(amp * coefs[keep])
             slivers += [(b, lo, hi, amp) for lo, hi in dec_v.defect_pieces]
 
         # slivers of the slice itself: push their forward images directly
         slivers += [(b, *b.forward_interval(lo, hi), amp0) for lo, hi in slice_defect]
-    return out, slivers
+    return np.concatenate(idx), np.concatenate(val), slivers
 
 
 def _reaggregate(grid: Grid, K: int, theta: float, batch: Sequence[List[Sliver]]
@@ -398,9 +408,10 @@ def apply_transfer(system: BranchSystem, rep: AtomicRep, mode: str = "analytic",
                    cross_check: bool = False) -> AtomicRep:
     """Apply the transfer operator to an atom expansion.
 
-    analytic mode pushes atoms forward (and carries the certified norm
-    bound in .meta); numeric mode evaluates the sparse cell operator and
-    re-expands.  With cross_check the two are compared in L1 at working
+    analytic mode pushes atoms forward, sums every atom's coefficients and
+    the re-aggregated slivers into one basis-ordered vector, and carries
+    the certified norm bound in .meta; numeric mode evaluates the sparse
+    cell operator and re-expands.  With cross_check the two are compared in L1 at working
     resolution and a mismatch beyond 1e-9 * (1 + |numeric output|_L1) is a
     hard error; both routes re-aggregate the same truncation defect, which
     is reported in .meta["defect_l1"].
@@ -410,45 +421,38 @@ def apply_transfer(system: BranchSystem, rep: AtomicRep, mode: str = "analytic",
         raise ValueError("mode must be 'analytic' or 'numeric'")
 
     K = grid.max_level
-    stats = _AssemblyStats()
     result = None
     defect_l1 = 0.0
     if mode == "analytic" or cross_check:
-        out: Dict[CellId, complex] = {}
-        slivers: List[Sliver] = []
+        idx, val, slivers = [], [], []
         for Q, d in rep.coeffs.items():
-            coeffs, atom_slivers = transfer_atom(system, Q, d, stats)
+            atom_idx, atom_val, atom_slivers = transfer_atom(system, Q, d)
+            idx.append(atom_idx)
+            val.append(atom_val)
             slivers += atom_slivers
-            for cell, v in coeffs.items():
-                out[cell] = out.get(cell, 0.0) + v
         _, cells, coefs, defect = _reaggregate(grid, K, params.theta, [slivers])
-        for j, v in zip(cells.tolist(), coefs.tolist()):
-            out[CellId(K, j)] = out.get(CellId(K, j), 0.0) + v
+        idx.append(level_offsets(grid, K)[K] + cells)
+        val.append(coefs)
+        vec = _accumulate(np.concatenate(idx), np.concatenate(val), basis_size(grid, K))
         defect_l1 = float(defect[0])
-        vals = np.asarray(list(out.values())) if out else np.asarray([0.0])
         positive = bool(rep.positive_flag
                         and all(b.potential.positive for b in system.branches)
-                        and np.all(np.isreal(vals)) and np.all(np.real(vals) >= -1e-12))
-        analytic = AtomicRep(params, grid, out, positive_flag=positive)
+                        and np.all(np.isreal(vec)) and np.all(np.real(vec) >= -1e-12))
+        result = AtomicRep.from_vector(params, grid, vec, K)
+        result.positive_flag = positive
         cert = slicing_certificates(system, constants)
-        factor = constants.c_gbs * c_d_constant(system) * cert.c_rs1
-        analytic.meta.update({
-            "certificate_factor": factor,
+        result.meta.update({
+            "certificate_factor": constants.c_gbs * c_d_constant(system) * cert.c_rs1,
             "c_rs1": cert.c_rs1,
             "mode": cert.mode,
             "input_norm": coefficient_norm(rep),
-            "output_norm": coefficient_norm(analytic),
+            "output_norm": coefficient_norm_vector(vec, grid, K, params),
             "defect_l1": defect_l1,
         })
-        result = analytic
     if mode == "numeric" or cross_check:
-        f = evaluate(rep, K)
-        g = transfer_numeric(system, f)
-        from .atoms import canonical_rep
-        numeric = canonical_rep(g, params)
-        numeric.meta["defect_l1"] = defect_l1
+        g = transfer_numeric(system, evaluate(rep, K))
         if cross_check and result is not None:
-            d = evaluate(result, K).l1_distance(g)
+            d = float(grid.integrate(K, np.abs(evaluate_vector(vec, grid, K, params) - g.values)))
             tol = 1e-9 * (1.0 + g.lp_norm(1))
             if d > tol:
                 raise ModeMismatchError(
@@ -456,8 +460,20 @@ def apply_transfer(system: BranchSystem, rep: AtomicRep, mode: str = "analytic",
                 )
             result.meta["cross_check_l1"] = d
         if mode == "numeric":
-            result = numeric
+            result = canonical_rep(g, params)
+            result.meta["defect_l1"] = defect_l1
     return result
+
+
+def _accumulate(idx: np.ndarray, val: np.ndarray, n: int) -> np.ndarray:
+    """Sum the values into a length-n vector by index, in the order given
+    (one bincount for the real part, one for the imaginary part)."""
+    re = np.bincount(idx, weights=val.real, minlength=n)
+    if not np.iscomplexobj(val):
+        return re
+    out = re.astype(np.complex128)
+    out.imag = np.bincount(idx, weights=val.imag, minlength=n)
+    return out
 
 
 def c_d_constant(system: BranchSystem) -> float:
@@ -506,6 +522,16 @@ def transfer_numeric(system: BranchSystem, f: PiecewiseFn) -> PiecewiseFn:
 
 
 # -- coefficient split and matrix assembly -------------------------------------
+
+
+def _merge_repeats(row: np.ndarray, col: np.ndarray, val: np.ndarray, n: int
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One entry per (row, col): repeats summed in the order given, entries
+    in the order of their first appearance."""
+    uniq, first, inv = np.unique(col * n + row, return_index=True, return_inverse=True)
+    total = _accumulate(inv, val, uniq.size)
+    order = np.argsort(first)
+    return uniq[order] % n, uniq[order] // n, total[order]
 
 
 def essential_split(rep: AtomicRep, t: int) -> Tuple[AtomicRep, AtomicRep]:
@@ -617,16 +643,12 @@ class TransferMatrix:
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    def head_mask(self) -> np.ndarray:
-        off = level_offsets(self.grid, self.K)
-        mask = np.zeros(self.size, dtype=bool)
-        mask[:off[self.t]] = True
-        return mask
-
     def tail_matrix(self) -> sp.csc_matrix:
-        m = self.matrix.tolil(copy=True)
-        m[:, np.nonzero(self.head_mask())[0]] = 0.0
-        return m.tocsc()
+        """The matrix with the columns of the levels below t set to zero."""
+        m = self.matrix.tocsc(copy=True)
+        m.data[:m.indptr[level_offsets(self.grid, self.K)[self.t]]] = 0.0
+        m.eliminate_zeros()
+        return m
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.matrix @ vec
@@ -691,16 +713,20 @@ def assemble_matrix(system: BranchSystem, K: Optional[int] = None, t: int = 1,
     data: List[np.ndarray] = []
     defect = np.zeros(n)
     for k in range(K + 1):
-        batch = []
+        batch, level_rows, level_vals = [], [], []
         for j in range(grid.n_cells(k)):
-            contrib, slivers = transfer_atom(system, CellId(k, j), 1.0, stats, K=K)
+            idx, val, slivers = transfer_atom(system, CellId(k, j), 1.0, stats, K=K)
             batch.append(slivers)
-            idx = np.asarray([off[c.level] + c.index for c in contrib], dtype=np.int64)
-            val = np.asarray(list(contrib.values()), dtype=dtype)
-            keep = np.abs(val) > 1e-300
-            rows_idx.append(idx[keep])
-            data.append(val[keep])
-            cols.append(np.full(int(keep.sum()), off[k] + j, dtype=np.int64))
+            level_rows.append(idx)
+            level_vals.append(val)
+        level_cols = np.repeat(np.arange(off[k], off[k + 1]), [r.size for r in level_rows])
+        # a column's repeated cells are summed as they came, before its slivers
+        row, col, val = _merge_repeats(np.concatenate(level_rows), level_cols,
+                                       np.concatenate(level_vals).astype(dtype, copy=False), n)
+        keep = np.abs(val) > 1e-300
+        rows_idx.append(row[keep])
+        data.append(val[keep])
+        cols.append(col[keep])
         atom, cell, coef, defect[off[k]:off[k + 1]] = _reaggregate(
             grid, K, system.params.theta, batch)
         keep = np.abs(coef) > 1e-300

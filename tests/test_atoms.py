@@ -15,12 +15,17 @@ from besovtransfer.atoms import (
     besov_to_souza,
     canonical_rep,
     coefficient_norm,
+    coefficient_table,
     evaluate,
     lp_norm,
     multiplier_apply,
     random_rep,
     souza_atom,
+    subtree_arrays,
+    subtree_indices,
+    subtree_norms,
 )
+from besovtransfer.dynamics import MapSpec, make_map
 from besovtransfer.errors import AtomBudgetError, ParamsError
 from besovtransfer.grid import CellId, build_grid
 
@@ -190,6 +195,58 @@ def test_vector_roundtrip():
     vec = rep.to_vector()
     rep2 = AtomicRep.from_vector(PARAMS, GRID, vec)
     assert evaluate(rep).l1_distance(evaluate(rep2)) <= 1e-13
+
+
+def _table_functions():
+    """Weight averages of a cut beta=1.8 grid and of gauss r_max=20 (K=8),
+    each with a signed random function on the same cells."""
+    rng = np.random.default_rng(43)
+    beta18 = make_map(MapSpec("beta", beta=1.8), build_grid(2, 8), PARAMS)
+    gauss = make_map(MapSpec("gauss", r_max=20), build_grid(2, 8), PARAMS, probe_level=7)
+    assert beta18.grid.cuts and not gauss.grid.cuts
+    fns = [beta18.averages(b, 8) for b in beta18.branches]
+    fns += [gauss.averages(b, 8) for b in (gauss.branches[0], gauss.branches[-1])]
+    fns += [PiecewiseFn(s.grid, 8, rng.standard_normal(256)) for s in (beta18, gauss)]
+    return fns
+
+
+def test_coefficient_table_slices_are_the_subtree_expansions():
+    m, K = 2, 8
+    for f in _table_functions():
+        for theta in (PARAMS.theta, PARAMS.theta_beta):
+            for positive in (False, True):
+                roots, arrays = coefficient_table(f, theta, positive)
+                flat = np.concatenate(arrays)
+                for k in range(K + 1):
+                    js = np.arange(m ** k)
+                    gathered = flat[subtree_indices(f.grid, K, k, js)]
+                    gathered[:, 0] = roots[k]
+                    for j in js:
+                        want = subtree_arrays(f, CellId(k, int(j)), theta, positive)
+                        got = [roots[k][j:j + 1]] + [arrays[k + u][j * m ** u:(j + 1) * m ** u]
+                                                     for u in range(1, K - k + 1)]
+                        assert len(got) == len(want)
+                        for a, b in zip(got, want):
+                            assert np.array_equal(a, b)
+                        assert np.array_equal(gathered[j], np.concatenate(want))
+
+
+def test_subtree_norms_equal_coefficient_norm_cell_by_cell():
+    # a rough nonnegative function: the positive construction leaves one
+    # zero coefficient per sibling group, and the deep levels carry mass
+    grid = make_map(MapSpec("beta", beta=1.8), build_grid(2, 8), PARAMS).grid
+    f = PiecewiseFn(grid, 8, np.random.default_rng(3).random(256) ** 3)
+    box = dict(s=0.5, beta=0.6, eps=0.2)
+    for params in (PARAMS, BesovParams(q=math.inf), BesovParams(p=1.0, q=3.0, **box),
+                   BesovParams(p=1.0, q=1.0, **box)):
+        for positive in (False, True):
+            roots, arrays = coefficient_table(f, params.theta_beta, positive)
+            for k in range(9):
+                got = subtree_norms(roots, arrays, 2, k, 0, 2 ** k, params)
+                want = [coefficient_norm(subtree_rep(f, CellId(k, j), params, positive,
+                                                     theta=params.theta_beta))
+                        for j in range(2 ** k)]
+                assert got.tolist() == want
 
 
 # -- L^t norms and embedding ---------------------------------------------------

@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from besovtransfer.atoms import BesovParams
+import besovtransfer.atoms as atoms
+import besovtransfer.dynamics as dynamics
+from besovtransfer.atoms import BesovParams, coefficient_norm, subtree_rep
 from besovtransfer.dynamics import (
     MapSpec,
+    _smallest_covering_level,
     make_map,
     preimage_decomp,
     potential_regularity,
@@ -127,6 +130,58 @@ def test_potential_regularity_constant_level_independent(doubling):
 def test_potential_regularity_gauss_finite(gauss50):
     for b in gauss50.branches[:5]:
         assert 0 < b.potential.c_rp < math.inf
+
+
+def _regularity_by_cell(gbar, branch, params, probe_level):
+    """potential_regularity as a loop over probing cells, one subtree
+    expansion and one coefficient_norm per cell."""
+    grid, K = gbar.grid, gbar.level
+    exponent = 1.0 / params.p - params.s + params.eps
+    levels = {}
+    for k in range(min(probe_level, K) + 1):
+        i0, i1 = grid.contained_run(k, *branch.dom)
+        level_worst = 0.0
+        for j in range(i0, i1):
+            W = CellId(k, j)
+            qlo, qhi = branch.pullback_interval(*grid.interval(W))
+            kq = _smallest_covering_level(grid, qlo, qhi)
+            Qiv = grid.interval(grid.cell_at(kq, 0.5 * (qlo + qhi)))
+            flo, fhi = branch.forward_interval(*Qiv)
+            ratio = (Qiv[1] - Qiv[0]) / max(fhi - flo, 1e-300)
+            rep = subtree_rep(gbar, W, params, positive=branch.potential.positive,
+                              theta=params.theta_beta)
+            den = ratio ** exponent * grid.measure(W) ** params.theta_beta
+            level_worst = max(level_worst, coefficient_norm(rep) / den)
+        levels[k] = level_worst
+    return max(levels.values()), levels
+
+
+def test_potential_regularity_equals_the_cell_by_cell_loop():
+    systems = [make_map(MapSpec("beta", beta=1.8), build_grid(2, 8), PARAMS),
+               make_map(MapSpec("gauss", r_max=20), build_grid(2, 8), PARAMS, probe_level=7),
+               make_map(MapSpec("lorenz_cusp", exponent=0.75), build_grid(2, 8), PARAMS)]
+    for params in (PARAMS, BesovParams(q=math.inf)):
+        for system in systems:
+            for b in system.branches:
+                gbar = system.averages(b, 8)
+                want, want_levels = _regularity_by_cell(gbar, b, params, 6)
+                assert potential_regularity(gbar, b, params, probe_level=6) == want
+                assert b.potential.c_rp == want
+                assert b.potential.c_rp_levels == want_levels
+
+
+def test_make_map_builds_no_subtree_expansion(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return subtree_rep(*args, **kwargs)
+
+    for mod in (atoms, dynamics):
+        monkeypatch.setattr(mod, "subtree_rep", counted, raising=False)
+    make_map(MapSpec("gauss", r_max=20), build_grid(2, 8), PARAMS, probe_level=7)
+    make_map(MapSpec("beta", beta=1.8), build_grid(2, 8), PARAMS)
+    assert calls == []
 
 
 def test_theta_formula(doubling):

@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import besovtransfer.atoms as atoms
+import besovtransfer.grid as grid_module
+import besovtransfer.transfer as transfer
 from besovtransfer.atoms import (
     BesovParams,
     PiecewiseFn,
@@ -152,6 +155,32 @@ def test_cross_check_rejects_a_bin_operator_off_by_1e6(monkeypatch):
         apply_transfer(system, rep, mode="analytic", cross_check=True)
 
 
+def test_analytic_cross_check_skips_k0_and_the_numeric_expansion(monkeypatch, gauss, beta18):
+    # the containment level k0 only feeds assembly's ledger encounters, and
+    # the numeric route's expansion is only returned in numeric mode
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod, attr, fn in ((grid_module, "k0", grid_module.k0),
+                          (transfer, "grid_k0", grid_module.k0),
+                          (atoms, "canonical_rep", atoms.canonical_rep),
+                          (transfer, "canonical_rep", atoms.canonical_rep)):
+        monkeypatch.setattr(mod, attr, counting(attr, fn), raising=False)
+    rng = np.random.default_rng(47)
+    for system in (gauss, beta18):
+        for _ in range(3):
+            rep = random_rep(system.grid, PARAMS, rng, n_atoms=12)
+            apply_transfer(system, rep, mode="analytic", cross_check=True)
+    assert calls == []
+    apply_transfer(beta18, rep, mode="numeric")
+    assert "canonical_rep" in calls
+
+
 def test_mass_conservation(doubling, golden, gauss, beta18):
     rng = np.random.default_rng(13)
     for system in (doubling, golden, gauss, beta18):
@@ -279,6 +308,18 @@ def test_tail_norm_certificate(golden):
             continue
         nrm_out = coefficient_norm_vector(tail @ vec, golden.grid, 8, PARAMS)
         assert nrm_out <= bound * nrm_in * (1 + 1e-9)
+
+
+def test_tail_matrix_drops_the_head_columns(golden):
+    tm = assemble_matrix(golden, K=8, t=2)
+    head = 1 + 2            # the atoms of levels 0 and 1
+    want = tm.matrix.toarray()
+    want[:, :head] = 0.0
+    tail = tm.tail_matrix()
+    assert tail.shape == tm.matrix.shape
+    assert np.array_equal(tail.toarray(), want)
+    assert tail.nnz == np.count_nonzero(want)
+    assert tm.matrix[:, :head].nnz > 0
 
 
 def test_cell_operator_matches_numeric(golden, beta18):
