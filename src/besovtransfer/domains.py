@@ -1,23 +1,150 @@
 """Greedy maximal-cell decompositions of interval unions.
 
 A set is decomposed level by level: at each level all cells contained in
-the remaining residual are taken, and the residual shrinks by exact
-interval subtraction.  For an interval this is optimal up to the two
+the remaining residual are taken, and the residual shrinks to the pieces
+beside the taken run.  For an interval this is optimal up to the two
 boundary fringes, and the geometric constants of the decomposition have
 closed forms, which is why the geometric ratio is pinned to
 arity**(-alpha) rather than fitted (two-parameter fits are
 ill-conditioned).
+
+One array kernel, `cover`, decomposes a whole batch of pieces at once:
+per level it finds the contained run of every residual piece with the
+grid's one containment rule (Grid.contained_runs), so after the first hit
+only the two fringes beside the runs taken so far yield new cells.  It returns
+the cells as COO arrays (piece, level, index), the first level holding a
+cell and, on request, the distortion constant c_dom, whose level sums are
+added in the order the cells come (as Python's sum does) from Python's
+pows.  `decompose` is the one-set form with the RegularDecomp result.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import intervals as iv
 from .errors import ResolutionError
-from .grid import CellId, Grid
+from .grid import CellId, Grid, python_pow
+
+
+class Cover(NamedTuple):
+    """Greedy decomposition of a batch of pieces (see cover)."""
+
+    piece: np.ndarray            # cells, ordered by piece, then level, then index
+    level: np.ndarray
+    index: np.ndarray
+    k0: np.ndarray               # per group: first level holding a cell, -1 if none
+    defect_piece: np.ndarray     # residual below the depth, in piece order
+    defect_lo: np.ndarray
+    defect_hi: np.ndarray
+    c_dom: Optional[np.ndarray]  # per group, when alpha is given
+
+
+def _fold(keys: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sum vals over each run of equal consecutive keys, left to right.
+
+    Python's sum adds in order while numpy's sums add pairwise; the ledger
+    constants are folded in order.  Returns the start of each run and its
+    sum.
+    """
+    start = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1]))) if keys.size \
+        else np.zeros(0, dtype=np.int64)
+    length = np.diff(np.append(start, keys.size))
+    run = np.repeat(np.arange(start.size), length)
+    rank = np.arange(keys.size) - start[run]
+    out = np.zeros(start.size, dtype=np.result_type(vals, float))
+    for r in range(int(length.max(initial=0))):
+        sel = rank == r
+        out[run[sel]] += vals[sel]
+    return start, out
+
+
+def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[0], b[0], a[1], b[1], ...: each residual piece's two fringes in order."""
+    out = np.empty((a.size, 2), dtype=a.dtype)
+    out[:, 0], out[:, 1] = a, b
+    return out.ravel()
+
+
+def cover(grid: Grid, lo, hi, depth: int, alpha: Optional[float] = None,
+          group: Optional[np.ndarray] = None) -> Cover:
+    """Greedy maximal-cell decomposition of the pieces [lo[i], hi[i]).
+
+    Level by level down to depth, each residual piece gives up the cells
+    contained in it (Grid.contained_runs); the run is snapped to its
+    edges, and what lies beside it by more than 1e-15 stays residual.
+    What remains below depth is the defect.  `group` (nondecreasing, one
+    id per piece, default: each piece its own group) joins the pieces of
+    one set for k0 and c_dom; with alpha, c_dom of a set is the largest
+    level sum of |P|**alpha over lambda**(k - k0) * |set|**alpha,
+    lambda = arity**(-alpha).
+    """
+    lo = np.asarray(lo, dtype=float).ravel()
+    hi = np.asarray(hi, dtype=float).ravel()
+    (piece, level, i0, i1), first, defect = _greedy_runs(grid, lo, hi, depth)
+    count = i1 - i0
+    start = np.cumsum(count) - count
+    piece, level = np.repeat(piece, count), np.repeat(level, count)
+    index = np.arange(piece.size) - np.repeat(start - i0, count)
+
+    group = np.arange(lo.size) if group is None else np.asarray(group)
+    n_groups = int(group[-1]) + 1 if group.size else 0
+    k0 = np.full(n_groups, depth + 1)
+    np.minimum.at(k0, group, np.where(first < 0, depth + 1, first))
+    k0[k0 > depth] = -1
+    c_dom = None
+    if alpha is not None:
+        c_dom = np.zeros(n_groups)
+        _, total = _fold(group, hi - lo)
+        g = group[piece]
+        by_level = np.argsort(g * (depth + 1) + level, kind="stable")
+        g, lev = g[by_level], level[by_level]
+        start, level_sum = _fold(g * (depth + 1) + lev,
+                                python_pow(grid.extents(lev, index[by_level])[2], alpha))
+        g, lev = g[start], lev[start]
+        lam = grid.arity ** (-alpha)
+        lam_pow = np.array([lam ** d for d in range(depth + 1)])
+        ratio = level_sum / (lam_pow[lev - k0[g]] * python_pow(total, alpha)[g])
+        np.maximum.at(c_dom, g, ratio)
+    return Cover(piece, level, index, k0, *defect, c_dom)
+
+
+def _greedy_runs(grid: Grid, lo: np.ndarray, hi: np.ndarray, depth: int):
+    """The runs of cover as (piece, level, i0, i1) arrays, ordered by piece
+    and level; with the first level holding a cell per piece (-1 if none)
+    and the defect pieces (piece, lo, hi).
+
+    The levels are followed one at a time over all residual pieces at
+    once, as the scalar greedy loop follows them one piece at a time.
+    """
+    # a piece is its own residual until its first cell, so its first level
+    # comes from the runs of all pieces at all levels at once
+    i0, i1 = grid.contained_runs(np.arange(depth + 1), lo[:, None], hi[:, None])
+    hit = i1 > i0
+    first = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+    owner, r_lo, r_hi = np.arange(lo.size), lo, hi
+    runs = [(np.zeros(0, dtype=np.int64),) * 4]
+    for k in range(int(first.min(initial=depth + 1, where=first >= 0)), depth + 1):
+        i0, i1 = grid.contained_runs(k, r_lo, r_hi)
+        hit = i1 > i0
+        h = np.flatnonzero(hit)
+        if not h.size:
+            continue
+        runs.append((owner[h], np.full(h.size, k), i0[h], i1[h]))
+        # a hit piece leaves its two fringes beside the snapped run
+        e0 = np.where(hit, grid.edge(k, np.minimum(i0, grid.n_cells(k))), r_hi)
+        e1 = grid.edge(k, np.maximum(i1, 0))
+        keep = _pairs(~hit | (e0 - r_lo > 1e-15), hit & (r_hi - e1 > 1e-15))
+        owner = np.repeat(owner, 2)[keep]
+        r_lo, r_hi = _pairs(r_lo, e1)[keep], _pairs(e0, r_hi)[keep]
+        if not owner.size:
+            break
+    piece, level, i0, i1 = (np.concatenate(x) for x in zip(*runs))
+    order = np.argsort(piece, kind="stable")
+    return (piece[order], level[order], i0[order], i1[order]), first, (owner, r_lo, r_hi)
 
 
 @dataclass
@@ -75,31 +202,14 @@ def decompose(grid: Grid, pieces, alpha: float,
     total = iv.measure(target)
     K = grid.max_level if max_level is None else max_level
 
+    cov = cover(grid, *np.reshape(target, (-1, 2)).T, K, alpha=alpha,
+                group=np.zeros(len(target), dtype=np.int64))
     families: Dict[int, List[CellId]] = {}
-    residual = list(target)
-    k0: Optional[int] = None
-    for k in range(K + 1):
-        new_cells: List[CellId] = []
-        next_residual: List[Tuple[float, float]] = []
-        for lo, hi in residual:
-            i0, i1 = grid.contained_run(k, lo, hi)
-            if i1 <= i0:
-                next_residual.append((lo, hi))
-                continue
-            new_cells.extend(CellId(k, j) for j in range(i0, i1))
-            # subtract the snapped run so later levels see exact cell edges
-            e0, e1 = grid.edge(k, i0), grid.edge(k, i1)
-            if e0 - lo > 1e-15:
-                next_residual.append((lo, e0))
-            if hi - e1 > 1e-15:
-                next_residual.append((e1, hi))
-        if new_cells:
-            families[k] = new_cells
-            if k0 is None:
-                k0 = k
-        residual = next_residual
-        if not residual:
-            break
+    by_level = np.argsort(cov.level, kind="stable")
+    for k, j in zip(cov.level[by_level].tolist(), cov.index[by_level].tolist()):
+        families.setdefault(k, []).append(CellId(k, j))
+    residual = list(zip(cov.defect_lo.tolist(), cov.defect_hi.tolist()))
+    k0: Optional[int] = int(cov.k0[0]) if cov.k0[0] >= 0 else None
 
     defect = iv.normalize(residual)
     defect_measure = iv.measure(defect)
@@ -117,14 +227,9 @@ def decompose(grid: Grid, pieces, alpha: float,
             raise ResolutionError("no cell of any level fits inside the target set")
         k0 = K
 
-    lam = grid.arity ** (-alpha)
-    c_dom = 0.0
-    target_alpha = total ** alpha
-    for k, cells in families.items():
-        level_sum = sum(grid.measure(c) ** alpha for c in cells)
-        c_dom = max(c_dom, level_sum / (lam ** (k - k0) * target_alpha))
     return RegularDecomp(target=target, alpha=alpha, families=families, k0=k0,
-                         c_dom=c_dom, lambda_dom=lam, defect_pieces=defect,
+                         c_dom=float(cov.c_dom[0]), lambda_dom=grid.arity ** (-alpha),
+                         defect_pieces=defect,
                          defect_measure=defect_measure)
 
 
@@ -174,39 +279,54 @@ def strong_regularity(grid: Grid, pieces, alpha: float, t: int = 0,
     The cost of one cell is the sum over all levels and all decomposition
     cells P of (|P|/|Q|)**alpha, capped at max_level; residual slivers are
     conservatively counted as whole bottom-level cells so downstream
-    certificates cover truncation re-aggregation.
+    certificates cover truncation re-aggregation.  The sets Q * set of all
+    candidate cells are decomposed in one `cover` call.
     """
     if isinstance(pieces, tuple) and len(pieces) == 2 and not isinstance(pieces[0], tuple):
         pieces = [pieces]
     target = iv.normalize(pieces)
     K = grid.max_level
-    c_strong = 1.0
-    worst: Optional[CellId] = None
-    max_rel_defect = 0.0
-    probed = 0
     # cut bottom cells differ in width: residual cells are counted with the
     # narrowest and charged with the widest
     w_lo, w_hi = grid.width_range(K)
-    for Q in _candidate_cells(grid, target, t, K):
-        q_iv = grid.interval(Q)
-        inter = iv.intersect(target, q_iv)
-        if not inter:
-            continue
-        if iv.measure(inter) >= grid.measure(Q) * (1 - 1e-12):
-            continue  # Q inside the set: cost exactly 1
-        probed += 1
-        dec = decompose(grid, inter, alpha, defect_cap=math.inf)
-        cost = sum(grid.measure(c) ** alpha for c in dec.all_cells())
-        if include_defect_cells:
-            n_res_cells = sum(int(math.ceil((hi - lo) / w_lo)) + 1
-                              for lo, hi in dec.defect_pieces)
-            cost += n_res_cells * w_hi ** alpha
-        ratio = cost / grid.measure(Q) ** alpha
-        if ratio > c_strong:
-            c_strong = ratio
-            worst = Q
-        max_rel_defect = max(max_rel_defect, dec.defect_measure / max(iv.measure(inter), 1e-300))
+    cands = _candidate_cells(grid, target, t, K)
+    q_lo, q_hi, q_meas = grid.extents(np.array([Q.level for Q in cands], dtype=np.int64),
+                                      np.array([Q.index for Q in cands], dtype=np.int64))
+    # the pieces of Q * set, candidate by candidate in the order of the set
+    t_lo, t_hi = np.reshape(target, (-1, 2)).T
+    lo = np.maximum(t_lo[None, :], q_lo[:, None])
+    hi = np.minimum(t_hi[None, :], q_hi[:, None])
+    meets = hi - lo > 1e-15
+    cand, lo, hi = np.nonzero(meets)[0], lo[meets], hi[meets]
+    start, inter = _fold(cand, hi - lo)
+    # a Q inside the set costs exactly 1
+    partial = inter < q_meas[cand[start]] * (1 - 1e-12)
+    probed = cand[start][partial]
+    inter = inter[partial]
+    sel = np.isin(cand, probed)
+    group = np.searchsorted(probed, cand[sel])
+    dec = cover(grid, lo[sel], hi[sel], K, group=group)
+    g = group[dec.piece]
+    by_level = np.argsort(g * (K + 1) + dec.level, kind="stable")
+    cost = np.zeros(probed.size)
+    start, level_cost = _fold(g[by_level], python_pow(
+        grid.extents(dec.level[by_level], dec.index[by_level])[2], alpha))
+    cost[g[by_level][start]] = level_cost
+    g = group[dec.defect_piece]
+    defect = np.zeros(probed.size)
+    start, widths = _fold(g, dec.defect_hi - dec.defect_lo)
+    defect[g[start]] = widths
+    if include_defect_cells:
+        n_res_cells = np.zeros(probed.size, dtype=np.int64)
+        np.add.at(n_res_cells, g,
+                  np.ceil((dec.defect_hi - dec.defect_lo) / w_lo).astype(np.int64) + 1)
+        cost += n_res_cells * w_hi ** alpha
+    ratio = cost / python_pow(q_meas[probed], alpha)
+    c_strong, worst = 1.0, None
+    if probed.size and ratio.max() > 1.0:
+        c_strong, worst = float(ratio.max()), cands[probed[ratio.argmax()]]
+    max_rel_defect = float(np.max(defect / np.maximum(inter, 1e-300), initial=0.0))
     return StrongRegularityReport(target=target, alpha=alpha, t=t,
                                   c_strong=c_strong, worst_cell=worst,
                                   max_rel_defect=max_rel_defect,
-                                  cells_probed=probed)
+                                  cells_probed=int(probed.size))

@@ -32,15 +32,16 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .atoms import BesovParams, PiecewiseFn, coefficient_table, subtree_norms
-from .domains import RegularDecomp, decompose, strong_regularity
+from .domains import RegularDecomp, cover, decompose, strong_regularity
 from .errors import (
     AssumptionError,
+    CellNotFoundError,
     ContainmentError,
     InfeasibleFitError,
     LedgerError,
     MapSpecError,
 )
-from .grid import CONTAIN_TOL, CellId, Grid, k0 as grid_k0
+from .grid import CONTAIN_TOL, CellId, Grid, python_pow
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
@@ -93,12 +94,15 @@ class Branch:
         a, b = (np.minimum(np.maximum(x, self.dom[0]), self.dom[1]) for x in (a, b))
         return (float(a), float(b)) if a.ndim == 0 else (a, b)
 
-    def pullback_interval(self, lo: float, hi: float) -> Tuple[float, float]:
-        """h([lo, hi)) for [lo, hi) inside the branch domain J."""
-        a, b = float(self.h(lo)), float(self.h(hi))
+    def pullback_interval(self, lo, hi):
+        """h([lo, hi)) for [lo, hi) inside the branch domain J.
+
+        lo and hi are scalars or arrays of interval ends (elementwise).
+        """
+        a, b = np.asarray(self.h(lo)), np.asarray(self.h(hi))
         if not self.increasing:
             a, b = b, a
-        return (a, b)
+        return (float(a), float(b)) if a.ndim == 0 else (a, b)
 
     def weight_integral(self, lo, hi):
         """Signed integral of g over [lo, hi) inside J (exact when possible).
@@ -330,12 +334,30 @@ def preimage_decomp(grid: Grid, branch: Branch, Q: CellId, alpha: float) -> Regu
     image I_r.
     """
     lo, hi = grid.interval(Q)
-    img_lo, img_hi = branch.img
-    tol = grid.width(Q.level) * 1e-9
-    if lo < img_lo - tol or hi > img_hi + tol:
-        raise ContainmentError(f"cell {Q} is not contained in branch image {branch.img}")
+    _check_inside_image(grid, branch, Q.level, lo, hi)
     flo, fhi = branch.forward_interval(lo, hi)
     return decompose(grid, (flo, fhi), alpha, defect_cap=math.inf)
+
+
+def _check_inside_image(grid: Grid, branch: Branch, level, lo, hi) -> None:
+    img_lo, img_hi = branch.img
+    tol = grid.nominal_widths(level) * 1e-9
+    if np.any((lo < img_lo - tol) | (hi > img_hi + tol)):
+        raise ContainmentError(f"a cell of level {level} is not contained in branch "
+                               f"image {branch.img}")
+
+
+def distortion_constant(grid: Grid, branch: Branch, alpha: float, top: int) -> float:
+    """c_dgd1: the largest c_dom of the decomposed forward images of about
+    32 cells inside the image on each level up to top (preimage_decomp,
+    all at once), and at least 1."""
+    runs = [(k, grid.contained_run(k, *branch.img)) for k in range(top + 1)]
+    cells = [(k, np.arange(i0, i1, max(1, (i1 - i0) // 32))) for k, (i0, i1) in runs]
+    ks = np.concatenate([np.full(j.size, k) for k, j in cells])
+    lo, hi, _ = grid.extents(ks, np.concatenate([j for _, j in cells]))
+    _check_inside_image(grid, branch, ks, lo, hi)
+    c_dom = cover(grid, *branch.forward_interval(lo, hi), grid.max_level, alpha=alpha).c_dom
+    return max(float(np.max(c_dom, initial=0.0)), 1.0)
 
 
 def scaling_constants(grid: Grid, branch: Branch,
@@ -345,30 +367,31 @@ def scaling_constants(grid: Grid, branch: Branch,
     The ratio |Q| / |forward image| is <= 1 for expanding maps; c_dc2 is
     the tightest geometric base < 1 and c_dc1 the residual front factor.
     """
-    shifts: List[int] = []
-    ratios: List[float] = []
+    samples = []     # per level: (level, |Q|, forward image ends) of its probe cells
+    found, k = 0, 0
     # keep probing below the nominal range for branches whose image is
     # thinner than the probe cells (deep tails of infinite-branch maps)
-    k = 0
     while k <= grid.max_level + 8:
         i0, i1 = grid.contained_run(k, *branch.img)
-        step = max(1, (i1 - i0) // 64)
-        for j in range(i0, i1, step):
-            Q = CellId(k, j)
-            lo, hi = grid.interval(Q)
-            flo, fhi = branch.forward_interval(lo, hi)
-            if fhi - flo <= 0:
-                continue
-            ratios.append(grid.measure(Q) / (fhi - flo))
-            # forward images of deep cells may only contain cells below the
-            # working resolution; the containment level is pure arithmetic
-            kq = grid_k0(grid, (flo, fhi), up_to=grid.max_level + 16)
-            shifts.append(abs(k - kq))
+        lo, hi, meas = grid.extents(k, np.arange(i0, i1, max(1, (i1 - i0) // 64)))
+        flo, fhi = branch.forward_interval(lo, hi)
+        ok = fhi - flo > 0
+        samples.append((np.full(ok.sum(), k), meas[ok], flo[ok], fhi[ok]))
+        found += int(ok.sum())
         k += 1
-        if k > probe_level and len(ratios) >= 8:
+        if k > probe_level and found >= 8:
             break
-    if not ratios:
+    ks, meas, flo, fhi = (np.concatenate(x) for x in zip(*samples))
+    if not found:
         raise InfeasibleFitError(f"branch {branch.r}: no probe cells inside image")
+    ratios = (meas / (fhi - flo)).tolist()
+    # forward images of deep cells may only contain cells below the
+    # working resolution; the containment level is pure arithmetic
+    kq = grid.containment_levels(flo, fhi, grid.max_level + 16)
+    if np.any(kq < 0):
+        raise CellNotFoundError(f"branch {branch.r}: a forward image holds no cell "
+                                f"up to level {grid.max_level + 16}")
+    shifts = np.abs(ks - kq).tolist()
     a_r = min(shifts)
     base = 0.0
     for rho, sh in zip(ratios, shifts):
@@ -397,42 +420,44 @@ def potential_regularity(gbar: PiecewiseFn, branch: Branch, params: BesovParams,
     Q the smallest cell containing h(W).  The positive construction is used
     for nonnegative weights so downstream positivity is preserved by the
     same numbers.  The expansion norms of a whole probe level are read from
-    one coefficient_table of gbar (atoms.subtree_norms).
+    one coefficient_table of gbar (atoms.subtree_norms); the budgets of
+    all probe levels are computed at once.
     """
     grid, K = gbar.grid, gbar.level
     top = min(probe_level, K)
-    worst = 0.0
     exponent = 1.0 / params.p - params.s + params.eps
     roots, arrays = coefficient_table(gbar, params.theta_beta, branch.potential.positive)
-    for k in range(top + 1):
-        i0, i1 = grid.contained_run(k, *branch.dom)
+    runs = [grid.contained_run(k, *branch.dom) for k in range(top + 1)]
+    ks = np.repeat(np.arange(top + 1), [max(i1 - i0, 0) for i0, i1 in runs])
+    js = np.concatenate([np.arange(i0, i1) for i0, i1 in runs])
+    w_lo, w_hi, w_meas = grid.extents(ks, js)
+    q_lo, q_hi = branch.pullback_interval(w_lo, w_hi)
+    kq = _smallest_covering_levels(grid, q_lo, q_hi)
+    jq = np.clip(grid.cell_index(kq, 0.5 * (q_lo + q_hi)), 0, grid.arity ** kq - 1)
+    c_lo, c_hi, _ = grid.extents(kq, jq)
+    f_lo, f_hi = branch.forward_interval(c_lo, c_hi)
+    ratio = (c_hi - c_lo) / np.maximum(f_hi - f_lo, 1e-300)
+    dens = python_pow(ratio, exponent) * python_pow(w_meas, params.theta_beta)
+    worst = 0.0
+    for k, (i0, i1) in enumerate(runs):
         level_worst = 0.0
         if i1 > i0:
-            dens = []
-            for j in range(i0, i1):
-                W = CellId(k, j)
-                wlo, whi = grid.interval(W)
-                qlo, qhi = branch.pullback_interval(wlo, whi)
-                kq = _smallest_covering_level(grid, qlo, qhi)
-                Qiv = grid.interval(grid.cell_at(kq, 0.5 * (qlo + qhi)))
-                flo, fhi = branch.forward_interval(*Qiv)
-                ratio = (Qiv[1] - Qiv[0]) / max(fhi - flo, 1e-300)
-                dens.append(ratio ** exponent * grid.measure(W) ** params.theta_beta)
             nums = subtree_norms(roots, arrays, grid.arity, k, i0, i1, params)
-            level_worst = max(level_worst, float(np.max(nums / np.asarray(dens))))
+            level_worst = float(np.max(nums / dens[ks == k]))
         worst = max(worst, level_worst)
         branch.potential.c_rp_levels[k] = level_worst
     branch.potential.c_rp = worst
     return worst
 
 
-def _smallest_covering_level(grid: Grid, lo: float, hi: float) -> int:
-    """Deepest level at which a single cell contains [lo, hi)."""
-    for k in range(grid.max_level, -1, -1):
-        c_lo, c_hi = grid.interval(CellId(k, grid.locate(k, lo)))
-        if c_lo <= lo + 1e-15 and hi <= c_hi + 1e-15:
-            return k
-    return 0
+def _smallest_covering_levels(grid: Grid, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per piece, the deepest level at which the cell holding lo also
+    contains [lo, hi) up to 1e-15 (0 if none does)."""
+    levels = np.arange(grid.max_level + 1)
+    lo, hi = lo[:, None], hi[:, None]
+    c_lo, c_hi, _ = grid.extents(levels, grid.cell_index(levels, lo))
+    fits = (c_lo <= lo + 1e-15) & (hi <= c_hi + 1e-15)
+    return np.where(fits.any(axis=1), grid.max_level - fits[:, ::-1].argmax(axis=1), 0)
 
 
 def weight_averages(grid: Grid, branch: Branch, K: int) -> PiecewiseFn:
@@ -473,6 +498,17 @@ class BranchSystem:
     coeff_tables: Dict[Tuple[int, int], Tuple[List[np.ndarray], np.ndarray]] = field(
         default_factory=dict, repr=False, compare=False)
     cell_ops: Dict[int, object] = field(default_factory=dict, repr=False, compare=False)
+    # the branch positions ordered by image, and the sorted image ends
+    image_order: np.ndarray = field(init=False, repr=False, compare=False)
+    image_lo: np.ndarray = field(init=False, repr=False, compare=False)
+    image_hi: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lo, hi = np.reshape([b.img for b in self.branches], (-1, 2)).T
+        self.image_order = np.argsort(lo, kind="stable")
+        self.image_lo, self.image_hi = lo[self.image_order], hi[self.image_order]
+        if np.any(self.image_hi[:-1] > self.image_lo[1:] + 1e-12):
+            raise MapSpecError("branch images overlap")
 
     def averages(self, branch: Branch, K: int) -> PiecewiseFn:
         """weight_averages of a branch at level K, computed once per system."""
@@ -700,15 +736,8 @@ def make_map(spec: MapSpec, grid: Grid, params: BesovParams,
                 raise
             # sentinel >= 1 marks the branch as refusing the geometric fit
             b.shift, b.c_dc1, b.c_dc2 = 0, 1.0, 1.0
-        c_dgd1 = 0.0
         top = min(system.probe_level, 8 if b.affine_slope is None else system.probe_level)
-        for k in range(top + 1):
-            i0, i1 = grid.contained_run(k, *b.img)
-            step = max(1, (i1 - i0) // 32)
-            for j in range(i0, i1, step):
-                dec = preimage_decomp(grid, b, CellId(k, j), alpha)
-                c_dgd1 = max(c_dgd1, dec.c_dom)
-        b.c_dgd1 = max(c_dgd1, 1.0)
+        b.c_dgd1 = distortion_constant(grid, b, alpha, top)
         b.c_dgd2 = grid.arity ** (-alpha)
         potential_regularity(system.averages(b, grid.max_level), b, params,
                              probe_level=min(6, system.probe_level))

@@ -55,6 +55,11 @@ def parse_cell(text: str) -> CellId:
     return CellId(int(k), int(j))
 
 
+def _deepest(level) -> int:
+    """The deepest of one level or an array of levels."""
+    return level if isinstance(level, int) else int(np.max(level, initial=0))
+
+
 @dataclass(frozen=True)
 class Grid:
     arity: int = 2
@@ -77,9 +82,30 @@ class Grid:
     def n_cells(self, level: int) -> int:
         return self.arity ** level
 
+    def cell_counts(self, level) -> np.ndarray:
+        """Array form of n_cells as floats, each count rounded once from the
+        exact integer, so deep levels of any arity do not overflow."""
+        return self._level_table(level)[0][level]
+
     def width(self, level: int) -> float:
         """Nominal cell width arity**-level (the actual one off the cuts)."""
         return float(self.arity) ** (-level)
+
+    def nominal_widths(self, level) -> np.ndarray:
+        """Array form of width: the nominal width of each level given."""
+        return self._level_table(level)[1][level]
+
+    def _level_table(self, level) -> Tuple[np.ndarray, np.ndarray]:
+        """(cell counts as floats, nominal widths) of the levels 0, 1, ...
+        past the deepest one given, from n_cells and width; kept on the grid."""
+        table = self.__dict__.get("_levels")
+        top = _deepest(level)
+        if table is None or table[0].size <= top:
+            levels = range(max(top, self.max_level + 16) + 1)
+            table = (np.array([float(self.n_cells(k)) for k in levels]),
+                     np.array([self.width(k) for k in levels]))
+            self.__dict__["_levels"] = table      # as cached_property stores
+        return table
 
     def is_cut(self, level: int) -> bool:
         """Whether some cell of this level is cut away from its nominal edges.
@@ -104,11 +130,20 @@ class Grid:
             edges[i] = x
         return edges
 
-    def edge(self, level: int, i: int) -> float:
-        """Left edge of cell i of a level (i = n_cells gives 1)."""
-        if self.cuts and level == self.max_level:
-            return self._cut_edge_list[i]
-        return i * self.width(level)
+    def edge(self, level, i) -> np.ndarray:
+        """Left edges of the cells (level, i), index arrays that broadcast;
+        i = n_cells gives 1."""
+        if np.ndim(level) == 0:
+            if self.cuts and level == self.max_level:
+                return self._cut_edges[i]
+            return i * self.width(level)
+        level, i = np.broadcast_arrays(level, i)
+        e = np.asarray(i * self.nominal_widths(level))
+        if self.cuts:
+            cut = level == self.max_level
+            if cut.any():
+                e[cut] = self._cut_edges[i[cut]]
+        return e
 
     def edges(self, level: int) -> np.ndarray:
         if self.is_cut(level):
@@ -185,18 +220,67 @@ class Grid:
     def contained_run(self, level: int, lo: float, hi: float) -> Tuple[int, int]:
         """Indices [i0, i1) of the level-k cells contained in [lo, hi).
 
-        Returns an empty run (i0 >= i1) when no cell fits.  Containment is
-        judged up to CONTAIN_TOL cell widths.
+        Returns an empty run (i0 >= i1) when no cell fits; see contained_runs.
         """
-        n = self.n_cells(level)
-        if self.cuts and level == self.max_level:
-            tol = CONTAIN_TOL * self.width(level)
-            i0 = bisect.bisect_left(self._cut_edge_list, lo - tol)
-            i1 = bisect.bisect_right(self._cut_edge_list, hi + tol) - 1
-        else:
-            i0 = int(math.ceil(lo * n - CONTAIN_TOL))
-            i1 = int(math.floor(hi * n + CONTAIN_TOL))
-        return max(i0, 0), min(i1, n)
+        i0, i1 = self.contained_runs(level, np.array([lo]), np.array([hi]))
+        return int(i0[0]), int(i1[0])
+
+    def contained_runs(self, level, lo, hi) -> Tuple[np.ndarray, np.ndarray]:
+        """Array form of contained_run: the one rule that decides containment.
+
+        level, lo and hi broadcast (a column of pieces against a row of
+        levels gives the runs of every piece at every level).  Containment
+        is judged up to CONTAIN_TOL cell widths: the run is
+        [ceil(lo*N - tol), floor(hi*N + tol)) with N cells on the level,
+        found by bisecting the actual edges on a cut level.  The indices
+        are int64, so no level may hold 2**62 cells or more.
+        """
+        if self.n_cells(_deepest(level)) >= 2 ** 62:
+            raise ValueError(f"cell indices of level {_deepest(level)} overflow int64")
+        i0, i1 = self._runs(level, lo, hi)
+        return i0.astype(np.int64), i1.astype(np.int64)
+
+    def _runs(self, level, lo, hi) -> Tuple[np.ndarray, np.ndarray]:
+        """contained_runs with the indices as floats, on any level."""
+        n = self.cell_counts(level)
+        i0 = np.ceil(lo * n - CONTAIN_TOL)
+        i1 = np.floor(hi * n + CONTAIN_TOL)
+        if self.cuts and np.any(np.asarray(level) == self.max_level):
+            level, lo, hi = np.broadcast_arrays(level, lo, hi)
+            cut = level == self.max_level
+            tol = CONTAIN_TOL * self.width(self.max_level)
+            i0[cut] = np.searchsorted(self._cut_edges, lo[cut] - tol, side="left")
+            i1[cut] = np.searchsorted(self._cut_edges, hi[cut] + tol, side="right") - 1
+        return np.maximum(i0, 0), np.minimum(i1, n)
+
+    def containment_levels(self, lo, hi, up_to: int) -> np.ndarray:
+        """Per piece [lo[i], hi[i]), the first level up to up_to at which a
+        cell is contained in it (-1 where none is); any depth."""
+        i0, i1 = self._runs(np.arange(up_to + 1), np.reshape(lo, (-1, 1)),
+                            np.reshape(hi, (-1, 1)))
+        hit = i1 > i0
+        return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+
+    def extents(self, level, j) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Array form of interval and measure: (lo, hi, |cell|) of the cells
+        (level[i], j[i]), equal to theirs bit for bit; level and j broadcast."""
+        level, j = np.broadcast_arrays(level, j)
+        w = self.nominal_widths(level)
+        if self.cuts:
+            cut = level == self.max_level
+            w[cut] = self._cut_widths[j[cut]]
+        return self.edge(level, j), self.edge(level, j + 1), w
+
+    def cell_index(self, level, x) -> np.ndarray:
+        """Array form of locate: per x, the index of the cell of the level
+        holding it, unclipped; level and x broadcast."""
+        level, x = np.broadcast_arrays(level, x)
+        j = np.trunc(x * self.cell_counts(level)).astype(np.int64)
+        if self.cuts:
+            cut = level == self.max_level
+            if cut.any():
+                j[cut] = np.searchsorted(self._cut_edges, x[cut], side="right") - 1
+        return j
 
     def overlaps(self, level: int, lo, hi) -> Tuple[np.ndarray, ...]:
         """Cells of a level meeting the pieces [lo[i], hi[i]) as COO arrays.
@@ -434,11 +518,20 @@ def k0(grid: Grid, pieces, up_to: Optional[int] = None) -> int:
         pieces = [pieces]
     pieces = iv.normalize(pieces)
     top = grid.max_level if up_to is None else up_to
-    for k in range(top + 1):
-        for lo, hi in pieces:
-            i0, i1 = grid.contained_run(k, lo, hi)
-            if i1 > i0:
-                return k
-    raise CellNotFoundError(
-        f"no cell up to level {top} is contained in {pieces}"
-    )
+    first = grid.containment_levels(*np.reshape(pieces, (-1, 2)).T, top)
+    if not np.any(first >= 0):
+        raise CellNotFoundError(
+            f"no cell up to level {top} is contained in {pieces}"
+        )
+    return int(first[first >= 0].min())
+
+
+def python_pow(x: np.ndarray, e: float) -> np.ndarray:
+    """x ** e elementwise with Python's pow, one call per distinct value.
+
+    numpy's vectorized pow differs from Python's in the last bit on about
+    5% of inputs; the sums and ratios that reach the ledger are built from
+    Python's.
+    """
+    u, inv = np.unique(x, return_inverse=True)
+    return np.array([v ** e for v in u.tolist()], dtype=float)[inv.ravel()].reshape(np.shape(x))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,10 +41,10 @@ from .atoms import (
     level_offsets,
     subtree_indices,
 )
-from .domains import decompose
+from .domains import cover, decompose
 from .dynamics import Branch, BranchSystem
-from .errors import AssumptionError, CapacityError, ModeMismatchError
-from .grid import CellId, Grid, k0 as grid_k0
+from .errors import AssumptionError, CapacityError, CellNotFoundError, ModeMismatchError
+from .grid import CellId, Grid, python_pow
 
 INF = math.inf
 
@@ -124,17 +124,16 @@ def slicing_certificates(system: BranchSystem, constants: Constants,
     theta_dual = _pconj_power(thetas, p)
     n_pow = _n_power(system.n_overlap, p)
     n_br = len(system.branches)
-    images_disjoint = _images_disjoint(system)
 
+    # branch images are disjoint (BranchSystem checks it)
     tail_cands = {
         "core1": system.m_overlap * c_str ** (1 / p) * theta_dual,
         "core2": n_pow * c_str ** (1 / p) * system.t_overlap,
+        "tail1": c_str ** (1 / p) * sum_theta,
     }
-    if images_disjoint:
-        tail_cands["tail1"] = c_str ** (1 / p) * sum_theta
-        aligned = system.images_cell_aligned_from
-        if aligned is not None and aligned <= t:
-            tail_cands["tail2"] = n_pow * c_str ** (1 / p) * sup_theta
+    aligned = system.images_cell_aligned_from
+    if aligned is not None and aligned <= t:
+        tail_cands["tail2"] = n_pow * c_str ** (1 / p) * sup_theta
     tail_mode, tail_val = min(tail_cands.items(), key=lambda kv: kv[1])
 
     head_factor = (c_str * grid.c_g1 ** (-t)) ** (1 / p)
@@ -144,9 +143,8 @@ def slicing_certificates(system: BranchSystem, constants: Constants,
     }
     head_mode, head_val = min(head_cands.items(), key=lambda kv: kv[1])
 
-    whole_cands = {f"split({head_mode}+{tail_mode})": head_val + tail_val}
-    if images_disjoint:
-        whole_cands["tail1"] = c_str ** (1 / p) * sum_theta
+    whole_cands = {f"split({head_mode}+{tail_mode})": head_val + tail_val,
+                   "tail1": c_str ** (1 / p) * sum_theta}
     whole_mode, whole_val = min(whole_cands.items(), key=lambda kv: kv[1])
 
     hiip = {"core1": "hiip1", "tail1": "hiip1", "core2": "hiip2", "tail2": "hiip2"}
@@ -169,11 +167,6 @@ def slicing_certificates(system: BranchSystem, constants: Constants,
         t_overlap=system.t_overlap,
         formulas=formulas,
     )
-
-
-def _images_disjoint(system: BranchSystem) -> bool:
-    spans = sorted(b.img for b in system.branches)
-    return all(a[1] <= b[0] + 1e-12 for a, b in zip(spans, spans[1:]))
 
 
 @dataclass
@@ -276,13 +269,19 @@ class _AssemblyStats:
         self.ratio_violation: Dict[int, float] = {}
         self.c_dom_max: Dict[int, float] = {}
 
-    def observe(self, branch: Branch, shift: int, ratio: float, c_dom: float) -> None:
+    def observe(self, branch: Branch, shift: np.ndarray, ratio: np.ndarray,
+                c_dom: np.ndarray) -> None:
+        """Encounters of one branch: per pushed-forward cell, its shift, its
+        measure ratio |P|/|image| and the c_dom of the image."""
         r = branch.r
-        self.shift_min[r] = min(self.shift_min.get(r, shift), shift)
-        bound = branch.c_dc1 * branch.c_dc2 ** shift
-        if ratio > bound * (1 + 1e-12):
-            self.ratio_violation[r] = max(self.ratio_violation.get(r, 1.0), ratio / bound)
-        self.c_dom_max[r] = max(self.c_dom_max.get(r, 1.0), c_dom)
+        self.shift_min[r] = min(self.shift_min.get(r, int(shift.min())), int(shift.min()))
+        pows = {sh: branch.c_dc2 ** sh for sh in set(shift.tolist())}
+        bound = branch.c_dc1 * np.array([pows[sh] for sh in shift.tolist()])
+        over = ratio > bound * (1 + 1e-12)
+        if over.any():
+            self.ratio_violation[r] = max(self.ratio_violation.get(r, 1.0),
+                                          float(np.max(ratio[over] / bound[over])))
+        self.c_dom_max[r] = max(self.c_dom_max.get(r, 1.0), float(np.max(c_dom)))
 
     def merge_into(self, system: BranchSystem) -> None:
         for b in system.branches:
@@ -294,112 +293,169 @@ class _AssemblyStats:
                 b.c_dgd1 = max(b.c_dgd1, self.c_dom_max[b.r])
 
 
-# A below-resolution sliver (branch, lo, hi, amp): the forward image [lo, hi)
-# of a piece of an atom whose function value there is amp.
-Sliver = Tuple[Branch, float, float, complex]
+class Slivers(NamedTuple):
+    """Below-resolution slivers: the forward image [lo, hi) of a piece of
+    an atom under the branch at position `branch` of system.branches,
+    where the atom's function value is amp."""
+
+    atom: np.ndarray
+    branch: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    amp: np.ndarray
 
 
-def transfer_atom(system: BranchSystem, Q: CellId,
-                  coeff: complex = 1.0,
+def transfer_atom(system: BranchSystem, level, index, coeff=1.0,
                   stats: Optional[_AssemblyStats] = None,
                   K: Optional[int] = None
-                  ) -> Tuple[np.ndarray, np.ndarray, List[Sliver]]:
-    """Output coefficients of the transfer applied to one atom.
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Slivers]:
+    """Output coefficients of the transfer applied to a batch of atoms.
 
-    Follows the slicing / push-forward / re-expansion pipeline; constant
-    weights produce a single coefficient per image cell, smooth weights
-    spread over the cell subtrees via the martingale construction (or its
-    positive variant for nonnegative weights), read from the branch's
-    coefficient table (BranchSystem.table).  Returns basis indices (level
-    offsets up to K) and values in the order they are produced, with
-    repeats where images overlap, and the slivers: truncation happens at
-    level K (default: the grid resolution), and what the decompositions
-    leave below it is returned as slivers, which _reaggregate puts on the
-    bottom cells.
+    Atom i lives on cell (level[i], index[i]) with coefficient coeff[i]
+    (the three broadcast).  Each atom is sliced along the branch images it
+    meets (found by bisecting the sorted images), the slice cells are
+    pushed forward and their images decomposed, two `cover` calls for the
+    whole batch.  Constant weights produce a single coefficient per image
+    cell, smooth weights spread over the cell subtrees via the martingale
+    construction (or its positive variant for nonnegative weights), read
+    from the branch's coefficient table (BranchSystem.table).
+
+    Returns per output coefficient its atom (position in the batch), its
+    basis index (level offsets up to K) and value, in the order the atom
+    by atom pipeline produces them (atom, branch, slice cell, image cell,
+    subtree), with repeats where images overlap; and the slivers in that
+    order: truncation happens at level K (default: the grid resolution),
+    and what the decompositions leave below it is returned as slivers,
+    which _reaggregate puts on the bottom cells.
     """
     grid, params = system.grid, system.params
     K = grid.max_level if K is None else K
     theta = params.theta
-    off = level_offsets(grid, K)
-    q_iv = grid.interval(Q)
-    q_meas = grid.measure(Q)
-    idx: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
-    val: List[np.ndarray] = [np.zeros(0)]
-    slivers: List[Sliver] = []
+    alpha = 1.0 - params.s * params.p
+    off = np.asarray(level_offsets(grid, K))
+    q_level, q_index, coeff = (np.ravel(x) for x in np.broadcast_arrays(level, index, coeff))
+    q_lo, q_hi, q_meas = grid.extents(q_level.astype(np.int64), q_index.astype(np.int64))
 
-    for b in system.branches:
-        inter = iv.intersect([q_iv], b.img)
-        if not inter:
-            continue
-        if abs(iv.measure(inter) - q_meas) < 1e-15:
-            pieces = [(Q, 1.0)]
-            slice_defect: List[Tuple[float, float]] = []
-        else:
-            dec_in = decompose(grid, inter, 1.0 - params.s * params.p,
-                               max_level=K, defect_cap=INF)
-            pieces = [(P, (grid.measure(P) / q_meas) ** theta)
-                      for P in dec_in.all_cells()]
-            slice_defect = dec_in.defect_pieces
-        amp0 = coeff * q_meas ** (-theta)     # function value of the atom
-        g0 = b.potential.value
-        table = None if b.potential.is_constant() else system.table(b, K)
+    # (atom, branch) pairs whose slice is nonempty, atom by atom in branch order
+    first = np.searchsorted(system.image_hi, q_lo, side="right")
+    count = np.maximum(np.searchsorted(system.image_lo, q_hi, side="left") - first, 0)
+    atom = np.repeat(np.arange(q_lo.size), count)
+    pos = np.arange(atom.size) - np.repeat(np.cumsum(count) - count - first, count)
+    s_lo = np.maximum(q_lo[atom], system.image_lo[pos])
+    s_hi = np.minimum(q_hi[atom], system.image_hi[pos])
+    br = system.image_order[pos]
+    order = np.lexsort((br, atom))
+    order = order[s_hi[order] - s_lo[order] > 1e-15]
+    atom, br, s_lo, s_hi = atom[order], br[order], s_lo[order], s_hi[order]
+    amp0 = coeff[atom] * python_pow(q_meas, -theta)[atom]   # function value of the atom
 
-        for P, wgt in pieces:
-            p_iv = grid.interval(P)
-            vlo, vhi = b.forward_interval(*p_iv)
-            if vhi - vlo <= 0:
-                continue
-            dec_v = decompose(grid, (vlo, vhi), 1.0 - params.s * params.p,
-                              max_level=K, defect_cap=INF)
-            if stats is not None:
-                kv = grid_k0(grid, (vlo, vhi), up_to=grid.max_level + 16)
-                stats.observe(b, abs(P.level - kv),
-                              grid.measure(P) / (vhi - vlo), dec_v.c_dom)
-            amp = coeff * wgt * grid.measure(P) ** (-theta)   # == amp0
-            if table is None:
-                cells = dec_v.all_cells()
-                idx.append(np.array([off[W.level] + W.index for W in cells], dtype=np.int64))
-                val.append(np.array([amp * g0 * grid.measure(W) ** theta for W in cells]))
-            else:
-                for k, cells in dec_v.families.items():
-                    js = np.fromiter((c.index for c in cells), dtype=np.int64, count=len(cells))
-                    rows = subtree_indices(grid, K, k, js)
-                    coefs = table[1][rows]             # whole-tree coefficients
-                    coefs[:, 0] = table[0][k][js]      # each subtree's root
-                    keep = coefs != 0.0
-                    idx.append(rows[keep])
-                    val.append(amp * coefs[keep])
-            slivers += [(b, lo, hi, amp) for lo, hi in dec_v.defect_pieces]
+    # slice cells P: the atom's cell where the image holds it whole, else
+    # the decomposition of the slice
+    part = np.abs((s_hi - s_lo) - q_meas[atom]) >= 1e-15
+    cov_in = cover(grid, s_lo[part], s_hi[part], K)
+    part_pair = np.flatnonzero(part)
+    p_pair = np.concatenate([np.flatnonzero(~part), part_pair[cov_in.piece]])
+    p_level = np.concatenate([q_level[atom[~part]], cov_in.level])
+    p_index = np.concatenate([q_index[atom[~part]], cov_in.index])
+    order = np.argsort(p_pair, kind="stable")
+    p_pair, p_level, p_index = p_pair[order], p_level[order], p_index[order]
+    p_atom, p_br = atom[p_pair], br[p_pair]
+    p_lo, p_hi, p_meas = grid.extents(p_level, p_index)
+    wgt = python_pow(p_meas / q_meas[p_atom], theta)
+    amp = coeff[p_atom] * wgt * python_pow(p_meas, -theta)     # == amp0
 
-        # slivers of the slice itself: push their forward images directly
-        slivers += [(b, *b.forward_interval(lo, hi), amp0) for lo, hi in slice_defect]
-    return np.concatenate(idx), np.concatenate(val), slivers
+    v_lo, v_hi = _forward(system, p_br, p_lo, p_hi)
+    f = np.flatnonzero(v_hi - v_lo > 0)
+    cov_v = cover(grid, v_lo[f], v_hi[f], K, alpha=None if stats is None else alpha)
+    if stats is not None and f.size:
+        kv = grid.containment_levels(v_lo[f], v_hi[f], grid.max_level + 16)
+        if np.any(kv < 0):
+            raise CellNotFoundError("a forward image holds no cell up to level "
+                                    f"{grid.max_level + 16}")
+        shift = np.abs(p_level[f] - kv)
+        ratio = p_meas[f] / (v_hi[f] - v_lo[f])
+        for r in np.unique(p_br[f]).tolist():
+            sel = p_br[f] == r
+            stats.observe(system.branches[r], shift[sel], ratio[sel], cov_v.c_dom[sel])
+
+    # image cells W: one coefficient each for constant weights, the whole
+    # subtree from the branch's coefficient table otherwise
+    c_p = f[cov_v.piece]
+    c_br, c_level, c_index = p_br[c_p], cov_v.level, cov_v.index
+    tabled = np.array([not b.potential.is_constant() for b in system.branches], dtype=bool)
+    sub = off[K + 1 - np.arange(K + 1)]        # subtree sizes down to K, by level
+    size = np.where(tabled[c_br], sub[c_level], 1)
+    start = np.cumsum(size) - size
+    flat = ~tabled[c_br]
+    g0 = np.array([b.potential.value if b.potential.is_constant() else 0.0
+                   for b in system.branches])
+    tables = {r: system.table(system.branches[r], K) for r in np.unique(c_br[~flat]).tolist()}
+    rows = np.empty(int(size.sum()), dtype=np.int64)
+    vals = np.empty(rows.size, dtype=np.result_type(amp, g0, *(t[1] for t in tables.values())))
+    keep = np.ones(rows.size, dtype=bool)
+    if flat.any():
+        rows[start[flat]] = off[c_level[flat]] + c_index[flat]
+        vals[start[flat]] = amp[c_p[flat]] * g0[c_br[flat]] * python_pow(
+            grid.extents(c_level[flat], c_index[flat])[2], theta)
+    for r, k in sorted({(r, k) for r, k in zip(c_br[~flat].tolist(), c_level[~flat].tolist())}):
+        sel = np.flatnonzero((c_br == r) & (c_level == k))
+        roots, table = tables[r]
+        subtree = subtree_indices(grid, K, k, c_index[sel])
+        coefs = table[subtree]                          # whole-tree coefficients
+        coefs[:, 0] = roots[k][c_index[sel]]            # each subtree's root
+        at = start[sel][:, None] + np.arange(sub[k])
+        rows[at], vals[at], keep[at] = subtree, amp[c_p[sel]][:, None] * coefs, coefs != 0.0
+    out_atom = np.repeat(p_atom[c_p], size)[keep]
+
+    # slivers: per (atom, branch) pair those of its image cells, then the
+    # slice's own, pushed forward
+    d_pair = cov_in.defect_piece
+    d_lo, d_hi = _forward(system, br[part_pair[d_pair]], cov_in.defect_lo, cov_in.defect_hi)
+    v_p = f[cov_v.defect_piece]
+    pair = np.concatenate([p_pair[v_p], part_pair[d_pair]])
+    order = np.argsort(2 * pair + np.repeat([0, 1], [v_p.size, d_pair.size]), kind="stable")
+    slivers = Slivers(atom[pair][order], br[pair][order],
+                      np.concatenate([cov_v.defect_lo, d_lo])[order],
+                      np.concatenate([cov_v.defect_hi, d_hi])[order],
+                      np.concatenate([amp[v_p], amp0[part_pair[d_pair]]])[order])
+    return out_atom, rows[keep], vals[keep], slivers
 
 
-def _reaggregate(grid: Grid, K: int, theta: float, batch: Sequence[List[Sliver]]
+def _forward(system: BranchSystem, br: np.ndarray, lo: np.ndarray, hi: np.ndarray
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """Forward images of the intervals [lo[i], hi[i]) under the branches at
+    positions br[i], one forward_interval call per branch."""
+    f_lo, f_hi = np.empty(lo.size), np.empty(lo.size)
+    for r in np.unique(br).tolist():
+        sel = br == r
+        f_lo[sel], f_hi[sel] = system.branches[r].forward_interval(lo[sel], hi[sel])
+    return f_lo, f_hi
+
+
+def _reaggregate(system: BranchSystem, K: int, slivers: Slivers, n_atoms: int
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Level-K coefficients of the slivers of a batch of atoms.
 
-    batch[i] holds the slivers of atom i.  The exact weight integral over
-    each bottom cell a sliver meets is assigned to that cell.  Returns COO
-    arrays (atom i, cell j, coefficient) and, per atom, the L1 mass so
-    re-aggregated (its truncation defect).  One kernel call per branch.
+    The exact weight integral over each bottom cell a sliver meets is
+    assigned to that cell.  Returns COO arrays (atom i, cell j,
+    coefficient) and, per atom, the L1 mass so re-aggregated (its
+    truncation defect).  One kernel call per branch, the branches in the
+    order they first appear among the slivers.
     """
-    by_branch: Dict[int, Tuple[Branch, list]] = {}
-    for i, slivers in enumerate(batch):
-        for b, lo, hi, amp in slivers:
-            by_branch.setdefault(b.r, (b, []))[1].append((i, lo, hi, amp))
+    grid, theta = system.grid, system.params.theta
     coo = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
-    defect = np.zeros(len(batch))
-    for b, rows in by_branch.values():
-        atom, lo, hi, amp = (np.asarray(x) for x in zip(*rows))
-        piece, j, a_, b_, w_j = grid.overlaps(K, lo, hi)
-        mass = b.weight_integral(a_, b_)
+    defect = np.zeros(n_atoms)
+    branches, first = np.unique(slivers.branch, return_index=True)
+    for r in branches[np.argsort(first)].tolist():
+        sel = slivers.branch == r
+        atom, amp = slivers.atom[sel], slivers.amp[sel]
+        piece, j, a_, b_, w_j = grid.overlaps(K, slivers.lo[sel], slivers.hi[sel])
+        mass = system.branches[r].weight_integral(a_, b_)
         keep = mass != 0.0
         piece, j, mass, w_j = piece[keep], j[keep], mass[keep], w_j[keep]
         coo.append((atom[piece], j, amp[piece] * (mass / w_j) * w_j ** theta))
         defect += np.bincount(atom[piece], weights=np.abs(amp[piece]) * mass,
-                              minlength=len(batch))
+                              minlength=n_atoms)
     return (*(np.concatenate(x) for x in zip(*coo)), defect)
 
 
@@ -424,16 +480,15 @@ def apply_transfer(system: BranchSystem, rep: AtomicRep, mode: str = "analytic",
     result = None
     defect_l1 = 0.0
     if mode == "analytic" or cross_check:
-        idx, val, slivers = [], [], []
-        for Q, d in rep.coeffs.items():
-            atom_idx, atom_val, atom_slivers = transfer_atom(system, Q, d)
-            idx.append(atom_idx)
-            val.append(atom_val)
-            slivers += atom_slivers
-        _, cells, coefs, defect = _reaggregate(grid, K, params.theta, [slivers])
-        idx.append(level_offsets(grid, K)[K] + cells)
-        val.append(coefs)
-        vec = _accumulate(np.concatenate(idx), np.concatenate(val), basis_size(grid, K))
+        qs = list(rep.coeffs)
+        _, idx, val, slivers = transfer_atom(
+            system, [Q.level for Q in qs], [Q.index for Q in qs],
+            np.array(list(rep.coeffs.values())))
+        # the whole expansion's slivers re-aggregate as those of one atom
+        _, cells, coefs, defect = _reaggregate(
+            system, K, slivers._replace(atom=np.zeros_like(slivers.atom)), 1)
+        vec = _accumulate(np.concatenate([idx, level_offsets(grid, K)[K] + cells]),
+                          np.concatenate([val, coefs]), basis_size(grid, K))
         defect_l1 = float(defect[0])
         positive = bool(rep.positive_flag
                         and all(b.potential.positive for b in system.branches)
@@ -713,22 +768,17 @@ def assemble_matrix(system: BranchSystem, K: Optional[int] = None, t: int = 1,
     data: List[np.ndarray] = []
     defect = np.zeros(n)
     for k in range(K + 1):
-        batch, level_rows, level_vals = [], [], []
-        for j in range(grid.n_cells(k)):
-            idx, val, slivers = transfer_atom(system, CellId(k, j), 1.0, stats, K=K)
-            batch.append(slivers)
-            level_rows.append(idx)
-            level_vals.append(val)
-        level_cols = np.repeat(np.arange(off[k], off[k + 1]), [r.size for r in level_rows])
+        atom, level_rows, level_vals, slivers = transfer_atom(
+            system, k, np.arange(grid.n_cells(k)), 1.0, stats, K=K)
         # a column's repeated cells are summed as they came, before its slivers
-        row, col, val = _merge_repeats(np.concatenate(level_rows), level_cols,
-                                       np.concatenate(level_vals).astype(dtype, copy=False), n)
+        row, col, val = _merge_repeats(level_rows, off[k] + atom,
+                                       level_vals.astype(dtype, copy=False), n)
         keep = np.abs(val) > 1e-300
         rows_idx.append(row[keep])
         data.append(val[keep])
         cols.append(col[keep])
         atom, cell, coef, defect[off[k]:off[k + 1]] = _reaggregate(
-            grid, K, system.params.theta, batch)
+            system, K, slivers, grid.n_cells(k))
         keep = np.abs(coef) > 1e-300
         rows_idx.append(off[K] + cell[keep])
         data.append(coef[keep])

@@ -1,13 +1,14 @@
 """Greedy cell decompositions and strong-regularity measurements."""
 
+import bisect
 import math
 
 import numpy as np
 import pytest
 
 from besovtransfer import intervals as iv
-from besovtransfer.domains import decompose, strong_regularity
-from besovtransfer.grid import CellId, build_grid
+from besovtransfer.domains import cover, decompose, strong_regularity
+from besovtransfer.grid import CONTAIN_TOL, CellId, build_grid, k0
 
 GRID = build_grid(2, 12)
 ALPHA = 0.2
@@ -135,3 +136,131 @@ def test_decomp_json_export():
     data = dec.to_json(GRID)
     assert set(data) >= {"alpha", "k0", "c_dom", "lambda_dom", "families"}
     assert data["families"]["2"] == ["2:0"]
+
+
+# -- the array kernel against the scalar greedy loop --------------------------------
+
+
+def _scalar_run(grid, k, lo, hi):
+    """Contained run of one piece, as the scalar rule computed it."""
+    n = grid.n_cells(k)
+    if grid.cuts and k == grid.max_level:
+        edges = list(grid.edges(k))
+        tol = CONTAIN_TOL * grid.width(k)
+        i0 = bisect.bisect_left(edges, lo - tol)
+        i1 = bisect.bisect_right(edges, hi + tol) - 1
+    else:
+        i0 = int(math.ceil(lo * n - CONTAIN_TOL))
+        i1 = int(math.floor(hi * n + CONTAIN_TOL))
+    return max(i0, 0), min(i1, n)
+
+
+def _scalar_decompose(grid, target, alpha, K):
+    """The greedy loop one residual piece at a time: families, k0, c_dom, defect."""
+    families, residual, k0 = {}, list(target), None
+    for k in range(K + 1):
+        new_cells, next_residual = [], []
+        for lo, hi in residual:
+            i0, i1 = _scalar_run(grid, k, lo, hi)
+            if i1 <= i0:
+                next_residual.append((lo, hi))
+                continue
+            new_cells.extend(CellId(k, j) for j in range(i0, i1))
+            e0, e1 = (float(grid.edges(k)[i]) if grid.is_cut(k) else i * grid.width(k)
+                      for i in (i0, i1))
+            if e0 - lo > 1e-15:
+                next_residual.append((lo, e0))
+            if hi - e1 > 1e-15:
+                next_residual.append((e1, hi))
+        if new_cells:
+            families[k] = new_cells
+            if k0 is None:
+                k0 = k
+        residual = next_residual
+        if not residual:
+            break
+    lam = grid.arity ** (-alpha)
+    c_dom = 0.0
+    for k, cells in families.items():
+        level_sum = sum(grid.measure(c) ** alpha for c in cells)
+        c_dom = max(c_dom, level_sum / (lam ** (k - k0) * iv.measure(target) ** alpha))
+    return families, k0, c_dom, iv.normalize(residual)
+
+
+def _awkward_pieces(grid, rng):
+    """Pieces on edges, 1e-13 and 1e-16 widths off them, slivers, empty
+    pieces and pieces reaching past 1."""
+    K = grid.max_level
+    out = []
+    for _ in range(40):
+        k = int(rng.integers(0, K + 1))
+        n = grid.n_cells(k)
+        i, j = np.sort(rng.integers(0, n + 1, size=2))
+        a, b = float(grid.edges(k)[i]), float(grid.edges(k)[j])
+        w = grid.width(K)
+        for da, db in ((0, 0), (1e-13, -1e-13), (-1e-13, 1e-13), (1e-16, -1e-16),
+                       (-1e-16, 1e-16), (1e-13 * w, 0), (0, -1e-16 * w)):
+            out.append((a + da, b + db))
+        x = float(rng.uniform(0, 1))
+        out += [(x, x + 0.3 * w), (x, x), (x, x + 1e-16), (x, 1.0 + x),
+                tuple(np.sort(rng.uniform(0, 1, 2)))]
+    return out
+
+
+@pytest.mark.parametrize("grid", [build_grid(2, 6), build_grid(3, 4), build_grid(8, 4),
+                                  build_grid(2, 7).with_cuts([0.3001, 1 / 1.618033988749895]),
+                                  build_grid(3, 5).with_cuts([0.0881, 0.61])],
+                         ids=["dyadic", "triadic", "octal", "cut-dyadic", "cut-triadic"])
+def test_cover_equals_the_scalar_greedy_loop(grid):
+    rng = np.random.default_rng(29)
+    pieces = _awkward_pieces(grid, rng)
+    for depth in (grid.max_level - 2, grid.max_level, grid.max_level + 16):
+        for alpha in (0.2, 1.0):
+            targets = [iv.normalize([p]) for p in pieces]
+            targets = [t for t in targets if t]
+            lo, hi = np.array([t[0] for t in targets]).T
+            cov = cover(grid, lo, hi, depth, alpha=alpha)
+            for i, target in enumerate(targets):
+                families, k0, c_dom, defect = _scalar_decompose(grid, target, alpha, depth)
+                mine = cov.piece == i
+                got = {}
+                for k, j in zip(cov.level[mine].tolist(), cov.index[mine].tolist()):
+                    got.setdefault(k, []).append(CellId(k, j))
+                assert got == families
+                assert list(got) == list(families)
+                assert cov.k0[i] == (-1 if k0 is None else k0)
+                assert cov.c_dom[i] == c_dom
+                left = cov.defect_piece == i
+                assert list(zip(cov.defect_lo[left].tolist(),
+                                cov.defect_hi[left].tolist())) == defect
+
+
+def test_decompose_of_a_union_equals_the_scalar_greedy_loop():
+    rng = np.random.default_rng(31)
+    for grid in (build_grid(2, 8), build_grid(3, 5).with_cuts([0.0881])):
+        for _ in range(20):
+            target = iv.normalize([tuple(np.sort(rng.uniform(0, 1, 2))) for _ in range(3)])
+            dec = decompose(grid, target, ALPHA, defect_cap=math.inf)
+            families, k0, c_dom, defect = _scalar_decompose(grid, target, ALPHA, grid.max_level)
+            assert (dec.families, dec.k0, dec.c_dom, dec.defect_pieces) == \
+                (families, k0, c_dom, defect)
+
+
+def test_containment_levels_past_int64_cell_counts():
+    # 8**22 cells do not fit an int64: the containment levels of the
+    # ledger probes are found on such levels exactly as the scalar rule
+    # finds them, while cover refuses to index their cells
+    grid = build_grid(8, 6)
+    rng = np.random.default_rng(37)
+    # pieces near 0, where floats resolve cells of 8**-22
+    lo = rng.uniform(0, 1, 300) * 10.0 ** -rng.integers(0, 19, 300)
+    hi = lo + 10.0 ** -rng.uniform(1, 21, lo.size)
+    runs = [[_scalar_run(grid, k, a, b) for k in range(23)]
+            for a, b in zip(lo.tolist(), hi.tolist())]
+    want = [next((k for k, (i0, i1) in enumerate(r) if i1 > i0), -1) for r in runs]
+    assert max(want) > 20
+    assert grid.containment_levels(lo, hi, 22).tolist() == want
+    wide = hi - lo > 1e-12
+    assert k0(grid, list(zip(lo[wide], hi[wide])), up_to=22) == min(np.array(want)[wide])
+    with pytest.raises(ValueError):
+        cover(grid, [0.1], [0.2], 22)

@@ -10,7 +10,6 @@ import besovtransfer.dynamics as dynamics
 from besovtransfer.atoms import BesovParams, coefficient_norm, subtree_rep
 from besovtransfer.dynamics import (
     MapSpec,
-    _smallest_covering_level,
     make_map,
     preimage_decomp,
     potential_regularity,
@@ -130,6 +129,15 @@ def test_potential_regularity_constant_level_independent(doubling):
 def test_potential_regularity_gauss_finite(gauss50):
     for b in gauss50.branches[:5]:
         assert 0 < b.potential.c_rp < math.inf
+
+
+def _smallest_covering_level(grid, lo, hi):
+    """Deepest level at which a single cell contains [lo, hi), one level at a time."""
+    for k in range(grid.max_level, -1, -1):
+        c_lo, c_hi = grid.interval(CellId(k, grid.locate(k, lo)))
+        if c_lo <= lo + 1e-15 and hi <= c_hi + 1e-15:
+            return k
+    return 0
 
 
 def _regularity_by_cell(gbar, branch, params, probe_level):

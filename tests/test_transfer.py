@@ -167,7 +167,8 @@ def test_analytic_cross_check_skips_k0_and_the_numeric_expansion(monkeypatch, ga
         return wrapper
 
     for mod, attr, fn in ((grid_module, "k0", grid_module.k0),
-                          (transfer, "grid_k0", grid_module.k0),
+                          (grid_module.Grid, "containment_levels",
+                           grid_module.Grid.containment_levels),
                           (atoms, "canonical_rep", atoms.canonical_rep),
                           (transfer, "canonical_rep", atoms.canonical_rep)):
         monkeypatch.setattr(mod, attr, counting(attr, fn), raising=False)
@@ -179,6 +180,48 @@ def test_analytic_cross_check_skips_k0_and_the_numeric_expansion(monkeypatch, ga
     assert calls == []
     apply_transfer(beta18, rep, mode="numeric")
     assert "canonical_rep" in calls
+
+
+def test_analytic_route_decomposes_a_whole_expansion_in_two_kernel_calls(monkeypatch, gauss):
+    # the slices of all atoms go through one cover call and their pushed
+    # forward cells through another; the slivers meet the bottom cells in
+    # one overlaps call per branch: the count follows the branches, not
+    # the atoms times their pieces
+    calls = {"cover": 0, "overlaps": 0, "containment_levels": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(transfer, "cover", counting("cover", transfer.cover))
+    monkeypatch.setattr(grid_module.Grid, "overlaps",
+                        counting("overlaps", grid_module.Grid.overlaps))
+    monkeypatch.setattr(grid_module.Grid, "containment_levels",
+                        counting("containment_levels", grid_module.Grid.containment_levels))
+    monkeypatch.setattr(transfer, "decompose", None)
+    rep = random_rep(gauss.grid, PARAMS, np.random.default_rng(61), n_atoms=15)
+    assert len(rep.coeffs) == 15
+    out = apply_transfer(gauss, rep, mode="analytic")
+    assert out.coeffs
+    assert calls["cover"] == 2
+    assert calls["overlaps"] <= len(gauss.branches)
+    # the containment levels only feed assembly's ledger encounters
+    assert calls["containment_levels"] == 0
+
+
+def test_complex_constant_weight_keeps_its_imaginary_part():
+    # a constant weight enters every entry linearly, so a complex one
+    # scales the matrix of the real one
+    spec = MapSpec("doubling", potential="constant", constant=0.5)
+    real = assemble_matrix(make_map(spec, build_grid(2, 6), PARAMS), K=6).matrix
+    system = make_map(spec, build_grid(2, 6), PARAMS)
+    for b in system.branches:
+        b.potential.value = 0.5 * (1 + 1j)
+    mat = assemble_matrix(system, K=6).matrix
+    assert np.iscomplexobj(mat.data)
+    assert abs(mat - (1 + 1j) * real).max() <= 1e-15 * abs(real).max()
 
 
 def test_mass_conservation(doubling, golden, gauss, beta18):
