@@ -83,10 +83,6 @@ class BesovParams:
         """Atom scaling exponent of the beta scale, 1/p - beta."""
         return 1.0 / self.p - self.beta
 
-    @property
-    def p_conj(self) -> float:
-        return INF if self.p == 1 else self.p / (self.p - 1.0)
-
 
 # -- working-resolution functions --------------------------------------------
 
@@ -319,26 +315,29 @@ def coefficient_norm(rep: AtomicRep) -> float:
     return total
 
 
-def coefficient_norm_vector(vec: np.ndarray, grid: Grid, K: int, params: BesovParams,
-                            level_range: Optional[Tuple[int, int]] = None) -> float:
-    """coefficient_norm on a basis-ordered vector (fast path)."""
+def coefficient_norm_vector(vec: np.ndarray, grid: Grid, K: int, params: BesovParams):
+    """coefficient_norm on a basis-ordered vector (fast path).
+
+    A 2-D `vec` in Fortran order holds one expansion per column and gives
+    one norm per column, each equal to its lone column's bit for bit.
+    """
+    def root(x, p):
+        # scalar pow, as coefficient_norm takes it: NumPy's array ** takes
+        # sqrt for p = 2, which differs from pow in the last bit now and then
+        return np.array([v ** (1.0 / p) for v in x.ravel().tolist()]).reshape(x.shape)
+
     off = level_offsets(grid, K)
-    lo, hi = (0, K) if level_range is None else level_range
-    masses = []
-    for k in range(lo, hi + 1):
-        seg = np.abs(vec[off[k]:off[k + 1]])
-        if seg.size == 0:
-            continue
-        masses.append(seg.max() if params.p == INF
-                      else float(np.sum(seg ** params.p) ** (1.0 / params.p)))
-    a = np.asarray(masses)
-    if a.size == 0:
-        return 0.0
-    q = params.q
-    total = float(a.max()) if q == INF else float(np.sum(a ** q) ** (1.0 / q))
-    if not math.isfinite(total):
+    a = np.abs(vec)
+    p, q = params.p, params.q
+    masses = np.empty(vec.shape[1:] + (K + 1,))     # a row of level masses per expansion
+    for k in range(K + 1):
+        seg = a[off[k]:off[k + 1]]
+        masses[..., k] = seg.max(axis=0) if p == INF else np.sum(seg ** p, axis=0)
+    masses = masses if p == INF else root(masses, p)
+    total = masses.max(axis=-1) if q == INF else root(np.sum(masses ** q, axis=-1), q)
+    if not np.isfinite(total).all():
         raise NormOverflowError("coefficient norm is not finite")
-    return total
+    return float(total) if vec.ndim == 1 else total
 
 
 # -- evaluate / canonical transforms ------------------------------------------

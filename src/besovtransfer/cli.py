@@ -179,8 +179,9 @@ class Runner:
         return self._density
 
     def eigenvalues(self):
+        """The one eigensolve of the run, shared by spectrum and decay."""
         if self._eigenvalues is None:
-            self._eigenvalues = eigenvalues(self.matrix())
+            self._eigenvalues = eigenvalues(self.matrix(), full=True)
         return self._eigenvalues
 
     # -- emitters -----------------------------------------------------------
@@ -248,6 +249,7 @@ class Runner:
             "eigenspace_dim_at_1": report.eigenspace_dim_at_1,
             "semisimple": report.semisimple,
             "transitive": report.transitive,
+            "solver": report.solver,
         })
         self.written.append(path)
 
@@ -260,7 +262,7 @@ class Runner:
         rho, _ = self.density()
         try:
             rep = decay_rate(self.matrix(), u, v, k_max=40,
-                             lambda2=subdominant_modulus(self.eigenvalues()), density=rho)
+                             lambda2=subdominant_modulus(self.eigenvalues().values), density=rho)
             cks, fitted, cert = rep.correlations, rep.fitted_rate, rep.certificate_rate
             degenerate = False
         except DegenerateFitError:

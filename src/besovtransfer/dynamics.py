@@ -491,8 +491,8 @@ class BranchSystem:
     probe_level: int = 10
     # weight averages and their coefficient tables (the per-level roots and
     # the basis-ordered whole-tree coefficients, at the atom exponent) by
-    # (branch id, level), and the bin operator (a scipy.sparse matrix, see
-    # transfer.build_cell_operator) by level
+    # (branch id, level), and the bin operator (a scipy.sparse matrix, built
+    # by transfer.cell_operator) by level
     weight_avgs: Dict[Tuple[int, int], PiecewiseFn] = field(
         default_factory=dict, repr=False, compare=False)
     coeff_tables: Dict[Tuple[int, int], Tuple[List[np.ndarray], np.ndarray]] = field(

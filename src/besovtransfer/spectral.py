@@ -15,11 +15,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
+from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from .atoms import (
     AtomicRep,
     PiecewiseFn,
-    atom_heights,
     basis_size,
     canonical_vector,
     coefficient_norm_vector,
@@ -30,12 +30,23 @@ from .atoms import (
 from .dynamics import BranchSystem
 from .errors import ConvergenceError, DegenerateFitError, GapCollapseError
 from .grid import CellId, Grid
-from .transfer import TransferMatrix, build_cell_operator
+from .transfer import TransferMatrix, build_cell_operator, cell_operator
 
+# perfbench's tracer counts solves up to this size as dense (`dense_n`);
+# no solve here densifies a matrix that ARPACK can take
 DENSE_EIG_CAP = 8191
 
 
 # -- eigenvalues ----------------------------------------------------------------
+
+
+@dataclass
+class Eigensystem:
+    """Leading eigenvalues of a truncation and the solve that found them."""
+
+    values: np.ndarray                  # sorted by decreasing modulus
+    vectors: Optional[np.ndarray]       # columns match `values`; None when diagonal
+    solver: Dict[str, object]           # method, k, ncv, converged
 
 
 def _level_triangular_diag(tm: TransferMatrix) -> Optional[np.ndarray]:
@@ -46,38 +57,59 @@ def _level_triangular_diag(tm: TransferMatrix) -> Optional[np.ndarray]:
     diagonal exactly; generic QR iterations would smear the defective zero
     cluster by roundoff**(1/chain length).
     """
-    off = level_offsets(tm.grid, tm.K)
+    lev_of = np.repeat(np.arange(tm.K + 1), np.diff(level_offsets(tm.grid, tm.K)))
     coo = tm.matrix.tocoo()
-    lev_of = np.zeros(tm.size, dtype=int)
-    for k in range(tm.K + 1):
-        lev_of[off[k]:off[k + 1]] = k
-    diag = tm.matrix.diagonal()
     bad = (lev_of[coo.row] >= lev_of[coo.col]) & (coo.row != coo.col)
-    if np.any(np.abs(coo.data[bad]) > 1e-14):
-        return None
-    return diag
+    return None if np.any(np.abs(coo.data[bad]) > 1e-14) else tm.matrix.diagonal()
 
 
-def eigenvalues(tm: TransferMatrix, top: int = 8,
-                dense_cap: int = DENSE_EIG_CAP,
-                want_vectors: bool = False):
-    """Spectrum of the truncated operator, sorted by decreasing modulus."""
+def _arnoldi(tm: TransferMatrix, tol: float) -> Eigensystem:
+    """Peripheral eigenvalues and the first one inside the disc, by ARPACK.
+
+    Implicitly restarted Arnoldi on the sparse matrix from a fixed start,
+    so runs repeat exactly.  k starts at 2 and doubles while every value
+    has modulus >= 1 - tol; it stays minimal because ARPACK stalls on the
+    clusters deeper in the disc.  Non-convergence raises ConvergenceError,
+    with no dense fallback; only a matrix too small for ARPACK is dense.
+    """
+    n = tm.size
+    k = 2
+    while True:
+        ncv = min(n - 1, max(40, 2 * k + 1))
+        if ncv <= k + 1:
+            ev, vecs = np.linalg.eig(tm.dense())
+            solver = {"method": "dense", "k": n, "ncv": None, "converged": True}
+            break
+        try:
+            ev, vecs = eigs(tm.matrix, k=k, which="LM", v0=np.ones(n), ncv=ncv)
+        except ArpackNoConvergence as exc:
+            raise ConvergenceError(
+                f"ARPACK: {len(exc.eigenvalues)} of the {k} largest eigenvalues "
+                f"converged (n={n}, ncv={ncv})") from exc
+        solver = {"method": "arpack", "k": k, "ncv": ncv, "converged": True}
+        if np.min(np.abs(ev)) < 1.0 - tol:
+            break
+        k *= 2
+    order = np.argsort(-np.abs(ev), kind="stable")
+    return Eigensystem(ev[order], vecs[:, order], solver)
+
+
+def eigenvalues(tm: TransferMatrix, tol: float = 1e-6, full: bool = False):
+    """Leading spectrum of the truncated operator, by decreasing modulus.
+
+    A level-triangular matrix gives its whole spectrum exactly, as its
+    diagonal; any other its peripheral eigenvalues and the largest one
+    inside the disc (`_arnoldi`), all that the peripheral set, the gap and
+    the decay certificate read.  `full` returns the `Eigensystem`.
+    """
     diag = _level_triangular_diag(tm)
-    if diag is not None and not want_vectors:
+    if diag is None:
+        es = _arnoldi(tm, tol)
+    else:
         ev = np.sort_complex(diag.astype(np.complex128))[::-1]
-        return ev[np.argsort(-np.abs(ev), kind="stable")]
-    if tm.size <= dense_cap:
-        dense = tm.dense()
-        if want_vectors:
-            ev, vecs = np.linalg.eig(dense)
-            order = np.argsort(-np.abs(ev))
-            return ev[order], vecs[:, order]
-        ev = np.linalg.eigvals(dense)
-        return ev[np.argsort(-np.abs(ev))]
-    ev = _subspace_iteration(tm.matrix, k=top)
-    if want_vectors:
-        raise ValueError("eigenvectors only available below the dense cap")
-    return ev
+        es = Eigensystem(ev[np.argsort(-np.abs(ev), kind="stable")], None, {
+            "method": "level_triangular", "k": tm.size, "ncv": None, "converged": True})
+    return es if full else es.values
 
 
 def subdominant_modulus(ev: np.ndarray, tol: float = 1e-6) -> float:
@@ -88,25 +120,6 @@ def subdominant_modulus(ev: np.ndarray, tol: float = 1e-6) -> float:
     """
     inside = np.abs(ev)[np.abs(ev) < 1.0 - tol]
     return float(inside.max()) if inside.size else 0.0
-
-
-def _subspace_iteration(mat: sp.spmatrix, k: int = 8, iters: int = 400,
-                        seed: int = 0) -> np.ndarray:
-    """Orthogonal iteration for the leading cluster of a large operator."""
-    rng = np.random.default_rng(seed)
-    n = mat.shape[0]
-    X = rng.standard_normal((n, k)) + 1e-3
-    X, _ = np.linalg.qr(X)
-    prev = np.zeros(k, dtype=np.complex128)
-    for i in range(iters):
-        X, _ = np.linalg.qr(mat @ X)
-        H = X.conj().T @ (mat @ X)
-        ev = np.linalg.eigvals(H)
-        ev = ev[np.argsort(-np.abs(ev))]
-        if np.max(np.abs(ev - prev)) < 1e-12:
-            break
-        prev = ev
-    return ev
 
 
 # -- inequality fit ---------------------------------------------------------------
@@ -137,16 +150,16 @@ def lasota_yorke_verify(tm: TransferMatrix, ensemble_size: int = 100,
     grid, params = tm.grid, tm.params
     rng = np.random.default_rng(seed)
     cap = tm.ledger.essential_bound
-    trajectories = []
-    for _ in range(ensemble_size):
-        rep = random_rep(grid, params, rng, n_atoms=20, max_level=tm.K)
-        vec = rep.to_vector(tm.K).astype(np.complex128)
-        l1 = float(grid.integrate(tm.K, np.abs(evaluate_vector(vec, grid, tm.K, params))))
-        norms = [coefficient_norm_vector(vec, grid, tm.K, params)]
-        for _ in range(n_max):
-            vec = tm.apply(vec)
-            norms.append(coefficient_norm_vector(vec, grid, tm.K, params))
-        trajectories.append((l1, norms))
+    block = np.asfortranarray(np.stack(
+        [random_rep(grid, params, rng, n_atoms=20, max_level=tm.K).to_vector(tm.K)
+         for _ in range(ensemble_size)], axis=1).astype(np.complex128))
+    l1s = [float(grid.integrate(tm.K, np.abs(evaluate_vector(col, grid, tm.K, params))))
+           for col in block.T]
+    steps = [coefficient_norm_vector(block, grid, tm.K, params)]
+    for _ in range(n_max):
+        block = np.asfortranarray(tm.apply(block))
+        steps.append(coefficient_norm_vector(block, grid, tm.K, params))
+    trajectories = list(zip(l1s, np.asarray(steps).T.tolist()))
     c_hat = max((norms[n_max] / l1) for l1, norms in trajectories if l1 > 0)
     c_hat *= 1.0 + 1e-9
     lam_fit = 0.0
@@ -258,6 +271,7 @@ class SpectralReport:
     roots_of_unity: Dict[complex, Tuple[int, int]]
     transitive: bool
     density_info: DensityInfo
+    solver: Dict[str, object]
 
 
 def _root_of_unity_match(lam: complex, max_order: int,
@@ -272,7 +286,7 @@ def _root_of_unity_match(lam: complex, max_order: int,
 
 def peripheral_spectrum(tm: TransferMatrix, tol: float = 1e-6,
                         transitivity_level: Optional[int] = None,
-                        spectrum: Optional[np.ndarray] = None,
+                        spectrum: Optional[Eigensystem] = None,
                         density: Optional[Tuple[PiecewiseFn, DensityInfo]] = None
                         ) -> SpectralReport:
     """Unit-circle eigenvalue cluster and its structure.
@@ -283,26 +297,26 @@ def peripheral_spectrum(tm: TransferMatrix, tol: float = 1e-6,
     semisimplicity is checked through the rank of the cluster's
     eigenvectors.
 
-    `spectrum` (as `eigenvalues(tm)` returns it) and `density` (as
-    `invariant_density(tm)` returns it) are computed here when not given.
-    Eigenvectors are computed only when a peripheral eigenvalue is
-    repeated and the matrix is small enough; the report then carries the
-    eigenvalues of that factorisation.
+    `spectrum` (as `eigenvalues(tm, tol, full=True)` returns it) and
+    `density` (as `invariant_density(tm)` returns it) are computed here
+    when not given.  A diagonal spectrum carries no eigenvectors; when one
+    of its peripheral eigenvalues is repeated, ARPACK solves for them and
+    the report carries the eigenvalues of that solve.
     """
-    ev = eigenvalues(tm) if spectrum is None else spectrum
+    es = eigenvalues(tm, tol, full=True) if spectrum is None else spectrum
     near = max(tol, 1e-9)
-    vecs = None
-    if tm.size <= 4096 and any(np.count_nonzero(np.abs(ev - l) <= near) > 1
-                               for l in ev[np.abs(ev) >= 1.0 - tol]):
-        ev, vecs = eigenvalues(tm, want_vectors=True)
+    if es.vectors is None and any(np.count_nonzero(np.abs(es.values - l) <= near) > 1
+                                  for l in es.values[np.abs(es.values) >= 1.0 - tol]):
+        es = _arnoldi(tm, tol)
+    ev = es.values
     peripheral = [complex(l) for l in ev if abs(l) >= 1.0 - tol]
     dim1 = int(np.sum(np.abs(ev - 1.0) <= near))
     semisimple = True
-    if vecs is not None:
+    if es.vectors is not None:
         for lam in {round(l.real, 8) + 1j * round(l.imag, 8) for l in peripheral}:
             idx = np.nonzero(np.abs(ev - lam) <= near)[0]
             if len(idx) > 1:
-                rank = np.linalg.matrix_rank(vecs[:, idx], tol=1e-8)
+                rank = np.linalg.matrix_rank(es.vectors[:, idx], tol=1e-8)
                 if rank < len(idx):
                     semisimple = False
     gap = 1.0 - subdominant_modulus(ev, tol)
@@ -324,6 +338,7 @@ def peripheral_spectrum(tm: TransferMatrix, tol: float = 1e-6,
         roots_of_unity=roots,
         transitive=transitivity_check(tm, level),
         density_info=info,
+        solver=es.solver,
     )
 
 
@@ -422,49 +437,27 @@ class CLTReport:
 
 
 def multiplier_matrix(tm: TransferMatrix, phase: np.ndarray) -> np.ndarray:
-    """Matrix of multiplication by a bottom-level phase function."""
-    grid, params = tm.grid, tm.params
-    n = basis_size(grid, tm.K)
-    N = grid.n_cells(tm.K)
-    off = level_offsets(grid, tm.K)
-    out = np.zeros((n, n), dtype=np.complex128)
-    m = grid.arity
-    for k in range(tm.K + 1):
-        span = m ** (tm.K - k)
-        amp = np.broadcast_to(atom_heights(grid, k, params.theta), grid.n_cells(k))
-        for j in range(grid.n_cells(k)):
-            vals = np.zeros(N, dtype=np.complex128)
-            vals[j * span:(j + 1) * span] = amp[j] * phase[j * span:(j + 1) * span]
-            out[:, off[k] + j] = canonical_vector(vals, grid, tm.K, params)
-    return out
+    """Dense matrix of multiplication by a bottom-level phase function.
 
-
-def apply_multiplier(tm: TransferMatrix, phase: np.ndarray,
-                     vec: np.ndarray) -> np.ndarray:
-    """multiplier_matrix(tm, phase) @ vec without building the matrix.
-
-    Evaluates the expansion on the bottom cells, multiplies by the phase
-    and expands the product again; each column of the matrix is this map
-    applied to a unit vector.
+    Column j expands phase times the evaluated atom j again.
     """
-    grid, K, params = tm.grid, tm.K, tm.params
-    return canonical_vector(phase * evaluate_vector(vec, grid, K, params), grid, K, params)
+    g, K, params = tm.grid, tm.K, tm.params
+    return np.stack([canonical_vector(phase * evaluate_vector(e, g, K, params), g, K, params)
+                     for e in np.eye(tm.size)], axis=1)
 
 
-def _leading_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray], n: int,
-                        iters: int = 300, tol: float = 1e-14
-                        ) -> Tuple[complex, bool, float]:
-    """Power iteration from the coarse-mass direction.
+def _leading_eigenvalue(U: sp.csr_matrix, phase: np.ndarray, iters: int = 300,
+                        tol: float = 1e-14) -> Tuple[complex, bool, float]:
+    """Power iteration of f -> U(phase * f) from the flat function.
 
     Returns (eigenvalue, converged, final relative residual); failure to
     converge signals the next eigenvalue crowding the leading one.
     """
-    x = np.zeros(n, dtype=np.complex128)
-    x[0] = 1.0
+    x = np.ones(U.shape[0], dtype=np.complex128)
     lam = 0.0 + 0j
     res = math.inf
     for i in range(iters):
-        y = matvec(x)
+        y = U @ (phase * x)
         nrm = np.linalg.norm(y)
         if nrm == 0:
             return 0.0 + 0j, True, 0.0
@@ -480,18 +473,17 @@ def _leading_eigenvalue(matvec: Callable[[np.ndarray], np.ndarray], n: int,
 def green_kubo_variance(tm: TransferMatrix, v: PiecewiseFn,
                         density: PiecewiseFn, k_cap: int = 200,
                         term_tol: float = 1e-14) -> float:
-    """Lag-sum variance: c_0 + 2 sum_k int v * transfer^k(v rho)."""
+    """Lag-sum variance: c_0 + 2 sum_k int v * transfer^k(v rho), on cell values."""
     _check_observable(tm, v)
-    grid, params = tm.grid, tm.params
+    grid = tm.grid
+    U = cell_operator(tm.system, tm.K)
     mean_v = float(np.real(grid.integrate(tm.K, v.values * density.values)))
     vc = np.real(v.values) - mean_v
     total = float(grid.integrate(tm.K, vc * vc * density.values))
-    vec = canonical_vector((vc * density.values).astype(np.complex128),
-                           grid, tm.K, params)
+    vals = vc * density.values
     for k in range(1, k_cap + 1):
-        vec = tm.apply(vec)
-        fk = evaluate_vector(vec, grid, tm.K, params)
-        ck = float(np.real(grid.integrate(tm.K, vc * fk)))
+        vals = U @ vals
+        ck = float(grid.integrate(tm.K, vc * vals))
         total += 2.0 * ck
         if abs(ck) < term_tol and k > 10:
             break
@@ -508,10 +500,12 @@ def clt_variance(tm: TransferMatrix, v: PiecewiseFn,
     The observable is centered against the computed density first; a
     perturbed family whose power iteration stalls (the next eigenvalue
     approaches the leading one within 0.1) is refused.  The twisted
-    operator is applied matrix-free, as transfer after `apply_multiplier`.
+    operator acts on cell values as U(phase * f), U the level-K bin operator:
+    by E M = U E it is `tm.matrix @ multiplier_matrix(tm, phase)` on the
+    quotient by the kernel of evaluation.
     """
     _check_observable(tm, v)
-    grid, params = tm.grid, tm.params
+    grid = tm.grid
     if density is None:
         density, _ = invariant_density(tm)
     mean_v = float(np.real(grid.integrate(tm.K, v.values * density.values)))
@@ -520,15 +514,13 @@ def clt_variance(tm: TransferMatrix, v: PiecewiseFn,
     if len(ts) < 2:
         raise ValueError("need at least two sample parameters")
     leading: Dict[float, complex] = {}
-    n = basis_size(grid, tm.K)
-    lam0, ok0, _ = _leading_eigenvalue(tm.apply, n)
+    U = cell_operator(tm.system, tm.K)
+    lam0, ok0, _ = _leading_eigenvalue(U, np.ones(U.shape[0]))
     if not ok0:
         raise GapCollapseError("unperturbed leading eigenvalue did not isolate")
     leading[0.0] = lam0
     for t in ts:
-        phase = np.exp(1j * t * vc)
-        lam, ok, res = _leading_eigenvalue(
-            lambda x: tm.apply(apply_multiplier(tm, phase, x)), n)
+        lam, ok, res = _leading_eigenvalue(U, np.exp(1j * t * vc))
         if not ok:
             raise GapCollapseError(
                 f"power iteration stalls at t={t} (residual {res:.2e}): "

@@ -569,11 +569,16 @@ def build_cell_operator(system: BranchSystem, K: Optional[int] = None) -> sp.csr
                          shape=(n, n))
 
 
+def cell_operator(system: BranchSystem, K: int) -> sp.csr_matrix:
+    """build_cell_operator(system, K), built once per system and level."""
+    if K not in system.cell_ops:
+        system.cell_ops[K] = build_cell_operator(system, K)
+    return system.cell_ops[K]
+
+
 def transfer_numeric(system: BranchSystem, f: PiecewiseFn) -> PiecewiseFn:
     """Numeric transfer of a working-resolution function."""
-    if f.level not in system.cell_ops:
-        system.cell_ops[f.level] = build_cell_operator(system, f.level)
-    return PiecewiseFn(f.grid, f.level, system.cell_ops[f.level] @ f.values)
+    return PiecewiseFn(f.grid, f.level, cell_operator(system, f.level) @ f.values)
 
 
 # -- coefficient split and matrix assembly -------------------------------------

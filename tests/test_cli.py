@@ -6,10 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import besovtransfer.cli as cli
 import besovtransfer.spectral as spectral
-from besovtransfer.cli import EXIT_ASSUMPTION, EXIT_CONFIG, EXIT_OK, main
+from besovtransfer.cli import EXIT_ASSUMPTION, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from besovtransfer.errors import ConvergenceError
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -181,10 +183,11 @@ def test_spectrum_and_decay_share_one_factorisation(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eig", counted("factorise", np.linalg.eig))
     monkeypatch.setattr(np.linalg, "eigvals", counted("factorise", np.linalg.eigvals))
+    monkeypatch.setattr(spectral, "eigs", counted("factorise", spectral.eigs))
     density = counted("density", spectral.invariant_density)
     monkeypatch.setattr(cli, "invariant_density", density)
     monkeypatch.setattr(spectral, "invariant_density", density)
-    # beta=1.8 is not level-triangular, so its spectrum needs a dense factorisation
+    # beta=1.8 is not level-triangular, so its spectrum needs an ARPACK solve
     config = cli.RunConfig.from_json(
         {"grid": {"arity": 2, "max_level": 6}, "map": {"map": "beta", "beta": 1.8},
          "analyses": ["spectrum", "decay"]}, tmp_path)
@@ -193,3 +196,17 @@ def test_spectrum_and_decay_share_one_factorisation(tmp_path, monkeypatch):
     decay = json.loads((tmp_path / "decay.json").read_text())
     gap = json.loads((tmp_path / "spectral.json").read_text())["gap"]
     assert decay["certificate_rate"] == pytest.approx(1.0 - gap, abs=1e-15)
+
+
+def test_arpack_failure_is_a_numeric_failure(tmp_path, monkeypatch):
+    def stalled(A, k, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((A.shape[0], 0)))
+
+    monkeypatch.setattr(spectral, "eigs", stalled)
+    cfg = write_config(tmp_path, map={"map": "beta", "beta": 1.8},
+                       grid={"arity": 2, "max_level": 6})
+    tm = cli.Runner(cli.RunConfig.from_json(json.loads(cfg.read_text()), tmp_path)).matrix()
+    with pytest.raises(ConvergenceError, match="ARPACK"):
+        spectral.eigenvalues(tm)
+    rc = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_NUMERIC

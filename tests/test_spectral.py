@@ -11,13 +11,15 @@ from besovtransfer.atoms import (
     atom_rep,
     canonical_rep,
     canonical_vector,
+    coefficient_norm_vector,
     evaluate,
+    level_offsets,
+    random_rep,
 )
 from besovtransfer.dynamics import MapSpec, make_map
 from besovtransfer.errors import DegenerateFitError
 from besovtransfer.grid import CellId, build_grid
 from besovtransfer.spectral import (
-    apply_multiplier,
     clt_variance,
     correlations,
     decay_rate,
@@ -28,6 +30,7 @@ from besovtransfer.spectral import (
     monte_carlo_variance,
     multiplier_matrix,
     peripheral_spectrum,
+    subdominant_modulus,
     support_structure,
     transitivity_check,
 )
@@ -109,6 +112,8 @@ def test_halves_eigenspace_dimension(halves_tm):
     assert any(abs(l - 1.0) <= 1e-9 for l in rep.peripheral)
     assert not rep.transitive
     assert rep.semisimple
+    # the solve doubles k past the two peripheral eigenvalues
+    assert rep.solver["k"] == 4 and abs(rep.eigenvalues[-1]) < 1.0 - 1e-6
 
 
 def test_golden_peripheral(golden_tm):
@@ -125,6 +130,36 @@ def test_modulus_bounded_by_one(doubling_tm, golden_tm, halves_tm, swap_tm):
         assert np.max(np.abs(ev)) <= 1.0 + 1e-9
 
 
+BUILTIN_SPECS = {
+    "doubling": MapSpec("doubling"),
+    "golden": MapSpec("beta", beta=PHI),
+    "beta18": MapSpec("beta", beta=1.8),
+    "pw_linear": MapSpec("pw_linear", breakpoints=(0.0, 1 / 3, 1.0), slopes=(3.0, 1.5)),
+    "lorenz": MapSpec("lorenz_cusp", exponent=0.75),
+    "gauss": MapSpec("gauss", r_max=50),
+}
+
+
+def test_krylov_spectrum_matches_dense():
+    # ARPACK's peripheral set and first eigenvalue inside the disc are those
+    # of a dense factorisation, on every built-in map the diagonal misses
+    solved = []
+    for name, spec in BUILTIN_SPECS.items():
+        tm = assemble_matrix(make_map(spec, build_grid(2, 8), PARAMS, probe_level=8), K=8)
+        es = eigenvalues(tm, full=True)
+        if es.solver["method"] == "level_triangular":
+            continue
+        assert es.solver == {"method": "arpack", "k": 2, "ncv": 40, "converged": True}
+        dense = np.linalg.eigvals(tm.dense())
+        ours = es.values[np.abs(es.values) >= 1.0 - 1e-6]
+        ref = dense[np.abs(dense) >= 1.0 - 1e-6]
+        assert len(ours) == len(ref), name
+        assert np.max(np.abs(np.sort_complex(ours) - np.sort_complex(ref)), initial=0.0) <= 1e-10
+        assert abs(subdominant_modulus(es.values) - subdominant_modulus(dense)) <= 1e-10, name
+        solved.append(name)
+    assert solved == ["golden", "beta18", "pw_linear", "lorenz", "gauss"]
+
+
 # -- inequality fit ----------------------------------------------------------------
 
 def test_ly_doubling_rate(doubling_tm):
@@ -139,6 +174,27 @@ def test_ly_fixed_point_trivial(doubling_tm):
                            doubling_tm.K, PARAMS)
     out = doubling_tm.apply(vec)
     assert np.max(np.abs(out - vec)) <= 1e-12
+
+
+def test_block_norms_match_vector_norms(beta18_tm):
+    # the inequality fit takes the norms of its ensemble as one block
+    tm = beta18_tm
+    rng = np.random.default_rng(3)
+    block = np.stack([random_rep(tm.grid, PARAMS, rng, n_atoms=20, max_level=tm.K)
+                      .to_vector(tm.K) for _ in range(60)], axis=1).astype(complex)
+    off = level_offsets(tm.grid, tm.K)
+
+    def reference(vec):
+        # level by level in scalar arithmetic
+        masses = np.asarray([float(np.sum(np.abs(vec[off[k]:off[k + 1]]) ** PARAMS.p)
+                                   ** (1.0 / PARAMS.p)) for k in range(tm.K + 1)])
+        return float(np.sum(masses ** PARAMS.q) ** (1.0 / PARAMS.q))
+
+    for _ in range(20):
+        block = np.asfortranarray(tm.apply(block))
+        norms = coefficient_norm_vector(block, tm.grid, tm.K, PARAMS)
+        each = [coefficient_norm_vector(col, tm.grid, tm.K, PARAMS) for col in block.T]
+        assert norms.tolist() == each == [reference(col) for col in block.T]
 
 
 def test_ly_golden(golden_tm):
@@ -315,18 +371,17 @@ def test_clt_monte_carlo_oracle(doubling_tm):
     assert abs(sig - rep.sigma2) <= 5e-3
 
 
-def test_twist_matches_multiplier_matrix(doubling_tm, beta18_tm):
-    # the matrix-free twist is the dense multiplier applied to a vector
-    rng = np.random.default_rng(5)
+def test_twist_matches_dense_atom_operator(doubling_tm, beta18_tm):
+    # the twist on cell values, U(phase * f), has the leading eigenvalue of
+    # the atom matrix times the dense multiplier
     for tm in (doubling_tm, beta18_tm):
         v = PiecewiseFn.from_function(tm.grid, tm.K, lambda x: np.cos(2 * np.pi * x))
-        phase = np.exp(0.3j * v.values)
-        dense = multiplier_matrix(tm, phase)
-        for _ in range(3):
-            x = rng.standard_normal(tm.size) + 1j * rng.standard_normal(tm.size)
-            ref = dense @ x
-            err = np.linalg.norm(apply_multiplier(tm, phase, x) - ref)
-            assert err <= 1e-13 * np.linalg.norm(ref)
+        rho, _ = invariant_density(tm)
+        rep = clt_variance(tm, v, density=rho)
+        vc = v.values - float(np.real(tm.grid.integrate(tm.K, v.values * rho.values)))
+        for t in rep.t_grid:
+            ev = np.linalg.eigvals(tm.dense() @ multiplier_matrix(tm, np.exp(1j * t * vc)))
+            assert abs(rep.leading[t] - ev[np.argmax(np.abs(ev))]) <= 1e-12
 
 
 def test_observable_on_other_grid_refused():
