@@ -490,18 +490,19 @@ def _sums_as_np_sum(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 
 def subtree_norms(roots: List[np.ndarray], arrays: List[np.ndarray], m: int, k: int,
-                  i0: int, i1: int, params: BesovParams) -> np.ndarray:
-    """coefficient_norm of the subtree expansions of cells i0..i1 of level k.
+                  cells: np.ndarray, params: BesovParams) -> np.ndarray:
+    """coefficient_norm of the subtree expansions of some cells of level k.
 
-    Read from a coefficient_table; equal bit for bit to
+    Read from a coefficient_table, or from a stack of them (roots[l] and
+    arrays[l] 2-D, one row per table), where cell j of table t is
+    t * m**k + j; equal bit for bit to
     coefficient_norm(tree_rep(subtree_arrays(...))) per cell, which drops
     zero coefficients and levels without a nonzero one.
     """
     p, q = params.p, params.q
     masses, present = [], []
     for u in range(len(arrays) - k):
-        a = np.abs(roots[k][i0:i1] if u == 0
-                   else arrays[k + u][i0 * m ** u:i1 * m ** u]).reshape(i1 - i0, -1)
+        a = np.abs(np.reshape(roots[k] if u == 0 else arrays[k + u], (-1, m ** u))[cells])
         nz = a > 0.0
         present.append(nz.any(axis=1))
         if p == INF:

@@ -246,30 +246,30 @@ class StrongRegularityReport:
     cells_probed: int
 
 
-def _candidate_cells(grid: Grid, target: Sequence[Tuple[float, float]],
-                     t: int, K: int) -> List[CellId]:
-    """Cells whose intersection with the target can be nontrivial.
+def _candidate_cells(grid: Grid, targets: Sequence[List[Tuple[float, float]]],
+                     t: int, K: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cells whose intersection with a target can be nontrivial, as
+    (target, level, index) arrays.
 
     A cell fully inside the set decomposes as itself (ratio 1) and a cell
     disjoint from it is skipped, so only cells containing a boundary point
     of the set matter, plus every cell containing a whole component.
-    Both kinds contain some endpoint of the set.
+    Both kinds contain some endpoint of the set.  Per target, level by
+    level from t to K, the cells on either side of each endpoint come in
+    the order of a set of the endpoints, each cell once.
     """
-    endpoints = set()
-    for lo, hi in target:
-        endpoints.add(lo)
-        endpoints.add(hi)
-    out = []
-    seen = set()
-    for k in range(t, K + 1):
-        n = grid.n_cells(k)
-        for e in endpoints:
-            j_e = grid.locate(k, e)
-            for j in (j_e - 1, j_e):
-                if 0 <= j < n and (k, j) not in seen:
-                    seen.add((k, j))
-                    out.append(CellId(k, j))
-    return out
+    ends = [list({e for piece in target for e in piece}) for target in targets]
+    tgt = np.repeat(np.arange(len(ends)), [len(e) for e in ends])
+    x = np.array([e for es in ends for e in es], dtype=float)
+    levels = np.arange(t, K + 1)
+    end, lev, side = np.indices((x.size, levels.size, 2)).reshape(3, -1)
+    order = np.lexsort((side, end, lev, tgt[end]))
+    end, k, side = end[order], levels[lev[order]], side[order]
+    j = grid.cell_index(k, x[end]) - 1 + side
+    valid = (j >= 0) & (j < grid.arity ** k)
+    cells = np.stack([tgt[end], k, j])[:, valid]
+    first = np.sort(np.unique(cells, axis=1, return_index=True)[1])
+    return cells[0, first], cells[1, first], cells[2, first]
 
 
 def strong_regularity(grid: Grid, pieces, alpha: float, t: int = 0,
@@ -279,25 +279,35 @@ def strong_regularity(grid: Grid, pieces, alpha: float, t: int = 0,
     The cost of one cell is the sum over all levels and all decomposition
     cells P of (|P|/|Q|)**alpha, capped at max_level; residual slivers are
     conservatively counted as whole bottom-level cells so downstream
-    certificates cover truncation re-aggregation.  The sets Q * set of all
-    candidate cells are decomposed in one `cover` call.
+    certificates cover truncation re-aggregation.
     """
-    if isinstance(pieces, tuple) and len(pieces) == 2 and not isinstance(pieces[0], tuple):
-        pieces = [pieces]
-    target = iv.normalize(pieces)
+    return strong_regularities(grid, [pieces], alpha, t, include_defect_cells)[0]
+
+
+def strong_regularities(grid: Grid, sets: Sequence, alpha: float, t: int = 0,
+                        include_defect_cells: bool = True) -> List[StrongRegularityReport]:
+    """strong_regularity of each of several sets: the sets Q * set of all
+    their candidate cells are decomposed in one `cover` call."""
+    targets = [iv.normalize([pieces] if isinstance(pieces, tuple) and len(pieces) == 2
+                            and not isinstance(pieces[0], tuple) else pieces)
+               for pieces in sets]
     K = grid.max_level
     # cut bottom cells differ in width: residual cells are counted with the
     # narrowest and charged with the widest
     w_lo, w_hi = grid.width_range(K)
-    cands = _candidate_cells(grid, target, t, K)
-    q_lo, q_hi, q_meas = grid.extents(np.array([Q.level for Q in cands], dtype=np.int64),
-                                      np.array([Q.index for Q in cands], dtype=np.int64))
+    c_tgt, c_level, c_index = _candidate_cells(grid, targets, t, K)
+    q_lo, q_hi, q_meas = grid.extents(c_level, c_index)
     # the pieces of Q * set, candidate by candidate in the order of the set
-    t_lo, t_hi = np.reshape(target, (-1, 2)).T
-    lo = np.maximum(t_lo[None, :], q_lo[:, None])
-    hi = np.minimum(t_hi[None, :], q_hi[:, None])
+    t_lo, t_hi = np.reshape([p for target in targets for p in target], (-1, 2)).T
+    sizes = np.array([len(target) for target in targets], dtype=np.int64)
+    n_pieces = sizes[c_tgt]
+    cand = np.repeat(np.arange(c_tgt.size), n_pieces)
+    piece = (np.cumsum(sizes) - sizes)[c_tgt][cand] + np.arange(cand.size) \
+        - np.repeat(np.cumsum(n_pieces) - n_pieces, n_pieces)
+    lo = np.maximum(t_lo[piece], q_lo[cand])
+    hi = np.minimum(t_hi[piece], q_hi[cand])
     meets = hi - lo > 1e-15
-    cand, lo, hi = np.nonzero(meets)[0], lo[meets], hi[meets]
+    cand, lo, hi = cand[meets], lo[meets], hi[meets]
     start, inter = _fold(cand, hi - lo)
     # a Q inside the set costs exactly 1
     partial = inter < q_meas[cand[start]] * (1 - 1e-12)
@@ -322,11 +332,17 @@ def strong_regularity(grid: Grid, pieces, alpha: float, t: int = 0,
                   np.ceil((dec.defect_hi - dec.defect_lo) / w_lo).astype(np.int64) + 1)
         cost += n_res_cells * w_hi ** alpha
     ratio = cost / python_pow(q_meas[probed], alpha)
-    c_strong, worst = 1.0, None
-    if probed.size and ratio.max() > 1.0:
-        c_strong, worst = float(ratio.max()), cands[probed[ratio.argmax()]]
-    max_rel_defect = float(np.max(defect / np.maximum(inter, 1e-300), initial=0.0))
-    return StrongRegularityReport(target=target, alpha=alpha, t=t,
-                                  c_strong=c_strong, worst_cell=worst,
-                                  max_rel_defect=max_rel_defect,
-                                  cells_probed=int(probed.size))
+    rel_defect = defect / np.maximum(inter, 1e-300)
+    # the probed cells of a set are a run of probed
+    bounds = np.searchsorted(c_tgt[probed], np.arange(len(targets) + 1))
+    reports = []
+    for target, i0, i1 in zip(targets, bounds[:-1].tolist(), bounds[1:].tolist()):
+        c_strong, worst = 1.0, None
+        if i1 > i0 and ratio[i0:i1].max() > 1.0:
+            c = probed[i0 + ratio[i0:i1].argmax()]
+            c_strong, worst = float(ratio[i0:i1].max()), CellId(int(c_level[c]), int(c_index[c]))
+        reports.append(StrongRegularityReport(
+            target=target, alpha=alpha, t=t, c_strong=c_strong, worst_cell=worst,
+            max_rel_defect=float(np.max(rel_defect[i0:i1], initial=0.0)),
+            cells_probed=i1 - i0))
+    return reports

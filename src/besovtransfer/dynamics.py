@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .atoms import BesovParams, PiecewiseFn, coefficient_table, subtree_norms
-from .domains import RegularDecomp, cover, decompose, strong_regularity
+from .domains import RegularDecomp, cover, decompose, strong_regularities
 from .errors import (
     AssumptionError,
     CellNotFoundError,
@@ -334,30 +334,76 @@ def preimage_decomp(grid: Grid, branch: Branch, Q: CellId, alpha: float) -> Regu
     image I_r.
     """
     lo, hi = grid.interval(Q)
-    _check_inside_image(grid, branch, Q.level, lo, hi)
+    _check_inside_images(grid, [branch], 0, Q.level, lo, hi)
     flo, fhi = branch.forward_interval(lo, hi)
     return decompose(grid, (flo, fhi), alpha, defect_cap=math.inf)
 
 
-def _check_inside_image(grid: Grid, branch: Branch, level, lo, hi) -> None:
-    img_lo, img_hi = branch.img
-    tol = grid.nominal_widths(level) * 1e-9
-    if np.any((lo < img_lo - tol) | (hi > img_hi + tol)):
-        raise ContainmentError(f"a cell of level {level} is not contained in branch "
-                               f"image {branch.img}")
+def _ends(branches: Sequence[Branch], attr: str) -> np.ndarray:
+    """The branch images (attr "img") or domains ("dom"), one (lo, hi) row each."""
+    return np.reshape([getattr(b, attr) for b in branches], (-1, 2))
+
+
+def per_branch(branches: Sequence[Branch], br: np.ndarray, method: Callable,
+               lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """method (Branch.forward_interval or Branch.pullback_interval) of the
+    intervals [lo[i], hi[i]) under the branches at positions br[i], one
+    call per branch."""
+    out_lo, out_hi = np.empty(lo.size), np.empty(lo.size)
+    for r in np.unique(br).tolist():
+        sel = br == r
+        out_lo[sel], out_hi[sel] = method(branches[r], lo[sel], hi[sel])
+    return out_lo, out_hi
+
+
+def _check_inside_images(grid: Grid, branches: Sequence[Branch], br, level, lo, hi) -> None:
+    """Raise for the first cell [lo, hi) of a level that is not inside the
+    image of the branch at position br (arrays, up to 1e-9 widths)."""
+    img, tol = _ends(branches, "img")[br], grid.nominal_widths(level) * 1e-9
+    bad = np.flatnonzero((lo < img[..., 0] - tol) | (hi > img[..., 1] + tol))
+    if bad.size:
+        raise ContainmentError(f"a cell of level {np.ravel(level)[bad[0]]} is not contained "
+                               f"in branch image {branches[np.ravel(br)[bad[0]]].img}")
+
+
+def _probe_cells(grid: Grid, ends: np.ndarray, top, per: Optional[int]):
+    """The probe cells of a batch of branches as (branch position, level,
+    index) arrays, ordered by branch, level and index.
+
+    Per branch (a row of ends) and level k <= top[branch], they are the
+    cells arange(i0, i1, max(1, (i1 - i0) // per)) of the run [i0, i1)
+    contained in its ends: about per cells, or all of them when per is None.
+    """
+    top = np.broadcast_to(top, len(ends))
+    levels = np.arange(int(np.max(top, initial=-1)) + 1)
+    i0, i1 = grid.contained_runs(levels, ends[:, :1], ends[:, 1:])
+    span = np.where(levels <= top[:, None], np.maximum(i1 - i0, 0), 0).ravel()
+    step = np.maximum(1, span // per) if per else np.ones_like(span)
+    count = -(-span // step)
+    pair = np.repeat(np.arange(span.size), count)
+    rank = np.arange(pair.size) - np.repeat(np.cumsum(count) - count, count)
+    return pair // levels.size, pair % levels.size, i0.ravel()[pair] + step[pair] * rank
 
 
 def distortion_constant(grid: Grid, branch: Branch, alpha: float, top: int) -> float:
     """c_dgd1: the largest c_dom of the decomposed forward images of about
     32 cells inside the image on each level up to top (preimage_decomp,
     all at once), and at least 1."""
-    runs = [(k, grid.contained_run(k, *branch.img)) for k in range(top + 1)]
-    cells = [(k, np.arange(i0, i1, max(1, (i1 - i0) // 32))) for k, (i0, i1) in runs]
-    ks = np.concatenate([np.full(j.size, k) for k, j in cells])
-    lo, hi, _ = grid.extents(ks, np.concatenate([j for _, j in cells]))
-    _check_inside_image(grid, branch, ks, lo, hi)
-    c_dom = cover(grid, *branch.forward_interval(lo, hi), grid.max_level, alpha=alpha).c_dom
-    return max(float(np.max(c_dom, initial=0.0)), 1.0)
+    return _distortion_constants(grid, [branch], alpha, top)[0]
+
+
+def _distortion_constants(grid: Grid, branches: Sequence[Branch], alpha: float,
+                          tops) -> List[float]:
+    """distortion_constant of every branch (up to its level in tops), the
+    forward images of all their probe cells decomposed in one cover call."""
+    br, ks, js = _probe_cells(grid, _ends(branches, "img"), tops, 32)
+    lo, hi, _ = grid.extents(ks, js)
+    _check_inside_images(grid, branches, br, ks, lo, hi)
+    c_dom = cover(grid, *per_branch(branches, br, Branch.forward_interval, lo, hi),
+                  grid.max_level, alpha=alpha).c_dom
+    out = np.ones(len(branches))
+    np.maximum.at(out, br, c_dom)
+    return out.tolist()
 
 
 def scaling_constants(grid: Grid, branch: Branch,
@@ -367,32 +413,52 @@ def scaling_constants(grid: Grid, branch: Branch,
     The ratio |Q| / |forward image| is <= 1 for expanding maps; c_dc2 is
     the tightest geometric base < 1 and c_dc1 the residual front factor.
     """
-    samples = []     # per level: (level, |Q|, forward image ends) of its probe cells
-    found, k = 0, 0
-    # keep probing below the nominal range for branches whose image is
-    # thinner than the probe cells (deep tails of infinite-branch maps)
-    while k <= grid.max_level + 8:
-        i0, i1 = grid.contained_run(k, *branch.img)
-        lo, hi, meas = grid.extents(k, np.arange(i0, i1, max(1, (i1 - i0) // 64)))
-        flo, fhi = branch.forward_interval(lo, hi)
+    return _fit_scaling(grid, branch, *next(_scaling_samples(grid, [branch], probe_level)))
+
+
+def _scaling_samples(grid: Grid, branches: Sequence[Branch], probe_level: int):
+    """The scaling samples of every branch from one array pass: per branch
+    the levels of its probe cells, their ratios |Q| / |forward image| and
+    the containment levels of the forward images.
+
+    A branch probes about 64 cells inside its image per level, and keeps
+    probing below probe_level until it has 8 samples (thin images of
+    infinite-branch maps), down to 8 levels below the grid.
+    """
+    n, K = len(branches), grid.max_level
+    deepest = max(k for k in range(K + 9) if grid.n_cells(k) < 2 ** 62)
+    # the levels past probe_level are taken only for the branches short of samples
+    top = np.full(n, min(probe_level, deepest))
+    while True:
+        br, ks, js = _probe_cells(grid, _ends(branches, "img"), top, 64)
+        lo, hi, meas = grid.extents(ks, js)
+        flo, fhi = per_branch(branches, br, Branch.forward_interval, lo, hi)
         ok = fhi - flo > 0
-        samples.append((np.full(ok.sum(), k), meas[ok], flo[ok], fhi[ok]))
-        found += int(ok.sum())
-        k += 1
-        if k > probe_level and found >= 8:
+        found = np.zeros((n, deepest + 1), dtype=np.int64)
+        np.add.at(found, (br[ok], ks[ok]), 1)
+        enough = (np.arange(deepest + 1) >= probe_level) & (np.cumsum(found, axis=1) >= 8)
+        short = ~enough.any(axis=1) & (top < deepest)
+        if not short.any():
             break
-    ks, meas, flo, fhi = (np.concatenate(x) for x in zip(*samples))
-    if not found:
-        raise InfeasibleFitError(f"branch {branch.r}: no probe cells inside image")
-    ratios = (meas / (fhi - flo)).tolist()
+        top[short] = deepest
+    stop = np.where(enough.any(axis=1), enough.argmax(axis=1), deepest)
+    keep = np.flatnonzero(ok & (ks <= stop[br]))
     # forward images of deep cells may only contain cells below the
     # working resolution; the containment level is pure arithmetic
-    kq = grid.containment_levels(flo, fhi, grid.max_level + 16)
+    kq = grid.containment_levels(flo[keep], fhi[keep], K + 16)
+    cut = np.searchsorted(br[keep], np.arange(1, n))
+    return zip(*(np.split(x, cut) for x in (ks[keep], (meas / (fhi - flo))[keep], kq)))
+
+
+def _fit_scaling(grid: Grid, branch: Branch, ks: np.ndarray, ratios: np.ndarray,
+                 kq: np.ndarray) -> Tuple[int, float, float]:
+    """(shift, c_dc1, c_dc2) of a branch from its scaling samples."""
+    if not ks.size:
+        raise InfeasibleFitError(f"branch {branch.r}: no probe cells inside image")
     if np.any(kq < 0):
         raise CellNotFoundError(f"branch {branch.r}: a forward image holds no cell "
                                 f"up to level {grid.max_level + 16}")
-    shifts = np.abs(ks - kq).tolist()
-    a_r = min(shifts)
+    shifts, ratios = np.abs(ks - kq).tolist(), ratios.tolist()
     base = 0.0
     for rho, sh in zip(ratios, shifts):
         if sh > 0:
@@ -406,7 +472,7 @@ def scaling_constants(grid: Grid, branch: Branch,
     front = 1.0
     for rho, sh in zip(ratios, shifts):
         front = max(front, rho / base ** sh)
-    return a_r, front, base
+    return min(shifts), front, base
 
 
 def potential_regularity(gbar: PiecewiseFn, branch: Branch, params: BesovParams,
@@ -419,45 +485,51 @@ def potential_regularity(gbar: PiecewiseFn, branch: Branch, params: BesovParams,
     against the budget (|Q|/|image Q|)**(1/p-s+eps) * |W|**(1/p-beta) with
     Q the smallest cell containing h(W).  The positive construction is used
     for nonnegative weights so downstream positivity is preserved by the
-    same numbers.  The expansion norms of a whole probe level are read from
-    one coefficient_table of gbar (atoms.subtree_norms); the budgets of
-    all probe levels are computed at once.
+    same numbers.  Sets the branch's c_rp and c_rp_levels.
     """
-    grid, K = gbar.grid, gbar.level
+    _regularities([gbar], [branch], params, probe_level)
+    return branch.potential.c_rp
+
+
+def _regularities(gbars: Sequence[PiecewiseFn], branches: Sequence[Branch],
+                  params: BesovParams, probe_level: int) -> None:
+    """potential_regularity of every branch (its weight averages in gbars,
+    all on one grid and level) in one array pass: the budgets of all probe
+    cells at once, and the expansion norms of each probe level from one
+    atoms.subtree_norms call over the stacked coefficient_tables."""
+    grid, K, m = gbars[0].grid, gbars[0].level, gbars[0].grid.arity
     top = min(probe_level, K)
     exponent = 1.0 / params.p - params.s + params.eps
-    roots, arrays = coefficient_table(gbar, params.theta_beta, branch.potential.positive)
-    runs = [grid.contained_run(k, *branch.dom) for k in range(top + 1)]
-    ks = np.repeat(np.arange(top + 1), [max(i1 - i0, 0) for i0, i1 in runs])
-    js = np.concatenate([np.arange(i0, i1) for i0, i1 in runs])
+    tables = [coefficient_table(g, params.theta_beta, b.potential.positive)
+              for g, b in zip(gbars, branches)]
+    roots, arrays = ([np.stack(level) for level in zip(*part)] for part in zip(*tables))
+    br, ks, js = _probe_cells(grid, _ends(branches, "dom"), top, None)
     w_lo, w_hi, w_meas = grid.extents(ks, js)
-    q_lo, q_hi = branch.pullback_interval(w_lo, w_hi)
+    q_lo, q_hi = per_branch(branches, br, Branch.pullback_interval, w_lo, w_hi)
     kq = _smallest_covering_levels(grid, q_lo, q_hi)
     jq = np.clip(grid.cell_index(kq, 0.5 * (q_lo + q_hi)), 0, grid.arity ** kq - 1)
     c_lo, c_hi, _ = grid.extents(kq, jq)
-    f_lo, f_hi = branch.forward_interval(c_lo, c_hi)
+    f_lo, f_hi = per_branch(branches, br, Branch.forward_interval, c_lo, c_hi)
     ratio = (c_hi - c_lo) / np.maximum(f_hi - f_lo, 1e-300)
     dens = python_pow(ratio, exponent) * python_pow(w_meas, params.theta_beta)
-    worst = 0.0
-    for k, (i0, i1) in enumerate(runs):
-        level_worst = 0.0
-        if i1 > i0:
-            nums = subtree_norms(roots, arrays, grid.arity, k, i0, i1, params)
-            level_worst = float(np.max(nums / dens[ks == k]))
-        worst = max(worst, level_worst)
-        branch.potential.c_rp_levels[k] = level_worst
-    branch.potential.c_rp = worst
-    return worst
+    worst = np.zeros((len(branches), top + 1))
+    for k in range(top + 1):
+        sel = ks == k
+        nums = subtree_norms(roots, arrays, m, k, br[sel] * m ** k + js[sel], params)
+        np.maximum.at(worst, (br[sel], k), nums / dens[sel])
+    for b, levels in zip(branches, worst.tolist()):
+        b.potential.c_rp_levels.update(enumerate(levels))
+        b.potential.c_rp = max(levels)
 
 
 def _smallest_covering_levels(grid: Grid, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Per piece, the deepest level at which the cell holding lo also
     contains [lo, hi) up to 1e-15 (0 if none does)."""
-    levels = np.arange(grid.max_level + 1)
-    lo, hi = lo[:, None], hi[:, None]
-    c_lo, c_hi, _ = grid.extents(levels, grid.cell_index(levels, lo))
-    fits = (c_lo <= lo + 1e-15) & (hi <= c_hi + 1e-15)
-    return np.where(fits.any(axis=1), grid.max_level - fits[:, ::-1].argmax(axis=1), 0)
+    out = np.zeros(lo.size, dtype=np.int64)
+    for k in range(grid.max_level + 1):
+        c_lo, c_hi, _ = grid.extents(k, grid.cell_index(k, lo))
+        out[(c_lo <= lo + 1e-15) & (hi <= c_hi + 1e-15)] = k
+    return out
 
 
 def weight_averages(grid: Grid, branch: Branch, K: int) -> PiecewiseFn:
@@ -489,13 +561,12 @@ class BranchSystem:
     tail_mass_geometric: float = 0.0
     lebesgue_classes: Dict[str, List[int]] = field(default_factory=dict)
     probe_level: int = 10
-    # weight averages and their coefficient tables (the per-level roots and
-    # the basis-ordered whole-tree coefficients, at the atom exponent) by
-    # (branch id, level), and the bin operator (a scipy.sparse matrix, built
-    # by transfer.cell_operator) by level
+    # weight averages by (branch id, level), the stacked coefficient tables
+    # of all branches' weight averages (see table) and the bin operator (a
+    # scipy.sparse matrix, built by transfer.cell_operator) by level
     weight_avgs: Dict[Tuple[int, int], PiecewiseFn] = field(
         default_factory=dict, repr=False, compare=False)
-    coeff_tables: Dict[Tuple[int, int], Tuple[List[np.ndarray], np.ndarray]] = field(
+    coeff_tables: Dict[int, Tuple[List[np.ndarray], np.ndarray]] = field(
         default_factory=dict, repr=False, compare=False)
     cell_ops: Dict[int, object] = field(default_factory=dict, repr=False, compare=False)
     # the branch positions ordered by image, and the sorted image ends
@@ -517,16 +588,17 @@ class BranchSystem:
             self.weight_avgs[key] = weight_averages(self.grid, branch, K)
         return self.weight_avgs[key]
 
-    def table(self, branch: Branch, K: int) -> Tuple[List[np.ndarray], np.ndarray]:
-        """coefficient_table of a branch's level-K weight averages at the atom
-        exponent (positive construction for positive weights), with the
-        arrays concatenated in basis order; computed once per system."""
-        key = (branch.r, K)
-        if key not in self.coeff_tables:
-            roots, arrays = coefficient_table(self.averages(branch, K), self.params.theta,
-                                              branch.potential.positive)
-            self.coeff_tables[key] = (roots, np.concatenate(arrays))
-        return self.coeff_tables[key]
+    def table(self, K: int) -> Tuple[List[np.ndarray], np.ndarray]:
+        """coefficient_table of every branch's level-K weight averages at the
+        atom exponent (positive construction for positive weights), stacked
+        by branch: row i of roots[k] and of the basis-ordered arrays belongs
+        to the branch at position i; computed once per system."""
+        if K not in self.coeff_tables:
+            tables = [coefficient_table(self.averages(b, K), self.params.theta,
+                                        b.potential.positive) for b in self.branches]
+            self.coeff_tables[K] = ([np.stack(level) for level in zip(*(t[0] for t in tables))],
+                                    np.stack([np.concatenate(t[1]) for t in tables]))
+        return self.coeff_tables[K]
 
     @property
     def lambda_rs2(self) -> float:
@@ -605,46 +677,36 @@ def _measure_overlaps(system: BranchSystem, t: int = 1) -> None:
     grid = system.grid
     thetas = system.thetas()
     K = grid.max_level
+    img_lo, img_hi = _ends(system.branches, "img").T
     m_best, t_best = 0, 0.0
-    check_levels = list(range(t, min(K, system.probe_level) + 1))
-    for k in check_levels:
-        m_here = np.zeros(grid.n_cells(k), dtype=int)
-        t_here = np.zeros(grid.n_cells(k))
-        for b, th in zip(system.branches, thetas):
-            _, j, lo, hi, _ = grid.overlaps(k, *b.img)
-            j = j[hi - lo > 1e-14]
-            m_here[j] += 1
-            t_here[j] += th
-        m_best = max(m_best, int(m_here.max(initial=0)))
+    for k in range(t, min(K, system.probe_level) + 1):
+        # overlaps lists the images in branch order: a cell's thetas add
+        # up in that order
+        piece, j, lo, hi, _ = grid.overlaps(k, img_lo, img_hi)
+        met = hi - lo > 1e-14
+        t_here = np.bincount(j[met], weights=thetas[piece[met]])
+        m_best = max(m_best, int(np.bincount(j[met]).max(initial=0)))
         t_best = max(t_best, float(t_here.max(initial=0.0)))
     system.m_overlap = m_best
     system.t_overlap = t_best
     # support-side overlap: count branch domains containing a full cell;
     # the deepest probed level is decisive
     kk = min(K, system.probe_level)
-    counts = np.zeros(grid.n_cells(kk), dtype=int)
-    for b in system.branches:
-        lo, hi = b.dom
-        i0, i1 = grid.contained_run(kk, lo, hi)
-        counts[i0:i1] += 1
-    system.n_overlap = int(counts.max(initial=0))
+    i0, i1 = grid.contained_runs(kk, *_ends(system.branches, "dom").T)
+    # the most runs meet at the start of one of them
+    starts = i0[i1 > i0]
+    system.n_overlap = int(np.sum((i0[:, None] <= starts) & (starts < i1[:, None]),
+                                  axis=0).max(initial=0))
 
 
 def _images_aligned_from(system: BranchSystem) -> Optional[int]:
     """Smallest t such that every cell at levels >= t sits inside one image."""
     grid = system.grid
+    ends = {e for b in system.branches for e in b.img if 0 < e < 1}
+    levels = range(min(grid.max_level, system.probe_level) + 1)
     for t in range(0, min(grid.max_level, 6) + 1):
-        ok = True
-        for k in range(t, min(grid.max_level, system.probe_level) + 1):
-            w = grid.width(k)
-            for b_edge in {e for b in system.branches for e in b.img}:
-                frac = b_edge / w
-                if abs(frac - round(frac)) > 1e-9 and 0 < b_edge < 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(abs(e / grid.width(k) - round(e / grid.width(k))) <= 1e-9
+               for k in levels[t:] for e in ends):
             return t
     return None
 
@@ -727,21 +789,31 @@ def make_map(spec: MapSpec, grid: Grid, params: BesovParams,
     system = BranchSystem(spec=spec, grid=grid, params=params, branches=branches,
                           probe_level=min(probe_level, grid.max_level))
     alpha = 1.0 - params.s * params.p
-    alpha_beta = 1.0 - params.beta * params.p
-    for b in branches:
+    probed, failed = [], None
+    for b, samples in zip(branches, _scaling_samples(grid, branches, system.probe_level)):
         try:
-            b.shift, b.c_dc1, b.c_dc2 = scaling_constants(grid, b, system.probe_level)
-        except InfeasibleFitError:
-            if not allow_nonexpanding:
-                raise
+            b.shift, b.c_dc1, b.c_dc2 = _fit_scaling(grid, b, *samples)
+        except (InfeasibleFitError, CellNotFoundError) as exc:
+            if isinstance(exc, CellNotFoundError) or not allow_nonexpanding:
+                failed = exc
+                break
             # sentinel >= 1 marks the branch as refusing the geometric fit
             b.shift, b.c_dc1, b.c_dc2 = 0, 1.0, 1.0
-        top = min(system.probe_level, 8 if b.affine_slope is None else system.probe_level)
-        b.c_dgd1 = distortion_constant(grid, b, alpha, top)
-        b.c_dgd2 = grid.arity ** (-alpha)
-        potential_regularity(system.averages(b, grid.max_level), b, params,
-                             probe_level=min(6, system.probe_level))
-        system.strong_reports[b.r] = strong_regularity(grid, b.img, alpha_beta, t=0)
+        probed.append(b)
+    # the branches before a failing fit are probed in full before it is
+    # raised, as by a loop that probes one branch at a time
+    if probed:
+        tops = [min(system.probe_level, 8 if b.affine_slope is None else system.probe_level)
+                for b in probed]
+        for b, c_dgd1 in zip(probed, _distortion_constants(grid, probed, alpha, tops)):
+            b.c_dgd1, b.c_dgd2 = c_dgd1, grid.arity ** (-alpha)
+        _regularities([system.averages(b, grid.max_level) for b in probed], probed, params,
+                      min(6, system.probe_level))
+        reports = strong_regularities(grid, [b.img for b in probed],
+                                      1.0 - params.beta * params.p, t=0)
+        system.strong_reports = {b.r: rep for b, rep in zip(probed, reports)}
+    if failed is not None:
+        raise failed
     if not allow_nonexpanding:
         system.check_a00()
     _measure_overlaps(system)

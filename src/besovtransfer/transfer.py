@@ -27,7 +27,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from . import intervals as iv
 from .atoms import (
     AtomicRep,
     BesovParams,
@@ -41,8 +40,8 @@ from .atoms import (
     level_offsets,
     subtree_indices,
 )
-from .domains import cover, decompose
-from .dynamics import Branch, BranchSystem
+from .domains import cover
+from .dynamics import Branch, BranchSystem, per_branch
 from .errors import AssumptionError, CapacityError, CellNotFoundError, ModeMismatchError
 from .grid import CellId, Grid, python_pow
 
@@ -169,6 +168,60 @@ def slicing_certificates(system: BranchSystem, constants: Constants,
     )
 
 
+class _Slices(NamedTuple):
+    """A batch of atoms sliced along the branch images (see _slice_atoms)."""
+
+    atom: np.ndarray         # per (atom, branch) pair with a nonempty slice:
+    branch: np.ndarray       # its atom, the branch position and the atom's
+    amp: np.ndarray          # function value
+    pair: np.ndarray         # per slice cell P, ordered by pair: its pair,
+    level: np.ndarray        # its cell, and its coefficient, the atom's
+    index: np.ndarray        # times (|P|/|Q|)**(1/p-s)
+    coeff: np.ndarray
+    defect_pair: np.ndarray  # what the decompositions leave below level K
+    defect_lo: np.ndarray
+    defect_hi: np.ndarray
+
+
+def _slice_atoms(system: BranchSystem, level, index, coeff, K: int) -> _Slices:
+    """Slice a batch of atoms along the branch images.
+
+    Atom i lives on cell (level[i], index[i]) with coefficient coeff[i].
+    Its (atom, branch) pairs with a nonempty slice come atom by atom in
+    branch order, found by bisecting the sorted images.  A slice's cells
+    are the atom's cell where the image holds it whole, else the greedy
+    decomposition of the slice down to level K: one `cover` call for the
+    whole batch.
+    """
+    grid, theta = system.grid, system.params.theta
+    q_level, q_index = np.asarray(level, dtype=np.int64), np.asarray(index, dtype=np.int64)
+    coeff = np.asarray(coeff)
+    q_lo, q_hi, q_meas = grid.extents(q_level, q_index)
+    first = np.searchsorted(system.image_hi, q_lo, side="right")
+    count = np.maximum(np.searchsorted(system.image_lo, q_hi, side="left") - first, 0)
+    atom = np.repeat(np.arange(q_lo.size), count)
+    pos = np.arange(atom.size) - np.repeat(np.cumsum(count) - count - first, count)
+    s_lo = np.maximum(q_lo[atom], system.image_lo[pos])
+    s_hi = np.minimum(q_hi[atom], system.image_hi[pos])
+    br = system.image_order[pos]
+    order = np.lexsort((br, atom))
+    order = order[s_hi[order] - s_lo[order] > 1e-15]
+    atom, br, s_lo, s_hi = atom[order], br[order], s_lo[order], s_hi[order]
+    amp = coeff[atom] * python_pow(q_meas, -theta)[atom]
+
+    part = np.abs((s_hi - s_lo) - q_meas[atom]) >= 1e-15
+    cov = cover(grid, s_lo[part], s_hi[part], K)
+    part_pair = np.flatnonzero(part)
+    p_pair = np.concatenate([np.flatnonzero(~part), part_pair[cov.piece]])
+    p_level = np.concatenate([q_level[atom[~part]], cov.level])
+    p_index = np.concatenate([q_index[atom[~part]], cov.index])
+    order = np.argsort(p_pair, kind="stable")
+    p_pair, p_level, p_index = p_pair[order], p_level[order], p_index[order]
+    wgt = python_pow(grid.extents(p_level, p_index)[2] / q_meas[atom[p_pair]], theta)
+    return _Slices(atom, br, amp, p_pair, p_level, p_index, coeff[atom[p_pair]] * wgt,
+                  part_pair[cov.defect_piece], cov.defect_lo, cov.defect_hi)
+
+
 @dataclass
 class SlicedRep:
     branch_reps: Dict[int, AtomicRep]
@@ -194,30 +247,22 @@ def slice_rep(rep: AtomicRep, system: BranchSystem,
     """
     grid, params = system.grid, system.params
     K = grid.max_level
-    theta = params.theta
+    qs = list(rep.coeffs)
+    sl = _slice_atoms(system, [Q.level for Q in qs], [Q.index for Q in qs],
+                     np.array(list(rep.coeffs.values())), K)
+    # per slice its cells, then the bottom cells its defect meets
+    piece, j, a_, b_, w_j = grid.overlaps(K, sl.defect_lo, sl.defect_hi)
+    pair = np.concatenate([sl.pair, sl.defect_pair[piece]])
+    order = np.argsort(pair, kind="stable")
+    rs = np.array([b.r for b in system.branches])[sl.branch[pair[order]]]
+    level = np.concatenate([sl.level, np.full(j.size, K)])[order]
+    index = np.concatenate([sl.index, j])[order]
+    coef = np.concatenate([sl.coeff, sl.amp[sl.defect_pair[piece]] * ((b_ - a_) / w_j)
+                           * w_j ** params.theta])[order]
     out: Dict[int, Dict[CellId, complex]] = {b.r: {} for b in system.branches}
-
-    for Q, d in rep.coeffs.items():
-        q_iv = grid.interval(Q)
-        q_meas = grid.measure(Q)
-        amp = d * q_meas ** (-theta)      # value of the atom piece
-        for b in system.branches:
-            inter = iv.intersect([q_iv], b.img)
-            if not inter:
-                continue
-            bucket = out[b.r]
-            if abs(iv.measure(inter) - q_meas) < 1e-15:
-                bucket[Q] = bucket.get(Q, 0.0) + d
-                continue
-            dec = decompose(grid, inter, 1.0 - params.s * params.p, defect_cap=INF)
-            for P in dec.all_cells():
-                wgt = (grid.measure(P) / q_meas) ** theta
-                bucket[P] = bucket.get(P, 0.0) + d * wgt
-            _, js, a_, b_, w_j = grid.overlaps(K, *np.reshape(dec.defect_pieces, (-1, 2)).T)
-            coefs = amp * ((b_ - a_) / w_j) * w_j ** theta
-            for j, coef in zip(js.tolist(), coefs.tolist()):
-                cell = CellId(K, j)
-                bucket[cell] = bucket.get(cell, 0.0) + coef
+    for r, k, jj, v in zip(rs.tolist(), level.tolist(), index.tolist(), coef.tolist()):
+        bucket, cell = out[r], CellId(k, jj)
+        bucket[cell] = bucket.get(cell, 0.0) + v
 
     reps = {r: AtomicRep(params, grid, coeffs,
                          positive_flag=rep.positive_flag)
@@ -318,7 +363,7 @@ def transfer_atom(system: BranchSystem, level, index, coeff=1.0,
     whole batch.  Constant weights produce a single coefficient per image
     cell, smooth weights spread over the cell subtrees via the martingale
     construction (or its positive variant for nonnegative weights), read
-    from the branch's coefficient table (BranchSystem.table).
+    from the branches' stacked coefficient tables (BranchSystem.table).
 
     Returns per output coefficient its atom (position in the batch), its
     basis index (level offsets up to K) and value, in the order the atom
@@ -334,37 +379,12 @@ def transfer_atom(system: BranchSystem, level, index, coeff=1.0,
     alpha = 1.0 - params.s * params.p
     off = np.asarray(level_offsets(grid, K))
     q_level, q_index, coeff = (np.ravel(x) for x in np.broadcast_arrays(level, index, coeff))
-    q_lo, q_hi, q_meas = grid.extents(q_level.astype(np.int64), q_index.astype(np.int64))
+    sl = _slice_atoms(system, q_level, q_index, coeff, K)
+    p_atom, p_br, p_level = sl.atom[sl.pair], sl.branch[sl.pair], sl.level
+    p_lo, p_hi, p_meas = grid.extents(p_level, sl.index)
+    amp = sl.coeff * python_pow(p_meas, -theta)     # the atom's value
 
-    # (atom, branch) pairs whose slice is nonempty, atom by atom in branch order
-    first = np.searchsorted(system.image_hi, q_lo, side="right")
-    count = np.maximum(np.searchsorted(system.image_lo, q_hi, side="left") - first, 0)
-    atom = np.repeat(np.arange(q_lo.size), count)
-    pos = np.arange(atom.size) - np.repeat(np.cumsum(count) - count - first, count)
-    s_lo = np.maximum(q_lo[atom], system.image_lo[pos])
-    s_hi = np.minimum(q_hi[atom], system.image_hi[pos])
-    br = system.image_order[pos]
-    order = np.lexsort((br, atom))
-    order = order[s_hi[order] - s_lo[order] > 1e-15]
-    atom, br, s_lo, s_hi = atom[order], br[order], s_lo[order], s_hi[order]
-    amp0 = coeff[atom] * python_pow(q_meas, -theta)[atom]   # function value of the atom
-
-    # slice cells P: the atom's cell where the image holds it whole, else
-    # the decomposition of the slice
-    part = np.abs((s_hi - s_lo) - q_meas[atom]) >= 1e-15
-    cov_in = cover(grid, s_lo[part], s_hi[part], K)
-    part_pair = np.flatnonzero(part)
-    p_pair = np.concatenate([np.flatnonzero(~part), part_pair[cov_in.piece]])
-    p_level = np.concatenate([q_level[atom[~part]], cov_in.level])
-    p_index = np.concatenate([q_index[atom[~part]], cov_in.index])
-    order = np.argsort(p_pair, kind="stable")
-    p_pair, p_level, p_index = p_pair[order], p_level[order], p_index[order]
-    p_atom, p_br = atom[p_pair], br[p_pair]
-    p_lo, p_hi, p_meas = grid.extents(p_level, p_index)
-    wgt = python_pow(p_meas / q_meas[p_atom], theta)
-    amp = coeff[p_atom] * wgt * python_pow(p_meas, -theta)     # == amp0
-
-    v_lo, v_hi = _forward(system, p_br, p_lo, p_hi)
+    v_lo, v_hi = per_branch(system.branches, p_br, Branch.forward_interval, p_lo, p_hi)
     f = np.flatnonzero(v_hi - v_lo > 0)
     cov_v = cover(grid, v_lo[f], v_hi[f], K, alpha=None if stats is None else alpha)
     if stats is not None and f.size:
@@ -389,47 +409,36 @@ def transfer_atom(system: BranchSystem, level, index, coeff=1.0,
     flat = ~tabled[c_br]
     g0 = np.array([b.potential.value if b.potential.is_constant() else 0.0
                    for b in system.branches])
-    tables = {r: system.table(system.branches[r], K) for r in np.unique(c_br[~flat]).tolist()}
+    roots, table = ([], np.zeros(0)) if flat.all() else system.table(K)
     rows = np.empty(int(size.sum()), dtype=np.int64)
-    vals = np.empty(rows.size, dtype=np.result_type(amp, g0, *(t[1] for t in tables.values())))
+    vals = np.empty(rows.size, dtype=np.result_type(amp, g0, table))
     keep = np.ones(rows.size, dtype=bool)
     if flat.any():
         rows[start[flat]] = off[c_level[flat]] + c_index[flat]
         vals[start[flat]] = amp[c_p[flat]] * g0[c_br[flat]] * python_pow(
             grid.extents(c_level[flat], c_index[flat])[2], theta)
-    for r, k in sorted({(r, k) for r, k in zip(c_br[~flat].tolist(), c_level[~flat].tolist())}):
-        sel = np.flatnonzero((c_br == r) & (c_level == k))
-        roots, table = tables[r]
+    for k in np.unique(c_level[~flat]).tolist():
+        sel = np.flatnonzero(~flat & (c_level == k))
         subtree = subtree_indices(grid, K, k, c_index[sel])
-        coefs = table[subtree]                          # whole-tree coefficients
-        coefs[:, 0] = roots[k][c_index[sel]]            # each subtree's root
+        coefs = table[c_br[sel][:, None], subtree]           # whole-tree coefficients
+        coefs[:, 0] = roots[k][c_br[sel], c_index[sel]]      # each subtree's root
         at = start[sel][:, None] + np.arange(sub[k])
         rows[at], vals[at], keep[at] = subtree, amp[c_p[sel]][:, None] * coefs, coefs != 0.0
     out_atom = np.repeat(p_atom[c_p], size)[keep]
 
     # slivers: per (atom, branch) pair those of its image cells, then the
     # slice's own, pushed forward
-    d_pair = cov_in.defect_piece
-    d_lo, d_hi = _forward(system, br[part_pair[d_pair]], cov_in.defect_lo, cov_in.defect_hi)
+    d_pair = sl.defect_pair
+    d_lo, d_hi = per_branch(system.branches, sl.branch[d_pair], Branch.forward_interval,
+                            sl.defect_lo, sl.defect_hi)
     v_p = f[cov_v.defect_piece]
-    pair = np.concatenate([p_pair[v_p], part_pair[d_pair]])
-    order = np.argsort(2 * pair + np.repeat([0, 1], [v_p.size, d_pair.size]), kind="stable")
-    slivers = Slivers(atom[pair][order], br[pair][order],
+    pair = np.concatenate([sl.pair[v_p], d_pair])
+    order = np.argsort(pair, kind="stable")
+    slivers = Slivers(sl.atom[pair][order], sl.branch[pair][order],
                       np.concatenate([cov_v.defect_lo, d_lo])[order],
                       np.concatenate([cov_v.defect_hi, d_hi])[order],
-                      np.concatenate([amp[v_p], amp0[part_pair[d_pair]]])[order])
+                      np.concatenate([amp[v_p], sl.amp[d_pair]])[order])
     return out_atom, rows[keep], vals[keep], slivers
-
-
-def _forward(system: BranchSystem, br: np.ndarray, lo: np.ndarray, hi: np.ndarray
-             ) -> Tuple[np.ndarray, np.ndarray]:
-    """Forward images of the intervals [lo[i], hi[i]) under the branches at
-    positions br[i], one forward_interval call per branch."""
-    f_lo, f_hi = np.empty(lo.size), np.empty(lo.size)
-    for r in np.unique(br).tolist():
-        sel = br == r
-        f_lo[sel], f_hi[sel] = system.branches[r].forward_interval(lo[sel], hi[sel])
-    return f_lo, f_hi
 
 
 def _reaggregate(system: BranchSystem, K: int, slivers: Slivers, n_atoms: int
@@ -439,24 +448,32 @@ def _reaggregate(system: BranchSystem, K: int, slivers: Slivers, n_atoms: int
     The exact weight integral over each bottom cell a sliver meets is
     assigned to that cell.  Returns COO arrays (atom i, cell j,
     coefficient) and, per atom, the L1 mass so re-aggregated (its
-    truncation defect).  One kernel call per branch, the branches in the
-    order they first appear among the slivers.
+    truncation defect).  The slivers meet the cells in one overlaps call;
+    the weight integrals and coefficients come branch by branch, in the
+    order the branches first appear among the slivers, and an atom's
+    defect adds up its per-branch sums in that order.
     """
     grid, theta = system.grid, system.params.theta
-    coo = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
+    present, first = np.unique(slivers.branch, return_index=True)
+    present = present[np.argsort(first)]
+    rank = np.zeros(len(system.branches), dtype=np.int64)
+    rank[present] = np.arange(present.size)
+    piece, j, a_, b_, w_j = grid.overlaps(K, slivers.lo, slivers.hi)
+    order = np.argsort(rank[slivers.branch[piece]], kind="stable")
+    piece, j, a_, b_, w_j = (x[order] for x in (piece, j, a_, b_, w_j))
+    bounds = np.searchsorted(rank[slivers.branch[piece]], np.arange(present.size + 1))
+    mass = np.concatenate([np.zeros(0)] + [
+        system.branches[r].weight_integral(a_[i0:i1], b_[i0:i1])
+        for r, i0, i1 in zip(present.tolist(), bounds[:-1].tolist(), bounds[1:].tolist())])
+    keep = mass != 0.0
+    piece, j, mass, w_j = piece[keep], j[keep], mass[keep], w_j[keep]
+    atom, amp = slivers.atom[piece], slivers.amp[piece]
     defect = np.zeros(n_atoms)
-    branches, first = np.unique(slivers.branch, return_index=True)
-    for r in branches[np.argsort(first)].tolist():
-        sel = slivers.branch == r
-        atom, amp = slivers.atom[sel], slivers.amp[sel]
-        piece, j, a_, b_, w_j = grid.overlaps(K, slivers.lo[sel], slivers.hi[sel])
-        mass = system.branches[r].weight_integral(a_, b_)
-        keep = mass != 0.0
-        piece, j, mass, w_j = piece[keep], j[keep], mass[keep], w_j[keep]
-        coo.append((atom[piece], j, amp[piece] * (mass / w_j) * w_j ** theta))
-        defect += np.bincount(atom[piece], weights=np.abs(amp[piece]) * mass,
-                              minlength=n_atoms)
-    return (*(np.concatenate(x) for x in zip(*coo)), defect)
+    if present.size:
+        sums = np.bincount(atom * present.size + rank[slivers.branch[piece]],
+                           weights=np.abs(amp) * mass, minlength=n_atoms * present.size)
+        defect = np.cumsum(sums.reshape(n_atoms, -1), axis=1)[:, -1]
+    return atom, j, amp * (mass / w_j) * w_j ** theta, defect
 
 
 def apply_transfer(system: BranchSystem, rep: AtomicRep, mode: str = "analytic",

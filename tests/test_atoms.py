@@ -236,17 +236,26 @@ def test_subtree_norms_equal_coefficient_norm_cell_by_cell():
     # zero coefficient per sibling group, and the deep levels carry mass
     grid = make_map(MapSpec("beta", beta=1.8), build_grid(2, 8), PARAMS).grid
     f = PiecewiseFn(grid, 8, np.random.default_rng(3).random(256) ** 3)
+    g = PiecewiseFn(grid, 8, f.values[::-1] * 2.0)
     box = dict(s=0.5, beta=0.6, eps=0.2)
     for params in (PARAMS, BesovParams(q=math.inf), BesovParams(p=1.0, q=3.0, **box),
                    BesovParams(p=1.0, q=1.0, **box)):
         for positive in (False, True):
             roots, arrays = coefficient_table(f, params.theta_beta, positive)
+            g_roots, g_arrays = coefficient_table(g, params.theta_beta, positive)
+            stacked = ([np.stack(x) for x in zip(roots, g_roots)],
+                       [np.stack(x) for x in zip(arrays, g_arrays)])
             for k in range(9):
-                got = subtree_norms(roots, arrays, 2, k, 0, 2 ** k, params)
+                got = subtree_norms(roots, arrays, 2, k, np.arange(2 ** k), params)
                 want = [coefficient_norm(subtree_rep(f, CellId(k, j), params, positive,
                                                      theta=params.theta_beta))
                         for j in range(2 ** k)]
                 assert got.tolist() == want
+                # a stack of tables gives each table's norms, cell t * 2**k + j
+                both = subtree_norms(*stacked, 2, k, np.arange(2 ** (k + 1))[::-1], params)
+                assert both[2 ** k:][::-1].tolist() == want
+                assert both[:2 ** k][::-1].tolist() == subtree_norms(
+                    g_roots, g_arrays, 2, k, np.arange(2 ** k), params).tolist()
 
 
 # -- L^t norms and embedding ---------------------------------------------------

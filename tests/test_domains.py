@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from besovtransfer import intervals as iv
-from besovtransfer.domains import cover, decompose, strong_regularity
+from besovtransfer.domains import cover, decompose, strong_regularities, strong_regularity
 from besovtransfer.grid import CONTAIN_TOL, CellId, build_grid, k0
 
 GRID = build_grid(2, 12)
@@ -130,6 +130,16 @@ def test_strong_regularity_covers_interior_cells():
     rep1 = strong_regularity(GRID, (0.25, 0.75), ALPHA, t=2)
     assert rep1.c_strong == pytest.approx(1.0)
 
+
+
+def test_strong_regularities_equal_one_set_at_a_time():
+    # sets of one to three pieces, on a grid cut off its nominal edges
+    grid = build_grid(2, 8).with_cuts([0.3001, 0.61])
+    sets = [(0.0, 1 / 3), [(0.1, 0.2), (0.3, 0.55)], (0.5, 1.0),
+            [(0.05, 0.06), (0.07, 0.5), (0.6, 0.61)]]
+    for t in (0, 3):
+        assert strong_regularities(grid, sets, ALPHA, t) == [
+            strong_regularity(grid, s, ALPHA, t) for s in sets]
 
 def test_decomp_json_export():
     dec = decompose(GRID, (0.0, 1 / 3), ALPHA)

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import besovtransfer.atoms as atoms
+import besovtransfer.domains as domains
 import besovtransfer.dynamics as dynamics
 from besovtransfer.atoms import BesovParams, coefficient_norm, subtree_rep
+from besovtransfer.domains import cover, strong_regularity
 from besovtransfer.dynamics import (
     MapSpec,
     make_map,
@@ -15,8 +17,15 @@ from besovtransfer.dynamics import (
     potential_regularity,
     scaling_constants,
 )
-from besovtransfer.errors import ContainmentError, LedgerError, MapSpecError
-from besovtransfer.grid import CellId, build_grid
+from besovtransfer.errors import (
+    CellNotFoundError,
+    ContainmentError,
+    InfeasibleFitError,
+    LedgerError,
+    MapSpecError,
+    NormOverflowError,
+)
+from besovtransfer.grid import CellId, build_grid, python_pow
 
 PARAMS = BesovParams()
 PHI = (1 + math.sqrt(5)) / 2
@@ -326,3 +335,215 @@ def test_weight_integral_on_arrays_matches_scalar_calls(doubling, golden):
             hi = rng.uniform(lo, b.img[1])
             flo, fhi = b.forward_interval(lo, hi)
             assert list(zip(flo, fhi)) == [b.forward_interval(x, y) for x, y in zip(lo, hi)]
+
+
+# -- the ledger probes branch by branch ---------------------------------------------
+#
+# make_map probes all branches of a map in one array pass per probe; the
+# loop below probes one branch at a time and is the reference the batched
+# probes must equal bit for bit.
+
+
+def _scaling_by_branch(grid, branch, probe_level):
+    samples = []
+    found, k = 0, 0
+    while k <= grid.max_level + 8:
+        i0, i1 = grid.contained_run(k, *branch.img)
+        lo, hi, meas = grid.extents(k, np.arange(i0, i1, max(1, (i1 - i0) // 64)))
+        flo, fhi = branch.forward_interval(lo, hi)
+        ok = fhi - flo > 0
+        samples.append((np.full(ok.sum(), k), meas[ok], flo[ok], fhi[ok]))
+        found += int(ok.sum())
+        k += 1
+        if k > probe_level and found >= 8:
+            break
+    ks, meas, flo, fhi = (np.concatenate(x) for x in zip(*samples))
+    if not found:
+        raise InfeasibleFitError(f"branch {branch.r}: no probe cells inside image")
+    ratios = (meas / (fhi - flo)).tolist()
+    kq = grid.containment_levels(flo, fhi, grid.max_level + 16)
+    if np.any(kq < 0):
+        raise CellNotFoundError(f"branch {branch.r}: a forward image holds no cell "
+                                f"up to level {grid.max_level + 16}")
+    shifts = np.abs(ks - kq).tolist()
+    base = 0.0
+    for rho, sh in zip(ratios, shifts):
+        if sh > 0:
+            base = max(base, rho ** (1.0 / sh))
+    if base == 0.0:
+        base = max(ratios)
+    if base >= 1.0 - 1e-12:
+        raise InfeasibleFitError(
+            f"branch {branch.r}: no geometric base < 1 fits the scaling samples")
+    front = 1.0
+    for rho, sh in zip(ratios, shifts):
+        front = max(front, rho / base ** sh)
+    return min(shifts), front, base
+
+
+def _distortion_by_branch(grid, branch, alpha, top):
+    runs = [(k, grid.contained_run(k, *branch.img)) for k in range(top + 1)]
+    cells = [(k, np.arange(i0, i1, max(1, (i1 - i0) // 32))) for k, (i0, i1) in runs]
+    ks = np.concatenate([np.full(j.size, k) for k, j in cells])
+    lo, hi, _ = grid.extents(ks, np.concatenate([j for _, j in cells]))
+    c_dom = cover(grid, *branch.forward_interval(lo, hi), grid.max_level, alpha=alpha).c_dom
+    return max(float(np.max(c_dom, initial=0.0)), 1.0)
+
+
+def _regularity_by_branch(gbar, branch, params, probe_level):
+    grid, K = gbar.grid, gbar.level
+    top = min(probe_level, K)
+    exponent = 1.0 / params.p - params.s + params.eps
+    roots, arrays = atoms.coefficient_table(gbar, params.theta_beta, branch.potential.positive)
+    runs = [grid.contained_run(k, *branch.dom) for k in range(top + 1)]
+    ks = np.repeat(np.arange(top + 1), [max(i1 - i0, 0) for i0, i1 in runs])
+    js = np.concatenate([np.arange(i0, i1) for i0, i1 in runs])
+    w_lo, w_hi, w_meas = grid.extents(ks, js)
+    q_lo, q_hi = branch.pullback_interval(w_lo, w_hi)
+    kq = dynamics._smallest_covering_levels(grid, q_lo, q_hi)
+    jq = np.clip(grid.cell_index(kq, 0.5 * (q_lo + q_hi)), 0, grid.arity ** kq - 1)
+    c_lo, c_hi, _ = grid.extents(kq, jq)
+    f_lo, f_hi = branch.forward_interval(c_lo, c_hi)
+    ratio = (c_hi - c_lo) / np.maximum(f_hi - f_lo, 1e-300)
+    dens = python_pow(ratio, exponent) * python_pow(w_meas, params.theta_beta)
+    worst, levels = 0.0, {}
+    for k, (i0, i1) in enumerate(runs):
+        levels[k] = 0.0
+        if i1 > i0:
+            nums = atoms.subtree_norms(roots, arrays, grid.arity, k, np.arange(i0, i1), params)
+            levels[k] = float(np.max(nums / dens[ks == k]))
+        worst = max(worst, levels[k])
+    return worst, levels
+
+
+def _probe_by_branch(system, allow_nonexpanding=False):
+    """The ledger probes of make_map, one branch at a time; returns the
+    ledger as _ledger does."""
+    grid, params = system.grid, system.params
+    alpha = 1.0 - params.s * params.p
+    for b in system.branches:
+        try:
+            b.shift, b.c_dc1, b.c_dc2 = _scaling_by_branch(grid, b, system.probe_level)
+        except InfeasibleFitError:
+            if not allow_nonexpanding:
+                raise
+            b.shift, b.c_dc1, b.c_dc2 = 0, 1.0, 1.0
+        top = min(system.probe_level, 8 if b.affine_slope is None else system.probe_level)
+        b.c_dgd1 = _distortion_by_branch(grid, b, alpha, top)
+        b.c_dgd2 = grid.arity ** (-alpha)
+        b.potential.c_rp, b.potential.c_rp_levels = _regularity_by_branch(
+            system.averages(b, grid.max_level), b, params, min(6, system.probe_level))
+        system.strong_reports[b.r] = strong_regularity(grid, b.img, 1.0 - params.beta * params.p)
+    # the overlap constants, image by image
+    thetas = system.thetas()
+    m_best, t_best = 0, 0.0
+    for k in range(1, min(grid.max_level, system.probe_level) + 1):
+        m_here = np.zeros(grid.n_cells(k), dtype=int)
+        t_here = np.zeros(grid.n_cells(k))
+        for b, th in zip(system.branches, thetas):
+            _, j, lo, hi, _ = grid.overlaps(k, *b.img)
+            j = j[hi - lo > 1e-14]
+            m_here[j] += 1
+            t_here[j] += th
+        m_best = max(m_best, int(m_here.max(initial=0)))
+        t_best = max(t_best, float(t_here.max(initial=0.0)))
+    kk = min(grid.max_level, system.probe_level)
+    counts = np.zeros(grid.n_cells(kk), dtype=int)
+    for b in system.branches:
+        i0, i1 = grid.contained_run(kk, *b.dom)
+        counts[i0:i1] += 1
+    return _ledger(system, (m_best, int(counts.max(initial=0)), t_best))
+
+
+def _ledger(system, overlaps=None):
+    """ledger.csv, the ledger rows, every c_rp_levels, the strong reports
+    and the overlap constants (m, n, t) of a system."""
+    reports = [(r, rep.c_strong, rep.worst_cell, rep.max_rel_defect, rep.cells_probed)
+               for r, rep in system.strong_reports.items()]
+    if overlaps is None:
+        overlaps = (system.m_overlap, system.n_overlap, system.t_overlap)
+    return (system.ledger_csv(), system.ledger_rows(),
+            [b.potential.c_rp_levels for b in system.branches], reports, overlaps)
+
+
+BUILT_IN = [MapSpec("doubling"), MapSpec("m_ary"), MapSpec("beta", beta=PHI),
+            MapSpec("beta", beta=1.8),
+            MapSpec("pw_linear", breakpoints=(0.0, 1 / 3, 1.0), slopes=(3.0, 1.5)),
+            MapSpec("lorenz_cusp"), MapSpec("gauss", r_max=20)]
+
+
+@pytest.mark.parametrize("spec", BUILT_IN, ids=lambda s: s.name)
+def test_batched_probes_equal_the_branch_by_branch_loop(spec):
+    system = make_map(spec, build_grid(2, 8), PARAMS)
+    got = _ledger(system)
+    for b in system.branches:
+        b.potential.c_rp_levels = {}
+    system.strong_reports = {}
+    assert got == _probe_by_branch(system)
+
+
+def test_make_map_kernel_calls_do_not_grow_with_the_branches(monkeypatch):
+    calls = {"cover": 0, "subtree_norms": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    counted_cover = counting("cover", domains.cover)
+    for mod in (domains, dynamics):
+        monkeypatch.setattr(mod, "cover", counted_cover)
+    monkeypatch.setattr(dynamics, "subtree_norms", counting("subtree_norms", atoms.subtree_norms))
+    counts = []
+    for r_max in (5, 40):
+        make_map(MapSpec("gauss", r_max=r_max), build_grid(2, 8), PARAMS)
+        counts.append(dict(calls))
+        calls.update(cover=0, subtree_norms=0)
+    # one cover call each for the distortion and the strong regularity, one
+    # subtree_norms call per probe level
+    assert counts == [{"cover": 2, "subtree_norms": 7}] * 2
+
+
+NONEXPANDING = MapSpec("pw_linear", breakpoints=(0.0, 0.5, 1.0), slopes=(2.0, 0.9))
+
+
+def test_allow_nonexpanding_gives_the_failing_branch_the_sentinel():
+    system = make_map(NONEXPANDING, build_grid(2, 8), PARAMS, allow_nonexpanding=True)
+    b1, b2 = system.branches
+    assert (b2.shift, b2.c_dc1, b2.c_dc2) == (0, 1.0, 1.0)
+    assert system.ledger_csv().splitlines()[1] == (
+        "1,0,1.0,0.5,1.0,0.8705505632961241,0.5743491774985175,0.5743491774985175")
+    got = _ledger(system)
+    for b in system.branches:
+        b.potential.c_rp_levels = {}
+    system.strong_reports = {}
+    assert got == _probe_by_branch(system, allow_nonexpanding=True)
+
+
+def test_a_failing_fit_raises_as_the_branch_by_branch_loop(monkeypatch):
+    # past the expansion check, branch 2's scaling fit fails: the loop
+    # raises there, after probing branch 1 in full
+    monkeypatch.setattr(dynamics, "_check_expanding", lambda branches: None)
+    with pytest.raises(InfeasibleFitError) as batched:
+        make_map(NONEXPANDING, build_grid(2, 8), PARAMS)
+    system = make_map(NONEXPANDING, build_grid(2, 8), PARAMS, allow_nonexpanding=True)
+    with pytest.raises(InfeasibleFitError) as looped:
+        _probe_by_branch(system)
+    assert str(batched.value) == str(looped.value) == (
+        "branch 2: no geometric base < 1 fits the scaling samples")
+    # a fit that fails lets the branches before it finish their probes:
+    # here branch 2's contracting piece holds no cell, and branch 1's
+    # weight, infinite past 1/2, fails its regularity probe first
+    contracting = MapSpec("pw_linear", breakpoints=(0.0, 0.5, 1.0), slopes=(2.0, 1e-6))
+    with pytest.raises(CellNotFoundError, match="branch 2: a forward image holds no cell"):
+        make_map(contracting, build_grid(2, 8), PARAMS, allow_nonexpanding=True)
+    contracting.potential = "custom"
+    contracting.custom_fn = lambda x: np.where(np.asarray(x) > 0.5, np.inf, 1.0)
+    with np.errstate(invalid="ignore"), pytest.raises(NormOverflowError):
+        make_map(contracting, build_grid(2, 8), PARAMS, allow_nonexpanding=True)
+    # a branch without probe cells fails first, before the others' probes
+    branch = dynamics._build_branches(MapSpec("gauss", r_max=3))[2]
+    branch.img = (0.3, 0.3)
+    with pytest.raises(InfeasibleFitError, match="branch 3: no probe cells inside image"):
+        scaling_constants(build_grid(2, 6), branch)

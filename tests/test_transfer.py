@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import besovtransfer.atoms as atoms
+import besovtransfer.intervals as iv
 import besovtransfer.grid as grid_module
 import besovtransfer.transfer as transfer
 from besovtransfer.atoms import (
@@ -18,6 +19,7 @@ from besovtransfer.atoms import (
     evaluate_vector,
     random_rep,
 )
+from besovtransfer.domains import decompose
 from besovtransfer.dynamics import MapSpec, make_map
 from besovtransfer.errors import AssumptionError, CapacityError, ModeMismatchError
 from besovtransfer.grid import CellId, build_grid
@@ -100,6 +102,51 @@ def test_slice_certified_inequality(doubling, golden, gauss):
             assert measured <= sliced.slicing_constant * sliced.input_norm * (1 + 1e-9), \
                 f"{system.spec.name}: measured {measured:.4g} vs certified " \
                 f"{sliced.slicing_constant * sliced.input_norm:.4g}"
+
+
+
+def _slice_by_atom(rep, system):
+    """The coefficients of slice_rep's branch expansions, one atom and one
+    branch at a time (intersect, decompose, re-aggregate the defect)."""
+    grid, params = system.grid, system.params
+    K, theta = grid.max_level, params.theta
+    out = {b.r: {} for b in system.branches}
+    for Q, d in rep.coeffs.items():
+        q_iv, q_meas = grid.interval(Q), grid.measure(Q)
+        amp = d * q_meas ** (-theta)
+        for b in system.branches:
+            inter = iv.intersect([q_iv], b.img)
+            if not inter:
+                continue
+            bucket = out[b.r]
+            if abs(iv.measure(inter) - q_meas) < 1e-15:
+                bucket[Q] = bucket.get(Q, 0.0) + d
+                continue
+            dec = decompose(grid, inter, 1.0 - params.s * params.p, defect_cap=math.inf)
+            for P in dec.all_cells():
+                bucket[P] = bucket.get(P, 0.0) + d * (grid.measure(P) / q_meas) ** theta
+            _, js, a_, b_, w_j = grid.overlaps(K, *np.reshape(dec.defect_pieces, (-1, 2)).T)
+            for j, coef in zip(js.tolist(), (amp * ((b_ - a_) / w_j) * w_j ** theta).tolist()):
+                bucket[CellId(K, j)] = bucket.get(CellId(K, j), 0.0) + coef
+    return out
+
+
+@pytest.mark.parametrize("spec", [MapSpec("beta", beta=PHI), MapSpec("gauss", r_max=50)],
+                         ids=["golden", "gauss50"])
+def test_slice_rep_equals_the_atom_by_atom_loop(spec):
+    # the same coefficients, added up in the same order, so the measured
+    # sides of the slicing inequality are the same numbers too
+    system = make_map(spec, build_grid(2, 10), PARAMS)
+    rng = np.random.default_rng(71)
+    for i in range(20):
+        rep = random_rep(system.grid, PARAMS, rng, n_atoms=15, positive=i % 4 == 1,
+                         complex_coeffs=i % 4 == 3)
+        want = _slice_by_atom(rep, system)
+        got = slice_rep(rep, system).branch_reps
+        assert list(got) == list(want)
+        for r, br in got.items():
+            assert list(br.coeffs.items()) == list(want[r].items())
+            assert br.positive_flag == rep.positive_flag
 
 
 # -- the action ------------------------------------------------------------------
@@ -185,9 +232,9 @@ def test_analytic_cross_check_skips_k0_and_the_numeric_expansion(monkeypatch, ga
 def test_analytic_route_decomposes_a_whole_expansion_in_two_kernel_calls(monkeypatch, gauss):
     # the slices of all atoms go through one cover call and their pushed
     # forward cells through another; the slivers meet the bottom cells in
-    # one overlaps call per branch: the count follows the branches, not
-    # the atoms times their pieces
-    calls = {"cover": 0, "overlaps": 0, "containment_levels": 0}
+    # one overlaps call, and the image cells of one level gather their
+    # subtrees at once: no count follows the branches or the atoms
+    calls = {"cover": 0, "overlaps": 0, "containment_levels": 0, "subtree_indices": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -200,15 +247,52 @@ def test_analytic_route_decomposes_a_whole_expansion_in_two_kernel_calls(monkeyp
                         counting("overlaps", grid_module.Grid.overlaps))
     monkeypatch.setattr(grid_module.Grid, "containment_levels",
                         counting("containment_levels", grid_module.Grid.containment_levels))
-    monkeypatch.setattr(transfer, "decompose", None)
+    monkeypatch.setattr(transfer, "subtree_indices",
+                        counting("subtree_indices", transfer.subtree_indices))
+    monkeypatch.setattr(transfer, "decompose", None, raising=False)
     rep = random_rep(gauss.grid, PARAMS, np.random.default_rng(61), n_atoms=15)
     assert len(rep.coeffs) == 15
     out = apply_transfer(gauss, rep, mode="analytic")
     assert out.coeffs
     assert calls["cover"] == 2
-    assert calls["overlaps"] <= len(gauss.branches)
+    assert calls["overlaps"] == 1
+    assert calls["subtree_indices"] <= gauss.grid.max_level + 1
     # the containment levels only feed assembly's ledger encounters
     assert calls["containment_levels"] == 0
+
+
+
+def _reaggregate_by_branch(system, K, slivers, n_atoms):
+    """transfer._reaggregate with one overlaps call per branch."""
+    grid, theta = system.grid, system.params.theta
+    coo = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
+    defect = np.zeros(n_atoms)
+    branches, first = np.unique(slivers.branch, return_index=True)
+    for r in branches[np.argsort(first)].tolist():
+        sel = slivers.branch == r
+        atom, amp = slivers.atom[sel], slivers.amp[sel]
+        piece, j, a_, b_, w_j = grid.overlaps(K, slivers.lo[sel], slivers.hi[sel])
+        mass = system.branches[r].weight_integral(a_, b_)
+        keep = mass != 0.0
+        piece, j, mass, w_j = piece[keep], j[keep], mass[keep], w_j[keep]
+        coo.append((atom[piece], j, amp[piece] * (mass / w_j) * w_j ** theta))
+        defect += np.bincount(atom[piece], weights=np.abs(amp[piece]) * mass,
+                              minlength=n_atoms)
+    return (*(np.concatenate(x) for x in zip(*coo)), defect)
+
+
+def test_reaggregate_equals_the_branch_by_branch_loop(gauss, golden):
+    # the coefficients come in the same order and each atom's defect adds
+    # up the same per-branch sums in the same order
+    for system in (gauss, golden):
+        K = system.grid.max_level
+        for k in (0, 2, 4, 6):
+            n = system.grid.n_cells(k)
+            *_, slivers = transfer.transfer_atom(system, k, np.arange(n), 1.0)
+            got = transfer._reaggregate(system, K, slivers, n)
+            want = _reaggregate_by_branch(system, K, slivers, n)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_complex_constant_weight_keeps_its_imaginary_part():
