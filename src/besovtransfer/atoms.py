@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import AtomBudgetError, NormOverflowError, ParamsError
-from .grid import CellId, Grid
+from .grid import CellId, Grid, python_pow
 
 INF = math.inf
 
@@ -104,18 +104,14 @@ class PiecewiseFn:
             raise ValueError(f"expected {n} cell values, got {self.values.shape}")
 
     @classmethod
-    def from_function(cls, grid: Grid, level: int, fn: Callable[[np.ndarray], np.ndarray],
-                      rule: str = "gl5") -> "PiecewiseFn":
-        """Cell averages of fn via 5-point Gauss-Legendre (or midpoints)."""
-        n = grid.n_cells(level)
+    def from_function(cls, grid: Grid, level: int,
+                      fn: Callable[[np.ndarray], np.ndarray]) -> "PiecewiseFn":
+        """Cell averages of fn via 5-point Gauss-Legendre."""
         w, left = grid.widths(level), grid.edges(level)[:-1]
-        if rule == "midpoint":
-            vals = np.asarray(fn(left + w / 2), dtype=np.complex128)
-        else:
-            vals = np.zeros(n, dtype=np.complex128)
-            for x, wt in zip(_GL_NODES, _GL_WEIGHTS):
-                vals += wt * np.asarray(fn(left + (x + 1) * w / 2))
-            vals *= 0.5
+        vals = np.zeros(grid.n_cells(level), dtype=np.complex128)
+        for x, wt in zip(_GL_NODES, _GL_WEIGHTS):
+            vals += wt * np.asarray(fn(left + (x + 1) * w / 2))
+        vals *= 0.5
         if np.max(np.abs(vals.imag), initial=0.0) == 0.0:
             vals = vals.real
         return cls(grid, level, vals)
@@ -181,29 +177,50 @@ def lp_norm(f: PiecewiseFn, t: float) -> float:
 
 @dataclass
 class AtomicRep:
-    """Sparse atom expansion: cell -> coefficient, plus positivity tracking."""
+    """Sparse atom expansion, plus positivity tracking.
+
+    index holds basis indices (level offsets up to grid.max_level), each
+    once, and value their coefficients; coeffs is the CellId view.
+    """
 
     params: BesovParams
     grid: Grid
-    coeffs: Dict[CellId, complex] = field(default_factory=dict)
+    index: np.ndarray
+    value: np.ndarray
     positive_flag: bool = False
     meta: Dict = field(default_factory=dict)
 
-    def copy(self) -> "AtomicRep":
-        return AtomicRep(self.params, self.grid, dict(self.coeffs),
-                         self.positive_flag, dict(self.meta))
+    @classmethod
+    def from_cells(cls, params: BesovParams, grid: Grid, mapping: Dict[CellId, complex],
+                   positive_flag: bool = False) -> "AtomicRep":
+        """The expansion with the coefficients of a cell mapping, in its order."""
+        for c in mapping:
+            if not (0 <= c.level <= grid.max_level and 0 <= c.index < grid.n_cells(c.level)):
+                raise ValueError(f"cell {c} is off the grid (levels 0..{grid.max_level})")
+        off = level_offsets(grid, grid.max_level)
+        index = np.array([off[c.level] + c.index for c in mapping], dtype=np.int64)
+        value = np.array(list(mapping.values()))
+        return cls(params, grid, index, value.astype(np.result_type(value, float)), positive_flag)
+
+    @property
+    def coeffs(self) -> Dict[CellId, complex]:
+        """cell -> coefficient, in entry order."""
+        level, j = self.cells()
+        return dict(zip(map(CellId, level.tolist(), j.tolist()), self.value.tolist()))
+
+    def cells(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(level, index within the level) of every entry."""
+        return basis_cells(self.grid, self.index)
 
     def scaled(self, alpha: complex) -> "AtomicRep":
         pos = self.positive_flag and (np.isrealobj(np.asarray(alpha)) or alpha.imag == 0) \
             and np.real(alpha) >= 0
-        return AtomicRep(self.params, self.grid,
-                         {c: alpha * v for c, v in self.coeffs.items()}, pos)
+        return AtomicRep(self.params, self.grid, self.index, alpha * self.value, pos)
 
     def __add__(self, other: "AtomicRep") -> "AtomicRep":
-        out = dict(self.coeffs)
-        for c, v in other.coeffs.items():
-            out[c] = out.get(c, 0.0) + v
-        return AtomicRep(self.params, self.grid, out,
+        index, value = merge_repeats(np.concatenate([self.index, other.index]),
+                                     np.concatenate([self.value, other.value]))
+        return AtomicRep(self.params, self.grid, index, value,
                          self.positive_flag and other.positive_flag)
 
     # -- basis-vector view -------------------------------------------------
@@ -211,29 +228,21 @@ class AtomicRep:
     def to_vector(self, up_to: Optional[int] = None) -> np.ndarray:
         K = self.grid.max_level if up_to is None else up_to
         vec = np.zeros(basis_size(self.grid, K), dtype=np.complex128)
-        off = level_offsets(self.grid, K)
-        for cell, v in self.coeffs.items():
-            if cell.level > K:
-                raise ValueError(f"coefficient at level {cell.level} beyond basis level {K}")
-            vec[off[cell.level] + cell.index] = v
+        if np.any(self.index >= vec.size):
+            raise ValueError(f"coefficient at level {self.cells()[0].max()} "
+                             f"beyond basis level {K}")
+        vec[self.index] = self.value
         if not np.any(vec.imag):
             return vec.real
         return vec
 
     @classmethod
-    def from_vector(cls, params: BesovParams, grid: Grid, vec: np.ndarray,
-                    K: Optional[int] = None, prune: float = 0.0) -> "AtomicRep":
-        K = grid.max_level if K is None else K
-        off = level_offsets(grid, K)
-        coeffs: Dict[CellId, complex] = {}
-        for k in range(K + 1):
-            seg = vec[off[k]:off[k] + grid.n_cells(k)]
-            idx = np.nonzero(np.abs(seg) > prune)[0]
-            for j in idx:
-                coeffs[CellId(k, int(j))] = seg[j]
-        vals = np.asarray(list(coeffs.values()))
-        pos = bool(vals.size == 0 or (np.all(np.isreal(vals)) and np.all(np.real(vals) >= 0)))
-        return cls(params, grid, coeffs, pos)
+    def from_vector(cls, params: BesovParams, grid: Grid, vec: np.ndarray) -> "AtomicRep":
+        """The nonzero entries of a basis-ordered vector (levels 0..grid.max_level)."""
+        index = np.flatnonzero(np.abs(vec[:basis_size(grid, grid.max_level)]) > 0.0)
+        value = vec[index]
+        return cls(params, grid, index, value,
+                   bool(np.all(np.isreal(value)) and np.all(np.real(value) >= 0)))
 
     def to_json(self) -> List[Dict]:
         return [
@@ -244,8 +253,27 @@ class AtomicRep:
     @classmethod
     def from_json(cls, params: BesovParams, grid: Grid, data: List[Dict]) -> "AtomicRep":
         from .grid import parse_cell
-        coeffs = {parse_cell(d["cell"]): d["re"] + 1j * d["im"] for d in data}
-        return cls(params, grid, coeffs)
+        return cls.from_cells(params, grid,
+                              {parse_cell(d["cell"]): d["re"] + 1j * d["im"] for d in data})
+
+
+def accumulate(idx: np.ndarray, val: np.ndarray, n: int) -> np.ndarray:
+    """Sum the values into a length-n vector by index, in the order given
+    (one bincount for the real part, one for the imaginary part)."""
+    re = np.bincount(idx, weights=val.real, minlength=n)
+    if not np.iscomplexobj(val):
+        return re
+    out = re.astype(np.complex128)
+    out.imag = np.bincount(idx, weights=val.imag, minlength=n)
+    return out
+
+
+def merge_repeats(key: np.ndarray, val: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each key once, in the order of its first appearance, with its values
+    summed in the order given."""
+    uniq, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return uniq[order], accumulate(inv, val, uniq.size)[order]
 
 
 def atom_heights(grid: Grid, level: int, theta: float):
@@ -271,6 +299,13 @@ def level_offsets(grid: Grid, K: int) -> List[int]:
     return off
 
 
+def basis_cells(grid: Grid, index: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(level, index within the level) of basis indices (level offsets)."""
+    off = np.asarray(level_offsets(grid, grid.max_level))
+    level = np.searchsorted(off, index, side="right") - 1
+    return level, index - off[level]
+
+
 def souza_atom(Q: CellId, params: BesovParams, grid: Grid,
                resolution: Optional[int] = None) -> PiecewiseFn:
     """The atom on Q: |Q|**(s-1/p) on Q, zero elsewhere."""
@@ -284,28 +319,28 @@ def souza_atom(Q: CellId, params: BesovParams, grid: Grid,
 
 
 def atom_rep(Q: CellId, params: BesovParams, grid: Grid, coeff: complex = 1.0) -> AtomicRep:
-    return AtomicRep(params, grid, {Q: coeff},
-                     positive_flag=np.imag(coeff) == 0 and np.real(coeff) >= 0)
+    return AtomicRep.from_cells(params, grid, {Q: coeff},
+                                positive_flag=np.imag(coeff) == 0 and np.real(coeff) >= 0)
 
 
 # -- norms --------------------------------------------------------------------
 
 
-def _level_lp(rep_levels: Dict[int, List[complex]], p: float) -> Dict[int, float]:
-    out = {}
-    for k, vals in rep_levels.items():
-        a = np.abs(np.asarray(vals))
-        out[k] = float(a.max(initial=0.0)) if p == INF else float(np.sum(a ** p) ** (1.0 / p))
-    return out
-
-
 def coefficient_norm(rep: AtomicRep) -> float:
-    """l^q over levels of the l^p over cells of the coefficients."""
-    levels: Dict[int, List[complex]] = {}
-    for cell, v in rep.coeffs.items():
-        levels.setdefault(cell.level, []).append(v)
-    masses = _level_lp(levels, rep.params.p)
-    vals = np.asarray(list(masses.values()), dtype=float)
+    """l^q over levels of the l^p over cells of the coefficients.
+
+    The levels are taken in the order of their first entry, and each
+    level's coefficients in entry order.
+    """
+    level = rep.cells()[0]
+    levels, first = np.unique(level, return_index=True)
+    a, p = np.abs(rep.value), rep.params.p
+    masses = []
+    for k in levels[np.argsort(first)].tolist():
+        seg = a[level == k]
+        masses.append(float(seg.max(initial=0.0)) if p == INF
+                      else float(np.sum(seg ** p) ** (1.0 / p)))
+    vals = np.asarray(masses, dtype=float)
     if vals.size == 0:
         return 0.0
     q = rep.params.q
@@ -347,20 +382,21 @@ def evaluate(rep: AtomicRep, resolution: Optional[int] = None) -> PiecewiseFn:
     """Sum the atom expansion into cell averages at the given resolution."""
     grid = rep.grid
     K = grid.max_level if resolution is None else resolution
-    m = grid.arity
-    theta = rep.params.theta
-    any_complex = any(np.imag(v) != 0 for v in rep.coeffs.values())
+    m, theta = grid.arity, rep.params.theta
+    level, j = rep.cells()
+    if np.any(level > K):
+        raise ValueError(f"atom at level {level.max()} below resolution {K}")
+    height = np.array([float(m) ** (k * theta) for k in range(K + 1)])[level]
+    bottom = level == K
+    height[bottom] = np.broadcast_to(atom_heights(grid, K, theta), grid.n_cells(K))[j[bottom]]
+    any_complex = bool(np.any(np.imag(rep.value) != 0))
+    amp = rep.value * height
+    span = m ** (K - level)
+    start = np.cumsum(span) - span
     vals = np.zeros(grid.n_cells(K), dtype=np.complex128 if any_complex else np.float64)
-    bottom = np.broadcast_to(atom_heights(grid, K, theta), grid.n_cells(K))
-    for cell, v in rep.coeffs.items():
-        if cell.level > K:
-            raise ValueError(f"atom at level {cell.level} below resolution {K}")
-        span = m ** (K - cell.level)
-        if cell.level == K:
-            amp = v * bottom[cell.index]
-        else:
-            amp = v * float(m) ** (cell.level * theta)
-        vals[cell.index * span:(cell.index + 1) * span] += amp
+    # entry by entry, each onto the bottom cells of its atom
+    np.add.at(vals, np.arange(span.sum()) + np.repeat(j * span - start, span),
+              np.repeat(amp if any_complex else amp.real, span))
     return PiecewiseFn(grid, K, vals)
 
 
@@ -540,16 +576,13 @@ def tree_rep(arrays: List[np.ndarray], W: CellId, params: BesovParams, grid: Gri
              positive: bool) -> AtomicRep:
     """The expansion with the canonical_coeff_arrays of the subtree of W, flagged
     positive when `positive` is set and no coefficient is negative."""
-    coeffs: Dict[CellId, complex] = {}
-    for u, arr in enumerate(arrays):
-        base = W.index * grid.arity ** u
-        for j in np.nonzero(np.abs(arr) > 0.0)[0]:
-            coeffs[CellId(W.level + u, base + int(j))] = arr[j]
+    index = subtree_indices(grid, W.level + len(arrays) - 1, W.level, W.index)
+    value = np.concatenate(arrays)
+    keep = np.abs(value) > 0.0
+    index, value = index[keep], value[keep]
     if positive:
-        vals = np.asarray(list(coeffs.values()))
-        positive = bool(vals.size == 0 or (np.all(np.isreal(vals))
-                                           and np.all(np.real(vals) >= -1e-12)))
-    return AtomicRep(params, grid, coeffs, positive_flag=positive)
+        positive = bool(np.all(np.isreal(value)) and np.all(np.real(value) >= -1e-12))
+    return AtomicRep(params, grid, index, value, positive_flag=positive)
 
 
 def canonical_vector(values: np.ndarray, grid: Grid, K: int, params: BesovParams) -> np.ndarray:
@@ -613,7 +646,7 @@ def besov_to_souza(general_rep: Sequence[Tuple[complex, BesovAtom]],
     |U|**(beta-s).  Inputs are validated against the atom budget; the
     measured output/input norm ratio is recorded in rep.meta.
     """
-    out: Dict[CellId, complex] = {}
+    index, value = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     level_masses: Dict[int, float] = {}
     all_positive = True
     for d, atom in general_rep:
@@ -626,18 +659,15 @@ def besov_to_souza(general_rep: Sequence[Tuple[complex, BesovAtom]],
         if np.imag(d) != 0 or np.real(d) < 0 or not atom.rep.positive_flag:
             all_positive = False
         level_masses[W.level] = level_masses.get(W.level, 0.0) + abs(d) ** params.p
-        for U, c in atom.rep.coeffs.items():
-            lo_w, hi_w = grid.interval(W)
-            lo_u, hi_u = grid.interval(U)
-            if lo_u < lo_w - 1e-12 or hi_u > hi_w + 1e-12:
-                raise AtomBudgetError(f"atom on {W} has a coefficient outside its support")
-            conv = grid.measure(U) ** (params.beta - params.s)
-            out[U] = out.get(U, 0.0) + d * c * conv
-    rep = AtomicRep(params, grid, out)
-    vals = np.asarray(list(out.values())) if out else np.asarray([])
-    rep.positive_flag = all_positive and bool(
-        vals.size == 0 or (np.all(np.isreal(vals)) and np.all(np.real(vals) >= 0))
-    )
+        lo_w, hi_w = grid.interval(W)
+        lo_u, hi_u, meas = grid.extents(*atom.rep.cells())
+        if np.any((lo_u < lo_w - 1e-12) | (hi_u > hi_w + 1e-12)):
+            raise AtomBudgetError(f"atom on {W} has a coefficient outside its support")
+        index.append(atom.rep.index)
+        value.append(d * atom.rep.value * python_pow(meas, params.beta - params.s))
+    index, value = merge_repeats(np.concatenate(index), np.concatenate(value))
+    rep = AtomicRep(params, grid, index, value, all_positive and bool(
+        np.all(np.isreal(value)) and np.all(np.real(value) >= 0)))
     # layered input norm: l^q over support levels of l^p of the weights
     masses = np.asarray([v ** (1.0 / params.p) for v in level_masses.values()])
     if params.q == INF:
@@ -665,19 +695,18 @@ def random_rep(grid: Grid, params: BesovParams, rng: np.random.Generator,
                positive: bool = False, complex_coeffs: bool = False,
                normalize: bool = True) -> AtomicRep:
     K = grid.max_level if max_level is None else max_level
-    coeffs: Dict[CellId, complex] = {}
+    off = level_offsets(grid, K)
+    index, value = [], []
     for _ in range(n_atoms):
         k = int(rng.integers(0, K + 1))
         j = int(rng.integers(0, grid.n_cells(k)))
         val = rng.standard_normal()
         if complex_coeffs:
             val = val + 1j * rng.standard_normal()
-        if positive:
-            val = abs(val)
-        coeffs[CellId(k, j)] = coeffs.get(CellId(k, j), 0.0) + val
-    if positive:
-        coeffs = {c: abs(v) for c, v in coeffs.items()}
-    rep = AtomicRep(params, grid, coeffs, positive_flag=positive)
+        index.append(off[k] + j)
+        value.append(abs(val) if positive else val)
+    rep = AtomicRep(params, grid, *merge_repeats(np.array(index, dtype=np.int64),
+                                                 np.array(value)), positive_flag=positive)
     if normalize:
         nrm = coefficient_norm(rep)
         if nrm > 0:

@@ -279,20 +279,23 @@ def _build_branches(spec: MapSpec) -> List[Branch]:
     raise MapSpecError(f"unknown map name: {name!r}")
 
 
-def _attach_potential(branch: Branch, spec: MapSpec, grid: Grid) -> None:
+def _attach_potential(branch: Branch, spec: MapSpec) -> None:
     if spec.potential == "jacobian":
         if branch.affine_slope is not None:
             slope = abs(branch.affine_slope)
             branch.potential = Potential("jacobian", lambda x, s=slope: np.full_like(
                 np.asarray(x, dtype=float), s), value=slope)
+        elif spec.name == "gauss":
+            r = branch.r
+            branch.potential = Potential(
+                "jacobian", lambda x, r=r: 1.0 / (np.asarray(x, dtype=float) + r) ** 2)
         else:
-            # fallback for curved branches without a closed-form derivative
-            h = branch.h
+            # lorenz_cusp, the other map with curved branches
+            inv_k = 1.0 / spec.exponent
 
-            def g(x, h=h):
-                x = np.asarray(x, dtype=float)
-                d = 1e-7
-                return np.abs((h(x + d) - h(x - d)) / (2 * d))
+            def g(y):
+                y = np.asarray(y, dtype=float)
+                return (0.5 * inv_k) * np.power(np.maximum(1.0 - y, 0.0), inv_k - 1.0)
 
             branch.potential = Potential("jacobian", g)
     elif spec.potential == "constant":
@@ -306,22 +309,6 @@ def _attach_potential(branch: Branch, spec: MapSpec, grid: Grid) -> None:
         branch.potential = Potential("custom", spec.custom_fn, positive=False)
     else:
         raise MapSpecError(f"unknown potential rule: {spec.potential!r}")
-
-
-def _gauss_jacobian(branch: Branch) -> None:
-    r = branch.r
-    branch.potential = Potential(
-        "jacobian", lambda x, r=r: 1.0 / (np.asarray(x, dtype=float) + r) ** 2)
-
-
-def _lorenz_jacobian(branch: Branch, kappa: float) -> None:
-    inv_k = 1.0 / kappa
-
-    def g(y):
-        y = np.asarray(y, dtype=float)
-        return (0.5 * inv_k) * np.power(np.maximum(1.0 - y, 0.0), inv_k - 1.0)
-
-    branch.potential = Potential("jacobian", g)
 
 
 # -- ledger probes --------------------------------------------------------------
@@ -385,17 +372,11 @@ def _probe_cells(grid: Grid, ends: np.ndarray, top, per: Optional[int]):
     return pair // levels.size, pair % levels.size, i0.ravel()[pair] + step[pair] * rank
 
 
-def distortion_constant(grid: Grid, branch: Branch, alpha: float, top: int) -> float:
-    """c_dgd1: the largest c_dom of the decomposed forward images of about
-    32 cells inside the image on each level up to top (preimage_decomp,
-    all at once), and at least 1."""
-    return _distortion_constants(grid, [branch], alpha, top)[0]
-
-
 def _distortion_constants(grid: Grid, branches: Sequence[Branch], alpha: float,
                           tops) -> List[float]:
-    """distortion_constant of every branch (up to its level in tops), the
-    forward images of all their probe cells decomposed in one cover call."""
+    """c_dgd1 of every branch: the largest c_dom of the decomposed forward
+    images of about 32 cells inside its image on each level up to its
+    level in tops, and at least 1; all decomposed in one cover call."""
     br, ks, js = _probe_cells(grid, _ends(branches, "img"), tops, 32)
     lo, hi, _ = grid.extents(ks, js)
     _check_inside_images(grid, branches, br, ks, lo, hi)
@@ -773,15 +754,8 @@ def make_map(spec: MapSpec, grid: Grid, params: BesovParams,
     """
     params.validate()
     branches = _build_branches(spec)
-    if spec.name == "gauss" and spec.potential == "jacobian":
-        for b in branches:
-            _gauss_jacobian(b)
-    elif spec.name == "lorenz_cusp" and spec.potential == "jacobian":
-        for b in branches:
-            _lorenz_jacobian(b, spec.exponent)
-    else:
-        for b in branches:
-            _attach_potential(b, spec, grid)
+    for b in branches:
+        _attach_potential(b, spec)
     if not allow_nonexpanding:
         _check_expanding(branches)
     grid = grid.with_cuts(density_breakpoints(branches, grid))

@@ -67,7 +67,8 @@ def _arnoldi(tm: TransferMatrix, tol: float) -> Eigensystem:
     """Peripheral eigenvalues and the first one inside the disc, by ARPACK.
 
     Implicitly restarted Arnoldi on the sparse matrix from a fixed start,
-    so runs repeat exactly.  k starts at 2 and doubles while every value
+    with a seeded generator for the restart vectors ARPACK asks for, so
+    runs repeat exactly.  k starts at 2 and doubles while every value
     has modulus >= 1 - tol; it stays minimal because ARPACK stalls on the
     clusters deeper in the disc.  Non-convergence raises ConvergenceError,
     with no dense fallback; only a matrix too small for ARPACK is dense.
@@ -81,7 +82,8 @@ def _arnoldi(tm: TransferMatrix, tol: float) -> Eigensystem:
             solver = {"method": "dense", "k": n, "ncv": None, "converged": True}
             break
         try:
-            ev, vecs = eigs(tm.matrix, k=k, which="LM", v0=np.ones(n), ncv=ncv)
+            ev, vecs = eigs(tm.matrix, k=k, which="LM", v0=np.ones(n), ncv=ncv,
+                            rng=np.random.default_rng(0))
         except ArpackNoConvergence as exc:
             raise ConvergenceError(
                 f"ARPACK: {len(exc.eigenvalues)} of the {k} largest eigenvalues "
@@ -285,7 +287,6 @@ def _root_of_unity_match(lam: complex, max_order: int,
 
 
 def peripheral_spectrum(tm: TransferMatrix, tol: float = 1e-6,
-                        transitivity_level: Optional[int] = None,
                         spectrum: Optional[Eigensystem] = None,
                         density: Optional[Tuple[PiecewiseFn, DensityInfo]] = None
                         ) -> SpectralReport:
@@ -326,7 +327,6 @@ def peripheral_spectrum(tm: TransferMatrix, tol: float = 1e-6,
         match = _root_of_unity_match(lam, max_order=max(len(peripheral), 8), tol=tol)
         if match is not None:
             roots[lam] = match
-    level = transitivity_level if transitivity_level is not None else min(tm.K, 6)
     return SpectralReport(
         eigenvalues=ev,
         peripheral=peripheral,
@@ -336,7 +336,7 @@ def peripheral_spectrum(tm: TransferMatrix, tol: float = 1e-6,
         eigenspace_dim_at_1=dim1,
         semisimple=semisimple,
         roots_of_unity=roots,
-        transitive=transitivity_check(tm, level),
+        transitive=transitivity_check(tm, min(tm.K, 6)),
         density_info=info,
         solver=es.solver,
     )

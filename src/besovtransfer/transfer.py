@@ -31,6 +31,8 @@ from .atoms import (
     AtomicRep,
     BesovParams,
     PiecewiseFn,
+    accumulate,
+    basis_cells,
     basis_size,
     canonical_rep,
     coefficient_norm,
@@ -38,12 +40,13 @@ from .atoms import (
     evaluate,
     evaluate_vector,
     level_offsets,
+    merge_repeats,
     subtree_indices,
 )
 from .domains import cover
-from .dynamics import Branch, BranchSystem, per_branch
+from .dynamics import Branch, BranchSystem, _ends, _probe_cells, per_branch
 from .errors import AssumptionError, CapacityError, CellNotFoundError, ModeMismatchError
-from .grid import CellId, Grid, python_pow
+from .grid import Grid, python_pow
 
 INF = math.inf
 
@@ -247,39 +250,32 @@ def slice_rep(rep: AtomicRep, system: BranchSystem,
     """
     grid, params = system.grid, system.params
     K = grid.max_level
-    qs = list(rep.coeffs)
-    sl = _slice_atoms(system, [Q.level for Q in qs], [Q.index for Q in qs],
-                     np.array(list(rep.coeffs.values())), K)
+    sl = _slice_atoms(system, *rep.cells(), rep.value, K)
     # per slice its cells, then the bottom cells its defect meets
     piece, j, a_, b_, w_j = grid.overlaps(K, sl.defect_lo, sl.defect_hi)
     pair = np.concatenate([sl.pair, sl.defect_pair[piece]])
     order = np.argsort(pair, kind="stable")
-    rs = np.array([b.r for b in system.branches])[sl.branch[pair[order]]]
-    level = np.concatenate([sl.level, np.full(j.size, K)])[order]
-    index = np.concatenate([sl.index, j])[order]
+    off, n = np.asarray(level_offsets(grid, K)), basis_size(grid, K)
+    index = np.concatenate([off[sl.level] + sl.index, off[K] + j])[order]
     coef = np.concatenate([sl.coeff, sl.amp[sl.defect_pair[piece]] * ((b_ - a_) / w_j)
                            * w_j ** params.theta])[order]
-    out: Dict[int, Dict[CellId, complex]] = {b.r: {} for b in system.branches}
-    for r, k, jj, v in zip(rs.tolist(), level.tolist(), index.tolist(), coef.tolist()):
-        bucket, cell = out[r], CellId(k, jj)
-        bucket[cell] = bucket.get(cell, 0.0) + v
+    # one entry per (branch position, basis index)
+    key, coef = merge_repeats(sl.branch[pair[order]] * n + index, coef)
+    branch, index = key // n, key % n
+    reps = {b.r: AtomicRep(params, grid, index[branch == i], coef[branch == i],
+                           positive_flag=rep.positive_flag)
+            for i, b in enumerate(system.branches)}
 
-    reps = {r: AtomicRep(params, grid, coeffs,
-                         positive_flag=rep.positive_flag)
-            for r, coeffs in out.items()}
-
-    thetas = {b.r: b.theta(params) for b in system.branches}
-    levels = sorted({c.level for r in reps.values() for c in r.coeffs})
-    masses = {r: {} for r in reps}
-    for r, br in reps.items():
-        for c, v in br.coeffs.items():
-            masses[r][c.level] = masses[r].get(c.level, 0.0) + abs(v) ** params.p
-    lhs1_levels, lhs2_levels = [], []
-    for lev in levels:
-        s1 = sum(thetas[r] * masses[r].get(lev, 0.0) ** (1 / params.p) for r in reps)
-        s2 = sum(thetas[r] ** params.p * masses[r].get(lev, 0.0) for r in reps)
-        lhs1_levels.append(s1)
-        lhs2_levels.append(s2 ** (1 / params.p))
+    # the measured sides, from the masses sum |coef|**p per (level, branch);
+    # hypot is Python's abs of a complex, numpy's abs can differ in the last bit
+    p = params.p
+    thetas = [b.theta(params) for b in system.branches]
+    levels, at = np.unique(basis_cells(grid, index)[0], return_inverse=True)
+    mod = np.hypot(coef.real, coef.imag)
+    masses = np.bincount(at * len(thetas) + branch, weights=python_pow(mod, p),
+                         minlength=levels.size * len(thetas)).reshape(-1, len(thetas)).tolist()
+    lhs1_levels = [sum(t * m ** (1 / p) for t, m in zip(thetas, row)) for row in masses]
+    lhs2_levels = [sum(t ** p * m for t, m in zip(thetas, row)) ** (1 / p) for row in masses]
     q = params.q
     if q == INF:
         lhs1 = max(lhs1_levels, default=0.0)
@@ -497,20 +493,17 @@ def apply_transfer(system: BranchSystem, rep: AtomicRep, mode: str = "analytic",
     result = None
     defect_l1 = 0.0
     if mode == "analytic" or cross_check:
-        qs = list(rep.coeffs)
-        _, idx, val, slivers = transfer_atom(
-            system, [Q.level for Q in qs], [Q.index for Q in qs],
-            np.array(list(rep.coeffs.values())))
+        _, idx, val, slivers = transfer_atom(system, *rep.cells(), rep.value)
         # the whole expansion's slivers re-aggregate as those of one atom
         _, cells, coefs, defect = _reaggregate(
             system, K, slivers._replace(atom=np.zeros_like(slivers.atom)), 1)
-        vec = _accumulate(np.concatenate([idx, level_offsets(grid, K)[K] + cells]),
-                          np.concatenate([val, coefs]), basis_size(grid, K))
+        vec = accumulate(np.concatenate([idx, level_offsets(grid, K)[K] + cells]),
+                         np.concatenate([val, coefs]), basis_size(grid, K))
         defect_l1 = float(defect[0])
         positive = bool(rep.positive_flag
                         and all(b.potential.positive for b in system.branches)
                         and np.all(np.isreal(vec)) and np.all(np.real(vec) >= -1e-12))
-        result = AtomicRep.from_vector(params, grid, vec, K)
+        result = AtomicRep.from_vector(params, grid, vec)
         result.positive_flag = positive
         cert = slicing_certificates(system, constants)
         result.meta.update({
@@ -535,17 +528,6 @@ def apply_transfer(system: BranchSystem, rep: AtomicRep, mode: str = "analytic",
             result = canonical_rep(g, params)
             result.meta["defect_l1"] = defect_l1
     return result
-
-
-def _accumulate(idx: np.ndarray, val: np.ndarray, n: int) -> np.ndarray:
-    """Sum the values into a length-n vector by index, in the order given
-    (one bincount for the real part, one for the imaginary part)."""
-    re = np.bincount(idx, weights=val.real, minlength=n)
-    if not np.iscomplexobj(val):
-        return re
-    out = re.astype(np.complex128)
-    out.imag = np.bincount(idx, weights=val.imag, minlength=n)
-    return out
 
 
 def c_d_constant(system: BranchSystem) -> float:
@@ -601,22 +583,12 @@ def transfer_numeric(system: BranchSystem, f: PiecewiseFn) -> PiecewiseFn:
 # -- coefficient split and matrix assembly -------------------------------------
 
 
-def _merge_repeats(row: np.ndarray, col: np.ndarray, val: np.ndarray, n: int
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One entry per (row, col): repeats summed in the order given, entries
-    in the order of their first appearance."""
-    uniq, first, inv = np.unique(col * n + row, return_index=True, return_inverse=True)
-    total = _accumulate(inv, val, uniq.size)
-    order = np.argsort(first)
-    return uniq[order] % n, uniq[order] // n, total[order]
-
-
 def essential_split(rep: AtomicRep, t: int) -> Tuple[AtomicRep, AtomicRep]:
     """Coefficientwise split into levels < t (head) and levels >= t (tail)."""
-    head = {c: v for c, v in rep.coeffs.items() if c.level < t}
-    tail = {c: v for c, v in rep.coeffs.items() if c.level >= t}
-    mk = lambda d: AtomicRep(rep.params, rep.grid, d, rep.positive_flag)
-    return mk(head), mk(tail)
+    head = rep.cells()[0] < t
+    mk = lambda keep: AtomicRep(rep.params, rep.grid, rep.index[keep], rep.value[keep],
+                                rep.positive_flag)
+    return mk(head), mk(~head)
 
 
 @dataclass
@@ -793,8 +765,9 @@ def assemble_matrix(system: BranchSystem, K: Optional[int] = None, t: int = 1,
         atom, level_rows, level_vals, slivers = transfer_atom(
             system, k, np.arange(grid.n_cells(k)), 1.0, stats, K=K)
         # a column's repeated cells are summed as they came, before its slivers
-        row, col, val = _merge_repeats(level_rows, off[k] + atom,
-                                       level_vals.astype(dtype, copy=False), n)
+        key, val = merge_repeats((off[k] + atom) * n + level_rows,
+                                 level_vals.astype(dtype, copy=False))
+        row, col = key % n, key // n
         keep = np.abs(val) > 1e-300
         rows_idx.append(row[keep])
         data.append(val[keep])
@@ -861,22 +834,21 @@ def lebesgue_bound_check(system: BranchSystem, probe_level: int = 6) -> BoundRep
                 "integrability bound fails and the operator is refused"
             )
     exponent = 1.0 / params.p - params.s + params.eps
-    c_11 = 0.0
-    for b in system.branches:
-        for k in range(min(probe_level, grid.max_level) + 1):
-            # about 16 cells inside the image, each probed at 17 points of
-            # its forward image
-            i0, i1 = grid.contained_run(k, *b.img)
-            js = np.arange(i0, i1, max(1, (i1 - i0) // 16))
-            edges = grid.edges(k)
-            vlo, vhi = b.forward_interval(edges[js], edges[js + 1])
-            ok = vhi - vlo > 0
-            xs = np.linspace(vlo[ok], vhi[ok], 17, axis=-1)
-            sup_g = np.max(np.abs(np.reshape(b.potential(xs.ravel()), xs.shape)), axis=-1)
-            ratio = grid.widths(k)[js[ok]] / (vhi - vlo)[ok]
-            # Python's pow: numpy's vectorized one can differ in the last bit
-            c_11 = max([c_11] + [g / r ** exponent
-                                 for g, r in zip(sup_g.tolist(), ratio.tolist())])
+    # per branch and level about 16 cells inside the image, each probed at
+    # 17 points of its forward image: one potential call per branch
+    branches = system.branches
+    br, ks, js = _probe_cells(grid, _ends(branches, "img"), min(probe_level, grid.max_level), 16)
+    lo, hi, width = grid.extents(ks, js)
+    vlo, vhi = per_branch(branches, br, Branch.forward_interval, lo, hi)
+    ok = vhi - vlo > 0
+    br, xs = br[ok], np.linspace(vlo[ok], vhi[ok], 17, axis=-1)
+    abs_g = np.empty(xs.shape)
+    for r in np.unique(br).tolist():
+        abs_g[br == r] = np.abs(np.reshape(branches[r].potential(xs[br == r].ravel()), (-1, 17)))
+    ratio = width[ok] / (vhi - vlo)[ok]
+    # Python's pow: numpy's vectorized one can differ in the last bit
+    c_11 = max([0.0] + [g / r ** exponent
+                        for g, r in zip(abs_g.max(axis=-1).tolist(), ratio.tolist())])
     classes = system.lebesgue_classes
     by_r = {b.r: b for b in system.branches}
     sum_l2 = sum(by_r[r].c_dc1 ** eps_prime * by_r[r].c_dc2 ** (by_r[r].shift * eps_prime)

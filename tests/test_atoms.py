@@ -12,6 +12,7 @@ from besovtransfer.atoms import (
     BesovParams,
     PiecewiseFn,
     atom_rep,
+    atom_heights,
     besov_to_souza,
     canonical_rep,
     coefficient_norm,
@@ -25,7 +26,7 @@ from besovtransfer.atoms import (
     subtree_indices,
     subtree_norms,
 )
-from besovtransfer.dynamics import MapSpec, make_map
+from besovtransfer.dynamics import MapSpec, make_map, working_grid
 from besovtransfer.errors import AtomBudgetError, ParamsError
 from besovtransfer.grid import CellId, build_grid
 
@@ -85,25 +86,25 @@ def test_coefficient_norm_single():
 
 
 def test_coefficient_norm_two_cells_one_level():
-    rep = AtomicRep(PARAMS, GRID, {CellId(1, 0): 1.0, CellId(1, 1): 1.0})
+    rep = AtomicRep.from_cells(PARAMS, GRID, {CellId(1, 0): 1.0, CellId(1, 1): 1.0})
     assert coefficient_norm(rep) == pytest.approx(math.sqrt(2.0))
 
 
 def test_coefficient_norm_q1_four_levels():
     p = BesovParams(q=1.0)
-    rep = AtomicRep(p, GRID, {CellId(k, 0): 1.0 for k in range(4)})
+    rep = AtomicRep.from_cells(p, GRID, {CellId(k, 0): 1.0 for k in range(4)})
     assert coefficient_norm(rep) == pytest.approx(4.0)
 
 
 def test_coefficient_norm_q_inf():
     p = BesovParams(q=math.inf)
-    rep = AtomicRep(p, GRID, {CellId(0, 0): 1.0, CellId(1, 0): 3.0, CellId(1, 1): 4.0})
+    rep = AtomicRep.from_cells(p, GRID, {CellId(0, 0): 1.0, CellId(1, 0): 3.0, CellId(1, 1): 4.0})
     assert coefficient_norm(rep) == pytest.approx(5.0)
 
 
 def test_evaluate_tiling_indicators():
     p = BesovParams(s=0.5, p=2.0)
-    rep = AtomicRep(p, GRID, {CellId(1, 0): 0.7, CellId(1, 1): 0.7})
+    rep = AtomicRep.from_cells(p, GRID, {CellId(1, 0): 0.7, CellId(1, 1): 0.7})
     f = evaluate(rep)
     assert np.allclose(f.values, 0.7)
 
@@ -113,8 +114,106 @@ def test_norm_independent_of_s():
     rep = random_rep(GRID, PARAMS, rng, normalize=False)
     for s in (0.2, 0.3, 0.45):
         p2 = BesovParams(s=s, beta=(s + 0.5) / 2, eps=min(0.1, 0.5 - s), delta=0.05)
-        rep2 = AtomicRep(p2, GRID, dict(rep.coeffs))
+        rep2 = AtomicRep.from_cells(p2, GRID, dict(rep.coeffs))
         assert coefficient_norm(rep2) == pytest.approx(coefficient_norm(rep))
+
+
+# -- the dict encoding the index arrays replaced, kept as a reference -------------
+
+def _dict_norm(coeffs, params):
+    """coefficient_norm of a cell -> coefficient dict: levels in the order
+    they first appear, each level's coefficients in dict order."""
+    levels = {}
+    for cell, v in coeffs.items():
+        levels.setdefault(cell.level, []).append(v)
+    masses = []
+    for vals in levels.values():
+        a = np.abs(np.asarray(vals))
+        masses.append(float(a.max(initial=0.0)) if params.p == math.inf
+                      else float(np.sum(a ** params.p) ** (1.0 / params.p)))
+    vals = np.asarray(masses, dtype=float)
+    if vals.size == 0:
+        return 0.0
+    q = params.q
+    return float(vals.max()) if q == math.inf else float(np.sum(vals ** q) ** (1.0 / q))
+
+
+def _dict_evaluate(coeffs, params, grid):
+    """evaluate of a dict: atom by atom onto the bottom cells."""
+    K, m, theta = grid.max_level, grid.arity, params.theta
+    any_complex = any(np.imag(v) != 0 for v in coeffs.values())
+    vals = np.zeros(grid.n_cells(K), dtype=np.complex128 if any_complex else np.float64)
+    bottom = np.broadcast_to(atom_heights(grid, K, theta), grid.n_cells(K))
+    for cell, v in coeffs.items():
+        span = m ** (K - cell.level)
+        amp = v * bottom[cell.index] if cell.level == K else v * float(m) ** (cell.level * theta)
+        vals[cell.index * span:(cell.index + 1) * span] += amp
+    return vals
+
+
+def _dict_add(a, b):
+    out = dict(a)
+    for c, v in b.items():
+        out[c] = out.get(c, 0.0) + v
+    return out
+
+
+def _dict_draws(grid, rng, n_atoms, positive, complex_coeffs):
+    """random_rep's draws added up into a dict, before normalisation."""
+    coeffs = {}
+    for _ in range(n_atoms):
+        k = int(rng.integers(0, grid.max_level + 1))
+        j = int(rng.integers(0, grid.n_cells(k)))
+        val = rng.standard_normal()
+        if complex_coeffs:
+            val = val + 1j * rng.standard_normal()
+        if positive:
+            val = abs(val)
+        coeffs[CellId(k, j)] = coeffs.get(CellId(k, j), 0.0) + val
+    return coeffs
+
+
+def _hex(values):
+    values = np.asarray(list(values))
+    return [v.hex() for v in np.real(values).tolist() + np.imag(values).tolist()]
+
+
+def test_index_arrays_equal_the_dict_encoding_bit_for_bit():
+    grid = working_grid(MapSpec("beta", beta=1.8), build_grid(2, 8))   # a cut bottom level
+    box = dict(s=0.5, beta=0.6, eps=0.2)
+    norms = (PARAMS, BesovParams(q=math.inf), BesovParams(p=1.0, q=3.0, **box))
+    for seed in range(30):
+        kind = dict(positive=seed % 3 == 1, complex_coeffs=seed % 3 == 2)
+        want = _dict_draws(grid, np.random.default_rng(seed), 60, **kind)
+        assert len(want) < 60          # some cells were drawn more than once
+        rep = random_rep(grid, PARAMS, np.random.default_rng(seed), n_atoms=60,
+                         normalize=False, **kind)
+        assert list(rep.coeffs) == list(want)
+        assert _hex(rep.coeffs.values()) == _hex(want.values())
+        for params in norms:
+            got = AtomicRep(params, grid, rep.index, rep.value)
+            assert coefficient_norm(got).hex() == _dict_norm(want, params).hex()
+        assert _hex(evaluate(rep).values) == _hex(_dict_evaluate(want, PARAMS, grid))
+        scale = 1.0 / _dict_norm(want, PARAMS)
+        unit = random_rep(grid, PARAMS, np.random.default_rng(seed), n_atoms=60, **kind)
+        assert _hex(unit.coeffs.values()) == _hex([scale * v for v in want.values()])
+        other = _dict_draws(grid, np.random.default_rng(seed + 100), 30, **kind)
+        total = rep + AtomicRep.from_cells(PARAMS, grid, other)
+        assert list(total.coeffs) == list(_dict_add(want, other))
+        assert _hex(total.coeffs.values()) == _hex(_dict_add(want, other).values())
+        assert coefficient_norm(total).hex() == _dict_norm(_dict_add(want, other), PARAMS).hex()
+        # from_cells keeps the mapping's order, here not the basis order
+        shuffled = dict(reversed(list(want.items())))
+        back = AtomicRep.from_cells(PARAMS, grid, shuffled)
+        assert list(back.coeffs) == list(shuffled)
+        assert coefficient_norm(back).hex() == _dict_norm(shuffled, PARAMS).hex()
+        assert _hex(evaluate(back).values) == _hex(_dict_evaluate(shuffled, PARAMS, grid))
+
+
+def test_from_cells_refuses_cells_off_the_grid():
+    for cell in (CellId(9, 0), CellId(3, 8), CellId(2, -1), CellId(-1, 0)):
+        with pytest.raises(ValueError):
+            AtomicRep.from_cells(PARAMS, GRID, {cell: 1.0})
 
 
 # -- canonical representation --------------------------------------------------
@@ -290,7 +389,7 @@ def test_embedding_factor_finite():
 def _atom_as_besov(cell, grid, params):
     """Wrap a plain atom as a finer-scale atom with a one-coefficient rep."""
     conv = grid.measure(cell) ** (params.s - params.beta)
-    rep = AtomicRep(params, grid, {cell: conv}, positive_flag=True)
+    rep = AtomicRep.from_cells(params, grid, {cell: conv}, positive_flag=True)
     return BesovAtom(cell, rep)
 
 
@@ -311,7 +410,7 @@ def test_besov_to_souza_positivity():
 
 def test_besov_to_souza_budget_enforced():
     cell = CellId(2, 1)
-    rep = AtomicRep(PARAMS, GRID, {cell: 100.0})
+    rep = AtomicRep.from_cells(PARAMS, GRID, {cell: 100.0})
     with pytest.raises(AtomBudgetError):
         besov_to_souza([(1.0, BesovAtom(cell, rep))], PARAMS, GRID)
 
@@ -400,7 +499,7 @@ def test_piecewise_csv_format():
 def test_atom_resolution_guards():
     with pytest.raises(ValueError):
         souza_atom(CellId(9, 0), PARAMS, GRID)
-    deep = AtomicRep(PARAMS, GRID, {CellId(8, 1): 1.0})
+    deep = AtomicRep.from_cells(PARAMS, GRID, {CellId(8, 1): 1.0})
     with pytest.raises(ValueError):
         evaluate(deep, resolution=5)
 

@@ -198,6 +198,20 @@ def test_spectrum_and_decay_share_one_factorisation(tmp_path, monkeypatch):
     assert decay["certificate_rate"] == pytest.approx(1.0 - gap, abs=1e-15)
 
 
+def test_arpack_solves_repeat_exactly(tmp_path):
+    # on this matrix ARPACK asks for restart vectors, which an unseeded
+    # generator would draw differently on every solve
+    config = {"grid": {"arity": 2, "max_level": 6}, "map": {"map": "m_ary", "arity": 3},
+              "analyses": ["spectrum", "decay"]}
+    runners = [cli.Runner(cli.RunConfig.from_json(config, tmp_path / name)) for name in "ab"]
+    tm = runners[0].matrix()
+    assert spectral.eigenvalues(tm).tobytes() == spectral.eigenvalues(tm).tobytes()
+    for runner in runners:
+        runner.run()
+    for fname in ("spectrum.csv", "spectral.json", "decay.json"):
+        assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
+
+
 def test_arpack_failure_is_a_numeric_failure(tmp_path, monkeypatch):
     def stalled(A, k, **kwargs):
         raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((A.shape[0], 0)))

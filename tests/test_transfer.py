@@ -149,6 +149,24 @@ def test_slice_rep_equals_the_atom_by_atom_loop(spec):
             assert br.positive_flag == rep.positive_flag
 
 
+def test_apply_transfer_and_slice_rep_build_no_cell_ids(beta18, monkeypatch):
+    rep = random_rep(beta18.grid, PARAMS, np.random.default_rng(13), n_atoms=15)
+    want = apply_transfer(beta18, rep, cross_check=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CellId was built")
+
+    # every CellId(...) call, whichever module makes it
+    monkeypatch.setattr(CellId, "__new__", refuse)
+    with pytest.raises(AssertionError, match="CellId"):
+        CellId(0, 0)
+    out = apply_transfer(beta18, rep, cross_check=True)
+    sliced = slice_rep(rep, beta18)
+    monkeypatch.undo()
+    assert list(out.coeffs.items()) == list(want.coeffs.items())
+    assert sum(len(br.coeffs) for br in sliced.branch_reps.values()) > 0
+
+
 # -- the action ------------------------------------------------------------------
 
 def test_transfer_preserves_constants_doubling(doubling):
@@ -495,6 +513,45 @@ def test_lebesgue_rejects_nonexpanding():
                       build_grid(2, 8), PARAMS, allow_nonexpanding=True)
     with pytest.raises(AssumptionError):
         lebesgue_bound_check(system)
+
+
+def _c_11_by_loop(system, probe_level):
+    """lebesgue_bound_check's c_11 one branch and one level at a time:
+    about 16 cells inside the image, each probed at 17 points of its
+    forward image."""
+    grid, params = system.grid, system.params
+    exponent = 1.0 / params.p - params.s + params.eps
+    c_11 = 0.0
+    for b in system.branches:
+        for k in range(min(probe_level, grid.max_level) + 1):
+            i0, i1 = grid.contained_run(k, *b.img)
+            js = np.arange(i0, i1, max(1, (i1 - i0) // 16))
+            edges = grid.edges(k)
+            vlo, vhi = b.forward_interval(edges[js], edges[js + 1])
+            ok = vhi - vlo > 0
+            xs = np.linspace(vlo[ok], vhi[ok], 17, axis=-1)
+            sup_g = np.max(np.abs(np.reshape(b.potential(xs.ravel()), xs.shape)), axis=-1)
+            ratio = grid.widths(k)[js[ok]] / (vhi - vlo)[ok]
+            c_11 = max([c_11] + [g / r ** exponent
+                                 for g, r in zip(sup_g.tolist(), ratio.tolist())])
+    return c_11
+
+
+@pytest.mark.parametrize("spec, arity, K", [
+    (MapSpec("doubling"), 2, 8),
+    (MapSpec("m_ary", arity=3), 3, 5),
+    (MapSpec("beta", beta=PHI), 2, 10),
+    (MapSpec("beta", beta=1.8), 2, 9),
+    (MapSpec("pw_linear", breakpoints=(0.0, 1 / 3, 1.0), slopes=(3.0, 1.5)), 2, 9),
+    (MapSpec("lorenz_cusp", exponent=0.75), 2, 9),
+    (MapSpec("gauss", r_max=20), 2, 8),
+    (MapSpec("gauss", r_max=50), 2, 10),
+], ids=["doubling", "m_ary3", "golden", "beta18", "pw_linear", "lorenz", "gauss", "gauss50"])
+def test_lebesgue_c_11_equals_the_branch_by_level_loop(spec, arity, K):
+    system = make_map(spec, build_grid(arity, K), PARAMS, probe_level=min(8, K))
+    for probe_level in (2, 6, 12):
+        assert lebesgue_bound_check(system, probe_level).c_11.hex() == \
+            _c_11_by_loop(system, probe_level).hex()
 
 
 def test_c_d_constant(doubling):
