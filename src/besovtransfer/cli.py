@@ -229,7 +229,7 @@ class Runner:
         rho, info = self.density()
         self._write("density.csv", rho.to_csv())
         path = self.config.out_dir / "density_info.json"
-        _json_dump(path, {"iterations": info.iterations, "method": info.method,
+        _json_dump(path, {"iterations": info.iterations, "method": "power",
                           "residual": info.residual, "clamp_mass": info.clamp_mass,
                           "tail_deficit": info.deficit})
         self.written.append(path)

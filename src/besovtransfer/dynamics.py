@@ -539,7 +539,6 @@ class BranchSystem:
     n_overlap: int = 0          # sup over cells of #branch supports containing it
     t_overlap: float = 0.0      # sup over probing cells of theta-weighted overlap
     images_cell_aligned_from: Optional[int] = None
-    tail_mass_geometric: float = 0.0
     lebesgue_classes: Dict[str, List[int]] = field(default_factory=dict)
     probe_level: int = 10
     # weight averages by (branch id, level), the stacked coefficient tables
@@ -792,8 +791,6 @@ def make_map(spec: MapSpec, grid: Grid, params: BesovParams,
         system.check_a00()
     _measure_overlaps(system)
     system.images_cell_aligned_from = _images_aligned_from(system)
-    if spec.name == "gauss":
-        system.tail_mass_geometric = 1.0 / (spec.r_max + 1)
     _classify_lebesgue(system)
     return system
 

@@ -1,8 +1,11 @@
 """Spectral analysis of assembled transfer matrices.
 
-Inequality fits, invariant densities, peripheral spectrum, correlation
-decay, and the variance of centered observables via the perturbed
-operator family.
+The atom matrix M and the level-K bin operator U (`transfer.cell_operator`)
+satisfy E M = U E, E = `evaluate_vector`.  The analyses on functions read U
+on cell values: the invariant density, the correlations and their decay
+fit, and the variance of centered observables via the perturbed operator
+family.  M serves the eigenvalues (peripheral spectrum, gap, decay
+certificate) and the norm-inequality fit.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigs
 from .atoms import (
     AtomicRep,
     PiecewiseFn,
-    basis_size,
     canonical_vector,
     coefficient_norm_vector,
     evaluate_vector,
@@ -185,77 +187,43 @@ def lasota_yorke_verify(tm: TransferMatrix, ensemble_size: int = 100,
 @dataclass
 class DensityInfo:
     iterations: int
-    method: str
-    residual: float
+    residual: float         # L1 distance of U rho / (1 - deficit) from rho
     clamp_mass: float
     deficit: float          # stationary mass lost per application (truncation)
 
 
-def invariant_density(tm: TransferMatrix, method: str = "power",
-                      tol: float = 1e-12, max_iter: int = 2000,
+def invariant_density(tm: TransferMatrix, tol: float = 1e-12, max_iter: int = 2000,
                       start: Optional[np.ndarray] = None
                       ) -> Tuple[PiecewiseFn, DensityInfo]:
     """Fixed density of the truncated operator, normalized to unit mass.
 
-    power: renormalized iteration; cesaro: running averages of the
-    iterates of the flat start.  Negative dust below -tol is clamped and
-    the clamped mass reported.
+    Renormalized power iteration of the bin operator U on cell values from
+    the flat function, or from `start`, an atom-basis coefficient vector
+    evaluated once, until no value moves by tol.  Negative dust below -tol
+    is clamped and the clamped mass reported.
     """
-    grid, params = tm.grid, tm.params
-    n = basis_size(grid, tm.K)
-    mf = tm.mass_functional()
-    vec = np.zeros(n) if start is None else start.astype(float).copy()
-    if start is None:
-        vec[0] = 1.0
-    vec /= mf @ vec
-    deficit = 0.0
-    if method == "power":
-        it = 0
-        for it in range(1, max_iter + 1):
-            new = tm.apply(vec)
-            mass = mf @ new
-            deficit = 1.0 - mass
-            new = new / mass
-            delta = float(np.max(np.abs(new - vec)))
-            vec = new
-            if delta < tol:
-                break
-        else:
-            raise ConvergenceError(f"power iteration: no convergence in {max_iter}")
-        iterations = it
-    elif method == "cesaro":
-        avg = vec.copy()
-        cur = vec.copy()
-        it = 0
-        for it in range(1, max_iter + 1):
-            cur = tm.apply(cur)
-            mass = mf @ cur
-            deficit = 1.0 - mass
-            cur = cur / mass
-            new_avg = (avg * it + cur) / (it + 1)
-            f_old = evaluate_vector(avg, grid, tm.K, params)
-            f_new = evaluate_vector(new_avg, grid, tm.K, params)
-            delta = float(grid.integrate(tm.K, np.abs(f_new - f_old)))
-            avg = new_avg
-            if delta < tol and it > 3:
-                break
-        else:
-            raise ConvergenceError(f"cesaro iteration: no convergence in {max_iter}")
-        vec = avg
-        iterations = it
+    grid, K = tm.grid, tm.K
+    U = cell_operator(tm.system, K)
+    vals = np.ones(grid.n_cells(K)) if start is None else \
+        evaluate_vector(start.astype(float), grid, K, tm.params)
+    vals = vals / grid.integrate(K, vals)
+    for it in range(1, max_iter + 1):
+        new = U @ vals
+        mass = grid.integrate(K, new)
+        deficit = 1.0 - mass
+        new /= mass
+        delta = float(np.max(np.abs(new - vals)))
+        vals = new
+        if delta < tol:
+            break
     else:
-        raise ValueError("method must be 'power' or 'cesaro'")
-    vals = np.real(evaluate_vector(vec, grid, tm.K, params))
-    clamp_mass = float(grid.integrate(tm.K, np.abs(vals), select=vals < -tol))
+        raise ConvergenceError(f"power iteration: no convergence in {max_iter}")
+    clamp_mass = float(grid.integrate(K, np.abs(vals), select=vals < -tol))
     vals = np.maximum(vals, 0.0)
-    vals /= grid.integrate(tm.K, vals)
-    rho = PiecewiseFn(grid, tm.K, vals)
-    resid = rho.l1_distance(PiecewiseFn(
-        grid, tm.K,
-        np.real(evaluate_vector(tm.apply(canonical_vector(vals, grid, tm.K, params)),
-                                grid, tm.K, params)) / max(1.0 - deficit, 1e-300)))
-    return rho, DensityInfo(iterations=iterations, method=method, residual=resid,
-                            clamp_mass=clamp_mass, deficit=deficit)
+    vals /= grid.integrate(K, vals)
+    resid = float(grid.integrate(K, np.abs(U @ vals / max(1.0 - deficit, 1e-300) - vals)))
+    return PiecewiseFn(grid, K, vals), DensityInfo(
+        iterations=it, residual=resid, clamp_mass=clamp_mass, deficit=deficit)
 
 
 # -- peripheral spectrum ------------------------------------------------------------
@@ -379,21 +347,19 @@ def _check_observable(tm: TransferMatrix, v: PiecewiseFn) -> None:
 
 def correlations(tm: TransferMatrix, u: AtomicRep, v: PiecewiseFn,
                  k_max: int, density: Optional[PiecewiseFn] = None) -> np.ndarray:
-    """c_k = int v * transfer^k(u) - int v rho * int u, for k = 0..k_max."""
+    """c_k = int v * U^k(E u) - int v rho * int u for k = 0..k_max, on cell values."""
     _check_observable(tm, v)
-    grid, params = tm.grid, tm.params
+    grid, K = tm.grid, tm.K
     if density is None:
         density, _ = invariant_density(tm)
-    vvals = v.values
-    mean_v = float(np.real(grid.integrate(tm.K, vvals * density.values)))
-    vec = u.to_vector(tm.K).astype(np.complex128)
-    mass_u = complex(grid.integrate(tm.K, evaluate_vector(vec, grid, tm.K, params)))
-    out = np.zeros(k_max + 1, dtype=np.complex128)
+    U = cell_operator(tm.system, K)
+    mean_v = float(np.real(grid.integrate(K, v.values * density.values)))
+    f = evaluate_vector(u.to_vector(K).astype(np.complex128), grid, K, tm.params)
+    mass_u = complex(grid.integrate(K, f))
+    out = np.empty(k_max + 1, dtype=np.complex128)
     for k in range(k_max + 1):
-        fk = evaluate_vector(vec, grid, tm.K, params)
-        out[k] = grid.integrate(tm.K, vvals * fk) - mean_v * mass_u
-        if k < k_max:
-            vec = tm.apply(vec)
+        out[k] = grid.integrate(K, v.values * f) - mean_v * mass_u
+        f = U @ f
     return out
 
 

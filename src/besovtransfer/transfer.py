@@ -724,14 +724,6 @@ class TransferMatrix:
             lines.append(f"{int(coo.row[i])},{int(coo.col[i])},{txt}")
         return "\n".join(lines) + "\n"
 
-    def to_dense_csv(self) -> str:
-        dense = self.dense()
-        if np.iscomplexobj(dense) and not dense.imag.any():
-            dense = dense.real
-        to_txt = (lambda x: repr(float(x))) if not np.iscomplexobj(dense) \
-            else (lambda x: repr(complex(x)))
-        return "\n".join(",".join(to_txt(x) for x in row) for row in dense) + "\n"
-
 
 def assemble_matrix(system: BranchSystem, K: Optional[int] = None, t: int = 1,
                     constants: Constants = Constants(),

@@ -67,7 +67,6 @@ def test_gauss_branch_family(gauss50):
     b1 = gauss50.branches[0]
     assert b1.h(np.array([0.0]))[0] == pytest.approx(1.0)
     assert b1.potential(np.array([0.5]))[0] == pytest.approx(1 / 1.5 ** 2)
-    assert gauss50.tail_mass_geometric == pytest.approx(1 / 51)
 
 
 def test_preimage_doubling_single_cell(doubling):

@@ -1,5 +1,6 @@
 """Spectra, densities, decay and variance on assembled matrices."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from besovtransfer.atoms import (
     canonical_vector,
     coefficient_norm_vector,
     evaluate,
+    evaluate_vector,
     level_offsets,
     random_rep,
 )
@@ -34,7 +36,7 @@ from besovtransfer.spectral import (
     support_structure,
     transitivity_check,
 )
-from besovtransfer.transfer import assemble_matrix
+from besovtransfer.transfer import TransferMatrix, assemble_matrix
 
 PARAMS = BesovParams()
 PHI = (1 + math.sqrt(5)) / 2
@@ -211,7 +213,7 @@ def test_density_doubling_flat(doubling_tm):
 
 
 def test_density_golden_parry(golden_tm):
-    rho, info = invariant_density(golden_tm, method="power")
+    rho, info = invariant_density(golden_tm)
     x = (np.arange(rho.values.size) + 0.5) / rho.values.size
     hi = float(np.median(rho.values[x < 1 / PHI - 0.05]))
     lo = float(np.median(rho.values[x > 1 / PHI + 0.05]))
@@ -235,11 +237,76 @@ def test_density_golden_parry(golden_tm):
     assert np.max(np.abs(rho10.values - truth10)) <= 1e-10
 
 
-def test_density_cesaro_agrees(golden_tm):
-    # running averages close in on the same fixed point at their 1/n rate
-    r1, _ = invariant_density(golden_tm, method="power")
-    r2, _ = invariant_density(golden_tm, method="cesaro", tol=1e-7, max_iter=20000)
-    assert r1.l1_distance(r2) <= 5e-4
+def _atom_basis_density(tm, tol=1e-12, max_iter=2000):
+    # reference: the renormalized power iteration of the atom matrix M from
+    # the top atom, stopped on the change of the coefficient vector
+    mf = tm.mass_functional()
+    vec = np.zeros(tm.size)
+    vec[0] = 1.0
+    vec /= mf @ vec
+    for _ in range(max_iter):
+        new = tm.matrix @ vec
+        mass = mf @ new
+        deficit = 1.0 - mass
+        new = new / mass
+        delta = float(np.max(np.abs(new - vec)))
+        vec = new
+        if delta < tol:
+            break
+    else:
+        raise AssertionError("reference iteration did not converge")
+    vals = np.maximum(np.real(evaluate_vector(vec, tm.grid, tm.K, PARAMS)), 0.0)
+    return vals / tm.grid.integrate(tm.K, vals), deficit
+
+
+@pytest.mark.parametrize("name,K", [("beta18", 9), ("lorenz", 10), ("gauss", 10)])
+def test_bin_operator_route_matches_atom_basis_iteration(name, K):
+    # E M = U E: the density and the correlations on cell values are those
+    # of the atom matrix, evaluated
+    tm = assemble_matrix(make_map(BUILTIN_SPECS[name], build_grid(2, K), PARAMS), K=K)
+    grid = tm.grid
+    rho, info = invariant_density(tm)
+    ref, ref_deficit = _atom_basis_density(tm)
+    assert grid.integrate(K, np.abs(rho.values - ref)) <= 1e-12
+    assert abs(info.deficit - ref_deficit) <= 1e-12
+    u = random_rep(grid, PARAMS, np.random.default_rng(5), n_atoms=20, max_level=K)
+    v = PiecewiseFn.from_function(grid, K, lambda x: np.cos(2 * np.pi * x))
+    cks = correlations(tm, u, v, k_max=30, density=rho)
+    vec = u.to_vector(K).astype(complex)
+    mass_u = grid.integrate(K, evaluate_vector(vec, grid, K, PARAMS))
+    mean_v = float(np.real(grid.integrate(K, v.values * rho.values)))
+    for k in range(31):
+        ck = grid.integrate(K, v.values * evaluate_vector(vec, grid, K, PARAMS)) \
+            - mean_v * mass_u
+        assert abs(cks[k] - ck) <= 1e-12, (name, k)
+        vec = tm.matrix @ vec
+
+
+def test_function_space_analyses_never_read_the_atom_matrix(beta18_tm, monkeypatch):
+    # density, correlations, the decay fit and the CLT run on the bin
+    # operator alone, and give what they give with the matrix present
+    grid, K = beta18_tm.grid, beta18_tm.K
+    u = atom_rep(CellId(1, 0), PARAMS, grid, 1.0) + atom_rep(CellId(1, 1), PARAMS, grid, -1.0)
+    v = evaluate(u, K)
+    start = canonical_vector(np.linspace(0.5, 1.5, grid.n_cells(K)).astype(complex),
+                             grid, K, PARAMS).real
+
+    def run(tm):
+        rho, info = invariant_density(tm)
+        rho_s, _ = invariant_density(tm, start=start)
+        cks = correlations(tm, u, v, k_max=20, density=rho)
+        decay = decay_rate(tm, u, v, k_max=40, lambda2=0.7, density=rho)
+        clt = clt_variance(tm, v)
+        return (rho.values.tolist(), dataclasses.astuple(info), rho_s.values.tolist(),
+                cks.tolist(), decay.fitted_rate, clt.sigma2, clt.green_kubo)
+
+    expected = run(beta18_tm)
+
+    def refuse(self, vec):
+        raise AssertionError("atom matrix applied")
+
+    monkeypatch.setattr(TransferMatrix, "apply", refuse)
+    assert run(dataclasses.replace(beta18_tm, matrix=None)) == expected
 
 
 def test_density_jump_located_at_plateau_boundary(golden_tm):

@@ -589,14 +589,6 @@ def test_p_equal_one_pipeline():
     assert measured <= sliced.slicing_constant * sliced.input_norm * (1 + 1e-9)
 
 
-def test_dense_csv_export(doubling):
-    tm = assemble_matrix(doubling, K=4)
-    text = tm.to_dense_csv()
-    rows = text.strip().splitlines()
-    assert len(rows) == tm.size
-    assert float(rows[0].split(",")[0]) == pytest.approx(1.0)
-
-
 def test_slice_restriction_partial_cover(gauss):
     # the truncated family's images cover only [1/r_max+1, 1); the sliced
     # pieces must reconstruct the restriction, fractional boundary cells
