@@ -18,11 +18,10 @@ from .atoms import (
     canonical_rep,
     coefficient_norm,
     evaluate,
-    lp_norm,
     multiplier_apply,
     souza_atom,
 )
-from .domains import RegularDecomp, StrongRegularityReport, decompose, strong_regularity
+from .domains import RegularDecomp, StrongRegularityReport, decompose
 from .dynamics import (
     Branch,
     BranchSystem,
@@ -30,10 +29,8 @@ from .dynamics import (
     Potential,
     make_map,
     potential_regularity,
-    preimage_decomp,
-    scaling_constants,
 )
-from .grid import AxiomReport, CellId, Grid, build_grid, k0, validate_grid
+from .grid import AxiomReport, CellId, Grid, build_grid, validate_grid
 from .spectral import (
     CLTReport,
     DecayReport,

@@ -125,7 +125,13 @@ class PiecewiseFn:
         return self.grid.integrate(self.level, self.values)
 
     def lp_norm(self, t: float) -> float:
-        return lp_norm(self, t)
+        """Exact L^t norm, t in [1, inf]."""
+        if t < 1:
+            raise ValueError("t must be >= 1")
+        a = np.abs(self.values)
+        if t == INF:
+            return float(a.max(initial=0.0))
+        return float(self.grid.integrate(self.level, a ** t) ** (1.0 / t))
 
     def _values_of(self, other):
         """other's cell values, refusing a function on other cells."""
@@ -160,16 +166,6 @@ class PiecewiseFn:
             else:
                 lines.append(f"{x!r},{float(np.real(v))!r}")
         return "\n".join(lines) + "\n"
-
-
-def lp_norm(f: PiecewiseFn, t: float) -> float:
-    """Exact L^t norm of a piecewise-constant function, t in [1, inf]."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    a = np.abs(f.values)
-    if t == INF:
-        return float(a.max(initial=0.0))
-    return float(f.grid.integrate(f.level, a ** t) ** (1.0 / t))
 
 
 # -- atomic representations ---------------------------------------------------
@@ -243,18 +239,6 @@ class AtomicRep:
         value = vec[index]
         return cls(params, grid, index, value,
                    bool(np.all(np.isreal(value)) and np.all(np.real(value) >= 0)))
-
-    def to_json(self) -> List[Dict]:
-        return [
-            {"cell": str(c), "re": float(np.real(v)), "im": float(np.imag(v))}
-            for c, v in sorted(self.coeffs.items())
-        ]
-
-    @classmethod
-    def from_json(cls, params: BesovParams, grid: Grid, data: List[Dict]) -> "AtomicRep":
-        from .grid import parse_cell
-        return cls.from_cells(params, grid,
-                              {parse_cell(d["cell"]): d["re"] + 1j * d["im"] for d in data})
 
 
 def accumulate(idx: np.ndarray, val: np.ndarray, n: int) -> np.ndarray:

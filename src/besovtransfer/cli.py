@@ -50,6 +50,12 @@ ANALYSES = ("validate", "ledger", "matrix", "density", "spectrum",
             "decay", "clt", "ly", "bounds")
 EXPLAIN_NAMES = ("theta", "C_D", "C_FR", "C_ES", "essential_bound", "ly_lambda", "t0")
 
+OBSERVABLES = {
+    "cos": lambda x: np.cos(2 * np.pi * x),
+    "sin": lambda x: np.sin(2 * np.pi * x),
+    "half": lambda x: np.where(x < 0.5, 0.5, -0.5),
+}
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ASSUMPTION = 3
@@ -77,12 +83,12 @@ class RunConfig:
         version = data.get("schema_version", 1)
         if version != 1:
             raise ConfigError(f"config.schema_version: unsupported version {version}")
+        g = _section(data, "grid")
         try:
-            grid = build_grid(int(data.get("grid", {}).get("arity", 2)),
-                              int(data.get("grid", {}).get("max_level", 10)))
+            grid = build_grid(int(g.get("arity", 2)), int(g.get("max_level", 10)))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config.grid: {exc}") from exc
-        p = data.get("params", {})
+        p = _section(data, "params")
         try:
             params = BesovParams(
                 s=float(p.get("s", 0.4)), p=float(p.get("p", 2.0)),
@@ -94,41 +100,41 @@ class RunConfig:
         params.validate()   # exponent box; violations carry the inequality
         if "map" not in data:
             raise ConfigError("config.map: missing")
-        map_spec = MapSpec.from_json(data["map"])
+        map_spec = MapSpec.from_json(_section(data, "map"))
         analyses = list(data.get("analyses", ["ledger"]))
         for a in analyses:
             if a not in ANALYSES:
                 raise ConfigError(f"config.analyses: unknown analysis {a!r}")
-        consts = data.get("constants", {})
+        consts = _section(data, "constants")
         constants = Constants(
             c_gc=float(consts.get("C_GC", 4.0)),
             c_gbs=float(consts.get("C_GBS", 2.0)),
             c_gbva=float(consts.get("C_GBVA", 1.0)),
             c_gsr=None if consts.get("C_GSR") is None else float(consts["C_GSR"]),
         )
-        caps = data.get("caps", {})
+        caps = _section(data, "caps")
+        observable = str(data.get("observable", "cos"))
+        if observable not in OBSERVABLES:
+            raise ConfigError(f"config.observable: unknown observable {observable!r}")
         return cls(grid=grid, params=params, map_spec=map_spec, analyses=analyses,
                    out_dir=out_dir, constants=constants,
                    seed=int(data.get("seed", 0)),
                    basis_cap=int(caps.get("basis", 8191)),
                    split_level=int(caps.get("split_level", 1)),
                    probe_level=int(caps.get("probe_level", 10)),
-                   observable=str(data.get("observable", "cos")))
+                   observable=observable)
 
 
-def _observable(name: str, grid: Grid, level: int) -> PiecewiseFn:
-    fns = {
-        "cos": lambda x: np.cos(2 * np.pi * x),
-        "sin": lambda x: np.sin(2 * np.pi * x),
-        "half": lambda x: np.where(x < 0.5, 0.5, -0.5),
-    }
-    if name not in fns:
-        raise ConfigError(f"config.observable: unknown observable {name!r}")
-    return PiecewiseFn.from_function(grid, level, fns[name])
+def _section(data: Dict, name: str) -> Dict:
+    """The object under a top-level config key, {} when the key is absent."""
+    section = data.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config.{name}: expected an object, got {type(section).__name__}")
+    return section
 
 
-def _json_dump(path: Path, data) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True, default=_coerce) + "\n")
+def _json_text(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True, default=_coerce) + "\n"
 
 
 def _coerce(x):
@@ -204,9 +210,7 @@ class Runner:
         report = validate_grid(working_grid(self.config.map_spec, self.config.grid))
         data = report.as_dict()
         data["all_pass"] = report.all_pass
-        path = self.config.out_dir / "axioms.json"
-        _json_dump(path, data)
-        self.written.append(path)
+        self._write("axioms.json", _json_text(data))
 
     def emit_ledger(self) -> None:
         self._write("ledger.csv", self.system().ledger_csv())
@@ -214,25 +218,19 @@ class Runner:
     def emit_bounds(self) -> None:
         ledger = bound_ledger(self.system(), self.config.constants,
                               t=self.config.split_level)
-        path = self.config.out_dir / "bounds.json"
-        _json_dump(path, ledger.as_dict())
-        self.written.append(path)
+        self._write("bounds.json", _json_text(ledger.as_dict()))
 
     def emit_matrix(self) -> None:
         tm = self.matrix()
         self._write("matrix.csv", tm.to_triplets())
-        path = self.config.out_dir / "bounds.json"
-        _json_dump(path, tm.ledger.as_dict())
-        self.written.append(path)
+        self._write("bounds.json", _json_text(tm.ledger.as_dict()))
 
     def emit_density(self) -> None:
         rho, info = self.density()
         self._write("density.csv", rho.to_csv())
-        path = self.config.out_dir / "density_info.json"
-        _json_dump(path, {"iterations": info.iterations, "method": "power",
-                          "residual": info.residual, "clamp_mass": info.clamp_mass,
-                          "tail_deficit": info.deficit})
-        self.written.append(path)
+        self._write("density_info.json", _json_text({
+            "iterations": info.iterations, "method": "power", "residual": info.residual,
+            "clamp_mass": info.clamp_mass, "tail_deficit": info.deficit}))
 
     def emit_spectrum(self) -> None:
         report = peripheral_spectrum(self.matrix(), spectrum=self.eigenvalues(),
@@ -241,8 +239,7 @@ class Runner:
         for lam in report.eigenvalues:
             lines.append(f"{float(lam.real)!r},{float(lam.imag)!r},{float(abs(lam))!r}")
         self._write("spectrum.csv", "\n".join(lines) + "\n")
-        path = self.config.out_dir / "spectral.json"
-        _json_dump(path, {
+        self._write("spectral.json", _json_text({
             "peripheral": [{"re": l.real, "im": l.imag} for l in report.peripheral],
             "gap": report.gap,
             "essential_bound": report.essential_bound,
@@ -250,8 +247,7 @@ class Runner:
             "semisimple": report.semisimple,
             "transitive": report.transitive,
             "solver": report.solver,
-        })
-        self.written.append(path)
+        }))
 
     def emit_decay(self) -> None:
         grid = self.system().grid
@@ -272,33 +268,28 @@ class Runner:
         for k, c in enumerate(cks):
             lines.append(f"{k},{float(c.real)!r},{float(c.imag)!r},{float(abs(c))!r}")
         self._write("decay.csv", "\n".join(lines) + "\n")
-        path = self.config.out_dir / "decay.json"
-        _json_dump(path, {"fitted_rate": fitted, "certificate_rate": cert,
-                          "degenerate": degenerate})
-        self.written.append(path)
+        self._write("decay.json", _json_text({"fitted_rate": fitted, "certificate_rate": cert,
+                                              "degenerate": degenerate}))
 
     def emit_clt(self) -> None:
-        v = _observable(self.config.observable, self.system().grid,
-                        self.config.grid.max_level)
+        v = PiecewiseFn.from_function(self.system().grid, self.config.grid.max_level,
+                                      OBSERVABLES[self.config.observable])
         rho, _ = self.density()
         rep = clt_variance(self.matrix(), v, density=rho)
-        path = self.config.out_dir / "clt.json"
-        _json_dump(path, {
+        self._write("clt.json", _json_text({
             "sigma2": rep.sigma2, "green_kubo": rep.green_kubo,
             "fd_error": rep.fd_error, "t_grid": list(rep.t_grid),
             "leading": {repr(t): {"re": l.real, "im": l.imag}
                         for t, l in sorted(rep.leading.items())},
-        })
-        self.written.append(path)
+        }))
 
     def emit_ly(self) -> None:
         rep = lasota_yorke_verify(self.matrix(), ensemble_size=60, n_max=20,
                                   seed=self.config.seed)
-        path = self.config.out_dir / "ly.json"
-        _json_dump(path, {"C": rep.C, "lambda": rep.lam, "n_max": rep.n_max,
-                          "ensemble_size": rep.ensemble_size, "cap": rep.cap,
-                          "pass": rep.passed, "seed": rep.seed})
-        self.written.append(path)
+        self._write("ly.json", _json_text({
+            "C": rep.C, "lambda": rep.lam, "n_max": rep.n_max,
+            "ensemble_size": rep.ensemble_size, "cap": rep.cap,
+            "pass": rep.passed, "seed": rep.seed}))
 
 
 # -- explain --------------------------------------------------------------------

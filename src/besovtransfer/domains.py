@@ -169,17 +169,6 @@ class RegularDecomp:
     def level_sum(self, grid: Grid, k: int) -> float:
         return sum(grid.measure(c) ** self.alpha for c in self.families.get(k, []))
 
-    def to_json(self, grid: Grid) -> Dict:
-        return {
-            "alpha": self.alpha,
-            "k0": self.k0,
-            "c_dom": self.c_dom,
-            "lambda_dom": self.lambda_dom,
-            "defect_measure": self.defect_measure,
-            "families": {str(k): [str(c) for c in cells]
-                         for k, cells in sorted(self.families.items())},
-        }
-
 
 def decompose(grid: Grid, pieces, alpha: float,
               max_level: Optional[int] = None,
@@ -272,22 +261,17 @@ def _candidate_cells(grid: Grid, targets: Sequence[List[Tuple[float, float]]],
     return cells[0, first], cells[1, first], cells[2, first]
 
 
-def strong_regularity(grid: Grid, pieces, alpha: float, t: int = 0,
-                      include_defect_cells: bool = True) -> StrongRegularityReport:
-    """Measure sup over probing cells Q of the decomposition cost of Q * set.
+def strong_regularities(grid: Grid, sets: Sequence, alpha: float, t: int = 0,
+                        include_defect_cells: bool = True) -> List[StrongRegularityReport]:
+    """Measure, for each set, sup over probing cells Q of the decomposition
+    cost of Q * set.
 
     The cost of one cell is the sum over all levels and all decomposition
     cells P of (|P|/|Q|)**alpha, capped at max_level; residual slivers are
     conservatively counted as whole bottom-level cells so downstream
-    certificates cover truncation re-aggregation.
+    certificates cover truncation re-aggregation.  The sets Q * set of all
+    candidate cells of all sets are decomposed in one `cover` call.
     """
-    return strong_regularities(grid, [pieces], alpha, t, include_defect_cells)[0]
-
-
-def strong_regularities(grid: Grid, sets: Sequence, alpha: float, t: int = 0,
-                        include_defect_cells: bool = True) -> List[StrongRegularityReport]:
-    """strong_regularity of each of several sets: the sets Q * set of all
-    their candidate cells are decomposed in one `cover` call."""
     targets = [iv.normalize([pieces] if isinstance(pieces, tuple) and len(pieces) == 2
                             and not isinstance(pieces[0], tuple) else pieces)
                for pieces in sets]

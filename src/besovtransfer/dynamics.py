@@ -31,8 +31,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .atoms import BesovParams, PiecewiseFn, coefficient_table, subtree_norms
-from .domains import RegularDecomp, cover, decompose, strong_regularities
+from .atoms import (_GL_NODES, _GL_WEIGHTS, BesovParams, PiecewiseFn, coefficient_table,
+                    subtree_norms)
+from .domains import cover, strong_regularities
 from .errors import (
     AssumptionError,
     CellNotFoundError,
@@ -41,9 +42,7 @@ from .errors import (
     LedgerError,
     MapSpecError,
 )
-from .grid import CONTAIN_TOL, CellId, Grid, python_pow
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
+from .grid import CONTAIN_TOL, Grid, python_pow
 
 
 @dataclass
@@ -173,25 +172,6 @@ class MapSpec:
         kw = {k: v for k, v in data.items() if k != "map"}
         return cls(name=data["map"], **kw)
 
-    def to_json(self) -> Dict:
-        out = {"map": self.name, "potential": self.potential}
-        if self.name == "beta":
-            out["beta"] = self.beta
-        if self.name == "gauss":
-            out["r_max"] = self.r_max
-        if self.name == "m_ary":
-            out["arity"] = self.arity
-        if self.name == "pw_linear":
-            out["breakpoints"] = list(self.breakpoints)
-            out["slopes"] = list(self.slopes)
-            if self.offsets is not None:
-                out["offsets"] = list(self.offsets)
-        if self.name == "lorenz_cusp":
-            out["exponent"] = self.exponent
-        if self.potential == "constant":
-            out["constant"] = self.constant
-        return out
-
 
 def _build_branches(spec: MapSpec) -> List[Branch]:
     name = spec.name
@@ -314,18 +294,6 @@ def _attach_potential(branch: Branch, spec: MapSpec) -> None:
 # -- ledger probes --------------------------------------------------------------
 
 
-def preimage_decomp(grid: Grid, branch: Branch, Q: CellId, alpha: float) -> RegularDecomp:
-    """Decompose the forward image of a cell under the underlying map.
-
-    Raises ContainmentError when the cell does not sit inside the branch
-    image I_r.
-    """
-    lo, hi = grid.interval(Q)
-    _check_inside_images(grid, [branch], 0, Q.level, lo, hi)
-    flo, fhi = branch.forward_interval(lo, hi)
-    return decompose(grid, (flo, fhi), alpha, defect_cap=math.inf)
-
-
 def _ends(branches: Sequence[Branch], attr: str) -> np.ndarray:
     """The branch images (attr "img") or domains ("dom"), one (lo, hi) row each."""
     return np.reshape([getattr(b, attr) for b in branches], (-1, 2))
@@ -387,16 +355,6 @@ def _distortion_constants(grid: Grid, branches: Sequence[Branch], alpha: float,
     return out.tolist()
 
 
-def scaling_constants(grid: Grid, branch: Branch,
-                      probe_level: int = 10) -> Tuple[int, float, float]:
-    """Fit (shift, c_dc1, c_dc2) on all cells inside the image up to a level.
-
-    The ratio |Q| / |forward image| is <= 1 for expanding maps; c_dc2 is
-    the tightest geometric base < 1 and c_dc1 the residual front factor.
-    """
-    return _fit_scaling(grid, branch, *next(_scaling_samples(grid, [branch], probe_level)))
-
-
 def _scaling_samples(grid: Grid, branches: Sequence[Branch], probe_level: int):
     """The scaling samples of every branch from one array pass: per branch
     the levels of its probe cells, their ratios |Q| / |forward image| and
@@ -433,7 +391,11 @@ def _scaling_samples(grid: Grid, branches: Sequence[Branch], probe_level: int):
 
 def _fit_scaling(grid: Grid, branch: Branch, ks: np.ndarray, ratios: np.ndarray,
                  kq: np.ndarray) -> Tuple[int, float, float]:
-    """(shift, c_dc1, c_dc2) of a branch from its scaling samples."""
+    """(shift, c_dc1, c_dc2) of a branch from its scaling samples.
+
+    The ratio |Q| / |forward image| is <= 1 for expanding maps; c_dc2 is
+    the tightest geometric base < 1 and c_dc1 the residual front factor.
+    """
     if not ks.size:
         raise InfeasibleFitError(f"branch {branch.r}: no probe cells inside image")
     if np.any(kq < 0):

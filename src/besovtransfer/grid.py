@@ -21,7 +21,6 @@ Ulam's method there.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -30,8 +29,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import intervals as iv
-from .errors import CapacityError, CellNotFoundError
+from .errors import CapacityError
 
 # Containment tolerance in units of one cell width.  Endpoints produced by
 # branch arithmetic carry O(1e-16) float noise which at deep levels is
@@ -48,11 +46,6 @@ class CellId(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.level}:{self.index}"
-
-
-def parse_cell(text: str) -> CellId:
-    k, j = text.split(":")
-    return CellId(int(k), int(j))
 
 
 def _deepest(level) -> int:
@@ -123,7 +116,7 @@ class Grid:
 
     @cached_property
     def _cut_edge_list(self) -> List[float]:
-        # a plain list: scalar lookups and bisection stay in Python floats
+        # a plain list: scalar lookups stay in Python floats
         w = self.width(self.max_level)
         edges = [i * w for i in range(self.n_cells(self.max_level) + 1)]
         for i, x in self.cuts:
@@ -203,30 +196,10 @@ class Grid:
             raise ValueError("root cell has no parent")
         return CellId(cell.level - 1, cell.index // self.arity)
 
-    def locate(self, level: int, x: float) -> int:
-        """Index j with x in cell j, unclipped (n_cells for x at or past 1)."""
-        if self.cuts and level == self.max_level:
-            return bisect.bisect_right(self._cut_edge_list, x) - 1
-        return int(x * self.n_cells(level))
-
-    def cell_at(self, level: int, x: float) -> CellId:
-        j = min(self.locate(level, x), self.n_cells(level) - 1)
-        return CellId(level, max(j, 0))
-
-    def cells(self, level: int) -> Iterable[CellId]:
-        for j in range(self.n_cells(level)):
-            yield CellId(level, j)
-
-    def contained_run(self, level: int, lo: float, hi: float) -> Tuple[int, int]:
-        """Indices [i0, i1) of the level-k cells contained in [lo, hi).
-
-        Returns an empty run (i0 >= i1) when no cell fits; see contained_runs.
-        """
-        i0, i1 = self.contained_runs(level, np.array([lo]), np.array([hi]))
-        return int(i0[0]), int(i1[0])
-
     def contained_runs(self, level, lo, hi) -> Tuple[np.ndarray, np.ndarray]:
-        """Array form of contained_run: the one rule that decides containment.
+        """Indices [i0, i1) of the cells of a level contained in [lo, hi), an
+        empty run (i0 >= i1) where none fits: the one rule that decides
+        containment.
 
         level, lo and hi broadcast (a column of pieces against a row of
         levels gives the runs of every piece at every level).  Containment
@@ -272,8 +245,8 @@ class Grid:
         return self.edge(level, j), self.edge(level, j + 1), w
 
     def cell_index(self, level, x) -> np.ndarray:
-        """Array form of locate: per x, the index of the cell of the level
-        holding it, unclipped; level and x broadcast."""
+        """Per x, the index of the cell of the level holding it, unclipped
+        (n_cells for x at or past 1); level and x broadcast."""
         level, x = np.broadcast_arrays(level, x)
         j = np.trunc(x * self.cell_counts(level)).astype(np.int64)
         if self.cuts:
@@ -385,14 +358,6 @@ class Grid:
         # Cells at one level are pairwise disjoint, so a cell meets only
         # itself.
         return 1
-
-    def to_json(self) -> Dict:
-        return {"arity": self.arity, "max_level": self.max_level}
-
-    @classmethod
-    def from_json(cls, data: Dict, **kw) -> "Grid":
-        return build_grid(int(data["arity"]), int(data["max_level"]), **kw)
-
 
 def build_grid(arity: int, max_level: int, cell_budget: int = 2_000_000) -> Grid:
     """Construct the uniform m-adic grid, checking the cell budget."""
@@ -506,24 +471,6 @@ def validate_grid(grid: Grid) -> AxiomReport:
     # cuts keep every child at least half a nominal child wide
     report.g6_pass = math.isfinite(ratio_min) and ratio_min >= 1.0 / (2 * m)
     return report
-
-
-def k0(grid: Grid, pieces, up_to: Optional[int] = None) -> int:
-    """Minimal level k at which some cell is contained in the given set.
-
-    `pieces` is an interval union (list of (lo, hi)) or a single tuple.
-    Raises CellNotFoundError when no cell up to max_level fits.
-    """
-    if isinstance(pieces, tuple) and len(pieces) == 2 and not isinstance(pieces[0], tuple):
-        pieces = [pieces]
-    pieces = iv.normalize(pieces)
-    top = grid.max_level if up_to is None else up_to
-    first = grid.containment_levels(*np.reshape(pieces, (-1, 2)).T, top)
-    if not np.any(first >= 0):
-        raise CellNotFoundError(
-            f"no cell up to level {top} is contained in {pieces}"
-        )
-    return int(first[first >= 0].min())
 
 
 def python_pow(x: np.ndarray, e: float) -> np.ndarray:

@@ -29,8 +29,8 @@ from .atoms import (
     level_offsets,
     random_rep,
 )
-from .dynamics import BranchSystem
-from .errors import ConvergenceError, DegenerateFitError, GapCollapseError
+from .dynamics import BranchSystem, _forward_point
+from .errors import AssumptionError, ConvergenceError, DegenerateFitError, GapCollapseError
 from .grid import CellId, Grid
 from .transfer import TransferMatrix, build_cell_operator, cell_operator
 
@@ -514,8 +514,9 @@ def monte_carlo_variance(system: BranchSystem, v_fn: Callable[[np.ndarray], np.n
 
     Full-branch integer-slope maps are simulated as digit streams (float
     iteration of those maps collapses onto dyadic rationals); other maps
-    iterate in floating point.  The seed is fixed by the caller and
-    recorded with results.
+    iterate in floating point, and an orbit that leaves the branch images
+    raises AssumptionError.  The seed is fixed by the caller and recorded
+    with results.
     """
     rng = np.random.default_rng(seed)
     slopes = [b.affine_slope for b in system.branches]
@@ -532,7 +533,11 @@ def monte_carlo_variance(system: BranchSystem, v_fn: Callable[[np.ndarray], np.n
         xs = np.empty(n_samples + burn_in)
         for i in range(n_samples + burn_in):
             xs[i] = x
-            x = system_forward(system, x)
+            y = _forward_point(system.branches, x)
+            if y is None:
+                raise AssumptionError(f"orbit step {i}: no branch image contains x = {x!r}")
+            # rounding can put an image end just outside [0, 1)
+            x = min(max(y, 0.0), 1.0 - 1e-16)
         xs = xs[burn_in:]
     v = np.asarray(v_fn(xs), dtype=float)
     vc = v - v.mean()
@@ -540,15 +545,6 @@ def monte_carlo_variance(system: BranchSystem, v_fn: Callable[[np.ndarray], np.n
     for k in range(1, lag_window + 1):
         sig += 2.0 * float(np.mean(vc[:-k] * vc[k:]))
     return sig
-
-
-def system_forward(system: BranchSystem, x: float) -> float:
-    for b in system.branches:
-        lo, hi = b.img
-        if lo <= x < hi:
-            y = float(b.h_inv(x))
-            return min(max(y, 0.0), 1.0 - 1e-16)
-    return x
 
 
 # -- support structure ---------------------------------------------------------------

@@ -228,11 +228,6 @@ def _slice_atoms(system: BranchSystem, level, index, coeff, K: int) -> _Slices:
 @dataclass
 class SlicedRep:
     branch_reps: Dict[int, AtomicRep]
-    slicing_constant: float
-    mode: str
-    n_overlap: int
-    m_overlap: int
-    t_overlap: float
     measured_lhs: Dict[str, float]
     input_norm: float
     certificate: SliceCertificate
@@ -285,17 +280,11 @@ def slice_rep(rep: AtomicRep, system: BranchSystem,
         lhs2 = float(np.sum(np.asarray(lhs2_levels) ** q) ** (1 / q)) if lhs2_levels else 0.0
     lhs2 *= _n_power(system.n_overlap, params.p)
 
-    cert = slicing_certificates(system, constants)
     return SlicedRep(
         branch_reps=reps,
-        slicing_constant=cert.c_rs1,
-        mode=cert.mode,
-        n_overlap=system.n_overlap,
-        m_overlap=system.m_overlap,
-        t_overlap=system.t_overlap,
         measured_lhs={"hiip1": lhs1, "hiip2": lhs2},
         input_norm=coefficient_norm(rep),
-        certificate=cert,
+        certificate=slicing_certificates(system, constants),
     )
 
 
@@ -691,13 +680,6 @@ class TransferMatrix:
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
-
-    def tail_matrix(self) -> sp.csc_matrix:
-        """The matrix with the columns of the levels below t set to zero."""
-        m = self.matrix.tocsc(copy=True)
-        m.data[:m.indptr[level_offsets(self.grid, self.K)[self.t]]] = 0.0
-        m.eliminate_zeros()
-        return m
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.matrix @ vec

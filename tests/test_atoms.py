@@ -18,7 +18,6 @@ from besovtransfer.atoms import (
     coefficient_norm,
     coefficient_table,
     evaluate,
-    lp_norm,
     multiplier_apply,
     random_rep,
     souza_atom,
@@ -362,13 +361,13 @@ def test_subtree_norms_equal_coefficient_norm_cell_by_cell():
 def test_lp_norm_constant():
     f = PiecewiseFn.constant(GRID, 8, 1.0)
     for t in (1.0, 2.0, 5.0, math.inf):
-        assert lp_norm(f, t) == pytest.approx(1.0)
+        assert f.lp_norm(t) == pytest.approx(1.0)
 
 
 def test_lp_norm_half_support():
     vals = np.zeros(256)
     vals[:128] = 1.0
-    assert lp_norm(PiecewiseFn(GRID, 8, vals), 2.0) == pytest.approx(2 ** -0.5)
+    assert PiecewiseFn(GRID, 8, vals).lp_norm(2.0) == pytest.approx(2 ** -0.5)
 
 
 def test_embedding_factor_finite():
@@ -380,7 +379,7 @@ def test_embedding_factor_finite():
         f = evaluate(rep)
         nrm = coefficient_norm(canonical_rep(f, PARAMS))
         if nrm > 0:
-            worst = max(worst, lp_norm(f, t0) / nrm)
+            worst = max(worst, f.lp_norm(t0) / nrm)
     assert 0 < worst < math.inf
 
 
@@ -479,15 +478,6 @@ def test_multiplier_phase_sweep_bounded():
 
 
 # -- serialization ---------------------------------------------------------------
-
-def test_rep_json_roundtrip():
-    rng = np.random.default_rng(53)
-    rep = random_rep(GRID, PARAMS, rng, complex_coeffs=True, normalize=False)
-    data = rep.to_json()
-    assert all(set(d) == {"cell", "re", "im"} for d in data)
-    back = AtomicRep.from_json(PARAMS, GRID, data)
-    assert evaluate(rep).l1_distance(evaluate(back)) <= 1e-12
-
 
 def test_piecewise_csv_format():
     f = PiecewiseFn.constant(build_grid(2, 2), 2, 0.25)

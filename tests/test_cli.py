@@ -71,7 +71,7 @@ def test_config_rejects_exponent_box(tmp_path):
     assert rc == EXIT_ASSUMPTION
 
 
-def test_config_error_paths(tmp_path):
+def test_config_error_paths(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["density", "--config", str(missing), "--out", str(tmp_path)]) == EXIT_CONFIG
     bad = tmp_path / "bad.json"
@@ -79,6 +79,14 @@ def test_config_error_paths(tmp_path):
     assert main(["density", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
     cfg = write_config(tmp_path, analyses=["nonsense"])
     assert main(["density", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    # a malformed section is refused by name when the config loads, before
+    # any analysis runs (ledger reads no observable)
+    for key, value in (("grid", 5), ("params", [1]), ("caps", 3), ("map", "doubling"),
+                       ("observable", "nonsense")):
+        capsys.readouterr()
+        cfg = write_config(tmp_path, **{key: value})
+        assert main(["ledger", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: config.{key}: ")
 
 
 def test_nonexpanding_map_rejected(tmp_path):

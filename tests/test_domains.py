@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from besovtransfer import intervals as iv
-from besovtransfer.domains import cover, decompose, strong_regularities, strong_regularity
-from besovtransfer.grid import CONTAIN_TOL, CellId, build_grid, k0
+from besovtransfer.domains import cover, decompose, strong_regularities
+from besovtransfer.grid import CONTAIN_TOL, CellId, build_grid
 
 GRID = build_grid(2, 12)
 ALPHA = 0.2
@@ -100,34 +100,34 @@ def test_fringe_count_bound():
 
 
 def test_strong_regularity_whole_space():
-    rep = strong_regularity(GRID, (0.0, 1.0), ALPHA, t=0)
+    rep = strong_regularities(GRID, [(0.0, 1.0)], ALPHA, t=0)[0]
     assert rep.c_strong == pytest.approx(1.0)
 
 
 def test_strong_regularity_cell_aligned():
-    rep = strong_regularity(GRID, (0.0, 0.5), ALPHA, t=1)
+    rep = strong_regularities(GRID, [(0.0, 0.5)], ALPHA, t=1)[0]
     assert rep.c_strong == pytest.approx(1.0)
 
 
 def test_strong_regularity_third():
-    rep = strong_regularity(GRID, (0.0, 1 / 3), ALPHA, t=0, include_defect_cells=False)
+    rep = strong_regularities(GRID, [(0.0, 1 / 3)], ALPHA, t=0, include_defect_cells=False)[0]
     # geometric-series bound for a single boundary fringe
     assert rep.c_strong <= 1.0 / (1.0 - 2 ** -ALPHA)
     # matches an independent scan on the worst probing cell
     scanned = brute_force_cost(build_grid(2, 10), [(0.0, 1 / 3)], ALPHA, rep.worst_cell)
-    probe = strong_regularity(build_grid(2, 10), (0.0, 1 / 3), ALPHA, t=0,
-                              include_defect_cells=False)
+    probe = strong_regularities(build_grid(2, 10), [(0.0, 1 / 3)], ALPHA, t=0,
+                                include_defect_cells=False)[0]
     assert probe.c_strong == pytest.approx(scanned, rel=1e-6)
 
 
 def test_strong_regularity_covers_interior_cells():
     # boundary cells see single-cell intersections; the root cell sees the
     # full set split into two level-2 cells, which dominates
-    rep = strong_regularity(GRID, (0.25, 0.75), ALPHA, t=0)
+    rep = strong_regularities(GRID, [(0.25, 0.75)], ALPHA, t=0)[0]
     assert rep.c_strong == pytest.approx(2 * 0.25 ** ALPHA)
     assert rep.worst_cell == CellId(0, 0)
     # probing only below the aligned boundary gives cost 1
-    rep1 = strong_regularity(GRID, (0.25, 0.75), ALPHA, t=2)
+    rep1 = strong_regularities(GRID, [(0.25, 0.75)], ALPHA, t=2)[0]
     assert rep1.c_strong == pytest.approx(1.0)
 
 
@@ -139,14 +139,7 @@ def test_strong_regularities_equal_one_set_at_a_time():
             [(0.05, 0.06), (0.07, 0.5), (0.6, 0.61)]]
     for t in (0, 3):
         assert strong_regularities(grid, sets, ALPHA, t) == [
-            strong_regularity(grid, s, ALPHA, t) for s in sets]
-
-def test_decomp_json_export():
-    dec = decompose(GRID, (0.0, 1 / 3), ALPHA)
-    data = dec.to_json(GRID)
-    assert set(data) >= {"alpha", "k0", "c_dom", "lambda_dom", "families"}
-    assert data["families"]["2"] == ["2:0"]
-
+            strong_regularities(grid, [s], ALPHA, t)[0] for s in sets]
 
 # -- the array kernel against the scalar greedy loop --------------------------------
 
@@ -270,7 +263,5 @@ def test_containment_levels_past_int64_cell_counts():
     want = [next((k for k, (i0, i1) in enumerate(r) if i1 > i0), -1) for r in runs]
     assert max(want) > 20
     assert grid.containment_levels(lo, hi, 22).tolist() == want
-    wide = hi - lo > 1e-12
-    assert k0(grid, list(zip(lo[wide], hi[wide])), up_to=22) == min(np.array(want)[wide])
     with pytest.raises(ValueError):
         cover(grid, [0.1], [0.2], 22)

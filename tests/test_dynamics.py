@@ -9,14 +9,8 @@ import besovtransfer.atoms as atoms
 import besovtransfer.domains as domains
 import besovtransfer.dynamics as dynamics
 from besovtransfer.atoms import BesovParams, coefficient_norm, subtree_rep
-from besovtransfer.domains import cover, strong_regularity
-from besovtransfer.dynamics import (
-    MapSpec,
-    make_map,
-    preimage_decomp,
-    potential_regularity,
-    scaling_constants,
-)
+from besovtransfer.domains import cover, decompose, strong_regularities
+from besovtransfer.dynamics import MapSpec, make_map, potential_regularity
 from besovtransfer.errors import (
     CellNotFoundError,
     ContainmentError,
@@ -71,7 +65,8 @@ def test_gauss_branch_family(gauss50):
 
 def test_preimage_doubling_single_cell(doubling):
     grid = doubling.grid
-    dec = preimage_decomp(grid, doubling.branches[0], CellId(2, 1), 0.2)
+    image = doubling.branches[0].forward_interval(*grid.interval(CellId(2, 1)))
+    dec = decompose(grid, image, 0.2, defect_cap=math.inf)
     assert dec.families == {1: [CellId(1, 1)]}
     assert dec.c_dom == pytest.approx(1.0)
 
@@ -79,18 +74,20 @@ def test_preimage_doubling_single_cell(doubling):
 def test_preimage_doubling_exhaustive(doubling):
     grid = doubling.grid
     for b in doubling.branches:
+        runs = np.transpose(grid.contained_runs(np.arange(9), *b.img))
         for k in range(1, 9):
-            i0, i1 = grid.contained_run(k, *b.img)
-            for j in range(i0, i1):
-                dec = preimage_decomp(grid, b, CellId(k, j), 0.2)
+            for j in range(*runs[k]):
+                image = b.forward_interval(*grid.interval(CellId(k, j)))
+                dec = decompose(grid, image, 0.2, defect_cap=math.inf)
                 cells = dec.all_cells()
                 assert len(cells) == 1 and cells[0].level == k - 1
                 assert dec.c_dom == pytest.approx(1.0)
 
 
 def test_preimage_requires_containment(doubling):
+    lo, hi = doubling.grid.interval(CellId(1, 1))
     with pytest.raises(ContainmentError):
-        preimage_decomp(doubling.grid, doubling.branches[0], CellId(1, 1), 0.2)
+        dynamics._check_inside_images(doubling.grid, doubling.branches, 0, 1, lo, hi)
 
 
 def test_preimage_gauss_first_branch(gauss50):
@@ -142,7 +139,8 @@ def test_potential_regularity_gauss_finite(gauss50):
 def _smallest_covering_level(grid, lo, hi):
     """Deepest level at which a single cell contains [lo, hi), one level at a time."""
     for k in range(grid.max_level, -1, -1):
-        c_lo, c_hi = grid.interval(CellId(k, grid.locate(k, lo)))
+        (j,) = grid.cell_index(k, [lo])
+        c_lo, c_hi = grid.interval(CellId(k, int(j)))
         if c_lo <= lo + 1e-15 and hi <= c_hi + 1e-15:
             return k
     return 0
@@ -154,14 +152,16 @@ def _regularity_by_cell(gbar, branch, params, probe_level):
     grid, K = gbar.grid, gbar.level
     exponent = 1.0 / params.p - params.s + params.eps
     levels = {}
-    for k in range(min(probe_level, K) + 1):
-        i0, i1 = grid.contained_run(k, *branch.dom)
+    top = min(probe_level, K)
+    for k, (i0, i1) in enumerate(np.transpose(grid.contained_runs(np.arange(top + 1),
+                                                                   *branch.dom))):
         level_worst = 0.0
         for j in range(i0, i1):
             W = CellId(k, j)
             qlo, qhi = branch.pullback_interval(*grid.interval(W))
             kq = _smallest_covering_level(grid, qlo, qhi)
-            Qiv = grid.interval(grid.cell_at(kq, 0.5 * (qlo + qhi)))
+            (jq,) = np.clip(grid.cell_index(kq, [0.5 * (qlo + qhi)]), 0, grid.n_cells(kq) - 1)
+            Qiv = grid.interval(CellId(kq, int(jq)))
             flo, fhi = branch.forward_interval(*Qiv)
             ratio = (Qiv[1] - Qiv[0]) / max(fhi - flo, 1e-300)
             rep = subtree_rep(gbar, W, params, positive=branch.potential.positive,
@@ -268,7 +268,7 @@ def test_ledger_csv_columns(doubling):
 def test_mapspec_json_roundtrip():
     spec = MapSpec.from_json({"map": "beta", "beta": PHI, "potential": "jacobian"})
     assert spec.name == "beta"
-    assert spec.to_json()["beta"] == PHI
+    assert spec.beta == PHI
     with pytest.raises(MapSpecError):
         MapSpec.from_json({"map": "beta", "betta": 2.0})
 
@@ -347,7 +347,7 @@ def _scaling_by_branch(grid, branch, probe_level):
     samples = []
     found, k = 0, 0
     while k <= grid.max_level + 8:
-        i0, i1 = grid.contained_run(k, *branch.img)
+        (i0,), (i1,) = grid.contained_runs([k], *branch.img)
         lo, hi, meas = grid.extents(k, np.arange(i0, i1, max(1, (i1 - i0) // 64)))
         flo, fhi = branch.forward_interval(lo, hi)
         ok = fhi - flo > 0
@@ -381,8 +381,9 @@ def _scaling_by_branch(grid, branch, probe_level):
 
 
 def _distortion_by_branch(grid, branch, alpha, top):
-    runs = [(k, grid.contained_run(k, *branch.img)) for k in range(top + 1)]
-    cells = [(k, np.arange(i0, i1, max(1, (i1 - i0) // 32))) for k, (i0, i1) in runs]
+    runs = np.transpose(grid.contained_runs(np.arange(top + 1), *branch.img))
+    cells = [(k, np.arange(i0, i1, max(1, (i1 - i0) // 32)))
+             for k, (i0, i1) in enumerate(runs)]
     ks = np.concatenate([np.full(j.size, k) for k, j in cells])
     lo, hi, _ = grid.extents(ks, np.concatenate([j for _, j in cells]))
     c_dom = cover(grid, *branch.forward_interval(lo, hi), grid.max_level, alpha=alpha).c_dom
@@ -394,7 +395,7 @@ def _regularity_by_branch(gbar, branch, params, probe_level):
     top = min(probe_level, K)
     exponent = 1.0 / params.p - params.s + params.eps
     roots, arrays = atoms.coefficient_table(gbar, params.theta_beta, branch.potential.positive)
-    runs = [grid.contained_run(k, *branch.dom) for k in range(top + 1)]
+    runs = np.transpose(grid.contained_runs(np.arange(top + 1), *branch.dom))
     ks = np.repeat(np.arange(top + 1), [max(i1 - i0, 0) for i0, i1 in runs])
     js = np.concatenate([np.arange(i0, i1) for i0, i1 in runs])
     w_lo, w_hi, w_meas = grid.extents(ks, js)
@@ -432,7 +433,8 @@ def _probe_by_branch(system, allow_nonexpanding=False):
         b.c_dgd2 = grid.arity ** (-alpha)
         b.potential.c_rp, b.potential.c_rp_levels = _regularity_by_branch(
             system.averages(b, grid.max_level), b, params, min(6, system.probe_level))
-        system.strong_reports[b.r] = strong_regularity(grid, b.img, 1.0 - params.beta * params.p)
+        system.strong_reports[b.r] = strong_regularities(
+            grid, [b.img], 1.0 - params.beta * params.p)[0]
     # the overlap constants, image by image
     thetas = system.thetas()
     m_best, t_best = 0, 0.0
@@ -449,7 +451,7 @@ def _probe_by_branch(system, allow_nonexpanding=False):
     kk = min(grid.max_level, system.probe_level)
     counts = np.zeros(grid.n_cells(kk), dtype=int)
     for b in system.branches:
-        i0, i1 = grid.contained_run(kk, *b.dom)
+        (i0,), (i1,) = grid.contained_runs([kk], *b.dom)
         counts[i0:i1] += 1
     return _ledger(system, (m_best, int(counts.max(initial=0)), t_best))
 
@@ -544,5 +546,6 @@ def test_a_failing_fit_raises_as_the_branch_by_branch_loop(monkeypatch):
     # a branch without probe cells fails first, before the others' probes
     branch = dynamics._build_branches(MapSpec("gauss", r_max=3))[2]
     branch.img = (0.3, 0.3)
+    grid = build_grid(2, 6)
     with pytest.raises(InfeasibleFitError, match="branch 3: no probe cells inside image"):
-        scaling_constants(build_grid(2, 6), branch)
+        dynamics._fit_scaling(grid, branch, *next(dynamics._scaling_samples(grid, [branch], 10)))

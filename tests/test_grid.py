@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from besovtransfer.errors import CapacityError, CellNotFoundError
-from besovtransfer.grid import CellId, Grid, build_grid, k0, parse_cell, validate_grid
+from besovtransfer.errors import CapacityError
+from besovtransfer.grid import CellId, Grid, build_grid, validate_grid
 
 
 def brute_force_k0(grid, pieces):
@@ -96,12 +96,12 @@ def test_measure_sums_each_level():
 
 def test_k0_half_interval():
     g = build_grid(2, 8)
-    assert k0(g, (0.0, 0.5)) == 1
+    assert g.containment_levels([0.0], [0.5], g.max_level).tolist() == [1]
 
 
 def test_k0_middle_third_matches_scan():
     g = build_grid(2, 8)
-    got = k0(g, (1 / 3, 2 / 3))
+    (got,) = g.containment_levels([1 / 3], [2 / 3], g.max_level)
     assert got == brute_force_k0(g, (1 / 3, 2 / 3))
     # no level-2 cell fits inside [1/3, 2/3]; the first hit is [3/8, 1/2)
     assert got == 3
@@ -109,8 +109,9 @@ def test_k0_middle_third_matches_scan():
 
 def test_k0_of_cell_is_its_level():
     g = build_grid(2, 8)
-    for cell in [CellId(5, 7), CellId(0, 0), CellId(3, 4), CellId(8, 255)]:
-        assert k0(g, g.interval(cell)) == cell.level
+    cells = [CellId(5, 7), CellId(0, 0), CellId(3, 4), CellId(8, 255)]
+    lo, hi = np.transpose([g.interval(cell) for cell in cells])
+    assert g.containment_levels(lo, hi, g.max_level).tolist() == [c.level for c in cells]
 
 
 def test_k0_monotone_under_inclusion():
@@ -124,26 +125,18 @@ def test_k0_monotone_under_inclusion():
         inner = (a + pad, b - pad)
         if inner[1] - inner[0] < 1e-3:
             continue
-        assert k0(g, inner) >= k0(g, (a, b))
+        k_inner, k_outer = g.containment_levels([inner[0], a], [inner[1], b], g.max_level)
+        assert 0 <= k_outer <= k_inner
 
 
 def test_k0_not_found():
     g = build_grid(2, 4)
-    with pytest.raises(CellNotFoundError):
-        k0(g, (0.1, 0.1 + 1e-3))
+    assert g.containment_levels([0.1], [0.1 + 1e-3], g.max_level).tolist() == [-1]
 
 
 def test_cell_string_roundtrip():
     c = CellId(7, 19)
     assert str(c) == "7:19"
-    assert parse_cell("7:19") == c
-
-
-def test_grid_json_roundtrip():
-    g = build_grid(2, 12)
-    assert g.to_json() == {"arity": 2, "max_level": 12}
-    g2 = Grid.from_json(g.to_json())
-    assert g2.arity == 2 and g2.max_level == 12
 
 
 # -- the interval kernel ---------------------------------------------------------

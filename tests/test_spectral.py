@@ -19,7 +19,7 @@ from besovtransfer.atoms import (
     random_rep,
 )
 from besovtransfer.dynamics import MapSpec, make_map
-from besovtransfer.errors import DegenerateFitError
+from besovtransfer.errors import AssumptionError, DegenerateFitError
 from besovtransfer.grid import CellId, build_grid
 from besovtransfer.spectral import (
     clt_variance,
@@ -232,7 +232,7 @@ def test_density_golden_parry(golden_tm):
     assert x_cut == pytest.approx(1 / PHI, abs=1e-15)
     assert system.grid.interval(CellId(10, edge))[0] == x_cut
     rho10, _ = invariant_density(assemble_matrix(system, K=10))
-    mid = np.asarray([system.grid.midpoint(c_) for c_ in system.grid.cells(10)])
+    mid = np.asarray([system.grid.midpoint(CellId(10, j)) for j in range(system.grid.n_cells(10))])
     truth10 = np.where(mid < 1 / PHI, PHI * c, c)
     assert np.max(np.abs(rho10.values - truth10)) <= 1e-10
 
@@ -436,6 +436,14 @@ def test_clt_monte_carlo_oracle(doubling_tm):
                                   lambda x: np.cos(2 * np.pi * x))
     rep = clt_variance(doubling_tm, v)
     assert abs(sig - rep.sigma2) <= 5e-3
+
+
+def test_monte_carlo_orbit_leaving_the_images_raises():
+    # the images of the truncated Gauss map start at 1/21: an orbit lands
+    # below them within a few steps
+    system = make_map(MapSpec("gauss", r_max=20), build_grid(2, 8), PARAMS, probe_level=7)
+    with pytest.raises(AssumptionError, match="orbit step 1: no branch image contains x = "):
+        monte_carlo_variance(system, lambda x: np.cos(2 * np.pi * x))
 
 
 def test_twist_matches_dense_atom_operator(doubling_tm, beta18_tm):

@@ -98,10 +98,11 @@ def test_slice_certified_inequality(doubling, golden, gauss):
         for _ in range(10):
             rep = random_rep(system.grid, PARAMS, rng)
             sliced = slice_rep(rep, system)
-            measured = sliced.measured_lhs[sliced.mode]
-            assert measured <= sliced.slicing_constant * sliced.input_norm * (1 + 1e-9), \
+            cert = sliced.certificate
+            measured = sliced.measured_lhs[cert.mode]
+            assert measured <= cert.c_rs1 * sliced.input_norm * (1 + 1e-9), \
                 f"{system.spec.name}: measured {measured:.4g} vs certified " \
-                f"{sliced.slicing_constant * sliced.input_norm:.4g}"
+                f"{cert.c_rs1 * sliced.input_norm:.4g}"
 
 
 
@@ -231,8 +232,7 @@ def test_analytic_cross_check_skips_k0_and_the_numeric_expansion(monkeypatch, ga
             return fn(*args, **kwargs)
         return wrapper
 
-    for mod, attr, fn in ((grid_module, "k0", grid_module.k0),
-                          (grid_module.Grid, "containment_levels",
+    for mod, attr, fn in ((grid_module.Grid, "containment_levels",
                            grid_module.Grid.containment_levels),
                           (atoms, "canonical_rep", atoms.canonical_rep),
                           (transfer, "canonical_rep", atoms.canonical_rep)):
@@ -441,7 +441,6 @@ def test_matrix_budget_cap(doubling):
 
 def test_tail_norm_certificate(golden):
     tm = assemble_matrix(golden, K=8, t=2)
-    tail = tm.tail_matrix()
     rng = np.random.default_rng(31)
     bound = tm.ledger.essential_bound
     for _ in range(10):
@@ -451,20 +450,9 @@ def test_tail_norm_certificate(golden):
         nrm_in = coefficient_norm_vector(vec, golden.grid, 8, PARAMS)
         if nrm_in == 0:
             continue
-        nrm_out = coefficient_norm_vector(tail @ vec, golden.grid, 8, PARAMS)
+        # essential_split zeroed the head entries: the matrix acts on the tail alone
+        nrm_out = coefficient_norm_vector(tm.matrix @ vec, golden.grid, 8, PARAMS)
         assert nrm_out <= bound * nrm_in * (1 + 1e-9)
-
-
-def test_tail_matrix_drops_the_head_columns(golden):
-    tm = assemble_matrix(golden, K=8, t=2)
-    head = 1 + 2            # the atoms of levels 0 and 1
-    want = tm.matrix.toarray()
-    want[:, :head] = 0.0
-    tail = tm.tail_matrix()
-    assert tail.shape == tm.matrix.shape
-    assert np.array_equal(tail.toarray(), want)
-    assert tail.nnz == np.count_nonzero(want)
-    assert tm.matrix[:, :head].nnz > 0
 
 
 def test_cell_operator_matches_numeric(golden, beta18):
@@ -524,7 +512,7 @@ def _c_11_by_loop(system, probe_level):
     c_11 = 0.0
     for b in system.branches:
         for k in range(min(probe_level, grid.max_level) + 1):
-            i0, i1 = grid.contained_run(k, *b.img)
+            (i0,), (i1,) = grid.contained_runs([k], *b.img)
             js = np.arange(i0, i1, max(1, (i1 - i0) // 16))
             edges = grid.edges(k)
             vlo, vhi = b.forward_interval(edges[js], edges[js + 1])
@@ -584,9 +572,9 @@ def test_p_equal_one_pipeline():
     tm = assemble_matrix(system, K=7)
     sliced = slice_rep(random_rep(grid, params, np.random.default_rng(43)), system)
     assert math.isfinite(sliced.measured_lhs["hiip2"])
-    assert sliced.slicing_constant > 0
-    measured = sliced.measured_lhs[sliced.mode]
-    assert measured <= sliced.slicing_constant * sliced.input_norm * (1 + 1e-9)
+    assert sliced.certificate.c_rs1 > 0
+    measured = sliced.measured_lhs[sliced.certificate.mode]
+    assert measured <= sliced.certificate.c_rs1 * sliced.input_norm * (1 + 1e-9)
 
 
 def test_slice_restriction_partial_cover(gauss):
