@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -495,49 +495,86 @@ def subtree_indices(grid: Grid, K: int, k: int, js: np.ndarray) -> np.ndarray:
     return lead + np.multiply.outer(js, step)
 
 
-def _sums_as_np_sum(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Per row of a, np.sum of the entries where keep holds, bit for bit.
+class PowerTable(NamedTuple):
+    """|a|**p (|a| when p is infinite) of the nonzero coefficients of every
+    level of a coefficient_table, or of a stack of them, taken once.
 
-    np.sum adds pairwise, so the entries left out change the grouping:
-    rows are summed in groups of equal kept count, each as a 2-D row sum.
+    roots[l] and arrays[l] are (kept, run) pairs for the flattened level:
+    kept holds the powers in table order, and run = _running_count of the
+    nonzero mask, so the kept entries of entries [i, e) are
+    kept[run[i]:run[e]].
     """
-    counts = keep.sum(axis=1)
-    out = np.zeros(a.shape[0], dtype=a.dtype)
-    for c in np.unique(counts[counts > 0]):
-        rows = np.nonzero(counts == c)[0]
-        out[rows] = a[rows][keep[rows]].reshape(-1, c).sum(axis=1)
-    return out
+    roots: List[Tuple[np.ndarray, np.ndarray]]
+    arrays: List[Tuple[np.ndarray, np.ndarray]]
 
 
-def subtree_norms(roots: List[np.ndarray], arrays: List[np.ndarray], m: int, k: int,
-                  cells: np.ndarray, params: BesovParams) -> np.ndarray:
+def power_table(roots: List[np.ndarray], arrays: List[np.ndarray], p: float) -> PowerTable:
+    """The PowerTable of a coefficient_table (roots, arrays), or of a stack
+    of them (roots[l] and arrays[l] 2-D, one row per table)."""
+    def level(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        a = np.abs(a)
+        nz = a > 0.0
+        return (a[nz] if p == INF else a[nz] ** p), _running_count(nz)
+    return PowerTable([level(a) for a in roots], [level(a) for a in arrays])
+
+
+def _running_count(keep: np.ndarray) -> np.ndarray:
+    """run[i] = how many entries of keep, flattened, hold before entry i
+    (i = 0..keep.size)."""
+    run = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(keep, axis=None, out=run[1:])
+    return run
+
+
+def _run_reductions(kept: np.ndarray, run: np.ndarray, lo: np.ndarray, width: int,
+                    reduce: Callable) -> Tuple[np.ndarray, np.ndarray]:
+    """(reduce of the kept entries, whether any is kept) per run of entries
+    [lo[i], lo[i] + width) of a mask, given the entries it keeps (kept, in
+    C order) and its _running_count (run); 0 where none is kept.
+
+    Runs are reduced in groups of equal kept count, each as a 2-D row
+    reduction, so a sum equals np.sum of the run's kept entries bit for
+    bit (np.sum adds pairwise: the count sets the grouping).
+    """
+    first = run[lo]
+    counts = run[lo + width] - first
+    out = np.zeros(lo.size)
+    for c in np.unique(counts[counts > 0]).tolist():
+        rows = np.flatnonzero(counts == c)
+        out[rows] = reduce(kept[first[rows, None] + np.arange(c)], axis=1)
+    return out, counts > 0
+
+
+def subtree_norms(table: PowerTable, m: int, k: int, cells: np.ndarray,
+                  params: BesovParams) -> np.ndarray:
     """coefficient_norm of the subtree expansions of some cells of level k.
 
-    Read from a coefficient_table, or from a stack of them (roots[l] and
-    arrays[l] 2-D, one row per table), where cell j of table t is
-    t * m**k + j; equal bit for bit to
-    coefficient_norm(tree_rep(subtree_arrays(...))) per cell, which drops
-    zero coefficients and levels without a nonzero one.
+    Read from the power_table (made with params.p) of a coefficient_table,
+    or of a stack of them, where cell j of table t is t * m**k + j; equal
+    bit for bit to coefficient_norm(tree_rep(subtree_arrays(...))) per
+    cell, which drops zero coefficients and levels without a nonzero one.
     """
     p, q = params.p, params.q
+    reduce = np.max if p == INF else np.sum
     masses, present = [], []
-    for u in range(len(arrays) - k):
-        a = np.abs(np.reshape(roots[k] if u == 0 else arrays[k + u], (-1, m ** u))[cells])
-        nz = a > 0.0
-        present.append(nz.any(axis=1))
+    for u in range(len(table.arrays) - k):
+        kept, run = table.roots[k] if u == 0 else table.arrays[k + u]
+        mass, nz = _run_reductions(kept, run, cells * m ** u, m ** u, reduce)
+        present.append(nz)
         if p == INF:
-            masses.append(a.max(axis=1))
+            masses.append(mass)
         else:
             # Python's pow per value, which equals coefficient_norm's pow of a
             # numpy scalar; numpy's vectorized pow can differ in the last bit
-            masses.append(np.array([s ** (1.0 / p)
-                                    for s in _sums_as_np_sum(a ** p, nz).tolist()]))
+            masses.append(np.array([s ** (1.0 / p) for s in mass.tolist()]))
     masses, present = np.stack(masses, axis=1), np.stack(present, axis=1)
     if q == INF:
         total = masses.max(axis=1)
     else:
-        total = np.array([s ** (1.0 / q)
-                          for s in _sums_as_np_sum(masses ** q, present).tolist()])
+        n_u = present.shape[1]
+        sums, _ = _run_reductions((masses ** q)[present], _running_count(present),
+                                  np.arange(0, present.size, n_u), n_u, np.sum)
+        total = np.array([s ** (1.0 / q) for s in sums.tolist()])
     if not np.all(np.isfinite(total)):
         raise NormOverflowError("coefficient norm is not finite")
     return total

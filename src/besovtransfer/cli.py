@@ -101,16 +101,20 @@ class RunConfig:
         if "map" not in data:
             raise ConfigError("config.map: missing")
         map_spec = MapSpec.from_json(_section(data, "map"))
-        analyses = list(data.get("analyses", ["ledger"]))
+        analyses = data.get("analyses", ["ledger"])
+        if not (isinstance(analyses, list) and all(isinstance(a, str) for a in analyses)):
+            raise ConfigError(f"config.analyses: expected a list of analysis names, "
+                              f"got {analyses!r}")
         for a in analyses:
             if a not in ANALYSES:
                 raise ConfigError(f"config.analyses: unknown analysis {a!r}")
         consts = _section(data, "constants")
         constants = Constants(
-            c_gc=float(consts.get("C_GC", 4.0)),
-            c_gbs=float(consts.get("C_GBS", 2.0)),
-            c_gbva=float(consts.get("C_GBVA", 1.0)),
-            c_gsr=None if consts.get("C_GSR") is None else float(consts["C_GSR"]),
+            c_gc=_number("constants.C_GC", consts.get("C_GC", 4.0), float),
+            c_gbs=_number("constants.C_GBS", consts.get("C_GBS", 2.0), float),
+            c_gbva=_number("constants.C_GBVA", consts.get("C_GBVA", 1.0), float),
+            c_gsr=None if consts.get("C_GSR") is None
+            else _number("constants.C_GSR", consts["C_GSR"], float),
         )
         caps = _section(data, "caps")
         observable = str(data.get("observable", "cos"))
@@ -118,10 +122,10 @@ class RunConfig:
             raise ConfigError(f"config.observable: unknown observable {observable!r}")
         return cls(grid=grid, params=params, map_spec=map_spec, analyses=analyses,
                    out_dir=out_dir, constants=constants,
-                   seed=int(data.get("seed", 0)),
-                   basis_cap=int(caps.get("basis", 8191)),
-                   split_level=int(caps.get("split_level", 1)),
-                   probe_level=int(caps.get("probe_level", 10)),
+                   seed=_number("seed", data.get("seed", 0), int),
+                   basis_cap=_number("caps.basis", caps.get("basis", 8191), int),
+                   split_level=_number("caps.split_level", caps.get("split_level", 1), int),
+                   probe_level=_number("caps.probe_level", caps.get("probe_level", 10), int),
                    observable=observable)
 
 
@@ -131,6 +135,14 @@ def _section(data: Dict, name: str) -> Dict:
     if not isinstance(section, dict):
         raise ConfigError(f"config.{name}: expected an object, got {type(section).__name__}")
     return section
+
+
+def _number(field: str, raw, convert):
+    """raw converted to a number; ConfigError naming the field when it is none."""
+    try:
+        return convert(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config.{field}: expected a number, got {raw!r}") from exc
 
 
 def _json_text(data) -> str:

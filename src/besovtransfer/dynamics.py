@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .atoms import (_GL_NODES, _GL_WEIGHTS, BesovParams, PiecewiseFn, coefficient_table,
-                    subtree_norms)
+                    power_table, subtree_norms)
 from .domains import cover, strong_regularities
 from .errors import (
     AssumptionError,
@@ -439,13 +439,15 @@ def _regularities(gbars: Sequence[PiecewiseFn], branches: Sequence[Branch],
     """potential_regularity of every branch (its weight averages in gbars,
     all on one grid and level) in one array pass: the budgets of all probe
     cells at once, and the expansion norms of each probe level from one
-    atoms.subtree_norms call over the stacked coefficient_tables."""
+    atoms.subtree_norms call over the power_table of the stacked
+    coefficient_tables, which takes the powers of each table level once."""
     grid, K, m = gbars[0].grid, gbars[0].level, gbars[0].grid.arity
     top = min(probe_level, K)
     exponent = 1.0 / params.p - params.s + params.eps
     tables = [coefficient_table(g, params.theta_beta, b.potential.positive)
               for g, b in zip(gbars, branches)]
-    roots, arrays = ([np.stack(level) for level in zip(*part)] for part in zip(*tables))
+    table = power_table(*([np.stack(level) for level in zip(*part)] for part in zip(*tables)),
+                        params.p)
     br, ks, js = _probe_cells(grid, _ends(branches, "dom"), top, None)
     w_lo, w_hi, w_meas = grid.extents(ks, js)
     q_lo, q_hi = per_branch(branches, br, Branch.pullback_interval, w_lo, w_hi)
@@ -458,7 +460,7 @@ def _regularities(gbars: Sequence[PiecewiseFn], branches: Sequence[Branch],
     worst = np.zeros((len(branches), top + 1))
     for k in range(top + 1):
         sel = ks == k
-        nums = subtree_norms(roots, arrays, m, k, br[sel] * m ** k + js[sel], params)
+        nums = subtree_norms(table, m, k, br[sel] * m ** k + js[sel], params)
         np.maximum.at(worst, (br[sel], k), nums / dens[sel])
     for b, levels in zip(branches, worst.tolist()):
         b.potential.c_rp_levels.update(enumerate(levels))

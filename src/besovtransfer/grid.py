@@ -220,6 +220,7 @@ class Grid:
         i1 = np.floor(hi * n + CONTAIN_TOL)
         if self.cuts and np.any(np.asarray(level) == self.max_level):
             level, lo, hi = np.broadcast_arrays(level, lo, hi)
+            i0, i1 = np.asarray(i0), np.asarray(i1)     # 0-d for scalar arguments
             cut = level == self.max_level
             tol = CONTAIN_TOL * self.width(self.max_level)
             i0[cut] = np.searchsorted(self._cut_edges, lo[cut] - tol, side="left")
@@ -252,7 +253,9 @@ class Grid:
         if self.cuts:
             cut = level == self.max_level
             if cut.any():
+                j = np.asarray(j)     # 0-d for a scalar level and x
                 j[cut] = np.searchsorted(self._cut_edges, x[cut], side="right") - 1
+                j = j[()]             # and back to a scalar, as on an uncut level
         return j
 
     def overlaps(self, level: int, lo, hi) -> Tuple[np.ndarray, ...]:

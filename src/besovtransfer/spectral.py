@@ -6,6 +6,11 @@ on cell values: the invariant density, the correlations and their decay
 fit, and the variance of centered observables via the perturbed operator
 family.  M serves the eigenvalues (peripheral spectrum, gap, decay
 certificate) and the norm-inequality fit.
+
+Only `scipy.sparse` is imported with the module.  ARPACK
+(`scipy.sparse.linalg`, which brings `scipy.linalg`) is imported by the
+first solve that needs it, in `eigs`, and `scipy.sparse.csgraph` by the
+first `transitivity_check`; runs that solve no eigenproblem load neither.
 """
 
 from __future__ import annotations
@@ -17,8 +22,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
-from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from .atoms import (
     AtomicRep,
@@ -40,6 +43,12 @@ DENSE_EIG_CAP = 8191
 
 
 # -- eigenvalues ----------------------------------------------------------------
+
+
+def eigs(A, k, **kwargs):
+    """`scipy.sparse.linalg.eigs`, imported on the first call."""
+    from scipy.sparse.linalg import eigs as arpack_eigs
+    return arpack_eigs(A, k, **kwargs)
 
 
 @dataclass
@@ -75,6 +84,7 @@ def _arnoldi(tm: TransferMatrix, tol: float) -> Eigensystem:
     clusters deeper in the disc.  Non-convergence raises ConvergenceError,
     with no dense fallback; only a matrix too small for ARPACK is dense.
     """
+    from scipy.sparse.linalg import ArpackNoConvergence
     n = tm.size
     k = 2
     while True:
@@ -317,6 +327,7 @@ def transitivity_check(tm: TransferMatrix, level: int) -> bool:
     mass; for the supported maps the cell operator entries realize exactly
     that surrogate.
     """
+    from scipy.sparse import csgraph
     op = build_cell_operator(tm.system, K=level).tocoo()
     keep = np.abs(op.data) > 1e-12
     adj = sp.csr_matrix((np.ones(int(keep.sum()), dtype=np.int8),

@@ -19,6 +19,7 @@ from besovtransfer.atoms import (
     coefficient_table,
     evaluate,
     multiplier_apply,
+    power_table,
     random_rep,
     souza_atom,
     subtree_arrays,
@@ -344,16 +345,19 @@ def test_subtree_norms_equal_coefficient_norm_cell_by_cell():
             stacked = ([np.stack(x) for x in zip(roots, g_roots)],
                        [np.stack(x) for x in zip(arrays, g_arrays)])
             for k in range(9):
-                got = subtree_norms(roots, arrays, 2, k, np.arange(2 ** k), params)
+                got = subtree_norms(power_table(roots, arrays, params.p), 2, k,
+                                    np.arange(2 ** k), params)
                 want = [coefficient_norm(subtree_rep(f, CellId(k, j), params, positive,
                                                      theta=params.theta_beta))
                         for j in range(2 ** k)]
                 assert got.tolist() == want
                 # a stack of tables gives each table's norms, cell t * 2**k + j
-                both = subtree_norms(*stacked, 2, k, np.arange(2 ** (k + 1))[::-1], params)
+                both = subtree_norms(power_table(*stacked, params.p), 2, k,
+                                     np.arange(2 ** (k + 1))[::-1], params)
                 assert both[2 ** k:][::-1].tolist() == want
                 assert both[:2 ** k][::-1].tolist() == subtree_norms(
-                    g_roots, g_arrays, 2, k, np.arange(2 ** k), params).tolist()
+                    power_table(g_roots, g_arrays, params.p), 2, k, np.arange(2 ** k),
+                    params).tolist()
 
 
 # -- L^t norms and embedding ---------------------------------------------------

@@ -89,6 +89,23 @@ def test_config_error_paths(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"config error: config.{key}: ")
 
 
+@pytest.mark.parametrize("key, value, field", [
+    ("caps", {"basis": "x"}, "caps.basis"),
+    ("caps", {"probe_level": [8]}, "caps.probe_level"),
+    ("seed", "x", "seed"),
+    ("constants", {"C_GBS": "x"}, "constants.C_GBS"),
+    ("constants", {"C_GSR": {}}, "constants.C_GSR"),
+    ("analyses", "ledger", "analyses"),
+    ("analyses", ["ledger", 3], "analyses"),
+])
+def test_config_malformed_value_is_refused_by_field(tmp_path, capsys, key, value, field):
+    cfg = write_config(tmp_path, **{key: value})
+    assert main(["ledger", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config.{field}: expected a ")
+    assert "unknown analysis" not in err
+
+
 def test_nonexpanding_map_rejected(tmp_path):
     cfg = write_config(tmp_path, map={"map": "pw_linear",
                                       "breakpoints": [0.0, 0.5, 1.0],

@@ -410,7 +410,8 @@ def _regularity_by_branch(gbar, branch, params, probe_level):
     for k, (i0, i1) in enumerate(runs):
         levels[k] = 0.0
         if i1 > i0:
-            nums = atoms.subtree_norms(roots, arrays, grid.arity, k, np.arange(i0, i1), params)
+            nums = atoms.subtree_norms(atoms.power_table(roots, arrays, params.p), grid.arity,
+                                       k, np.arange(i0, i1), params)
             levels[k] = float(np.max(nums / dens[ks == k]))
         worst = max(worst, levels[k])
     return worst, levels

@@ -214,3 +214,16 @@ def test_overlaps_scalar_piece_and_empty_pieces():
     assert a[0] == 0.1 and b[-1] == 0.3 and np.all(wj == 1 / 16)
     for lo, hi in ((0.3, 0.3), (0.3, 0.1), ([], [])):
         assert all(x.size == 0 for x in grid.overlaps(4, lo, hi))
+
+
+def test_scalar_lookups_agree_with_one_item_arrays():
+    # cut (level 10 of the cut grid) and uncut levels; points on cut edges too
+    for grid, level in _kernel_grids():
+        for x in (0.0, 0.3001, 2 - (1 + 5 ** 0.5) / 2, 0.5, 0.999, 1.0):
+            one = np.array([x])
+            assert np.ndim(grid.cell_index(level, x)) == 0
+            assert grid.cell_index(level, x) == grid.cell_index(np.array([level]), one)[0]
+            runs = grid.contained_runs(level, x, x + 0.05)
+            assert all(np.ndim(r) == 0 for r in runs)
+            assert [int(r) for r in runs] == [
+                int(r[0]) for r in grid.contained_runs(np.array([level]), one, one + 0.05)]
