@@ -84,8 +84,10 @@ class RunConfig:
         if version != 1:
             raise ConfigError(f"config.schema_version: unsupported version {version}")
         g = _section(data, "grid")
+        arity = _number("grid.arity", g.get("arity", 2), int)
+        max_level = _number("grid.max_level", g.get("max_level", 10), int)
         try:
-            grid = build_grid(int(g.get("arity", 2)), int(g.get("max_level", 10)))
+            grid = build_grid(arity, max_level)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config.grid: {exc}") from exc
         p = _section(data, "params")
@@ -138,11 +140,19 @@ def _section(data: Dict, name: str) -> Dict:
 
 
 def _number(field: str, raw, convert):
-    """raw converted to a number; ConfigError naming the field when it is none."""
+    """raw converted to a finite number, a whole one for convert=int;
+    ConfigError naming the field otherwise (a bool is not a number here)."""
+    if isinstance(raw, bool):
+        raise ConfigError(f"config.{field}: expected a number, got {raw!r}")
     try:
-        return convert(raw)
-    except (TypeError, ValueError) as exc:
+        value = convert(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config.{field}: expected a number, got {raw!r}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config.{field}: expected a finite number, got {raw!r}")
+    if isinstance(raw, float) and value != raw:
+        raise ConfigError(f"config.{field}: expected a whole number, got {raw!r}")
+    return value
 
 
 def _json_text(data) -> str:

@@ -8,13 +8,20 @@ closed forms, which is why the geometric ratio is pinned to
 arity**(-alpha) rather than fitted (two-parameter fits are
 ill-conditioned).
 
-One array kernel, `cover`, decomposes a whole batch of pieces at once:
-per level it finds the contained run of every residual piece with the
-grid's one containment rule (Grid.contained_runs), so after the first hit
-only the two fringes beside the runs taken so far yield new cells.  It returns
-the cells as COO arrays (piece, level, index), the first level holding a
-cell and, on request, the distortion constant c_dom, whose level sums are
-added in the order the cells come (as Python's sum does) from Python's
+One array kernel, `cover`, decomposes a batch of pieces at once, reading
+them off one (piece x level) table of contained runs [a_k, b_k) from the
+grid's one containment rule (Grid.contained_runs).  A piece gives its run
+at its first level k0; past k0 its left fringe gives [a_k, m*a_(k-1)) and
+its right fringe [m*b_(k-1), b_k), m the arity: the inner end is the
+coarser run refined, not the fringe's float edge.  A fringe ends at its
+first run leaving 1e-15 or less beside it; an open fringe is defect up to
+the float edge of its last run.  Down to grid.max_level this is the
+level-by-level loop bit for bit (edge * cell count rounds within the
+containment tolerance); cover refuses a deeper depth, where the loop's
+float edges leave staircase slivers and cut grids stop nesting.  It
+returns the cells as COO arrays (piece, level, index), the first level
+holding a cell and, on request, the distortion constant c_dom, whose
+level sums are added in cell order (as Python's sum does) from Python's
 pows.  `decompose` is the one-set form with the RegularDecomp result.
 """
 
@@ -62,13 +69,6 @@ def _fold(keys: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return start, out
 
 
-def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[0], b[0], a[1], b[1], ...: each residual piece's two fringes in order."""
-    out = np.empty((a.size, 2), dtype=a.dtype)
-    out[:, 0], out[:, 1] = a, b
-    return out.ravel()
-
-
 def cover(grid: Grid, lo, hi, depth: int, alpha: Optional[float] = None,
           group: Optional[np.ndarray] = None) -> Cover:
     """Greedy maximal-cell decomposition of the pieces [lo[i], hi[i]).
@@ -76,11 +76,11 @@ def cover(grid: Grid, lo, hi, depth: int, alpha: Optional[float] = None,
     Level by level down to depth, each residual piece gives up the cells
     contained in it (Grid.contained_runs); the run is snapped to its
     edges, and what lies beside it by more than 1e-15 stays residual.
-    What remains below depth is the defect.  `group` (nondecreasing, one
-    id per piece, default: each piece its own group) joins the pieces of
-    one set for k0 and c_dom; with alpha, c_dom of a set is the largest
-    level sum of |P|**alpha over lambda**(k - k0) * |set|**alpha,
-    lambda = arity**(-alpha).
+    What remains below depth is the defect; a depth past grid.max_level
+    raises ValueError.  `group` (nondecreasing, one id per piece, default:
+    each piece its own group) joins the pieces of one set for k0 and c_dom;
+    with alpha, c_dom of a set is the largest level sum of |P|**alpha over
+    lambda**(k - k0) * |set|**alpha, lambda = arity**(-alpha).
     """
     lo = np.asarray(lo, dtype=float).ravel()
     hi = np.asarray(hi, dtype=float).ravel()
@@ -91,13 +91,12 @@ def cover(grid: Grid, lo, hi, depth: int, alpha: Optional[float] = None,
     index = np.arange(piece.size) - np.repeat(start - i0, count)
 
     group = np.arange(lo.size) if group is None else np.asarray(group)
-    n_groups = int(group[-1]) + 1 if group.size else 0
-    k0 = np.full(n_groups, depth + 1)
-    np.minimum.at(k0, group, np.where(first < 0, depth + 1, first))
+    k0 = np.full(int(group[-1]) + 1 if group.size else 0, depth + 1)
+    np.minimum.at(k0, group, first)
     k0[k0 > depth] = -1
     c_dom = None
     if alpha is not None:
-        c_dom = np.zeros(n_groups)
+        c_dom = np.zeros(k0.size)
         _, total = _fold(group, hi - lo)
         g = group[piece]
         by_level = np.argsort(g * (depth + 1) + level, kind="stable")
@@ -113,38 +112,44 @@ def cover(grid: Grid, lo, hi, depth: int, alpha: Optional[float] = None,
 
 
 def _greedy_runs(grid: Grid, lo: np.ndarray, hi: np.ndarray, depth: int):
-    """The runs of cover as (piece, level, i0, i1) arrays, ordered by piece
-    and level; with the first level holding a cell per piece (-1 if none)
-    and the defect pieces (piece, lo, hi).
-
-    The levels are followed one at a time over all residual pieces at
-    once, as the scalar greedy loop follows them one piece at a time.
+    """The runs of cover as (piece, level, i0, i1) arrays ordered by piece,
+    level and index, each piece's first level (depth + 1 if none) and the
+    defect pieces (piece, lo, hi).  On the (piece, level, side) arrays side
+    0 is the left fringe and side 1 the right; both hold the first run.
     """
-    # a piece is its own residual until its first cell, so its first level
-    # comes from the runs of all pieces at all levels at once
-    i0, i1 = grid.contained_runs(np.arange(depth + 1), lo[:, None], hi[:, None])
-    hit = i1 > i0
-    first = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
-    owner, r_lo, r_hi = np.arange(lo.size), lo, hi
-    runs = [(np.zeros(0, dtype=np.int64),) * 4]
-    for k in range(int(first.min(initial=depth + 1, where=first >= 0)), depth + 1):
-        i0, i1 = grid.contained_runs(k, r_lo, r_hi)
-        hit = i1 > i0
-        h = np.flatnonzero(hit)
-        if not h.size:
-            continue
-        runs.append((owner[h], np.full(h.size, k), i0[h], i1[h]))
-        # a hit piece leaves its two fringes beside the snapped run
-        e0 = np.where(hit, grid.edge(k, np.minimum(i0, grid.n_cells(k))), r_hi)
-        e1 = grid.edge(k, np.maximum(i1, 0))
-        keep = _pairs(~hit | (e0 - r_lo > 1e-15), hit & (r_hi - e1 > 1e-15))
-        owner = np.repeat(owner, 2)[keep]
-        r_lo, r_hi = _pairs(r_lo, e1)[keep], _pairs(e0, r_hi)[keep]
-        if not owner.size:
-            break
-    piece, level, i0, i1 = (np.concatenate(x) for x in zip(*runs))
-    order = np.argsort(piece, kind="stable")
-    return (piece[order], level[order], i0[order], i1[order]), first, (owner, r_lo, r_hi)
+    if depth > grid.max_level:
+        raise ValueError(f"cover depth {depth} is past max_level {grid.max_level}")
+    levels = np.arange(depth + 1)
+    a, b = grid.contained_runs(levels, lo[:, None], hi[:, None])
+    hit = b > a
+    found = hit.any(axis=1)
+    first = np.where(found, hit.argmax(axis=1), depth + 1)
+    top = int(first.min(initial=depth))       # no piece has a run above it
+    levels, a, b = levels[top:], a[:, top:], b[:, top:]
+    rows = np.arange(lo.size)[:, None]
+    # past its first level a fringe's run ends at the coarser run refined
+    after = levels > first[:, None]
+    start, end = a[..., None].repeat(2, axis=2), b[..., None].repeat(2, axis=2)
+    np.copyto(start[:, 1:, 1], grid.arity * b[:, :-1], where=after[:, 1:])
+    np.copyto(end[:, 1:, 0], grid.arity * a[:, :-1], where=after[:, 1:])
+    run = end > start
+    # a fringe ends at its first run that leaves 1e-15 or less beside it
+    edge = grid.edge(levels[:, None], np.where(run, np.stack((a, b), axis=2), 0))
+    snap = run & ((edge - np.stack((lo, hi), axis=1)[:, None]) * [1.0, -1.0] <= 1e-15)
+    final = snap.argmax(axis=1)
+    open_ = ~snap[rows, final, [0, 1]]
+    final[open_] = depth
+    emit = run & (levels[:, None] <= top + final[:, None])
+    emit[..., 1] &= after                 # the first run once, on side 0
+    at = np.flatnonzero(emit)
+    piece, level = at // (2 * levels.size), top + at // 2 % levels.size
+    # an open fringe is defect up to the edge of its last run
+    e_last = edge[rows, -1 - run[:, ::-1].argmax(axis=1), [0, 1]]
+    keep = open_ & (found[:, None] | [True, False])
+    d_lo = np.stack((lo, e_last[:, 1]), axis=1)[keep]
+    d_hi = np.stack((np.where(found, e_last[:, 0], hi), hi), axis=1)[keep]
+    return ((piece, level, start.ravel()[at], end.ravel()[at]), first,
+            (np.nonzero(keep)[0], d_lo, d_hi))
 
 
 @dataclass
@@ -171,11 +176,10 @@ class RegularDecomp:
 
 
 def decompose(grid: Grid, pieces, alpha: float,
-              max_level: Optional[int] = None,
               defect_cap: Optional[float] = None) -> RegularDecomp:
     """Greedy maximal-cell decomposition of an interval union.
 
-    The residual left below max_level is returned as defect pieces.  A
+    The residual left below grid.max_level is returned as defect pieces.  A
     ResolutionError is raised only when the defect exceeds both the
     relative cap and the structural boundary-fringe allowance (a set with
     endpoints off the grid always leaves up to one sub-cell sliver per
@@ -189,27 +193,23 @@ def decompose(grid: Grid, pieces, alpha: float,
     if not target:
         raise ValueError("target set has zero measure")
     total = iv.measure(target)
-    K = grid.max_level if max_level is None else max_level
-
+    K = grid.max_level
     cov = cover(grid, *np.reshape(target, (-1, 2)).T, K, alpha=alpha,
                 group=np.zeros(len(target), dtype=np.int64))
     families: Dict[int, List[CellId]] = {}
     by_level = np.argsort(cov.level, kind="stable")
     for k, j in zip(cov.level[by_level].tolist(), cov.index[by_level].tolist()):
         families.setdefault(k, []).append(CellId(k, j))
-    residual = list(zip(cov.defect_lo.tolist(), cov.defect_hi.tolist()))
-    k0: Optional[int] = int(cov.k0[0]) if cov.k0[0] >= 0 else None
-
-    defect = iv.normalize(residual)
+    defect = iv.normalize(list(zip(cov.defect_lo.tolist(), cov.defect_hi.tolist())))
     defect_measure = iv.measure(defect)
     cap = 1e-9 * total if defect_cap is None else defect_cap
     w_bot = grid.width_range(K)[1]
     fringe_allowance = 2.0 * len(target) * w_bot * (1 + 1e-9)
     if defect_measure > cap and defect_measure > fringe_allowance:
-        raise ResolutionError(
-            f"residual measure {defect_measure:.3e} exceeds cap at level {K}"
-        )
-    if k0 is None:
+        raise ResolutionError(f"residual measure {defect_measure:.3e} exceeds cap "
+                              f"at level {K}")
+    k0 = int(cov.k0[0])
+    if k0 < 0:
         # a sliver thinner than one bottom-level cell decomposes to defect
         # only; anything larger that produced no cell is a real failure
         if total > 2 * len(target) * w_bot:
@@ -218,8 +218,7 @@ def decompose(grid: Grid, pieces, alpha: float,
 
     return RegularDecomp(target=target, alpha=alpha, families=families, k0=k0,
                          c_dom=float(cov.c_dom[0]), lambda_dom=grid.arity ** (-alpha),
-                         defect_pieces=defect,
-                         defect_measure=defect_measure)
+                         defect_pieces=defect, defect_measure=defect_measure)
 
 
 @dataclass

@@ -130,12 +130,10 @@ class Grid:
             if self.cuts and level == self.max_level:
                 return self._cut_edges[i]
             return i * self.width(level)
-        level, i = np.broadcast_arrays(level, i)
-        e = np.asarray(i * self.nominal_widths(level))
-        if self.cuts:
-            cut = level == self.max_level
-            if cut.any():
-                e[cut] = self._cut_edges[i[cut]]
+        e = i * self.nominal_widths(level)
+        cut = np.asarray(level) == self.max_level
+        if self.cuts and cut.any():
+            e = np.where(cut, self._cut_edges[np.where(cut, i, 0)], e)
         return e
 
     def edges(self, level: int) -> np.ndarray:
@@ -218,13 +216,11 @@ class Grid:
         n = self.cell_counts(level)
         i0 = np.ceil(lo * n - CONTAIN_TOL)
         i1 = np.floor(hi * n + CONTAIN_TOL)
-        if self.cuts and np.any(np.asarray(level) == self.max_level):
-            level, lo, hi = np.broadcast_arrays(level, lo, hi)
-            i0, i1 = np.asarray(i0), np.asarray(i1)     # 0-d for scalar arguments
-            cut = level == self.max_level
+        cut = np.asarray(level) == self.max_level
+        if self.cuts and cut.any():
             tol = CONTAIN_TOL * self.width(self.max_level)
-            i0[cut] = np.searchsorted(self._cut_edges, lo[cut] - tol, side="left")
-            i1[cut] = np.searchsorted(self._cut_edges, hi[cut] + tol, side="right") - 1
+            i0 = np.where(cut, np.searchsorted(self._cut_edges, lo - tol, side="left"), i0)
+            i1 = np.where(cut, np.searchsorted(self._cut_edges, hi + tol, side="right") - 1, i1)
         return np.maximum(i0, 0), np.minimum(i1, n)
 
     def containment_levels(self, lo, hi, up_to: int) -> np.ndarray:

@@ -97,6 +97,12 @@ def test_config_error_paths(tmp_path, capsys):
     ("constants", {"C_GSR": {}}, "constants.C_GSR"),
     ("analyses", "ledger", "analyses"),
     ("analyses", ["ledger", 3], "analyses"),
+    ("constants", {"C_GC": float("nan")}, "constants.C_GC"),
+    ("constants", {"C_GBS": float("inf")}, "constants.C_GBS"),
+    ("caps", {"basis": 100.9}, "caps.basis"),
+    ("caps", {"probe_level": True}, "caps.probe_level"),
+    ("seed", 2.7, "seed"),
+    ("grid", {"arity": 2, "max_level": 9.5}, "grid.max_level"),
 ])
 def test_config_malformed_value_is_refused_by_field(tmp_path, capsys, key, value, field):
     cfg = write_config(tmp_path, **{key: value})

@@ -8,7 +8,7 @@ import pytest
 
 from besovtransfer import intervals as iv
 from besovtransfer.domains import cover, decompose, strong_regularities
-from besovtransfer.grid import CONTAIN_TOL, CellId, build_grid
+from besovtransfer.grid import CONTAIN_TOL, CellId, Grid, build_grid
 
 GRID = build_grid(2, 12)
 ALPHA = 0.2
@@ -212,12 +212,14 @@ def _awkward_pieces(grid, rng):
 
 @pytest.mark.parametrize("grid", [build_grid(2, 6), build_grid(3, 4), build_grid(8, 4),
                                   build_grid(2, 7).with_cuts([0.3001, 1 / 1.618033988749895]),
-                                  build_grid(3, 5).with_cuts([0.0881, 0.61])],
-                         ids=["dyadic", "triadic", "octal", "cut-dyadic", "cut-triadic"])
+                                  build_grid(3, 5).with_cuts([0.0881, 0.61]),
+                                  build_grid(3, 13)],
+                         ids=["dyadic", "triadic", "octal", "cut-dyadic", "cut-triadic",
+                              "deepest-triadic"])
 def test_cover_equals_the_scalar_greedy_loop(grid):
     rng = np.random.default_rng(29)
     pieces = _awkward_pieces(grid, rng)
-    for depth in (grid.max_level - 2, grid.max_level, grid.max_level + 16):
+    for depth in (grid.max_level - 2, grid.max_level):
         for alpha in (0.2, 1.0):
             targets = [iv.normalize([p]) for p in pieces]
             targets = [t for t in targets if t]
@@ -247,6 +249,31 @@ def test_decompose_of_a_union_equals_the_scalar_greedy_loop():
             families, k0, c_dom, defect = _scalar_decompose(grid, target, ALPHA, grid.max_level)
             assert (dec.families, dec.k0, dec.c_dom, dec.defect_pieces) == \
                 (families, k0, c_dom, defect)
+
+
+def test_cover_refuses_a_depth_past_the_grid():
+    grid = build_grid(3, 5).with_cuts([0.0881])
+    cover(grid, [0.1], [0.2], grid.max_level)
+    with pytest.raises(ValueError):
+        cover(grid, [0.1], [0.2], grid.max_level + 1)
+
+
+def test_cover_reads_one_table_of_contained_runs(monkeypatch):
+    grid = build_grid(2, 7).with_cuts([0.3001, 1 / 1.618033988749895])
+    calls = []
+    runs = Grid.contained_runs
+
+    def counted(self, *args):
+        calls.append(args[0])
+        return runs(self, *args)
+
+    monkeypatch.setattr(Grid, "contained_runs", counted)
+    pieces = _awkward_pieces(grid, np.random.default_rng(41))
+    lo, hi = np.array([p for p in pieces if p[1] > p[0]]).T
+    for depth in (0, grid.max_level - 2, grid.max_level):
+        calls.clear()
+        cover(grid, lo, hi, depth, alpha=0.5)
+        assert len(calls) == 1
 
 
 def test_containment_levels_past_int64_cell_counts():
