@@ -158,14 +158,18 @@ class PiecewiseFn:
         return PiecewiseFn(self.grid, self.level, self.values - self._values_of(other))
 
     def to_csv(self) -> str:
-        lines = ["midpoint,value"]
-        for j, v in enumerate(self.values):
-            x = self.grid.midpoint(CellId(self.level, j))
-            if np.iscomplexobj(self.values) and self.values.imag.any():
-                lines.append(f"{x!r},{complex(v)!r}")
-            else:
-                lines.append(f"{x!r},{float(np.real(v))!r}")
-        return "\n".join(lines) + "\n"
+        """One row (cell midpoint, value) per cell, as Grid.midpoint gives it."""
+        grid, k = self.grid, self.level
+        e = grid.edges(k)
+        mid = (np.arange(e.size - 1) + 0.5) * grid.width(k)
+        if grid.is_cut(k):
+            mid = 0.5 * (e[:-1] + e[1:])
+        if np.iscomplexobj(self.values) and self.values.imag.any():
+            values = self.values.astype(complex).tolist()
+        else:
+            values = np.real(self.values).astype(float).tolist()
+        return "midpoint,value\n" + "".join([f"{x!r},{v!r}\n"
+                                              for x, v in zip(mid.tolist(), values)])
 
 
 # -- atomic representations ---------------------------------------------------
@@ -648,7 +652,7 @@ class BesovAtom:
 
     `rep` holds beta-scale coefficients (exponent 1/p - beta) of a function
     supported in `support`; its coefficient norm must stay below
-    |support|**(s-beta) / c_budget.
+    |support|**(s-beta).
     """
 
     support: CellId
@@ -659,8 +663,7 @@ class BesovAtom:
 
 
 def besov_to_souza(general_rep: Sequence[Tuple[complex, BesovAtom]],
-                   params: BesovParams, grid: Grid,
-                   c_budget: float = 1.0) -> AtomicRep:
+                   params: BesovParams, grid: Grid) -> AtomicRep:
     """Flatten a finer-scale atom expansion into a plain atom expansion.
 
     Each beta-scale atom coefficient at cell U converts by the factor
@@ -672,7 +675,7 @@ def besov_to_souza(general_rep: Sequence[Tuple[complex, BesovAtom]],
     all_positive = True
     for d, atom in general_rep:
         W = atom.support
-        budget = grid.measure(W) ** (params.s - params.beta) / c_budget
+        budget = grid.measure(W) ** (params.s - params.beta)
         if atom.norm() > budget * (1 + 1e-9):
             raise AtomBudgetError(
                 f"atom on {W} has norm {atom.norm():.6g} > budget {budget:.6g}"

@@ -23,15 +23,9 @@ from .errors import (
     BesovTransferError,
     CapacityError,
     ConfigError,
-    ConvergenceError,
     DegenerateFitError,
-    GapCollapseError,
-    InfeasibleFitError,
     MapSpecError,
-    ModeMismatchError,
-    NormOverflowError,
     ParamsError,
-    ResolutionError,
 )
 from .grid import CellId, Grid, build_grid, validate_grid
 from .spectral import (
@@ -333,13 +327,7 @@ def explain(name: str, config: RunConfig) -> str:
                       probe_level=config.probe_level)
     ledger = bound_ledger(system, config.constants, t=config.split_level)
     if name == "theta":
-        lines = [f"theta_r = {ledger.formulas['theta']}",
-                 "r,a_r,c_DC1,c_DC2,c_DGD1,c_DGD2,c_RP,theta"]
-        for row in system.ledger_rows():
-            lines.append(",".join(str(row[c]) if c == "r" else repr(row[c])
-                                  for c in ("r", "a_r", "c_DC1", "c_DC2",
-                                            "c_DGD1", "c_DGD2", "c_RP", "theta")))
-        return "\n".join(lines) + "\n"
+        return f"theta_r = {ledger.formulas['theta']}\n" + system.ledger_csv()
     if name == "C_D":
         return (f"C_D = {ledger.formulas['C_D']}\n"
                 f"    = 2/(1 - {ledger.lambda_rs2!r}**{params.gamma!r})\n"
@@ -425,9 +413,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParamsError, AssumptionError) as exc:
         print(f"assumption failure: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
-    except (ConvergenceError, GapCollapseError, ModeMismatchError,
-            NormOverflowError, InfeasibleFitError, ResolutionError,
-            DegenerateFitError, BesovTransferError) as exc:
+    except BesovTransferError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

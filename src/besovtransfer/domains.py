@@ -19,10 +19,10 @@ the float edge of its last run.  Down to grid.max_level this is the
 level-by-level loop bit for bit (edge * cell count rounds within the
 containment tolerance); cover refuses a deeper depth, where the loop's
 float edges leave staircase slivers and cut grids stop nesting.  It
-returns the cells as COO arrays (piece, level, index), the first level
-holding a cell and, on request, the distortion constant c_dom, whose
-level sums are added in cell order (as Python's sum does) from Python's
-pows.  `decompose` is the one-set form with the RegularDecomp result.
+returns the cells as COO arrays (piece, level, index) and the first level
+holding a cell; `c_dom` reads the distortion constants off it, adding
+level sums in cell order (as Python's sum does) from Python's pows.
+`decompose` is the one-set form with the RegularDecomp result.
 """
 
 from __future__ import annotations
@@ -40,37 +40,30 @@ from .grid import CellId, Grid, python_pow
 class Cover(NamedTuple):
     """Greedy decomposition of a batch of pieces (see cover)."""
 
-    piece: np.ndarray            # cells, ordered by piece, then level, then index
+    piece: np.ndarray         # cells, ordered by piece, then level, then index
     level: np.ndarray
     index: np.ndarray
-    k0: np.ndarray               # per group: first level holding a cell, -1 if none
-    defect_piece: np.ndarray     # residual below the depth, in piece order
+    k0: np.ndarray            # per group: first level holding a cell, -1 if none
+    defect_piece: np.ndarray  # residual below the depth, in piece order
     defect_lo: np.ndarray
     defect_hi: np.ndarray
-    c_dom: Optional[np.ndarray]  # per group, when alpha is given
 
 
 def _fold(keys: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Sum vals over each run of equal consecutive keys, left to right.
 
     Python's sum adds in order while numpy's sums add pairwise; the ledger
-    constants are folded in order.  Returns the start of each run and its
-    sum.
+    constants are folded in order (np.add.at adds one value at a time, in
+    order).  Returns the start of each run and its sum.
     """
-    start = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1]))) if keys.size \
-        else np.zeros(0, dtype=np.int64)
-    length = np.diff(np.append(start, keys.size))
-    run = np.repeat(np.arange(start.size), length)
-    rank = np.arange(keys.size) - start[run]
-    out = np.zeros(start.size, dtype=np.result_type(vals, float))
-    for r in range(int(length.max(initial=0))):
-        sel = rank == r
-        out[run[sel]] += vals[sel]
-    return start, out
+    new = np.ones(keys.size, dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    out = np.zeros(int(new.sum()), dtype=np.result_type(vals, float))
+    np.add.at(out, np.cumsum(new) - 1, vals)
+    return np.flatnonzero(new), out
 
 
-def cover(grid: Grid, lo, hi, depth: int, alpha: Optional[float] = None,
-          group: Optional[np.ndarray] = None) -> Cover:
+def cover(grid: Grid, lo, hi, depth: int, group: Optional[np.ndarray] = None) -> Cover:
     """Greedy maximal-cell decomposition of the pieces [lo[i], hi[i]).
 
     Level by level down to depth, each residual piece gives up the cells
@@ -78,9 +71,7 @@ def cover(grid: Grid, lo, hi, depth: int, alpha: Optional[float] = None,
     edges, and what lies beside it by more than 1e-15 stays residual.
     What remains below depth is the defect; a depth past grid.max_level
     raises ValueError.  `group` (nondecreasing, one id per piece, default:
-    each piece its own group) joins the pieces of one set for k0 and c_dom;
-    with alpha, c_dom of a set is the largest level sum of |P|**alpha over
-    lambda**(k - k0) * |set|**alpha, lambda = arity**(-alpha).
+    each piece its own group) joins the pieces of one set for k0.
     """
     lo = np.asarray(lo, dtype=float).ravel()
     hi = np.asarray(hi, dtype=float).ravel()
@@ -94,21 +85,29 @@ def cover(grid: Grid, lo, hi, depth: int, alpha: Optional[float] = None,
     k0 = np.full(int(group[-1]) + 1 if group.size else 0, depth + 1)
     np.minimum.at(k0, group, first)
     k0[k0 > depth] = -1
-    c_dom = None
-    if alpha is not None:
-        c_dom = np.zeros(k0.size)
-        _, total = _fold(group, hi - lo)
-        g = group[piece]
-        by_level = np.argsort(g * (depth + 1) + level, kind="stable")
-        g, lev = g[by_level], level[by_level]
-        start, level_sum = _fold(g * (depth + 1) + lev,
-                                python_pow(grid.extents(lev, index[by_level])[2], alpha))
-        g, lev = g[start], lev[start]
-        lam = grid.arity ** (-alpha)
-        lam_pow = np.array([lam ** d for d in range(depth + 1)])
-        ratio = level_sum / (lam_pow[lev - k0[g]] * python_pow(total, alpha)[g])
-        np.maximum.at(c_dom, g, ratio)
-    return Cover(piece, level, index, k0, *defect, c_dom)
+    return Cover(piece, level, index, k0, *defect)
+
+
+def c_dom(grid: Grid, cov: Cover, lo, hi, alpha: float,
+          group: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per set of the pieces [lo[i], hi[i]) that cov decomposes (group as
+    given to cover), its distortion constant: the largest level sum of
+    |P|**alpha over lambda**(k - k0) * |set|**alpha, lambda =
+    arity**(-alpha); 0 for a set holding no cell."""
+    size = np.ravel(hi) - np.ravel(lo)
+    group = np.arange(size.size) if group is None else np.asarray(group)
+    _, total = _fold(group, size)
+    n = grid.max_level + 1                  # past every level of a cover
+    key = group[cov.piece] * n + cov.level
+    by_level = np.argsort(key, kind="stable")
+    start, level_sum = _fold(key[by_level], python_pow(
+        grid.extents(cov.level[by_level], cov.index[by_level])[2], alpha))
+    g, lev = np.divmod(key[by_level][start], n)
+    lam = grid.arity ** (-alpha)
+    lam_pow = np.array([lam ** d for d in range(n)])
+    out = np.zeros(cov.k0.size)
+    np.maximum.at(out, g, level_sum / (lam_pow[lev - cov.k0[g]] * python_pow(total, alpha)[g]))
+    return out
 
 
 def _greedy_runs(grid: Grid, lo: np.ndarray, hi: np.ndarray, depth: int):
@@ -194,8 +193,9 @@ def decompose(grid: Grid, pieces, alpha: float,
         raise ValueError("target set has zero measure")
     total = iv.measure(target)
     K = grid.max_level
-    cov = cover(grid, *np.reshape(target, (-1, 2)).T, K, alpha=alpha,
-                group=np.zeros(len(target), dtype=np.int64))
+    lo, hi = np.reshape(target, (-1, 2)).T
+    group = np.zeros(len(target), dtype=np.int64)
+    cov = cover(grid, lo, hi, K, group=group)
     families: Dict[int, List[CellId]] = {}
     by_level = np.argsort(cov.level, kind="stable")
     for k, j in zip(cov.level[by_level].tolist(), cov.index[by_level].tolist()):
@@ -217,7 +217,8 @@ def decompose(grid: Grid, pieces, alpha: float,
         k0 = K
 
     return RegularDecomp(target=target, alpha=alpha, families=families, k0=k0,
-                         c_dom=float(cov.c_dom[0]), lambda_dom=grid.arity ** (-alpha),
+                         c_dom=float(c_dom(grid, cov, lo, hi, alpha, group)[0]),
+                         lambda_dom=grid.arity ** (-alpha),
                          defect_pieces=defect, defect_measure=defect_measure)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .atoms import (_GL_NODES, _GL_WEIGHTS, BesovParams, PiecewiseFn, coefficient_table,
                     power_table, subtree_norms)
-from .domains import cover, strong_regularities
+from .domains import c_dom, cover, strong_regularities
 from .errors import (
     AssumptionError,
     CellNotFoundError,
@@ -348,10 +348,9 @@ def _distortion_constants(grid: Grid, branches: Sequence[Branch], alpha: float,
     br, ks, js = _probe_cells(grid, _ends(branches, "img"), tops, 32)
     lo, hi, _ = grid.extents(ks, js)
     _check_inside_images(grid, branches, br, ks, lo, hi)
-    c_dom = cover(grid, *per_branch(branches, br, Branch.forward_interval, lo, hi),
-                  grid.max_level, alpha=alpha).c_dom
+    lo, hi = per_branch(branches, br, Branch.forward_interval, lo, hi)
     out = np.ones(len(branches))
-    np.maximum.at(out, br, c_dom)
+    np.maximum.at(out, br, c_dom(grid, cover(grid, lo, hi, grid.max_level), lo, hi, alpha))
     return out.tolist()
 
 
@@ -593,7 +592,7 @@ class BranchSystem:
         return "\n".join(lines) + "\n"
 
 
-def _check_expanding(branches: List[Branch], samples: int = 511) -> None:
+def _check_expanding(branches: List[Branch]) -> None:
     """Reject maps with a non-expanding piece.
 
     Derivatives are sampled strictly inside each branch domain, so maps
@@ -610,20 +609,20 @@ def _check_expanding(branches: List[Branch], samples: int = 511) -> None:
                 )
             continue
         lo, hi = b.dom
-        xs = lo + (hi - lo) * np.arange(1, samples + 1) / (samples + 1)
+        xs = lo + (hi - lo) * np.arange(1, 512) / 512       # 511 samples
         d = 1e-6 * (hi - lo)
         hv = np.abs((np.asarray(b.h(xs + d)) - np.asarray(b.h(xs - d))) / (2 * d))
         if np.any(hv >= 1.0 / (1.0 + 1e-9)):
             raise MapSpecError(f"branch {b.r}: |T'| < 1 + 1e-9 somewhere (not expanding)")
 
 
-def _measure_overlaps(system: BranchSystem, t: int = 1) -> None:
+def _measure_overlaps(system: BranchSystem) -> None:
     grid = system.grid
     thetas = system.thetas()
     K = grid.max_level
     img_lo, img_hi = _ends(system.branches, "img").T
     m_best, t_best = 0, 0.0
-    for k in range(t, min(K, system.probe_level) + 1):
+    for k in range(1, min(K, system.probe_level) + 1):
         # overlaps lists the images in branch order: a cell's thetas add
         # up in that order
         piece, j, lo, hi, _ = grid.overlaps(k, img_lo, img_hi)

@@ -25,7 +25,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -101,26 +101,15 @@ class Grid:
         return table
 
     def is_cut(self, level: int) -> bool:
-        """Whether some cell of this level is cut away from its nominal edges.
-
-        The per-cell lookups below inline this test: they run in the
-        innermost loops of operator assembly.
-        """
+        """Whether some cell of this level is cut away from its nominal edges."""
         return level == self.max_level and bool(self.cuts)
 
     @cached_property
     def _cut_edges(self) -> np.ndarray:
-        edges = np.asarray(self._cut_edge_list)
-        edges.flags.writeable = False
-        return edges
-
-    @cached_property
-    def _cut_edge_list(self) -> List[float]:
-        # a plain list: scalar lookups stay in Python floats
-        w = self.width(self.max_level)
-        edges = [i * w for i in range(self.n_cells(self.max_level) + 1)]
+        edges = np.arange(self.n_cells(self.max_level) + 1) * self.width(self.max_level)
         for i, x in self.cuts:
             edges[i] = x
+        edges.flags.writeable = False
         return edges
 
     def edge(self, level, i) -> np.ndarray:
@@ -171,14 +160,13 @@ class Grid:
 
     def measure(self, cell: CellId) -> float:
         if self.cuts and cell.level == self.max_level:
-            e = self._cut_edge_list
-            return e[cell.index + 1] - e[cell.index]
+            lo, hi = self.interval(cell)
+            return hi - lo
         return self.width(cell.level)
 
     def interval(self, cell: CellId) -> Tuple[float, float]:
         if self.cuts and cell.level == self.max_level:
-            e = self._cut_edge_list
-            return (e[cell.index], e[cell.index + 1])
+            return tuple(self._cut_edges[cell.index:cell.index + 2].tolist())
         w = self.width(cell.level)
         return (cell.index * w, (cell.index + 1) * w)
 

@@ -344,7 +344,6 @@ class DecayReport:
     correlations: np.ndarray
     fitted_rate: float
     certificate_rate: float
-    k_fit_start: int
     passed: bool
 
 
@@ -375,8 +374,7 @@ def correlations(tm: TransferMatrix, u: AtomicRep, v: PiecewiseFn,
 
 
 def decay_rate(tm: TransferMatrix, u: AtomicRep, v: PiecewiseFn,
-               k_max: int = 40, k_fit_start: int = 5,
-               lambda2: Optional[float] = None,
+               k_max: int = 40, lambda2: Optional[float] = None,
                density: Optional[PiecewiseFn] = None) -> DecayReport:
     """Geometric fit of the correlation sequence against the spectral rate.
 
@@ -385,7 +383,7 @@ def decay_rate(tm: TransferMatrix, u: AtomicRep, v: PiecewiseFn,
     cks = correlations(tm, u, v, k_max, density=density)
     mags = np.abs(cks)
     usable = np.nonzero(mags > 1e-14)[0]
-    usable = usable[usable >= k_fit_start]
+    usable = usable[usable >= 5]           # the fit starts at lag 5
     if len(usable) < 5:
         raise DegenerateFitError(
             f"only {len(usable)} usable correlation samples above underflow"
@@ -397,8 +395,7 @@ def decay_rate(tm: TransferMatrix, u: AtomicRep, v: PiecewiseFn,
         lambda2 = subdominant_modulus(eigenvalues(tm))
     passed = fitted <= lambda2 + 0.02
     return DecayReport(correlations=cks, fitted_rate=fitted,
-                       certificate_rate=lambda2, k_fit_start=k_fit_start,
-                       passed=passed)
+                       certificate_rate=lambda2, passed=passed)
 
 
 # -- variance of centered observables ---------------------------------------------
@@ -423,8 +420,7 @@ def multiplier_matrix(tm: TransferMatrix, phase: np.ndarray) -> np.ndarray:
                      for e in np.eye(tm.size)], axis=1)
 
 
-def _leading_eigenvalue(U: sp.csr_matrix, phase: np.ndarray, iters: int = 300,
-                        tol: float = 1e-14) -> Tuple[complex, bool, float]:
+def _leading_eigenvalue(U: sp.csr_matrix, phase: np.ndarray) -> Tuple[complex, bool, float]:
     """Power iteration of f -> U(phase * f) from the flat function.
 
     Returns (eigenvalue, converged, final relative residual); failure to
@@ -433,7 +429,7 @@ def _leading_eigenvalue(U: sp.csr_matrix, phase: np.ndarray, iters: int = 300,
     x = np.ones(U.shape[0], dtype=np.complex128)
     lam = 0.0 + 0j
     res = math.inf
-    for i in range(iters):
+    for i in range(300):
         y = U @ (phase * x)
         nrm = np.linalg.norm(y)
         if nrm == 0:
@@ -441,15 +437,14 @@ def _leading_eigenvalue(U: sp.csr_matrix, phase: np.ndarray, iters: int = 300,
         lam_new = complex(np.vdot(x, y) / np.vdot(x, x))
         res = float(np.linalg.norm(y - lam_new * x) / nrm)
         x = y / nrm
-        if abs(lam_new - lam) < tol and res < 1e-10 and i >= 5:
+        if abs(lam_new - lam) < 1e-14 and res < 1e-10 and i >= 5:
             return lam_new, True, res
         lam = lam_new
     return lam, res < 1e-8, res
 
 
 def green_kubo_variance(tm: TransferMatrix, v: PiecewiseFn,
-                        density: PiecewiseFn, k_cap: int = 200,
-                        term_tol: float = 1e-14) -> float:
+                        density: PiecewiseFn) -> float:
     """Lag-sum variance: c_0 + 2 sum_k int v * transfer^k(v rho), on cell values."""
     _check_observable(tm, v)
     grid = tm.grid
@@ -458,11 +453,11 @@ def green_kubo_variance(tm: TransferMatrix, v: PiecewiseFn,
     vc = np.real(v.values) - mean_v
     total = float(grid.integrate(tm.K, vc * vc * density.values))
     vals = vc * density.values
-    for k in range(1, k_cap + 1):
+    for k in range(1, 201):
         vals = U @ vals
         ck = float(grid.integrate(tm.K, vc * vals))
         total += 2.0 * ck
-        if abs(ck) < term_tol and k > 10:
+        if abs(ck) < 1e-14 and k > 10:
             break
     return total
 
@@ -520,8 +515,8 @@ def clt_variance(tm: TransferMatrix, v: PiecewiseFn,
 
 def monte_carlo_variance(system: BranchSystem, v_fn: Callable[[np.ndarray], np.ndarray],
                          n_samples: int = 10 ** 6, burn_in: int = 10 ** 3,
-                         seed: int = 20240801, lag_window: int = 8) -> float:
-    """Orbit-average variance oracle.
+                         seed: int = 20240801) -> float:
+    """Orbit-average variance oracle: the lag sum up to lag 8.
 
     Full-branch integer-slope maps are simulated as digit streams (float
     iteration of those maps collapses onto dyadic rationals); other maps
@@ -553,7 +548,7 @@ def monte_carlo_variance(system: BranchSystem, v_fn: Callable[[np.ndarray], np.n
     v = np.asarray(v_fn(xs), dtype=float)
     vc = v - v.mean()
     sig = float(np.mean(vc * vc))
-    for k in range(1, lag_window + 1):
+    for k in range(1, 9):
         sig += 2.0 * float(np.mean(vc[:-k] * vc[k:]))
     return sig
 

@@ -43,7 +43,7 @@ from .atoms import (
     merge_repeats,
     subtree_indices,
 )
-from .domains import cover
+from .domains import Cover, c_dom, cover
 from .dynamics import Branch, BranchSystem, _ends, _probe_cells, per_branch
 from .errors import AssumptionError, CapacityError, CellNotFoundError, ModeMismatchError
 from .grid import Grid, python_pow
@@ -291,36 +291,16 @@ def slice_rep(rep: AtomicRep, system: BranchSystem,
 # -- analytic route -----------------------------------------------------------
 
 
-class _AssemblyStats:
-    """Certificate encounters accumulated while pushing atoms forward."""
+class Images(NamedTuple):
+    """The forward images [lo, hi) transfer_atom decomposes, with their Cover:
+    per image its branch position and its slice cell's level and measure."""
 
-    def __init__(self) -> None:
-        self.shift_min: Dict[int, int] = {}
-        self.ratio_violation: Dict[int, float] = {}
-        self.c_dom_max: Dict[int, float] = {}
-
-    def observe(self, branch: Branch, shift: np.ndarray, ratio: np.ndarray,
-                c_dom: np.ndarray) -> None:
-        """Encounters of one branch: per pushed-forward cell, its shift, its
-        measure ratio |P|/|image| and the c_dom of the image."""
-        r = branch.r
-        self.shift_min[r] = min(self.shift_min.get(r, int(shift.min())), int(shift.min()))
-        pows = {sh: branch.c_dc2 ** sh for sh in set(shift.tolist())}
-        bound = branch.c_dc1 * np.array([pows[sh] for sh in shift.tolist()])
-        over = ratio > bound * (1 + 1e-12)
-        if over.any():
-            self.ratio_violation[r] = max(self.ratio_violation.get(r, 1.0),
-                                          float(np.max(ratio[over] / bound[over])))
-        self.c_dom_max[r] = max(self.c_dom_max.get(r, 1.0), float(np.max(c_dom)))
-
-    def merge_into(self, system: BranchSystem) -> None:
-        for b in system.branches:
-            if b.r in self.shift_min:
-                b.shift = min(b.shift, self.shift_min[b.r])
-            if b.r in self.ratio_violation:
-                b.c_dc1 *= self.ratio_violation[b.r]
-            if b.r in self.c_dom_max:
-                b.c_dgd1 = max(b.c_dgd1, self.c_dom_max[b.r])
+    branch: np.ndarray
+    level: np.ndarray
+    meas: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    cover: Cover
 
 
 class Slivers(NamedTuple):
@@ -335,10 +315,8 @@ class Slivers(NamedTuple):
     amp: np.ndarray
 
 
-def transfer_atom(system: BranchSystem, level, index, coeff=1.0,
-                  stats: Optional[_AssemblyStats] = None,
-                  K: Optional[int] = None
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Slivers]:
+def transfer_atom(system: BranchSystem, level, index, coeff=1.0, K: Optional[int] = None
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Images, Slivers]:
     """Output coefficients of the transfer applied to a batch of atoms.
 
     Atom i lives on cell (level[i], index[i]) with coefficient coeff[i]
@@ -353,15 +331,14 @@ def transfer_atom(system: BranchSystem, level, index, coeff=1.0,
     Returns per output coefficient its atom (position in the batch), its
     basis index (level offsets up to K) and value, in the order the atom
     by atom pipeline produces them (atom, branch, slice cell, image cell,
-    subtree), with repeats where images overlap; and the slivers in that
-    order: truncation happens at level K (default: the grid resolution),
-    and what the decompositions leave below it is returned as slivers,
-    which _reaggregate puts on the bottom cells.
+    subtree), with repeats where images overlap; the forward images; and
+    the slivers in that order: truncation happens at level K (default: the
+    grid resolution), and what the decompositions leave below it is
+    returned as slivers, which _reaggregate puts on the bottom cells.
     """
     grid, params = system.grid, system.params
     K = grid.max_level if K is None else K
     theta = params.theta
-    alpha = 1.0 - params.s * params.p
     off = np.asarray(level_offsets(grid, K))
     q_level, q_index, coeff = (np.ravel(x) for x in np.broadcast_arrays(level, index, coeff))
     sl = _slice_atoms(system, q_level, q_index, coeff, K)
@@ -371,17 +348,8 @@ def transfer_atom(system: BranchSystem, level, index, coeff=1.0,
 
     v_lo, v_hi = per_branch(system.branches, p_br, Branch.forward_interval, p_lo, p_hi)
     f = np.flatnonzero(v_hi - v_lo > 0)
-    cov_v = cover(grid, v_lo[f], v_hi[f], K, alpha=None if stats is None else alpha)
-    if stats is not None and f.size:
-        kv = grid.containment_levels(v_lo[f], v_hi[f], grid.max_level + 16)
-        if np.any(kv < 0):
-            raise CellNotFoundError("a forward image holds no cell up to level "
-                                    f"{grid.max_level + 16}")
-        shift = np.abs(p_level[f] - kv)
-        ratio = p_meas[f] / (v_hi[f] - v_lo[f])
-        for r in np.unique(p_br[f]).tolist():
-            sel = p_br[f] == r
-            stats.observe(system.branches[r], shift[sel], ratio[sel], cov_v.c_dom[sel])
+    cov_v = cover(grid, v_lo[f], v_hi[f], K)
+    images = Images(p_br[f], p_level[f], p_meas[f], v_lo[f], v_hi[f], cov_v)
 
     # image cells W: one coefficient each for constant weights, the whole
     # subtree from the branch's coefficient table otherwise
@@ -423,7 +391,7 @@ def transfer_atom(system: BranchSystem, level, index, coeff=1.0,
                       np.concatenate([cov_v.defect_lo, d_lo])[order],
                       np.concatenate([cov_v.defect_hi, d_hi])[order],
                       np.concatenate([amp[v_p], sl.amp[d_pair]])[order])
-    return out_atom, rows[keep], vals[keep], slivers
+    return out_atom, rows[keep], vals[keep], images, slivers
 
 
 def _reaggregate(system: BranchSystem, K: int, slivers: Slivers, n_atoms: int
@@ -482,7 +450,7 @@ def apply_transfer(system: BranchSystem, rep: AtomicRep, mode: str = "analytic",
     result = None
     defect_l1 = 0.0
     if mode == "analytic" or cross_check:
-        _, idx, val, slivers = transfer_atom(system, *rep.cells(), rep.value)
+        _, idx, val, _, slivers = transfer_atom(system, *rep.cells(), rep.value)
         # the whole expansion's slivers re-aggregate as those of one atom
         _, cells, coefs, defect = _reaggregate(
             system, K, slivers._replace(atom=np.zeros_like(slivers.atom)), 1)
@@ -707,15 +675,48 @@ class TransferMatrix:
         return "\n".join(lines) + "\n"
 
 
+def _widen_ledger(system: BranchSystem, images: List[Images]) -> None:
+    """Widen each branch's constants to all its forward images: the shift
+    drops to the smallest |level - k0| (k0 the image's first level holding
+    a cell, down to 16 levels below the grid), c_dc1 is multiplied by the
+    largest excess of |P|/|image| over c_dc1 * c_dc2**shift, and c_dgd1
+    rises to the largest c_dom, and to at least 1."""
+    grid, branches = system.grid, system.branches
+    br, level, meas, lo, hi = (np.concatenate(x) for x in zip(*(im[:5] for im in images)))
+    k0 = np.concatenate([im.cover.k0 for im in images])
+    # an image holding no cell down to the truncation level has a deeper k0
+    deep = np.flatnonzero(k0 < 0)
+    k0[deep] = grid.containment_levels(lo[deep], hi[deep], grid.max_level + 16)
+    if np.any(k0 < 0):
+        raise CellNotFoundError("a forward image holds no cell up to level "
+                                f"{grid.max_level + 16}")
+    shift = np.abs(level - k0)
+    alpha = 1.0 - system.params.s * system.params.p
+    dom = np.concatenate([c_dom(grid, im.cover, im.lo, im.hi, alpha) for im in images])
+    # Python's pow, once per (branch, shift)
+    pairs, at = np.unique(np.stack((br, shift)), axis=1, return_inverse=True)
+    bound = np.array([branches[r].c_dc1 * branches[r].c_dc2 ** sh
+                      for r, sh in pairs.T.tolist()])[at.ravel()]
+    ratio = meas / (hi - lo)
+    over = ratio > bound * (1 + 1e-12)
+    excess, shifts = np.ones(len(branches)), np.array([b.shift for b in branches])
+    c_dgd1 = np.array([b.c_dgd1 for b in branches])
+    np.maximum.at(excess, br[over], ratio[over] / bound[over])
+    np.minimum.at(shifts, br, shift)
+    np.maximum.at(c_dgd1, br, np.maximum(dom, 1.0))
+    for b, sh, x, d in zip(branches, shifts.tolist(), excess.tolist(), c_dgd1.tolist()):
+        b.shift, b.c_dc1, b.c_dgd1 = sh, b.c_dc1 * x, d
+
+
 def assemble_matrix(system: BranchSystem, K: Optional[int] = None, t: int = 1,
                     constants: Constants = Constants(),
                     basis_cap: int = 8191) -> TransferMatrix:
     """Column-by-column assembly of the truncated operator.
 
     Column Q holds the analytic-route coefficients of the transfer of the
-    atom on Q, truncated at level K with sliver re-aggregation.  Ledger
-    encounters observed during assembly tighten the branch constants
-    before the bound ledger is evaluated.
+    atom on Q, truncated at level K with sliver re-aggregation.  The branch
+    constants are widened once to the forward images of all levels
+    (_widen_ledger) before the bound ledger is evaluated.
     """
     grid = system.grid
     K = grid.max_level if K is None else K
@@ -727,7 +728,7 @@ def assemble_matrix(system: BranchSystem, K: Optional[int] = None, t: int = 1,
     if n > basis_cap:
         raise CapacityError(f"basis size {n} exceeds cap {basis_cap}")
     off = level_offsets(grid, K)
-    stats = _AssemblyStats()
+    images: List[Images] = []
     any_complex = any(np.iscomplexobj(np.asarray(b.potential.value))
                       for b in system.branches if b.potential.value is not None)
     dtype = np.complex128 if any_complex else np.float64
@@ -736,8 +737,9 @@ def assemble_matrix(system: BranchSystem, K: Optional[int] = None, t: int = 1,
     data: List[np.ndarray] = []
     defect = np.zeros(n)
     for k in range(K + 1):
-        atom, level_rows, level_vals, slivers = transfer_atom(
-            system, k, np.arange(grid.n_cells(k)), 1.0, stats, K=K)
+        atom, level_rows, level_vals, level_images, slivers = transfer_atom(
+            system, k, np.arange(grid.n_cells(k)), 1.0, K=K)
+        images.append(level_images)
         # a column's repeated cells are summed as they came, before its slivers
         key, val = merge_repeats((off[k] + atom) * n + level_rows,
                                  level_vals.astype(dtype, copy=False))
@@ -752,7 +754,7 @@ def assemble_matrix(system: BranchSystem, K: Optional[int] = None, t: int = 1,
         rows_idx.append(off[K] + cell[keep])
         data.append(coef[keep])
         cols.append(off[k] + atom[keep])
-    stats.merge_into(system)
+    _widen_ledger(system, images)
     mat = sp.csc_matrix(
         (np.concatenate(data), (np.concatenate(rows_idx), np.concatenate(cols))),
         shape=(n, n))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from besovtransfer import domains
 from besovtransfer import intervals as iv
 from besovtransfer.domains import cover, decompose, strong_regularities
 from besovtransfer.grid import CONTAIN_TOL, CellId, Grid, build_grid
@@ -224,7 +225,8 @@ def test_cover_equals_the_scalar_greedy_loop(grid):
             targets = [iv.normalize([p]) for p in pieces]
             targets = [t for t in targets if t]
             lo, hi = np.array([t[0] for t in targets]).T
-            cov = cover(grid, lo, hi, depth, alpha=alpha)
+            cov = cover(grid, lo, hi, depth)
+            c_doms = domains.c_dom(grid, cov, lo, hi, alpha)
             for i, target in enumerate(targets):
                 families, k0, c_dom, defect = _scalar_decompose(grid, target, alpha, depth)
                 mine = cov.piece == i
@@ -234,7 +236,7 @@ def test_cover_equals_the_scalar_greedy_loop(grid):
                 assert got == families
                 assert list(got) == list(families)
                 assert cov.k0[i] == (-1 if k0 is None else k0)
-                assert cov.c_dom[i] == c_dom
+                assert c_doms[i] == c_dom
                 left = cov.defect_piece == i
                 assert list(zip(cov.defect_lo[left].tolist(),
                                 cov.defect_hi[left].tolist())) == defect
@@ -272,7 +274,7 @@ def test_cover_reads_one_table_of_contained_runs(monkeypatch):
     lo, hi = np.array([p for p in pieces if p[1] > p[0]]).T
     for depth in (0, grid.max_level - 2, grid.max_level):
         calls.clear()
-        cover(grid, lo, hi, depth, alpha=0.5)
+        domains.c_dom(grid, cover(grid, lo, hi, depth), lo, hi, 0.5)
         assert len(calls) == 1
 
 

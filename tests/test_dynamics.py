@@ -386,7 +386,8 @@ def _distortion_by_branch(grid, branch, alpha, top):
              for k, (i0, i1) in enumerate(runs)]
     ks = np.concatenate([np.full(j.size, k) for k, j in cells])
     lo, hi, _ = grid.extents(ks, np.concatenate([j for _, j in cells]))
-    c_dom = cover(grid, *branch.forward_interval(lo, hi), grid.max_level, alpha=alpha).c_dom
+    flo, fhi = branch.forward_interval(lo, hi)
+    c_dom = domains.c_dom(grid, cover(grid, flo, fhi, grid.max_level), flo, fhi, alpha)
     return max(float(np.max(c_dom, initial=0.0)), 1.0)
 
 

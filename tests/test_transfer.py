@@ -19,13 +19,14 @@ from besovtransfer.atoms import (
     evaluate_vector,
     random_rep,
 )
-from besovtransfer.domains import decompose
+from besovtransfer.domains import c_dom, decompose
 from besovtransfer.dynamics import MapSpec, make_map
 from besovtransfer.errors import AssumptionError, CapacityError, ModeMismatchError
 from besovtransfer.grid import CellId, build_grid
 from besovtransfer.transfer import (
     apply_transfer,
     assemble_matrix,
+    bound_ledger,
     build_cell_operator,
     c_d_constant,
     essential_split,
@@ -252,7 +253,8 @@ def test_analytic_route_decomposes_a_whole_expansion_in_two_kernel_calls(monkeyp
     # forward cells through another; the slivers meet the bottom cells in
     # one overlaps call, and the image cells of one level gather their
     # subtrees at once: no count follows the branches or the atoms
-    calls = {"cover": 0, "overlaps": 0, "containment_levels": 0, "subtree_indices": 0}
+    calls = {"cover": 0, "overlaps": 0, "containment_levels": 0, "subtree_indices": 0,
+             "c_dom": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -261,6 +263,7 @@ def test_analytic_route_decomposes_a_whole_expansion_in_two_kernel_calls(monkeyp
         return wrapper
 
     monkeypatch.setattr(transfer, "cover", counting("cover", transfer.cover))
+    monkeypatch.setattr(transfer, "c_dom", counting("c_dom", transfer.c_dom))
     monkeypatch.setattr(grid_module.Grid, "overlaps",
                         counting("overlaps", grid_module.Grid.overlaps))
     monkeypatch.setattr(grid_module.Grid, "containment_levels",
@@ -275,8 +278,80 @@ def test_analytic_route_decomposes_a_whole_expansion_in_two_kernel_calls(monkeyp
     assert calls["cover"] == 2
     assert calls["overlaps"] == 1
     assert calls["subtree_indices"] <= gauss.grid.max_level + 1
-    # the containment levels only feed assembly's ledger encounters
+    # the containment levels and c_dom only feed assembly's ledger widening
     assert calls["containment_levels"] == 0
+    assert calls["c_dom"] == 0
+
+
+def _widen_level_by_level(system, K):
+    """The branch constants widened as assembly did with a per-level,
+    per-branch accumulator: the containment level of every forward image
+    from Grid.containment_levels, each branch's encounters folded level by
+    level, then merged into the branches.  Returns the count of images
+    holding no cell down to K."""
+    grid, params = system.grid, system.params
+    alpha = 1.0 - params.s * params.p
+    shift_min, violation, dom_max, deep = {}, {}, {}, 0
+    for k in range(K + 1):
+        *_, img, _ = transfer.transfer_atom(system, k, np.arange(grid.n_cells(k)), 1.0, K=K)
+        if not img.lo.size:
+            continue
+        deep += int(np.sum(img.cover.k0 < 0))
+        kv = grid.containment_levels(img.lo, img.hi, grid.max_level + 16)
+        assert np.all(kv >= 0)
+        shift = np.abs(img.level - kv)
+        ratio = img.meas / (img.hi - img.lo)
+        doms = c_dom(grid, img.cover, img.lo, img.hi, alpha)
+        for r in np.unique(img.branch).tolist():
+            sel = img.branch == r
+            b, sh, rho = system.branches[r], shift[sel], ratio[sel]
+            shift_min[r] = min(shift_min.get(r, int(sh.min())), int(sh.min()))
+            pows = {x: b.c_dc2 ** x for x in set(sh.tolist())}
+            bound = b.c_dc1 * np.array([pows[x] for x in sh.tolist()])
+            over = rho > bound * (1 + 1e-12)
+            if over.any():
+                violation[r] = max(violation.get(r, 1.0),
+                                   float(np.max(rho[over] / bound[over])))
+            dom_max[r] = max(dom_max.get(r, 1.0), float(np.max(doms[sel])))
+    for r, b in enumerate(system.branches):
+        if r in shift_min:
+            b.shift = min(b.shift, shift_min[r])
+        if r in violation:
+            b.c_dc1 *= violation[r]
+        if r in dom_max:
+            b.c_dgd1 = max(b.c_dgd1, dom_max[r])
+    return deep
+
+
+@pytest.mark.parametrize("raised", [False, True], ids=["fitted", "raised"])
+@pytest.mark.parametrize("spec,K", [(MapSpec("beta", beta=PHI), 10),
+                                    (MapSpec("gauss", r_max=50), 10),
+                                    (MapSpec("lorenz_cusp", exponent=0.75), 9),
+                                    (MapSpec("beta", beta=1.8), 9)],
+                         ids=["golden", "gauss", "lorenz_cusp", "beta18"])
+def test_assembly_widens_the_ledger_as_the_level_by_level_accumulator(spec, K, raised):
+    # the shift drops to the smallest one met, c_dc1 takes the largest
+    # excess over c_dc1 * c_dc2**shift, c_dgd1 the largest c_dom and at
+    # least 1; the images with no cell down to K take their containment
+    # level deeper.  Assembly meets no shift below the fitted one, so the
+    # raised ledger starts every shift 3 higher and every c_dgd1 at 0.5.
+    def system():
+        out = make_map(spec, build_grid(2, K), PARAMS)
+        for b in out.branches if raised else ():
+            b.shift, b.c_dgd1 = b.shift + 3, 0.5
+        return out
+
+    def constants(system):
+        return [repr((b.shift, b.c_dc1, b.c_dc2, b.c_dgd1, b.c_dgd2)) for b in system.branches]
+
+    tm = assemble_matrix(system())
+    reference = system()
+    deep = _widen_level_by_level(reference, K)
+    ledger = bound_ledger(reference, tm.constants, tm.t)
+    ledger.measured["total_defect_l1"] = tm.ledger.measured["total_defect_l1"]
+    assert constants(tm.system) == constants(reference)
+    assert repr(tm.ledger.as_dict()) == repr(ledger.as_dict())
+    assert deep > 0
 
 
 
