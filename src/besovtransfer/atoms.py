@@ -338,28 +338,79 @@ def coefficient_norm(rep: AtomicRep) -> float:
     return total
 
 
+def coefficient_norms(member: np.ndarray, level: np.ndarray, value: np.ndarray,
+                      params: BesovParams, size: int) -> np.ndarray:
+    """coefficient_norm of `size` expansions at once, given entry by entry.
+
+    Entry i is the coefficient value[i], on a cell of level level[i], of
+    expansion member[i], and each expansion's entries come in its order.
+    Each norm (0 for an expansion with no entry) adds the same values in
+    the same order as coefficient_norm of the expansion alone, so it is
+    the same bits.  For one expansion coefficient_norm is the quicker.
+    """
+    p, q = params.p, params.q
+    # one group per (expansion, level), its entries in entry order
+    n_levels = int(level.max(initial=0)) + 1
+    groups, first, at = np.unique(member * n_levels + level, return_index=True,
+                                  return_inverse=True)
+    a = np.abs(value)[np.argsort(at, kind="stable")]
+    count = np.bincount(at, minlength=groups.size)
+    mass = _group_reductions(a if p == INF else a ** p, np.cumsum(count) - count, count,
+                             np.max if p == INF else np.sum)
+    # each expansion's level masses in the order of their first entry
+    owner = groups // n_levels
+    mass = _roots(mass, p)[np.lexsort((first, owner))]
+    count = np.bincount(owner, minlength=size)
+    total = _roots(_group_reductions(mass if q == INF else mass ** q, np.cumsum(count) - count,
+                                     count, np.max if q == INF else np.sum), q)
+    if not np.all(np.isfinite(total)):
+        raise NormOverflowError("coefficient norm is not finite")
+    return total
+
+
+def _roots(x: np.ndarray, p: float) -> np.ndarray:
+    """x**(1/p) by Python's pow per value (x itself when p is infinite),
+    which equals the pow of a NumPy scalar: NumPy's array ** takes sqrt
+    for p = 2, which differs from pow in the last bit now and then."""
+    if p == INF:
+        return x
+    return np.array([v ** (1.0 / p) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def level_masses(vec: np.ndarray, grid: Grid, K: int, p: float) -> np.ndarray:
+    """sum |a|**p (max |a| when p is infinite) over each level's
+    coefficients of a basis-ordered vector, levels 0..K on the last axis.
+
+    A 2-D `vec` in Fortran order holds one expansion per column and gives
+    one row of masses per column, each equal to its lone column's bit for
+    bit.
+    """
+    off = level_offsets(grid, K)
+    a = np.abs(vec)
+    masses = np.empty(vec.shape[1:] + (K + 1,))
+    for k in range(K + 1):
+        seg = a[off[k]:off[k + 1]]
+        masses[..., k] = seg.max(axis=0) if p == INF else np.sum(seg ** p, axis=0)
+    return masses
+
+
+def masses_norm(masses: np.ndarray, params: BesovParams) -> np.ndarray:
+    """The coefficient norms of level_masses rows (the last axis)."""
+    p, q = params.p, params.q
+    masses = _roots(masses, p)
+    total = masses.max(axis=-1) if q == INF else _roots(np.sum(masses ** q, axis=-1), q)
+    if not np.isfinite(total).all():
+        raise NormOverflowError("coefficient norm is not finite")
+    return total
+
+
 def coefficient_norm_vector(vec: np.ndarray, grid: Grid, K: int, params: BesovParams):
     """coefficient_norm on a basis-ordered vector (fast path).
 
     A 2-D `vec` in Fortran order holds one expansion per column and gives
     one norm per column, each equal to its lone column's bit for bit.
     """
-    def root(x, p):
-        # scalar pow, as coefficient_norm takes it: NumPy's array ** takes
-        # sqrt for p = 2, which differs from pow in the last bit now and then
-        return np.array([v ** (1.0 / p) for v in x.ravel().tolist()]).reshape(x.shape)
-
-    off = level_offsets(grid, K)
-    a = np.abs(vec)
-    p, q = params.p, params.q
-    masses = np.empty(vec.shape[1:] + (K + 1,))     # a row of level masses per expansion
-    for k in range(K + 1):
-        seg = a[off[k]:off[k + 1]]
-        masses[..., k] = seg.max(axis=0) if p == INF else np.sum(seg ** p, axis=0)
-    masses = masses if p == INF else root(masses, p)
-    total = masses.max(axis=-1) if q == INF else root(np.sum(masses ** q, axis=-1), q)
-    if not np.isfinite(total).all():
-        raise NormOverflowError("coefficient norm is not finite")
+    total = masses_norm(level_masses(vec, grid, K, params.p), params)
     return float(total) if vec.ndim == 1 else total
 
 
@@ -389,16 +440,17 @@ def evaluate(rep: AtomicRep, resolution: Optional[int] = None) -> PiecewiseFn:
 
 
 def evaluate_vector(vec: np.ndarray, grid: Grid, K: int, params: BesovParams) -> np.ndarray:
-    """evaluate() on a basis-ordered coefficient vector."""
+    """evaluate() on a basis-ordered coefficient vector, or on each row of
+    a 2-D block."""
     m = grid.arity
     off = level_offsets(grid, K)
-    vals = np.zeros(m ** K, dtype=vec.dtype)
+    vals = np.zeros(vec.shape[:-1] + (m ** K,), dtype=vec.dtype)
     for k in range(K + 1):
-        seg = vec[off[k]:off[k + 1]]
+        seg = vec[..., off[k]:off[k + 1]]
         if not np.any(seg):
             continue
         amp = seg * atom_heights(grid, k, params.theta)
-        vals += np.repeat(amp, m ** (K - k))
+        vals += np.repeat(amp, m ** (K - k), axis=-1)
     return vals
 
 
@@ -530,23 +582,20 @@ def _running_count(keep: np.ndarray) -> np.ndarray:
     return run
 
 
-def _run_reductions(kept: np.ndarray, run: np.ndarray, lo: np.ndarray, width: int,
-                    reduce: Callable) -> Tuple[np.ndarray, np.ndarray]:
-    """(reduce of the kept entries, whether any is kept) per run of entries
-    [lo[i], lo[i] + width) of a mask, given the entries it keeps (kept, in
-    C order) and its _running_count (run); 0 where none is kept.
+def _group_reductions(values: np.ndarray, first: np.ndarray, count: np.ndarray,
+                      reduce: Callable) -> np.ndarray:
+    """reduce of each group values[first[i]:first[i] + count[i]]; 0 for an
+    empty group.
 
-    Runs are reduced in groups of equal kept count, each as a 2-D row
-    reduction, so a sum equals np.sum of the run's kept entries bit for
-    bit (np.sum adds pairwise: the count sets the grouping).
+    Groups are reduced in batches of equal count, each as a 2-D row
+    reduction, so a sum equals np.sum of the group's entries bit for bit
+    (np.sum adds pairwise: the count sets the grouping).
     """
-    first = run[lo]
-    counts = run[lo + width] - first
-    out = np.zeros(lo.size)
-    for c in np.unique(counts[counts > 0]).tolist():
-        rows = np.flatnonzero(counts == c)
-        out[rows] = reduce(kept[first[rows, None] + np.arange(c)], axis=1)
-    return out, counts > 0
+    out = np.zeros(count.size)
+    for c in np.unique(count[count > 0]).tolist():
+        rows = np.flatnonzero(count == c)
+        out[rows] = reduce(values[first[rows, None] + np.arange(c)], axis=1)
+    return out
 
 
 def subtree_norms(table: PowerTable, m: int, k: int, cells: np.ndarray,
@@ -563,22 +612,17 @@ def subtree_norms(table: PowerTable, m: int, k: int, cells: np.ndarray,
     masses, present = [], []
     for u in range(len(table.arrays) - k):
         kept, run = table.roots[k] if u == 0 else table.arrays[k + u]
-        mass, nz = _run_reductions(kept, run, cells * m ** u, m ** u, reduce)
-        present.append(nz)
-        if p == INF:
-            masses.append(mass)
-        else:
-            # Python's pow per value, which equals coefficient_norm's pow of a
-            # numpy scalar; numpy's vectorized pow can differ in the last bit
-            masses.append(np.array([s ** (1.0 / p) for s in mass.tolist()]))
-    masses, present = np.stack(masses, axis=1), np.stack(present, axis=1)
+        first = run[cells * m ** u]
+        count = run[(cells + 1) * m ** u] - first
+        masses.append(_group_reductions(kept, first, count, reduce))
+        present.append(count > 0)
+    masses, present = _roots(np.stack(masses, axis=1), p), np.stack(present, axis=1)
     if q == INF:
         total = masses.max(axis=1)
     else:
-        n_u = present.shape[1]
-        sums, _ = _run_reductions((masses ** q)[present], _running_count(present),
-                                  np.arange(0, present.size, n_u), n_u, np.sum)
-        total = np.array([s ** (1.0 / q) for s in sums.tolist()])
+        count = present.sum(axis=1)
+        total = _roots(_group_reductions((masses ** q)[present], np.cumsum(count) - count,
+                                         count, np.sum), q)
     if not np.all(np.isfinite(total)):
         raise NormOverflowError("coefficient norm is not finite")
     return total
@@ -714,11 +758,9 @@ def multiplier_apply(v: PiecewiseFn, rep: AtomicRep) -> AtomicRep:
 # -- random ensembles (shared by tests and calibration) ------------------------
 
 
-def random_rep(grid: Grid, params: BesovParams, rng: np.random.Generator,
-               n_atoms: int = 24, max_level: Optional[int] = None,
-               positive: bool = False, complex_coeffs: bool = False,
-               normalize: bool = True) -> AtomicRep:
-    K = grid.max_level if max_level is None else max_level
+def _draw_atoms(grid: Grid, rng: np.random.Generator, n_atoms: int, K: int,
+                positive: bool, complex_coeffs: bool) -> Tuple[List[int], list]:
+    """random_rep's draws: the basis index and coefficient of each atom."""
     off = level_offsets(grid, K)
     index, value = [], []
     for _ in range(n_atoms):
@@ -729,6 +771,15 @@ def random_rep(grid: Grid, params: BesovParams, rng: np.random.Generator,
             val = val + 1j * rng.standard_normal()
         index.append(off[k] + j)
         value.append(abs(val) if positive else val)
+    return index, value
+
+
+def random_rep(grid: Grid, params: BesovParams, rng: np.random.Generator,
+               n_atoms: int = 24, max_level: Optional[int] = None,
+               positive: bool = False, complex_coeffs: bool = False,
+               normalize: bool = True) -> AtomicRep:
+    K = grid.max_level if max_level is None else max_level
+    index, value = _draw_atoms(grid, rng, n_atoms, K, positive, complex_coeffs)
     rep = AtomicRep(params, grid, *merge_repeats(np.array(index, dtype=np.int64),
                                                  np.array(value)), positive_flag=positive)
     if normalize:
@@ -737,3 +788,25 @@ def random_rep(grid: Grid, params: BesovParams, rng: np.random.Generator,
             rep = rep.scaled(1.0 / nrm)
             rep.positive_flag = positive
     return rep
+
+
+def random_block(grid: Grid, params: BesovParams, rng: np.random.Generator, size: int,
+                 n_atoms: int = 24, max_level: Optional[int] = None) -> np.ndarray:
+    """`size` successive random_rep draws (real, normalized) as the columns
+    of a basis-ordered block (levels 0..max_level) in Fortran order.
+
+    The draws are random_rep's, and each column is its rep's to_vector bit
+    for bit: the members are merged and normalized together, each with
+    the sums and the norm it has alone.
+    """
+    K = grid.max_level if max_level is None else max_level
+    n = basis_size(grid, K)
+    index, value = zip(*(_draw_atoms(grid, rng, n_atoms, K, False, False) for _ in range(size)))
+    member = np.repeat(np.arange(size), n_atoms)
+    key, value = merge_repeats(member * n + np.array(index, dtype=np.int64).ravel(),
+                               np.array(value).ravel())
+    member, index = key // n, key % n
+    nrm = coefficient_norms(member, basis_cells(grid, index)[0], value, params, size)
+    block = np.zeros((n, size), order="F")
+    block[index, member] = (1.0 / np.where(nrm > 0, nrm, 1.0))[member] * value
+    return block

@@ -506,7 +506,7 @@ class BranchSystem:
     probe_level: int = 10
     # weight averages by (branch id, level), the stacked coefficient tables
     # of all branches' weight averages (see table) and the bin operator (a
-    # scipy.sparse matrix, built by transfer.cell_operator) by level
+    # transfer.CellOperator, built by transfer.cell_operator) by level
     weight_avgs: Dict[Tuple[int, int], PiecewiseFn] = field(
         default_factory=dict, repr=False, compare=False)
     coeff_tables: Dict[int, Tuple[List[np.ndarray], np.ndarray]] = field(

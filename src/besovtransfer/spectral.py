@@ -7,7 +7,9 @@ fit, and the variance of centered observables via the perturbed operator
 family.  M serves the eigenvalues (peripheral spectrum, gap, decay
 certificate) and the norm-inequality fit.
 
-Only `scipy.sparse` is imported with the module.  ARPACK
+No SciPy module is imported with this one: U is a numpy
+`transfer.CellOperator`, and M, a `scipy.sparse` matrix, comes from
+`transfer.assemble_matrix`, which imports `scipy.sparse` itself.  ARPACK
 (`scipy.sparse.linalg`, which brings `scipy.linalg`) is imported by the
 first solve that needs it, in `eigs`, and `scipy.sparse.csgraph` by the
 first `transitivity_check`; runs that solve no eigenproblem load neither.
@@ -21,21 +23,21 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .atoms import (
     AtomicRep,
     PiecewiseFn,
     canonical_vector,
-    coefficient_norm_vector,
     evaluate_vector,
+    level_masses,
     level_offsets,
-    random_rep,
+    masses_norm,
+    random_block,
 )
 from .dynamics import BranchSystem, _forward_point
 from .errors import AssumptionError, ConvergenceError, DegenerateFitError, GapCollapseError
 from .grid import CellId, Grid
-from .transfer import TransferMatrix, build_cell_operator, cell_operator
+from .transfer import CellOperator, TransferMatrix, build_cell_operator, cell_operator
 
 # perfbench's tracer counts solves up to this size as dense (`dense_n`);
 # no solve here densifies a matrix that ARPACK can take
@@ -161,19 +163,17 @@ def lasota_yorke_verify(tm: TransferMatrix, ensemble_size: int = 100,
     below 1 (and below the certified essential bound when that is
     smaller).
     """
-    grid, params = tm.grid, tm.params
+    grid, params, K = tm.grid, tm.params, tm.K
     rng = np.random.default_rng(seed)
     cap = tm.ledger.essential_bound
-    block = np.asfortranarray(np.stack(
-        [random_rep(grid, params, rng, n_atoms=20, max_level=tm.K).to_vector(tm.K)
-         for _ in range(ensemble_size)], axis=1).astype(np.complex128))
-    l1s = [float(grid.integrate(tm.K, np.abs(evaluate_vector(col, grid, tm.K, params))))
-           for col in block.T]
-    steps = [coefficient_norm_vector(block, grid, tm.K, params)]
+    block = random_block(grid, params, rng, ensemble_size, n_atoms=20, max_level=K)
+    l1s = [float(grid.integrate(K, np.abs(f))) for f in evaluate_vector(block.T, grid, K, params)]
+    # each step's level masses; the roots come once, over all steps
+    masses = [level_masses(block, grid, K, params.p)]
     for _ in range(n_max):
         block = np.asfortranarray(tm.apply(block))
-        steps.append(coefficient_norm_vector(block, grid, tm.K, params))
-    trajectories = list(zip(l1s, np.asarray(steps).T.tolist()))
+        masses.append(level_masses(block, grid, K, params.p))
+    trajectories = list(zip(l1s, masses_norm(np.stack(masses), params).T.tolist()))
     c_hat = max((norms[n_max] / l1) for l1, norms in trajectories if l1 > 0)
     c_hat *= 1.0 + 1e-9
     lam_fit = 0.0
@@ -327,11 +327,10 @@ def transitivity_check(tm: TransferMatrix, level: int) -> bool:
     mass; for the supported maps the cell operator entries realize exactly
     that surrogate.
     """
-    from scipy.sparse import csgraph
-    op = build_cell_operator(tm.system, K=level).tocoo()
-    keep = np.abs(op.data) > 1e-12
-    adj = sp.csr_matrix((np.ones(int(keep.sum()), dtype=np.int8),
-                         (op.col[keep], op.row[keep])), shape=op.shape)
+    from scipy.sparse import csgraph, csr_matrix
+    op = build_cell_operator(tm.system, K=level)
+    k, row = np.nonzero(np.abs(op.data) > 1e-12)
+    adj = csr_matrix((np.ones(row.size, dtype=np.int8), (op.col[k, row], row)), shape=op.shape)
     n_comp, _ = csgraph.connected_components(adj, directed=True, connection="strong")
     return n_comp == 1
 
@@ -420,7 +419,7 @@ def multiplier_matrix(tm: TransferMatrix, phase: np.ndarray) -> np.ndarray:
                      for e in np.eye(tm.size)], axis=1)
 
 
-def _leading_eigenvalue(U: sp.csr_matrix, phase: np.ndarray) -> Tuple[complex, bool, float]:
+def _leading_eigenvalue(U: CellOperator, phase: np.ndarray) -> Tuple[complex, bool, float]:
     """Power iteration of f -> U(phase * f) from the flat function.
 
     Returns (eigenvalue, converged, final relative residual); failure to

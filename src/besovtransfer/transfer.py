@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .atoms import (
     AtomicRep,
@@ -47,6 +46,9 @@ from .domains import Cover, c_dom, cover
 from .dynamics import Branch, BranchSystem, _ends, _probe_cells, per_branch
 from .errors import AssumptionError, CapacityError, CellNotFoundError, ModeMismatchError
 from .grid import Grid, python_pow
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 INF = math.inf
 
@@ -436,11 +438,13 @@ def apply_transfer(system: BranchSystem, rep: AtomicRep, mode: str = "analytic",
 
     analytic mode pushes atoms forward, sums every atom's coefficients and
     the re-aggregated slivers into one basis-ordered vector, and carries
-    the certified norm bound in .meta; numeric mode evaluates the sparse
-    cell operator and re-expands.  With cross_check the two are compared in L1 at working
-    resolution and a mismatch beyond 1e-9 * (1 + |numeric output|_L1) is a
-    hard error; both routes re-aggregate the same truncation defect, which
-    is reported in .meta["defect_l1"].
+    the certified norm bound in .meta; numeric mode applies the bin
+    operator (a CellOperator, built once per system and level) to the
+    evaluated expansion and re-expands.  Neither route loads SciPy.  With
+    cross_check the two are compared in L1 at working resolution and a
+    mismatch beyond 1e-9 * (1 + |numeric output|_L1) is a hard error; both
+    routes re-aggregate the same truncation defect, which is reported in
+    .meta["defect_l1"].
     """
     grid, params = system.grid, system.params
     if mode not in ("analytic", "numeric"):
@@ -501,11 +505,34 @@ def c_d_constant(system: BranchSystem) -> float:
 # -- numeric route ------------------------------------------------------------
 
 
-def build_cell_operator(system: BranchSystem, K: Optional[int] = None) -> sp.csr_matrix:
-    """Sparse operator on bottom-cell averages (exact interval arithmetic).
+class CellOperator(NamedTuple):
+    """The bin operator U, row by row: entry k of row i, in column order,
+    has column col[k, i] and value data[k, i], and rows shorter than the
+    longest are padded with column 0 and value 0.
+
+    U @ x adds each row's products in column order, starting from 0, as
+    scipy's CSR product does, so the two agree bit for bit: a sum over the
+    first axis adds its slices one after another.
+    """
+
+    col: np.ndarray
+    data: np.ndarray
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return (self.data.shape[1],) * 2
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.add.reduce(self.data * np.take(x, self.col), axis=0, initial=0.0)
+
+
+def build_cell_operator(system: BranchSystem, K: Optional[int] = None) -> CellOperator:
+    """The bin operator on bottom-cell averages (exact interval arithmetic).
 
     Entry (c, j) is the weight integral over target cell c of the forward
-    image of source cell j, divided by the measure of cell c.
+    image of source cell j, divided by the measure of cell c.  A source
+    cell that meets several branch images has its branches' entries on a
+    target summed in branch order.
     """
     grid = system.grid
     K = grid.max_level if K is None else K
@@ -521,11 +548,18 @@ def build_cell_operator(system: BranchSystem, K: Optional[int] = None) -> sp.csr
         rows.append(c[nz])
         cols.append(j[ok][piece[nz]])
         vals.append(wt[nz])
-    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n))
+    key, at = np.unique(np.concatenate(rows) * n + np.concatenate(cols), return_inverse=True)
+    val = accumulate(at, np.concatenate(vals), key.size)
+    row = key // n
+    count = np.bincount(row, minlength=n)
+    pos = np.arange(key.size) - np.repeat(np.cumsum(count) - count, count)   # place in its row
+    col = np.zeros((int(count.max(initial=0)), n), dtype=np.int64)
+    data = np.zeros(col.shape, dtype=val.dtype)
+    col[pos, row], data[pos, row] = key % n, val
+    return CellOperator(col, data)
 
 
-def cell_operator(system: BranchSystem, K: int) -> sp.csr_matrix:
+def cell_operator(system: BranchSystem, K: int) -> CellOperator:
     """build_cell_operator(system, K), built once per system and level."""
     if K not in system.cell_ops:
         system.cell_ops[K] = build_cell_operator(system, K)
@@ -665,14 +699,13 @@ class TransferMatrix:
         return out
 
     def to_triplets(self) -> str:
+        """matrix.csv: one line per stored entry, by row, then column; a
+        value with no imaginary part prints as a float."""
         coo = self.matrix.tocoo()
-        lines = ["row,col,value"]
         order = np.lexsort((coo.col, coo.row))
-        for i in order:
-            val = complex(coo.data[i])
-            txt = repr(val.real) if val.imag == 0 else repr(val)
-            lines.append(f"{int(coo.row[i])},{int(coo.col[i])},{txt}")
-        return "\n".join(lines) + "\n"
+        text = [repr(v.real) if v.imag == 0 else repr(v) for v in coo.data[order].tolist()]
+        return "row,col,value\n" + "".join([f"{r},{c},{t}\n" for r, c, t in zip(
+            coo.row[order].tolist(), coo.col[order].tolist(), text)])
 
 
 def _widen_ledger(system: BranchSystem, images: List[Images]) -> None:
@@ -718,6 +751,7 @@ def assemble_matrix(system: BranchSystem, K: Optional[int] = None, t: int = 1,
     constants are widened once to the forward images of all levels
     (_widen_ledger) before the bound ledger is evaluated.
     """
+    import scipy.sparse as sp
     grid = system.grid
     K = grid.max_level if K is None else K
     if K > grid.max_level:

@@ -18,8 +18,10 @@ from besovtransfer.atoms import (
     coefficient_norm,
     coefficient_table,
     evaluate,
+    evaluate_vector,
     multiplier_apply,
     power_table,
+    random_block,
     random_rep,
     souza_atom,
     subtree_arrays,
@@ -208,6 +210,27 @@ def test_index_arrays_equal_the_dict_encoding_bit_for_bit():
         assert list(back.coeffs) == list(shuffled)
         assert coefficient_norm(back).hex() == _dict_norm(shuffled, PARAMS).hex()
         assert _hex(evaluate(back).values) == _hex(_dict_evaluate(shuffled, PARAMS, grid))
+
+
+def test_random_block_stacks_random_rep_vectors_bit_for_bit():
+    # an ensemble drawn as one block: the same draws, each member merged
+    # and normalized as random_rep does it alone
+    grid = working_grid(MapSpec("beta", beta=1.8), build_grid(2, 8))   # a cut bottom level
+    box = dict(s=0.5, beta=0.6, eps=0.2)
+    norms = (PARAMS, BesovParams(q=math.inf), BesovParams(p=1.0, q=3.0, **box),
+             BesovParams(p=math.inf, q=math.inf))
+    for seed, params in enumerate(norms):
+        for K, n_atoms in ((8, 40), (3, 20)):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = np.stack([random_rep(grid, params, rng, n_atoms=n_atoms, max_level=K)
+                             .to_vector(K) for _ in range(25)], axis=1)
+            got = random_block(grid, params, twin, 25, n_atoms=n_atoms, max_level=K)
+            assert got.flags.f_contiguous and got.dtype == np.float64
+            assert _hex(got.ravel()) == _hex(want.ravel())
+            assert rng.random() == twin.random()
+            # evaluated at once, member by member the same
+            each = np.stack([evaluate_vector(col, grid, K, params) for col in got.T])
+            assert _hex(evaluate_vector(got.T, grid, K, params).ravel()) == _hex(each.ravel())
 
 
 def test_from_cells_refuses_cells_off_the_grid():

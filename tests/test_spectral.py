@@ -22,6 +22,7 @@ from besovtransfer.dynamics import MapSpec, make_map
 from besovtransfer.errors import AssumptionError, DegenerateFitError
 from besovtransfer.grid import CellId, build_grid
 from besovtransfer.spectral import (
+    LYReport,
     clt_variance,
     correlations,
     decay_rate,
@@ -202,6 +203,62 @@ def test_block_norms_match_vector_norms(beta18_tm):
 def test_ly_golden(golden_tm):
     rep = lasota_yorke_verify(golden_tm, ensemble_size=40, n_max=20, seed=2)
     assert rep.passed and rep.lam < 1.0
+
+
+def _ly_member_by_member(tm, ensemble_size, n_max, seed):
+    """lasota_yorke_verify as it was: one random_rep per member, a complex
+    block, and every step's norms taken whole."""
+    grid, params = tm.grid, tm.params
+    rng = np.random.default_rng(seed)
+    block = np.asfortranarray(np.stack(
+        [random_rep(grid, params, rng, n_atoms=20, max_level=tm.K).to_vector(tm.K)
+         for _ in range(ensemble_size)], axis=1).astype(np.complex128))
+    l1s = [float(grid.integrate(tm.K, np.abs(evaluate_vector(col, grid, tm.K, params))))
+           for col in block.T]
+    steps = [coefficient_norm_vector(block, grid, tm.K, params)]
+    for _ in range(n_max):
+        block = np.asfortranarray(tm.apply(block))
+        steps.append(coefficient_norm_vector(block, grid, tm.K, params))
+    trajectories = list(zip(l1s, np.asarray(steps).T.tolist()))
+    c_hat = max((norms[n_max] / l1) for l1, norms in trajectories if l1 > 0)
+    c_hat *= 1.0 + 1e-9
+    lam_fit = 0.0
+    for l1, norms in trajectories:
+        n0 = norms[0]
+        if n0 <= 0:
+            continue
+        for n in range(1, n_max + 1):
+            excess = norms[n] - c_hat * l1
+            if excess > 1e-13 * n0:
+                lam_fit = max(lam_fit, (excess / n0) ** (1.0 / n))
+    cap = tm.ledger.essential_bound
+    return LYReport(C=c_hat, lam=lam_fit, n_max=n_max, ensemble_size=ensemble_size, cap=cap,
+                    passed=lam_fit < 1.0 and lam_fit <= cap + 1e-9, seed=seed)
+
+
+@pytest.fixture(scope="module")
+def ly_matrices(doubling_tm, golden_tm, beta18_tm):
+    pw = MapSpec("pw_linear", breakpoints=(0.0, 1 / 3, 1.0), slopes=(3.0, 1.5))
+    return {"doubling": doubling_tm, "golden": golden_tm, "beta18": beta18_tm,
+            "pw_linear": assemble_matrix(make_map(pw, build_grid(2, 8), PARAMS), K=8),
+            "gauss": assemble_matrix(make_map(MapSpec("gauss", r_max=20), build_grid(2, 7),
+                                              PARAMS), K=7),
+            "m_ary3": assemble_matrix(make_map(MapSpec("m_ary", arity=3), build_grid(3, 5),
+                                               PARAMS), K=5)}
+
+
+def test_ly_equals_the_member_by_member_fit(ly_matrices):
+    # the ensemble drawn as one block and iterated as floats, its norms
+    # streamed step by step, gives the same report bit for bit
+    lams = []
+    for name, tm in ly_matrices.items():
+        for seed in (0, 4, 9):
+            got = lasota_yorke_verify(tm, ensemble_size=30, n_max=12, seed=seed)
+            assert got == _ly_member_by_member(tm, 30, 12, seed), (name, seed)
+            lams.append(got.lam)
+    tm = ly_matrices["pw_linear"]
+    assert lasota_yorke_verify(tm, 60, 20, 1) == _ly_member_by_member(tm, 60, 20, 1)
+    assert sum(lam > 0 for lam in lams) >= 9     # the fit of lambda is exercised
 
 
 # -- invariant densities -------------------------------------------------------------

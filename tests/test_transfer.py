@@ -214,8 +214,10 @@ def test_cross_check_rejects_a_bin_operator_off_by_1e6(monkeypatch):
     # broken route even though the mismatch is far below the sliver mass
     import besovtransfer.transfer as transfer
     build = transfer.build_cell_operator
-    monkeypatch.setattr(transfer, "build_cell_operator",
-                        lambda system, K=None: build(system, K) * (1 + 1e-6))
+    def scaled(system, K=None):
+        op = build(system, K)
+        return op._replace(data=op.data * (1 + 1e-6))
+    monkeypatch.setattr(transfer, "build_cell_operator", scaled)
     system = make_map(MapSpec("beta", beta=1.8), build_grid(2, 8), PARAMS)
     rep = random_rep(system.grid, PARAMS, np.random.default_rng(53), n_atoms=15)
     with pytest.raises(ModeMismatchError):
@@ -536,15 +538,90 @@ def test_cell_operator_matches_numeric(golden, beta18):
     out = transfer_numeric(golden, f)
     op = build_cell_operator(golden, 8)
     assert np.allclose(out.values, op @ f.values)
-    # mass conservation column by column for jacobian weights
-    col_mass = np.asarray(op.sum(axis=0)).ravel() * golden.grid.width(8)
+    # mass conservation column by column for jacobian weights (padding
+    # entries hold 0 and add nothing)
+    col_mass = np.bincount(op.col.ravel(), weights=op.data.ravel(), minlength=256) \
+        * golden.grid.width(8)
     assert np.max(np.abs(col_mass - golden.grid.width(8))) <= 1e-12
-    # the same on cut cells, each weighted with its own width
+    # the same on cut cells, each weighted with its own width: w @ U
     f = PiecewiseFn(beta18.grid, 8, rng.standard_normal(256))
     op = build_cell_operator(beta18, 8)
     assert np.allclose(transfer_numeric(beta18, f).values, op @ f.values)
     w = beta18.grid.widths(8)
-    assert np.max(np.abs(w @ op - w)) <= 1e-12
+    w_op = np.bincount(op.col.ravel(), weights=(op.data * w).ravel(), minlength=256)
+    assert np.max(np.abs(w_op - w)) <= 1e-12
+
+
+def _scipy_cell_operator(system, K):
+    """The bin operator as it was built before CellOperator: a scipy CSR
+    matrix of the raw branch entries, whose repeats scipy merges."""
+    import scipy.sparse as sp
+    grid = system.grid
+    n = grid.n_cells(K)
+    rows, cols, vals = [], [], []
+    for b in system.branches:
+        _, j, a_, b_, _ = grid.overlaps(K, *b.img)
+        vlo, vhi = b.forward_interval(a_, b_)
+        ok = vhi - vlo > 0
+        piece, c, ca, cb, w_c = grid.overlaps(K, vlo[ok], vhi[ok])
+        wt = b.weight_integral(ca, cb) / w_c
+        nz = wt != 0.0
+        rows.append(c[nz])
+        cols.append(j[ok][piece[nz]])
+        vals.append(wt[nz])
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n))
+
+
+@pytest.mark.parametrize("spec,arity,K", [
+    (MapSpec("beta", beta=PHI), 2, 9),
+    (MapSpec("beta", beta=1.8), 2, 9),
+    (MapSpec("m_ary", arity=3), 3, 5),
+    # rows of up to 53 entries, and up to 9 branch entries merged into one
+    (MapSpec("gauss", r_max=50), 2, 8),
+])
+def test_cell_operator_equals_scipy_bit_for_bit(spec, arity, K):
+    system = make_map(spec, build_grid(arity, K), PARAMS, probe_level=min(8, K))
+    op, csr = build_cell_operator(system, K), _scipy_cell_operator(system, K)
+    assert op.shape == csr.shape
+    # the same entries, row by row in column order, then zero padding
+    length = np.diff(csr.indptr)
+    assert op.col.shape[0] == length.max()
+    filled = (np.arange(op.col.shape[0])[:, None] < length).T
+    assert np.array_equal(op.col.T[filled], csr.indices)
+    assert op.data.T[filled].tobytes() == csr.data.tobytes()
+    assert not np.any(op.col.T[~filled]) and not np.any(op.data.T[~filled])
+    # and the same products, real and complex, signed zeros included
+    n = csr.shape[0]
+    rng = np.random.default_rng(K)
+    x = rng.standard_normal(n)
+    for v in (x, -np.abs(x), np.zeros(n), x + 1j * rng.standard_normal(n), np.exp(1j * x)):
+        assert (op @ v).tobytes() == (csr @ v).tobytes()
+
+
+def _line_loop_triplets(matrix):
+    """matrix.csv as the entry-by-entry loop wrote it."""
+    coo = matrix.tocoo()
+    lines = ["row,col,value"]
+    order = np.lexsort((coo.col, coo.row))
+    for i in order:
+        val = complex(coo.data[i])
+        txt = repr(val.real) if val.imag == 0 else repr(val)
+        lines.append(f"{int(coo.row[i])},{int(coo.col[i])},{txt}")
+    return "\n".join(lines) + "\n"
+
+
+def test_triplets_text_equals_the_line_loop():
+    for spec in (MapSpec("beta", beta=1.8), MapSpec("gauss", r_max=20)):
+        tm = assemble_matrix(make_map(spec, build_grid(2, 7), PARAMS), K=7)
+        assert tm.to_triplets() == _line_loop_triplets(tm.matrix)
+    # complex entries, with and without an imaginary part, and a signed zero
+    mixed = tm.matrix.astype(np.complex128)
+    mixed.data[::3] *= 1 - 0.25j
+    mixed.data[1::7] = -0.0
+    tm.matrix = mixed
+    assert tm.to_triplets() == _line_loop_triplets(mixed)
+    assert "j)" in tm.to_triplets() and ",-0.0\n" in tm.to_triplets()
 
 
 # -- integrability ---------------------------------------------------------------
