@@ -320,22 +320,8 @@ def coefficient_norm(rep: AtomicRep) -> float:
     The levels are taken in the order of their first entry, and each
     level's coefficients in entry order.
     """
-    level = rep.cells()[0]
-    levels, first = np.unique(level, return_index=True)
-    a, p = np.abs(rep.value), rep.params.p
-    masses = []
-    for k in levels[np.argsort(first)].tolist():
-        seg = a[level == k]
-        masses.append(float(seg.max(initial=0.0)) if p == INF
-                      else float(np.sum(seg ** p) ** (1.0 / p)))
-    vals = np.asarray(masses, dtype=float)
-    if vals.size == 0:
-        return 0.0
-    q = rep.params.q
-    total = float(vals.max()) if q == INF else float(np.sum(vals ** q) ** (1.0 / q))
-    if not math.isfinite(total):
-        raise NormOverflowError("coefficient norm is not finite")
-    return total
+    member = np.zeros(rep.index.size, dtype=np.int64)
+    return float(coefficient_norms(member, rep.cells()[0], rep.value, rep.params, 1)[0])
 
 
 def coefficient_norms(member: np.ndarray, level: np.ndarray, value: np.ndarray,
@@ -344,9 +330,9 @@ def coefficient_norms(member: np.ndarray, level: np.ndarray, value: np.ndarray,
 
     Entry i is the coefficient value[i], on a cell of level level[i], of
     expansion member[i], and each expansion's entries come in its order.
-    Each norm (0 for an expansion with no entry) adds the same values in
-    the same order as coefficient_norm of the expansion alone, so it is
-    the same bits.  For one expansion coefficient_norm is the quicker.
+    Each norm (0 for an expansion with no entry) takes the same values in
+    the same order as the norm of the expansion alone, so it is the same
+    bits.
     """
     p, q = params.p, params.q
     # one group per (expansion, level), its entries in entry order

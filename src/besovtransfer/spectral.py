@@ -329,8 +329,9 @@ def transitivity_check(tm: TransferMatrix, level: int) -> bool:
     """
     from scipy.sparse import csgraph, csr_matrix
     op = build_cell_operator(tm.system, K=level)
-    k, row = np.nonzero(np.abs(op.data) > 1e-12)
-    adj = csr_matrix((np.ones(row.size, dtype=np.int8), (op.col[k, row], row)), shape=op.shape)
+    keep = np.abs(op.data) > 1e-12
+    adj = csr_matrix((np.ones(int(keep.sum()), dtype=np.int8), (op.col[keep], op.rows()[keep])),
+                     shape=op.shape)
     n_comp, _ = csgraph.connected_components(adj, directed=True, connection="strong")
     return n_comp == 1
 

@@ -506,24 +506,44 @@ def c_d_constant(system: BranchSystem) -> float:
 
 
 class CellOperator(NamedTuple):
-    """The bin operator U, row by row: entry k of row i, in column order,
-    has column col[k, i] and value data[k, i], and rows shorter than the
-    longest are padded with column 0 and value 0.
+    """The bin operator U in jagged-diagonal form.
 
-    U @ x adds each row's products in column order, starting from 0, as
-    scipy's CSR product does, so the two agree bit for bit: a sum over the
-    first axis adds its slices one after another.
+    The rows are ranked longest first (row i has rank rank[i]).  Diagonal
+    k holds entry k, in column order, of every row longer than k, taken by
+    rank: it is col[span[k]:span[k + 1]] and data[span[k]:span[k + 1]],
+    and it covers the ranks below span[k + 1] - span[k].  The first `full`
+    diagonals cover every row.
+
+    U @ x takes one product per entry.  It sums the full diagonals as one
+    reduction over the first axis, which adds them one after another from
+    0, then adds each shorter diagonal in turn.  So each row's products
+    are added in column order from 0, as scipy's CSR product adds them,
+    and the two agree bit for bit.
     """
 
+    rank: np.ndarray
     col: np.ndarray
     data: np.ndarray
+    span: Tuple[int, ...]
+    full: int
 
     @property
     def shape(self) -> Tuple[int, int]:
-        return (self.data.shape[1],) * 2
+        return (self.rank.size,) * 2
+
+    def rows(self) -> np.ndarray:
+        """The row of each entry."""
+        by_rank = np.argsort(self.rank)
+        return by_rank[np.arange(self.col.size) - np.repeat(self.span[:-1], np.diff(self.span))]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return np.add.reduce(self.data * np.take(x, self.col), axis=0, initial=0.0)
+        n, full = self.rank.size, self.full
+        prod = self.data * np.take(x, self.col)
+        acc = np.add.reduce(prod[:full * n].reshape(full, n), axis=0, initial=0.0)   # by rank
+        for lo, hi in zip(self.span[full:], self.span[full + 1:]):
+            head = acc[:hi - lo]
+            np.add(head, prod[lo:hi], out=head)
+        return acc.take(self.rank)
 
 
 def build_cell_operator(system: BranchSystem, K: Optional[int] = None) -> CellOperator:
@@ -548,15 +568,19 @@ def build_cell_operator(system: BranchSystem, K: Optional[int] = None) -> CellOp
         rows.append(c[nz])
         cols.append(j[ok][piece[nz]])
         vals.append(wt[nz])
-    key, at = np.unique(np.concatenate(rows) * n + np.concatenate(cols), return_inverse=True)
-    val = accumulate(at, np.concatenate(vals), key.size)
+    key, inv = np.unique(np.concatenate(rows) * n + np.concatenate(cols), return_inverse=True)
+    val = accumulate(inv, np.concatenate(vals), key.size)
     row = key // n
     count = np.bincount(row, minlength=n)
     pos = np.arange(key.size) - np.repeat(np.cumsum(count) - count, count)   # place in its row
-    col = np.zeros((int(count.max(initial=0)), n), dtype=np.int64)
-    data = np.zeros(col.shape, dtype=val.dtype)
-    col[pos, row], data[pos, row] = key % n, val
-    return CellOperator(col, data)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(-count, kind="stable")] = np.arange(n)
+    width = np.bincount(pos)
+    span = np.concatenate(([0], np.cumsum(width)))
+    at = span[pos] + rank[row]   # diagonal pos, place rank[row] in it
+    col, data = np.empty_like(key), np.empty_like(val)
+    col[at], data[at] = key % n, val
+    return CellOperator(rank, col, data, tuple(span.tolist()), int(np.sum(width == n)))
 
 
 def cell_operator(system: BranchSystem, K: int) -> CellOperator:

@@ -183,7 +183,8 @@ def _hex(values):
 def test_index_arrays_equal_the_dict_encoding_bit_for_bit():
     grid = working_grid(MapSpec("beta", beta=1.8), build_grid(2, 8))   # a cut bottom level
     box = dict(s=0.5, beta=0.6, eps=0.2)
-    norms = (PARAMS, BesovParams(q=math.inf), BesovParams(p=1.0, q=3.0, **box))
+    norms = (PARAMS, BesovParams(q=math.inf), BesovParams(p=1.0, q=3.0, **box),
+             BesovParams(p=math.inf, q=math.inf))
     for seed in range(30):
         kind = dict(positive=seed % 3 == 1, complex_coeffs=seed % 3 == 2)
         want = _dict_draws(grid, np.random.default_rng(seed), 60, **kind)

@@ -538,17 +538,15 @@ def test_cell_operator_matches_numeric(golden, beta18):
     out = transfer_numeric(golden, f)
     op = build_cell_operator(golden, 8)
     assert np.allclose(out.values, op @ f.values)
-    # mass conservation column by column for jacobian weights (padding
-    # entries hold 0 and add nothing)
-    col_mass = np.bincount(op.col.ravel(), weights=op.data.ravel(), minlength=256) \
-        * golden.grid.width(8)
+    # mass conservation column by column for jacobian weights
+    col_mass = np.bincount(op.col, weights=op.data, minlength=256) * golden.grid.width(8)
     assert np.max(np.abs(col_mass - golden.grid.width(8))) <= 1e-12
     # the same on cut cells, each weighted with its own width: w @ U
     f = PiecewiseFn(beta18.grid, 8, rng.standard_normal(256))
     op = build_cell_operator(beta18, 8)
     assert np.allclose(transfer_numeric(beta18, f).values, op @ f.values)
     w = beta18.grid.widths(8)
-    w_op = np.bincount(op.col.ravel(), weights=(op.data * w).ravel(), minlength=256)
+    w_op = np.bincount(op.col, weights=op.data * w[op.rows()], minlength=256)
     assert np.max(np.abs(w_op - w)) <= 1e-12
 
 
@@ -584,19 +582,29 @@ def test_cell_operator_equals_scipy_bit_for_bit(spec, arity, K):
     system = make_map(spec, build_grid(arity, K), PARAMS, probe_level=min(8, K))
     op, csr = build_cell_operator(system, K), _scipy_cell_operator(system, K)
     assert op.shape == csr.shape
-    # the same entries, row by row in column order, then zero padding
+    # the same entries, row by row in column order
+    rows = op.rows()
+    by_row = np.argsort(rows, kind="stable")
     length = np.diff(csr.indptr)
-    assert op.col.shape[0] == length.max()
-    filled = (np.arange(op.col.shape[0])[:, None] < length).T
-    assert np.array_equal(op.col.T[filled], csr.indices)
-    assert op.data.T[filled].tobytes() == csr.data.tobytes()
-    assert not np.any(op.col.T[~filled]) and not np.any(op.data.T[~filled])
-    # and the same products, real and complex, signed zeros included
+    assert np.array_equal(rows[by_row], np.repeat(np.arange(csr.shape[0]), length))
+    assert np.array_equal(op.col[by_row], csr.indices)
+    assert op.data[by_row].tobytes() == csr.data.tobytes()
+    # diagonal k covers the rows longer than k, longest first
+    assert sorted(op.rank.tolist()) == list(range(csr.shape[0]))
+    assert np.array_equal(np.diff(op.span), np.bincount(length)[::-1].cumsum()[::-1][1:])
+    assert np.all(np.diff(length[np.argsort(op.rank)]) <= 0)
+    assert op.full == length.min()
+    # and the same products, real and complex, signed zeros included, and
+    # non-finite values only where a row holds their column
     n = csr.shape[0]
     rng = np.random.default_rng(K)
     x = rng.standard_normal(n)
-    for v in (x, -np.abs(x), np.zeros(n), x + 1j * rng.standard_normal(n), np.exp(1j * x)):
-        assert (op @ v).tobytes() == (csr @ v).tobytes()
+    bad = x.copy()
+    bad[[0, n // 2]] = np.inf, np.nan
+    with np.errstate(invalid="ignore"):
+        for v in (x, -np.abs(x), np.zeros(n), x + 1j * rng.standard_normal(n), np.exp(1j * x),
+                  bad, bad * (1 - 1j)):
+            assert (op @ v).tobytes() == (csr @ v).tobytes()
 
 
 def _line_loop_triplets(matrix):
