@@ -197,7 +197,7 @@ class Runner:
 
     def density(self):
         if self._density is None:
-            self._density = invariant_density(self.matrix())
+            self._density = invariant_density(self.system(), self.config.grid.max_level)
         return self._density
 
     def eigenvalues(self):
@@ -273,12 +273,12 @@ class Runner:
         v = evaluate(u, grid.max_level)
         rho, _ = self.density()
         try:
-            rep = decay_rate(self.matrix(), u, v, k_max=40,
+            rep = decay_rate(self.system(), u, v, k_max=40,
                              lambda2=subdominant_modulus(self.eigenvalues().values), density=rho)
             cks, fitted, cert = rep.correlations, rep.fitted_rate, rep.certificate_rate
             degenerate = False
         except DegenerateFitError:
-            cks = correlations(self.matrix(), u, v, k_max=40, density=rho)
+            cks = correlations(self.system(), u, v, k_max=40, density=rho)
             fitted, cert, degenerate = 0.0, 0.0, True
         lines = ["k,re,im,abs"]
         for k, c in enumerate(cks):
@@ -291,7 +291,7 @@ class Runner:
         v = PiecewiseFn.from_function(self.system().grid, self.config.grid.max_level,
                                       OBSERVABLES[self.config.observable])
         rho, _ = self.density()
-        rep = clt_variance(self.matrix(), v, density=rho)
+        rep = clt_variance(self.system(), v, density=rho)
         self._write("clt.json", _json_text({
             "sigma2": rep.sigma2, "green_kubo": rep.green_kubo,
             "fd_error": rep.fd_error, "t_grid": list(rep.t_grid),

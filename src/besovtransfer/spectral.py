@@ -1,10 +1,11 @@
-"""Spectral analysis of assembled transfer matrices.
+"""Spectral analysis of the truncated transfer operator.
 
 The atom matrix M and the level-K bin operator U (`transfer.cell_operator`)
-satisfy E M = U E, E = `evaluate_vector`.  The analyses on functions read U
-on cell values: the invariant density, the correlations and their decay
-fit, and the variance of centered observables via the perturbed operator
-family.  M serves the eigenvalues (peripheral spectrum, gap, decay
+satisfy E M = U E, E = `evaluate_vector`.  The analyses on functions take
+the `BranchSystem` and read U on cell values, never M: the invariant
+density, the correlations and their decay fit, and the variance of
+centered observables via the perturbed operator family.  An assembled
+`TransferMatrix` serves the eigenvalues (peripheral spectrum, gap, decay
 certificate) and the norm-inequality fit.
 
 No SciPy module is imported with this one: U is a numpy
@@ -202,20 +203,19 @@ class DensityInfo:
     deficit: float          # stationary mass lost per application (truncation)
 
 
-def invariant_density(tm: TransferMatrix, tol: float = 1e-12, max_iter: int = 2000,
-                      start: Optional[np.ndarray] = None
+def invariant_density(system: BranchSystem, K: int, tol: float = 1e-12,
+                      max_iter: int = 2000, start: Optional[np.ndarray] = None
                       ) -> Tuple[PiecewiseFn, DensityInfo]:
-    """Fixed density of the truncated operator, normalized to unit mass.
+    """Fixed density of the level-K truncated operator, normalized to unit mass.
 
     Renormalized power iteration of the bin operator U on cell values from
-    the flat function, or from `start`, an atom-basis coefficient vector
-    evaluated once, until no value moves by tol.  Negative dust below -tol
-    is clamped and the clamped mass reported.
+    the flat function, or from `start`, cell values at level K, until no
+    value moves by tol.  Negative dust below -tol is clamped and the
+    clamped mass reported.
     """
-    grid, K = tm.grid, tm.K
-    U = cell_operator(tm.system, K)
-    vals = np.ones(grid.n_cells(K)) if start is None else \
-        evaluate_vector(start.astype(float), grid, K, tm.params)
+    grid = system.grid
+    U = cell_operator(system, K)
+    vals = np.ones(grid.n_cells(K)) if start is None else np.asarray(start, dtype=float)
     vals = vals / grid.integrate(K, vals)
     for it in range(1, max_iter + 1):
         new = U @ vals
@@ -277,10 +277,11 @@ def peripheral_spectrum(tm: TransferMatrix, tol: float = 1e-6,
     eigenvectors.
 
     `spectrum` (as `eigenvalues(tm, tol, full=True)` returns it) and
-    `density` (as `invariant_density(tm)` returns it) are computed here
-    when not given.  A diagonal spectrum carries no eigenvectors; when one
-    of its peripheral eigenvalues is repeated, ARPACK solves for them and
-    the report carries the eigenvalues of that solve.
+    `density` (as `invariant_density(tm.system, tm.K)` returns it) are
+    computed here when not given.  A diagonal spectrum carries no
+    eigenvectors; when one of its peripheral eigenvalues is repeated,
+    ARPACK solves for them and the report carries the eigenvalues of that
+    solve.
     """
     es = eigenvalues(tm, tol, full=True) if spectrum is None else spectrum
     near = max(tol, 1e-9)
@@ -299,7 +300,7 @@ def peripheral_spectrum(tm: TransferMatrix, tol: float = 1e-6,
                 if rank < len(idx):
                     semisimple = False
     gap = 1.0 - subdominant_modulus(ev, tol)
-    rho, info = invariant_density(tm) if density is None else density
+    rho, info = invariant_density(tm.system, tm.K) if density is None else density
     roots = {}
     for lam in peripheral:
         match = _root_of_unity_match(lam, max_order=max(len(peripheral), 8), tol=tol)
@@ -314,13 +315,13 @@ def peripheral_spectrum(tm: TransferMatrix, tol: float = 1e-6,
         eigenspace_dim_at_1=dim1,
         semisimple=semisimple,
         roots_of_unity=roots,
-        transitive=transitivity_check(tm, min(tm.K, 6)),
+        transitive=transitivity_check(tm.system, min(tm.K, 6)),
         density_info=info,
         solver=es.solver,
     )
 
 
-def transitivity_check(tm: TransferMatrix, level: int) -> bool:
+def transitivity_check(system: BranchSystem, level: int) -> bool:
     """Strong connectivity of the cell-transition digraph at one level.
 
     An edge P -> Q means the forward image of P charges Q with positive
@@ -328,7 +329,7 @@ def transitivity_check(tm: TransferMatrix, level: int) -> bool:
     that surrogate.
     """
     from scipy.sparse import csgraph, csr_matrix
-    op = build_cell_operator(tm.system, K=level)
+    op = build_cell_operator(system, K=level)
     keep = np.abs(op.data) > 1e-12
     adj = csr_matrix((np.ones(int(keep.sum()), dtype=np.int8), (op.col[keep], op.rows()[keep])),
                      shape=op.shape)
@@ -347,24 +348,27 @@ class DecayReport:
     passed: bool
 
 
-def _check_observable(tm: TransferMatrix, v: PiecewiseFn) -> None:
-    """Refuse an observable whose cells are not the matrix's bottom cells."""
-    if v.grid != tm.grid or v.level != tm.K:
+def _check_observable(system: BranchSystem, v: PiecewiseFn,
+                      density: Optional[PiecewiseFn]) -> None:
+    """Refuse an observable off the system's grid or off the density's level."""
+    level = v.level if density is None else density.level
+    if v.grid != system.grid or v.level != level:
         raise ValueError(
-            f"observable on level {v.level} of {v.grid}, matrix on level {tm.K} "
-            f"of {tm.grid}: build the observable on the matrix's grid")
+            f"observable on level {v.level} of {v.grid}, density on level {level} of "
+            f"{system.grid}: build the observable on the system's grid at the density's level")
 
 
-def correlations(tm: TransferMatrix, u: AtomicRep, v: PiecewiseFn,
+def correlations(system: BranchSystem, u: AtomicRep, v: PiecewiseFn,
                  k_max: int, density: Optional[PiecewiseFn] = None) -> np.ndarray:
-    """c_k = int v * U^k(E u) - int v rho * int u for k = 0..k_max, on cell values."""
-    _check_observable(tm, v)
-    grid, K = tm.grid, tm.K
+    """c_k = int v * U^k(E u) - int v rho * int u for k = 0..k_max, on the
+    cell values of v's level."""
+    _check_observable(system, v, density)
+    grid, K = system.grid, v.level
     if density is None:
-        density, _ = invariant_density(tm)
-    U = cell_operator(tm.system, K)
+        density, _ = invariant_density(system, K)
+    U = cell_operator(system, K)
     mean_v = float(np.real(grid.integrate(K, v.values * density.values)))
-    f = evaluate_vector(u.to_vector(K).astype(np.complex128), grid, K, tm.params)
+    f = evaluate_vector(u.to_vector(K).astype(np.complex128), grid, K, system.params)
     mass_u = complex(grid.integrate(K, f))
     out = np.empty(k_max + 1, dtype=np.complex128)
     for k in range(k_max + 1):
@@ -373,14 +377,11 @@ def correlations(tm: TransferMatrix, u: AtomicRep, v: PiecewiseFn,
     return out
 
 
-def decay_rate(tm: TransferMatrix, u: AtomicRep, v: PiecewiseFn,
-               k_max: int = 40, lambda2: Optional[float] = None,
-               density: Optional[PiecewiseFn] = None) -> DecayReport:
-    """Geometric fit of the correlation sequence against the spectral rate.
-
-    `lambda2` defaults to `subdominant_modulus(eigenvalues(tm))`.
-    """
-    cks = correlations(tm, u, v, k_max, density=density)
+def decay_rate(system: BranchSystem, u: AtomicRep, v: PiecewiseFn, lambda2: float,
+               k_max: int = 40, density: Optional[PiecewiseFn] = None) -> DecayReport:
+    """Geometric fit of the correlation sequence against the spectral rate
+    `lambda2`, as `subdominant_modulus` gives it."""
+    cks = correlations(system, u, v, k_max, density=density)
     mags = np.abs(cks)
     usable = np.nonzero(mags > 1e-14)[0]
     usable = usable[usable >= 5]           # the fit starts at lag 5
@@ -391,8 +392,6 @@ def decay_rate(tm: TransferMatrix, u: AtomicRep, v: PiecewiseFn,
     ks = usable.astype(float)
     slope = np.polyfit(ks, np.log(mags[usable]), 1)[0]
     fitted = float(np.exp(slope))
-    if lambda2 is None:
-        lambda2 = subdominant_modulus(eigenvalues(tm))
     passed = fitted <= lambda2 + 0.02
     return DecayReport(correlations=cks, fitted_rate=fitted,
                        certificate_rate=lambda2, passed=passed)
@@ -443,26 +442,26 @@ def _leading_eigenvalue(U: CellOperator, phase: np.ndarray) -> Tuple[complex, bo
     return lam, res < 1e-8, res
 
 
-def green_kubo_variance(tm: TransferMatrix, v: PiecewiseFn,
+def green_kubo_variance(system: BranchSystem, v: PiecewiseFn,
                         density: PiecewiseFn) -> float:
     """Lag-sum variance: c_0 + 2 sum_k int v * transfer^k(v rho), on cell values."""
-    _check_observable(tm, v)
-    grid = tm.grid
-    U = cell_operator(tm.system, tm.K)
-    mean_v = float(np.real(grid.integrate(tm.K, v.values * density.values)))
+    _check_observable(system, v, density)
+    grid, K = system.grid, v.level
+    U = cell_operator(system, K)
+    mean_v = float(np.real(grid.integrate(K, v.values * density.values)))
     vc = np.real(v.values) - mean_v
-    total = float(grid.integrate(tm.K, vc * vc * density.values))
+    total = float(grid.integrate(K, vc * vc * density.values))
     vals = vc * density.values
     for k in range(1, 201):
         vals = U @ vals
-        ck = float(grid.integrate(tm.K, vc * vals))
+        ck = float(grid.integrate(K, vc * vals))
         total += 2.0 * ck
         if abs(ck) < 1e-14 and k > 10:
             break
     return total
 
 
-def clt_variance(tm: TransferMatrix, v: PiecewiseFn,
+def clt_variance(system: BranchSystem, v: PiecewiseFn,
                  t_grid: Sequence[float] = (0.01, 0.02, 0.04),
                  density: Optional[PiecewiseFn] = None) -> CLTReport:
     """Variance via the curvature of the leading eigenvalue of the
@@ -472,21 +471,21 @@ def clt_variance(tm: TransferMatrix, v: PiecewiseFn,
     The observable is centered against the computed density first; a
     perturbed family whose power iteration stalls (the next eigenvalue
     approaches the leading one within 0.1) is refused.  The twisted
-    operator acts on cell values as U(phase * f), U the level-K bin operator:
-    by E M = U E it is `tm.matrix @ multiplier_matrix(tm, phase)` on the
-    quotient by the kernel of evaluation.
+    operator acts on cell values as U(phase * f), U the bin operator at
+    v's level K: by E M = U E it is `tm.matrix @ multiplier_matrix(tm, phase)`,
+    tm the atom matrix at level K, on the quotient by the kernel of evaluation.
     """
-    _check_observable(tm, v)
-    grid = tm.grid
+    _check_observable(system, v, density)
+    grid, K = system.grid, v.level
     if density is None:
-        density, _ = invariant_density(tm)
-    mean_v = float(np.real(grid.integrate(tm.K, v.values * density.values)))
+        density, _ = invariant_density(system, K)
+    mean_v = float(np.real(grid.integrate(K, v.values * density.values)))
     vc = np.real(v.values) - mean_v
     ts = sorted(abs(t) for t in t_grid)
     if len(ts) < 2:
         raise ValueError("need at least two sample parameters")
     leading: Dict[float, complex] = {}
-    U = cell_operator(tm.system, tm.K)
+    U = cell_operator(system, K)
     lam0, ok0, _ = _leading_eigenvalue(U, np.ones(U.shape[0]))
     if not ok0:
         raise GapCollapseError("unperturbed leading eigenvalue did not isolate")
@@ -508,7 +507,7 @@ def clt_variance(tm: TransferMatrix, v: PiecewiseFn,
     else:
         sigma2 = curv[ts[0]]
         fd_err = abs(curv[ts[0]] - curv[ts[-1]])
-    gk = green_kubo_variance(tm, v, density)
+    gk = green_kubo_variance(system, v, density)
     return CLTReport(sigma2=sigma2, fd_error=fd_err, green_kubo=gk,
                      leading=leading, t_grid=tuple(ts))
 

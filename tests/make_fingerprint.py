@@ -22,6 +22,7 @@ import sys
 import tempfile
 from pathlib import Path
 from typing import Dict
+from unittest import mock
 
 import numpy as np
 import scipy
@@ -81,27 +82,32 @@ def _cli(out: dict, key: str, argv, root: Path) -> None:
 def system_digests(name: str, root: Path) -> Dict[str, str]:
     """Every digest of one system, keyed '<system>/<entry>'."""
     grid, spec = SYSTEMS[name]
-    data = {"grid": grid, "map": spec}
     cfg = root / f"{name}.json"
-    cfg.write_text(json.dumps(data))
+    cfg.write_text(json.dumps({"grid": grid, "map": spec}))
     out: Dict[str, str] = {}
-    for analysis in cli.ANALYSES:
-        run_dir = root / name / analysis
-        _cli(out, f"{name}/{analysis}", [analysis, "--config", str(cfg),
-                                         "--out", str(run_dir)], root)
-        for path in sorted(run_dir.glob("*")) if run_dir.is_dir() else []:
-            out[f"{name}/{analysis}/{path.name}"] = _sha(path.read_bytes())
+    kept = []   # every M the runs read; the first is the `matrix` run's
+
+    def matrix(runner, assemble=cli.Runner.matrix):
+        kept.append(assemble(runner))
+        return kept[-1]
+
+    with mock.patch.object(cli.Runner, "matrix", matrix):
+        for analysis in cli.ANALYSES:
+            run_dir = root / name / analysis
+            _cli(out, f"{name}/{analysis}", [analysis, "--config", str(cfg),
+                                             "--out", str(run_dir)], root)
+            for path in sorted(run_dir.glob("*")) if run_dir.is_dir() else []:
+                out[f"{name}/{analysis}/{path.name}"] = _sha(path.read_bytes())
     for bound in cli.EXPLAIN_NAMES:
         _cli(out, f"{name}/explain {bound}", ["explain", bound, "--config", str(cfg),
                                               "--out", str(root / name / "explain")], root)
-    runner = cli.Runner(cli.RunConfig.from_json(data, root / name / "runner"))
-    tm = runner.matrix()
+    tm = kept[0]
     coo = tm.matrix.tocoo()
     order = np.lexsort((coo.col, coo.row))
     for part in ("row", "col", "data"):
         out[f"{name}/M.{part}"] = _array_sha(getattr(coo, part)[order])
     out[f"{name}/ledger"] = _sha(_json(tm.ledger.as_dict()))
-    system = runner.system()
+    system = tm.system
     for seed, complex_coeffs in EXPANSIONS:
         rep = random_rep(system.grid, system.params, np.random.default_rng(seed),
                          n_atoms=15, complex_coeffs=complex_coeffs)
@@ -115,7 +121,10 @@ def system_digests(name: str, root: Path) -> Dict[str, str]:
 
 def digests() -> Dict[str, str]:
     out: Dict[str, str] = {}
-    with tempfile.TemporaryDirectory() as tmp:
+    # one parser for every call: building it takes a tenth of the time
+    parser = cli._build_parser()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "_build_parser", lambda: parser):
         for name in SYSTEMS:
             out.update(system_digests(name, Path(tmp)))
     return out

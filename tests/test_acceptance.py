@@ -31,6 +31,7 @@ from besovtransfer.spectral import (
     lasota_yorke_verify,
     monte_carlo_variance,
     peripheral_spectrum,
+    subdominant_modulus,
     support_structure,
 )
 from besovtransfer.transfer import (
@@ -143,7 +144,7 @@ def test_criterion_03_doubling_exactness(matrices):
 
 
 def _golden_oracle_distance(golden12):
-    rho, _ = invariant_density(golden12)
+    rho, _ = invariant_density(golden12.system, golden12.K)
     # independent oracle: cell-operator iteration two levels deeper
     grid14 = build_grid(2, 14)
     sys14 = make_map(MapSpec("beta", beta=PHI), grid14, PARAMS, probe_level=6)
@@ -160,7 +161,7 @@ def _golden_oracle_distance(golden12):
 
 
 def test_criterion_04_golden_plateau(golden12):
-    rho, _ = invariant_density(golden12)
+    rho, _ = invariant_density(golden12.system, golden12.K)
     x = (np.arange(2 ** 12) + 0.5) / 2 ** 12
     hi = float(np.median(rho.values[x < 1 / PHI - 0.02]))
     lo = float(np.median(rho.values[x > 1 / PHI + 0.02]))
@@ -185,7 +186,7 @@ def test_criterion_04_golden_density_l1(golden12):
 
 def test_criterion_05_gauss_density(matrices):
     tm = matrices["gauss"]
-    rho, info = invariant_density(tm)
+    rho, info = invariant_density(tm.system, tm.K)
     x = (np.arange(tm.grid.n_cells(tm.K)) + 0.5) / tm.grid.n_cells(tm.K)
     truth = 1.0 / ((1.0 + x) * math.log(2.0))
     l1 = float(np.abs(rho.values - truth).mean())
@@ -259,7 +260,7 @@ def test_criterion_08_lasota_yorke(matrices):
 def test_criterion_09_clt_variance(matrices):
     tm = matrices["doubling"]
     v = PiecewiseFn.from_function(tm.grid, tm.K, lambda x: np.cos(2 * np.pi * x))
-    rep = clt_variance(tm, v)
+    rep = clt_variance(tm.system, v)
     mc = monte_carlo_variance(tm.system, lambda x: np.cos(2 * np.pi * x),
                               n_samples=10 ** 6, burn_in=10 ** 3, seed=20240801)
     ok1 = abs(rep.sigma2 - 0.5) <= 1e-3
@@ -278,13 +279,14 @@ def test_criterion_10_decay(matrices):
     u = atom_rep(CellId(3, 2), PARAMS, tm.grid, 1.0) \
         + atom_rep(CellId(3, 5), PARAMS, tm.grid, -1.0)
     v = PiecewiseFn.from_function(tm.grid, tm.K, lambda x: np.cos(2 * np.pi * x))
-    cks = correlations(tm, u, v, k_max=tm.K + 5)
+    cks = correlations(tm.system, u, v, k_max=tm.K + 5)
     ok_doub = float(np.max(np.abs(cks[tm.K + 1:]))) <= 1e-12
     tg = matrices["golden"]
     ug = atom_rep(CellId(1, 0), PARAMS, tg.grid, 1.0) \
         + atom_rep(CellId(1, 1), PARAMS, tg.grid, -1.0)
     vg = evaluate(ug, tg.K)
-    drep = decay_rate(tg, ug, vg, k_max=40)
+    drep = decay_rate(tg.system, ug, vg, k_max=40,
+                      lambda2=subdominant_modulus(eigenvalues(tg)))
     ok_gold = drep.fitted_rate <= drep.certificate_rate + 0.02
     _criterion(10, "correlations: doubling dies exactly beyond the basis "
                    "depth; golden fit stays under the spectral rate",
@@ -298,7 +300,7 @@ def test_criterion_11_structure(matrices):
     worst_defect = 0.0
     for name in ("doubling", "golden", "gauss"):
         tm = matrices[name]
-        rho, _ = invariant_density(tm)
+        rho, _ = invariant_density(tm.system, tm.K)
         srep = support_structure(rho, tm.grid, tol=1e-9)
         worst_defect = max(worst_defect, srep.defect_mass)
     ok_cover = worst_defect <= 1e-6

@@ -203,6 +203,30 @@ def test_max_cells_flag(tmp_path):
     assert rc == EXIT_CONFIG
 
 
+def test_basis_cap_applies_to_the_atom_matrix_alone(tmp_path, capsys):
+    # golden K=14 has 32767 atoms: density and clt read the bin operator
+    # and run under the default cap, which still refuses M
+    cfg = write_config(tmp_path, map={"map": "beta", "beta": PHI},
+                       grid={"arity": 2, "max_level": 14})
+    for command in ("density", "clt"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["matrix", "--config", str(cfg), "--out", str(tmp_path / "m")]) == EXIT_CONFIG
+    assert "exceeds cap 8191" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("before", ["density", "clt"])
+def test_bounds_do_not_depend_on_the_analyses_run_before(tmp_path, before):
+    # neither analysis assembles M, whose assembly widens the ledger
+    data = {"grid": {"arity": 2, "max_level": 9}, "map": {"map": "lorenz_cusp"}}
+    texts = []
+    for analyses in (["bounds"], [before, "bounds"]):
+        out = tmp_path / "-".join(analyses)
+        cli.Runner(cli.RunConfig.from_json(dict(data, analyses=analyses), out)).run()
+        texts.append((out / "bounds.json").read_text())
+    assert texts[0] == texts[1]
+
+
 def test_spectrum_and_decay_share_one_factorisation(tmp_path, monkeypatch):
     calls = {"factorise": 0, "density": 0}
 

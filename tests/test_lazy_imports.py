@@ -70,9 +70,8 @@ def test_ledger_bounds_validate_load_no_scipy(tmp_path):
 
 
 def test_ledger_density_clt_load_no_eigensolver(tmp_path):
-    # density and clt still run through the assembled M, which loads scipy.sparse
     script = cli_script(tmp_path, ["ledger", "density", "clt"], {"map": "doubling"}, 8)
-    assert loaded_after(script) == []
+    assert loaded_after(script, SCIPY) == []
 
 
 def test_spectrum_loads_the_eigensolver(tmp_path):

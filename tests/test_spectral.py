@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import besovtransfer.cli as cli
+import besovtransfer.transfer as transfer
 from besovtransfer.atoms import (
     BesovParams,
     PiecewiseFn,
@@ -37,7 +39,7 @@ from besovtransfer.spectral import (
     support_structure,
     transitivity_check,
 )
-from besovtransfer.transfer import TransferMatrix, assemble_matrix
+from besovtransfer.transfer import assemble_matrix
 
 PARAMS = BesovParams()
 PHI = (1 + math.sqrt(5)) / 2
@@ -172,7 +174,7 @@ def test_ly_doubling_rate(doubling_tm):
 
 
 def test_ly_fixed_point_trivial(doubling_tm):
-    rho, _ = invariant_density(doubling_tm)
+    rho, _ = invariant_density(doubling_tm.system, doubling_tm.K)
     vec = canonical_vector(rho.values.astype(complex), doubling_tm.grid,
                            doubling_tm.K, PARAMS)
     out = doubling_tm.apply(vec)
@@ -264,13 +266,13 @@ def test_ly_equals_the_member_by_member_fit(ly_matrices):
 # -- invariant densities -------------------------------------------------------------
 
 def test_density_doubling_flat(doubling_tm):
-    rho, info = invariant_density(doubling_tm)
+    rho, info = invariant_density(doubling_tm.system, doubling_tm.K)
     assert np.max(np.abs(rho.values - 1.0)) <= 1e-12
     assert info.clamp_mass == 0.0
 
 
 def test_density_golden_parry(golden_tm):
-    rho, info = invariant_density(golden_tm)
+    rho, info = invariant_density(golden_tm.system, golden_tm.K)
     x = (np.arange(rho.values.size) + 0.5) / rho.values.size
     hi = float(np.median(rho.values[x < 1 / PHI - 0.05]))
     lo = float(np.median(rho.values[x > 1 / PHI + 0.05]))
@@ -288,7 +290,7 @@ def test_density_golden_parry(golden_tm):
     (edge, x_cut), = system.grid.cuts
     assert x_cut == pytest.approx(1 / PHI, abs=1e-15)
     assert system.grid.interval(CellId(10, edge))[0] == x_cut
-    rho10, _ = invariant_density(assemble_matrix(system, K=10))
+    rho10, _ = invariant_density(system, 10)
     mid = np.asarray([system.grid.midpoint(CellId(10, j)) for j in range(system.grid.n_cells(10))])
     truth10 = np.where(mid < 1 / PHI, PHI * c, c)
     assert np.max(np.abs(rho10.values - truth10)) <= 1e-10
@@ -322,13 +324,13 @@ def test_bin_operator_route_matches_atom_basis_iteration(name, K):
     # of the atom matrix, evaluated
     tm = assemble_matrix(make_map(BUILTIN_SPECS[name], build_grid(2, K), PARAMS), K=K)
     grid = tm.grid
-    rho, info = invariant_density(tm)
+    rho, info = invariant_density(tm.system, K)
     ref, ref_deficit = _atom_basis_density(tm)
     assert grid.integrate(K, np.abs(rho.values - ref)) <= 1e-12
     assert abs(info.deficit - ref_deficit) <= 1e-12
     u = random_rep(grid, PARAMS, np.random.default_rng(5), n_atoms=20, max_level=K)
     v = PiecewiseFn.from_function(grid, K, lambda x: np.cos(2 * np.pi * x))
-    cks = correlations(tm, u, v, k_max=30, density=rho)
+    cks = correlations(tm.system, u, v, k_max=30, density=rho)
     vec = u.to_vector(K).astype(complex)
     mass_u = grid.integrate(K, evaluate_vector(vec, grid, K, PARAMS))
     mean_v = float(np.real(grid.integrate(K, v.values * rho.values)))
@@ -339,35 +341,41 @@ def test_bin_operator_route_matches_atom_basis_iteration(name, K):
         vec = tm.matrix @ vec
 
 
-def test_function_space_analyses_never_read_the_atom_matrix(beta18_tm, monkeypatch):
-    # density, correlations, the decay fit and the CLT run on the bin
-    # operator alone, and give what they give with the matrix present
+def test_function_space_analyses_never_read_the_atom_matrix(beta18_tm, tmp_path, monkeypatch):
+    # density, correlations, the decay fit and the CLT take the system: with
+    # assembly refused they give on a fresh system what they give on one
+    # whose M was assembled, and a CLI run of density and clt builds no M
     grid, K = beta18_tm.grid, beta18_tm.K
     u = atom_rep(CellId(1, 0), PARAMS, grid, 1.0) + atom_rep(CellId(1, 1), PARAMS, grid, -1.0)
     v = evaluate(u, K)
-    start = canonical_vector(np.linspace(0.5, 1.5, grid.n_cells(K)).astype(complex),
-                             grid, K, PARAMS).real
+    start = np.linspace(0.5, 1.5, grid.n_cells(K))
 
-    def run(tm):
-        rho, info = invariant_density(tm)
-        rho_s, _ = invariant_density(tm, start=start)
-        cks = correlations(tm, u, v, k_max=20, density=rho)
-        decay = decay_rate(tm, u, v, k_max=40, lambda2=0.7, density=rho)
-        clt = clt_variance(tm, v)
+    def run(system):
+        rho, info = invariant_density(system, K)
+        rho_s, _ = invariant_density(system, K, start=start)
+        cks = correlations(system, u, v, k_max=20, density=rho)
+        decay = decay_rate(system, u, v, k_max=40, lambda2=0.7, density=rho)
+        clt = clt_variance(system, v)
         return (rho.values.tolist(), dataclasses.astuple(info), rho_s.values.tolist(),
                 cks.tolist(), decay.fitted_rate, clt.sigma2, clt.green_kubo)
 
-    expected = run(beta18_tm)
+    expected = run(beta18_tm.system)
 
-    def refuse(self, vec):
-        raise AssertionError("atom matrix applied")
+    def refuse(*args, **kwargs):
+        raise AssertionError("atom matrix assembled")
 
-    monkeypatch.setattr(TransferMatrix, "apply", refuse)
-    assert run(dataclasses.replace(beta18_tm, matrix=None)) == expected
+    monkeypatch.setattr(transfer, "assemble_matrix", refuse)
+    monkeypatch.setattr(cli, "assemble_matrix", refuse)
+    assert run(make_map(MapSpec("beta", beta=1.8), build_grid(2, 8), PARAMS)) == expected
+    config = cli.RunConfig.from_json(
+        {"grid": {"arity": 2, "max_level": 8}, "map": {"map": "beta", "beta": 1.8},
+         "analyses": ["density", "clt"]}, tmp_path)
+    written = cli.Runner(config).run()
+    assert [p.name for p in written] == ["density.csv", "density_info.json", "clt.json"]
 
 
 def test_density_jump_located_at_plateau_boundary(golden_tm):
-    rho, _ = invariant_density(golden_tm)
+    rho, _ = invariant_density(golden_tm.system, golden_tm.K)
     jumps = np.abs(np.diff(rho.values))
     j = int(np.argmax(jumps))
     x_jump = (j + 1) / rho.values.size
@@ -377,7 +385,7 @@ def test_density_jump_located_at_plateau_boundary(golden_tm):
 # -- support ---------------------------------------------------------------------------
 
 def test_support_doubling_whole_space(doubling_tm):
-    rho, _ = invariant_density(doubling_tm)
+    rho, _ = invariant_density(doubling_tm.system, doubling_tm.K)
     rep = support_structure(rho, doubling_tm.grid, tol=1e-9)
     assert rep.cells == [CellId(0, 0)]
     assert rep.defect_mass == 0.0
@@ -385,13 +393,9 @@ def test_support_doubling_whole_space(doubling_tm):
 
 def test_support_half_system(halves_tm):
     # start mass in the left half only; the halves never communicate
-    n = halves_tm.size
-    start = np.zeros(n)
     vals = np.zeros(halves_tm.grid.n_cells(halves_tm.K))
     vals[: vals.size // 2] = 2.0
-    start = canonical_vector(vals.astype(complex), halves_tm.grid,
-                             halves_tm.K, PARAMS).real
-    rho, _ = invariant_density(halves_tm, start=start)
+    rho, _ = invariant_density(halves_tm.system, halves_tm.K, start=vals)
     rep = support_structure(rho, halves_tm.grid, tol=1e-9)
     assert rep.cells == [CellId(1, 0)]
     assert rep.defect_mass <= 1e-12
@@ -406,9 +410,7 @@ def test_support_counts_bound_eigen_dimension(halves_tm):
         vals = np.zeros(n_vals)
         sl = slice(0, n_vals // 2) if half == 0 else slice(n_vals // 2, n_vals)
         vals[sl] = 2.0
-        start = canonical_vector(vals.astype(complex), halves_tm.grid,
-                                 halves_tm.K, PARAMS).real
-        rho, _ = invariant_density(halves_tm, start=start)
+        rho, _ = invariant_density(halves_tm.system, halves_tm.K, start=vals)
         supports.append(frozenset(support_structure(rho, halves_tm.grid).cells))
     assert len(set(supports)) == 2
     assert len(supports) <= peripheral_spectrum(halves_tm).eigenspace_dim_at_1
@@ -418,9 +420,9 @@ def test_support_counts_bound_eigen_dimension(halves_tm):
 
 def test_transitivity(doubling_tm, golden_tm, halves_tm):
     for lev in (2, 4, 6):
-        assert transitivity_check(doubling_tm, lev)
-        assert transitivity_check(golden_tm, lev)
-    assert not transitivity_check(halves_tm, 3)
+        assert transitivity_check(doubling_tm.system, lev)
+        assert transitivity_check(golden_tm.system, lev)
+    assert not transitivity_check(halves_tm.system, 3)
 
 
 # -- decay --------------------------------------------------------------------------------
@@ -431,20 +433,21 @@ def test_decay_doubling_nilpotent(doubling_tm):
         + atom_rep(CellId(3, 3), PARAMS, doubling_tm.grid, -1.0)
     v = PiecewiseFn.from_function(doubling_tm.grid, doubling_tm.K,
                                   lambda x: np.cos(2 * np.pi * x))
-    cks = correlations(doubling_tm, u, v, k_max=doubling_tm.K + 4)
+    cks = correlations(doubling_tm.system, u, v, k_max=doubling_tm.K + 4)
     assert np.max(np.abs(cks[doubling_tm.K + 1:])) <= 1e-12
     with pytest.raises(DegenerateFitError):
-        decay_rate(doubling_tm, u, v, k_max=doubling_tm.K + 4)
+        decay_rate(doubling_tm.system, u, v, k_max=doubling_tm.K + 4,
+                   lambda2=subdominant_modulus(eigenvalues(doubling_tm)))
 
 
 def test_decay_fixed_density_orthogonal(doubling_tm):
-    rho, _ = invariant_density(doubling_tm)
+    rho, _ = invariant_density(doubling_tm.system, doubling_tm.K)
     rep = canonical_rep(rho, PARAMS)
     centered = rep + atom_rep(CellId(0, 0), PARAMS, doubling_tm.grid,
                               -rho.integral())
     v = PiecewiseFn.from_function(doubling_tm.grid, doubling_tm.K,
                                   lambda x: np.sin(2 * np.pi * x))
-    cks = correlations(doubling_tm, centered, v, k_max=10)
+    cks = correlations(doubling_tm.system, centered, v, k_max=10)
     assert np.max(np.abs(cks)) <= 1e-10
 
 
@@ -453,7 +456,8 @@ def test_decay_golden_rate(golden_tm):
     u = atom_rep(CellId(1, 0), PARAMS, grid, 1.0) \
         + atom_rep(CellId(1, 1), PARAMS, grid, -1.0)
     v = evaluate(u, golden_tm.K)
-    rep = decay_rate(golden_tm, u, v, k_max=36)
+    rep = decay_rate(golden_tm.system, u, v, k_max=36,
+                     lambda2=subdominant_modulus(eigenvalues(golden_tm)))
     assert rep.passed
     assert rep.fitted_rate <= rep.certificate_rate + 0.02
 
@@ -463,7 +467,7 @@ def test_decay_golden_rate(golden_tm):
 
 def test_clt_zero_observable(doubling_tm):
     v = PiecewiseFn.constant(doubling_tm.grid, doubling_tm.K, 0.0)
-    rep = clt_variance(doubling_tm, v)
+    rep = clt_variance(doubling_tm.system, v)
     assert abs(rep.sigma2) <= 1e-12
     assert abs(rep.green_kubo) <= 1e-12
 
@@ -471,7 +475,7 @@ def test_clt_zero_observable(doubling_tm):
 def test_clt_doubling_cosine(doubling_tm):
     v = PiecewiseFn.from_function(doubling_tm.grid, doubling_tm.K,
                                   lambda x: np.cos(2 * np.pi * x))
-    rep = clt_variance(doubling_tm, v)
+    rep = clt_variance(doubling_tm.system, v)
     assert rep.sigma2 == pytest.approx(0.5, abs=1e-3)
     assert abs(rep.sigma2 - rep.green_kubo) <= 1e-4
 
@@ -480,7 +484,7 @@ def test_clt_half_indicator_cross_check(doubling_tm):
     vals = np.where(np.arange(doubling_tm.grid.n_cells(doubling_tm.K))
                     < doubling_tm.grid.n_cells(doubling_tm.K) // 2, 0.5, -0.5)
     v = PiecewiseFn(doubling_tm.grid, doubling_tm.K, vals.astype(float))
-    rep = clt_variance(doubling_tm, v)
+    rep = clt_variance(doubling_tm.system, v)
     assert abs(rep.sigma2 - rep.green_kubo) <= 1e-4
     assert rep.sigma2 == pytest.approx(0.25, abs=1e-3)
 
@@ -491,7 +495,7 @@ def test_clt_monte_carlo_oracle(doubling_tm):
                                n_samples=10 ** 6, burn_in=10 ** 3, seed=20240801)
     v = PiecewiseFn.from_function(doubling_tm.grid, doubling_tm.K,
                                   lambda x: np.cos(2 * np.pi * x))
-    rep = clt_variance(doubling_tm, v)
+    rep = clt_variance(doubling_tm.system, v)
     assert abs(sig - rep.sigma2) <= 5e-3
 
 
@@ -508,8 +512,8 @@ def test_twist_matches_dense_atom_operator(doubling_tm, beta18_tm):
     # the atom matrix times the dense multiplier
     for tm in (doubling_tm, beta18_tm):
         v = PiecewiseFn.from_function(tm.grid, tm.K, lambda x: np.cos(2 * np.pi * x))
-        rho, _ = invariant_density(tm)
-        rep = clt_variance(tm, v, density=rho)
+        rho, _ = invariant_density(tm.system, tm.K)
+        rep = clt_variance(tm.system, v, density=rho)
         vc = v.values - float(np.real(tm.grid.integrate(tm.K, v.values * rho.values)))
         for t in rep.t_grid:
             ev = np.linalg.eigvals(tm.dense() @ multiplier_matrix(tm, np.exp(1j * t * vc)))
@@ -522,22 +526,21 @@ def test_observable_on_other_grid_refused():
     system = make_map(MapSpec("beta", beta=PHI), build_grid(2, 10), PARAMS,
                       probe_level=8)
     assert system.grid.cuts
-    tm = assemble_matrix(system, K=10)
-    rho, _ = invariant_density(tm)
-    u = atom_rep(CellId(1, 0), PARAMS, tm.grid, 1.0) \
-        + atom_rep(CellId(1, 1), PARAMS, tm.grid, -1.0)
+    rho, _ = invariant_density(system, 10)
+    u = atom_rep(CellId(1, 0), PARAMS, system.grid, 1.0) \
+        + atom_rep(CellId(1, 1), PARAMS, system.grid, -1.0)
 
     def cos(x):
         return np.cos(2 * np.pi * x)
 
     uncut = PiecewiseFn.from_function(build_grid(2, 10), 10, cos)
-    coarse = PiecewiseFn.from_function(tm.grid, 9, cos)
+    coarse = PiecewiseFn.from_function(system.grid, 9, cos)
     for v in (uncut, coarse):
         with pytest.raises(ValueError, match="observable"):
-            correlations(tm, u, v, k_max=3, density=rho)
+            correlations(system, u, v, k_max=3, density=rho)
         with pytest.raises(ValueError, match="observable"):
-            green_kubo_variance(tm, v, rho)
+            green_kubo_variance(system, v, rho)
         with pytest.raises(ValueError, match="observable"):
-            clt_variance(tm, v, density=rho)
-    v = PiecewiseFn.from_function(tm.grid, 10, cos)
-    assert correlations(tm, u, v, k_max=3, density=rho).shape == (4,)
+            clt_variance(system, v, density=rho)
+    v = PiecewiseFn.from_function(system.grid, 10, cos)
+    assert correlations(system, u, v, k_max=3, density=rho).shape == (4,)
