@@ -377,8 +377,8 @@ def correlations(system: BranchSystem, u: AtomicRep, v: PiecewiseFn,
     return out
 
 
-def decay_rate(system: BranchSystem, u: AtomicRep, v: PiecewiseFn, lambda2: float,
-               k_max: int = 40, density: Optional[PiecewiseFn] = None) -> DecayReport:
+def decay_rate(system: BranchSystem, u: AtomicRep, v: PiecewiseFn, k_max: int,
+               lambda2: float, density: Optional[PiecewiseFn] = None) -> DecayReport:
     """Geometric fit of the correlation sequence against the spectral rate
     `lambda2`, as `subdominant_modulus` gives it."""
     cks = correlations(system, u, v, k_max, density=density)
