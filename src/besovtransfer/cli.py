@@ -38,7 +38,7 @@ from .spectral import (
     peripheral_spectrum,
     subdominant_modulus,
 )
-from .transfer import Constants, assemble_matrix, bound_ledger, lebesgue_bound_check
+from .transfer import BoundLedger, Constants, assemble_matrix, bound_ledger, lebesgue_bound_check
 
 ANALYSES = ("validate", "ledger", "matrix", "density", "spectrum",
             "decay", "clt", "ly", "bounds")
@@ -200,6 +200,13 @@ class Runner:
             self._density = invariant_density(self.system(), self.config.grid.max_level)
         return self._density
 
+    def ledger(self) -> BoundLedger:
+        """The run's bound ledger: M's (widened, with its measured block)
+        once the run has assembled M, else the probed system's."""
+        if self._matrix is not None:
+            return self._matrix.ledger
+        return bound_ledger(self.system(), self.config.constants, t=self.config.split_level)
+
     def eigenvalues(self):
         """The one eigensolve of the run, shared by spectrum and decay."""
         if self._eigenvalues is None:
@@ -232,14 +239,13 @@ class Runner:
         self._write("ledger.csv", self.system().ledger_csv())
 
     def emit_bounds(self) -> None:
-        ledger = bound_ledger(self.system(), self.config.constants,
-                              t=self.config.split_level)
-        self._write("bounds.json", _json_text(ledger.as_dict()))
+        self._write("bounds.json", _json_text(self.ledger().as_dict()))
 
     def emit_matrix(self) -> None:
-        tm = self.matrix()
-        self._write("matrix.csv", tm.to_triplets())
-        self._write("bounds.json", _json_text(tm.ledger.as_dict()))
+        self._write("matrix.csv", self.matrix().to_triplets())
+        # bounds, the last analysis, writes M's ledger when it is asked for
+        if "bounds" not in self.config.analyses:
+            self.emit_bounds()
 
     def emit_density(self) -> None:
         rho, info = self.density()
@@ -323,11 +329,10 @@ def explain(name: str, config: RunConfig) -> str:
                 f"   = {params.p!r}/(1 - {params.s!r}*{params.p!r} + "
                 f"{params.delta!r}*{params.p!r})\n"
                 f"   = {val:.4f}\n")
-    system = make_map(config.map_spec, config.grid, params,
-                      probe_level=config.probe_level)
-    ledger = bound_ledger(system, config.constants, t=config.split_level)
+    runner = Runner(config)
+    ledger = runner.ledger()
     if name == "theta":
-        return f"theta_r = {ledger.formulas['theta']}\n" + system.ledger_csv()
+        return f"theta_r = {ledger.formulas['theta']}\n" + runner.system().ledger_csv()
     if name == "C_D":
         return (f"C_D = {ledger.formulas['C_D']}\n"
                 f"    = 2/(1 - {ledger.lambda_rs2!r}**{params.gamma!r})\n"
@@ -342,9 +347,7 @@ def explain(name: str, config: RunConfig) -> str:
                 f"{ledger.c_es!r} * {ledger.c_gc!r}\n"
                 f"                = {ledger.essential_bound!r}\n")
     if name == "ly_lambda":
-        tm = assemble_matrix(system, K=config.grid.max_level, t=config.split_level,
-                             constants=config.constants, basis_cap=config.basis_cap)
-        rep = lasota_yorke_verify(tm, ensemble_size=20, n_max=10, seed=config.seed)
+        rep = lasota_yorke_verify(runner.matrix(), ensemble_size=20, n_max=10, seed=config.seed)
         return ("ly_lambda = smallest lambda with "
                 "|Phi^n f| <= C*|f|_1 + lambda**n * |f| over the ensemble, "
                 "capped by essential_bound\n"

@@ -19,8 +19,9 @@ Every branch carries a measured constant ledger:
   theta                  the combined per-branch score driving slicing
                          constants.
 
-Constants are empirical suprema over a probe range (recorded), optionally
-tightened by later encounters during operator assembly.
+Constants are empirical suprema over a probe range (recorded).  Operator
+assembly never writes them: it returns a new system with the constants
+widened to every forward image it met (transfer._widen_ledger).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .errors import (
     CellNotFoundError,
     ContainmentError,
     InfeasibleFitError,
-    LedgerError,
     MapSpecError,
 )
 from .grid import CONTAIN_TOL, Grid, python_pow
@@ -75,7 +75,7 @@ class Branch:
     increasing: bool
     affine_slope: Optional[float]     # slope of h when affine, else None
     potential: Potential = None
-    # ledger (filled by the probes below)
+    # ledger (filled by make_map's probes, never written after it returns)
     shift: int = 0
     c_dc1: float = 1.0
     c_dc2: float = 1.0
@@ -493,16 +493,16 @@ def weight_averages(grid: Grid, branch: Branch, K: int) -> PiecewiseFn:
 
 @dataclass
 class BranchSystem:
+    """A map's branches and ledger on its working grid.  The overlap and
+    integrability constants are derived from the branches when it is built;
+    a copy with other branches (dataclasses.replace) shares the caches,
+    none of which depends on a ledger constant."""
+
     spec: MapSpec
     grid: Grid
     params: BesovParams
     branches: List[Branch]
     strong_reports: Dict[int, object] = field(default_factory=dict)
-    m_overlap: int = 0          # sup over probing cells of #branch images met
-    n_overlap: int = 0          # sup over cells of #branch supports containing it
-    t_overlap: float = 0.0      # sup over probing cells of theta-weighted overlap
-    images_cell_aligned_from: Optional[int] = None
-    lebesgue_classes: Dict[str, List[int]] = field(default_factory=dict)
     probe_level: int = 10
     # weight averages by (branch id, level), the stacked coefficient tables
     # of all branches' weight averages (see table) and the bin operator (a
@@ -512,17 +512,21 @@ class BranchSystem:
     coeff_tables: Dict[int, Tuple[List[np.ndarray], np.ndarray]] = field(
         default_factory=dict, repr=False, compare=False)
     cell_ops: Dict[int, object] = field(default_factory=dict, repr=False, compare=False)
+    m_overlap: int = field(init=False)      # sup over probing cells of #branch images met
+    n_overlap: int = field(init=False)      # sup over cells of #branch supports containing it
+    t_overlap: float = field(init=False)    # sup over probing cells of theta-weighted overlap
+    images_cell_aligned_from: Optional[int] = field(init=False)
+    lebesgue_classes: Dict[str, List[int]] = field(init=False)
     # the branch positions ordered by image, and the sorted image ends
     image_order: np.ndarray = field(init=False, repr=False, compare=False)
     image_lo: np.ndarray = field(init=False, repr=False, compare=False)
     image_hi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lo, hi = np.reshape([b.img for b in self.branches], (-1, 2)).T
-        self.image_order = np.argsort(lo, kind="stable")
-        self.image_lo, self.image_hi = lo[self.image_order], hi[self.image_order]
-        if np.any(self.image_hi[:-1] > self.image_lo[1:] + 1e-12):
-            raise MapSpecError("branch images overlap")
+        self.image_order, self.image_lo, self.image_hi = _sorted_images(self.branches)
+        self.m_overlap, self.n_overlap, self.t_overlap = _measure_overlaps(self)
+        self.images_cell_aligned_from = _images_aligned_from(self)
+        self.lebesgue_classes = _classify_lebesgue(self.branches)
 
     def averages(self, branch: Branch, K: int) -> PiecewiseFn:
         """weight_averages of a branch at level K, computed once per system."""
@@ -549,14 +553,6 @@ class BranchSystem:
 
     def thetas(self) -> np.ndarray:
         return np.array([b.theta(self.params) for b in self.branches])
-
-    def theta(self, r: int) -> float:
-        for b in self.branches:
-            if b.r == r:
-                if b.potential.c_rp == 0.0:
-                    raise LedgerError(f"branch {r}: ledger incomplete (c_rp unset)")
-                return b.theta(self.params)
-        raise LedgerError(f"no branch with id {r}")
 
     def c_strong(self) -> float:
         return max(rep.c_strong for rep in self.strong_reports.values())
@@ -592,6 +588,16 @@ class BranchSystem:
         return "\n".join(lines) + "\n"
 
 
+def _sorted_images(branches: Sequence[Branch]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The branch positions ordered by image and the sorted image ends;
+    MapSpecError if two images overlap."""
+    lo, hi = _ends(branches, "img").T
+    order = np.argsort(lo, kind="stable")
+    if np.any(hi[order][:-1] > lo[order][1:] + 1e-12):
+        raise MapSpecError("branch images overlap")
+    return order, lo[order], hi[order]
+
+
 def _check_expanding(branches: List[Branch]) -> None:
     """Reject maps with a non-expanding piece.
 
@@ -616,7 +622,8 @@ def _check_expanding(branches: List[Branch]) -> None:
             raise MapSpecError(f"branch {b.r}: |T'| < 1 + 1e-9 somewhere (not expanding)")
 
 
-def _measure_overlaps(system: BranchSystem) -> None:
+def _measure_overlaps(system: BranchSystem) -> Tuple[int, int, float]:
+    """(m_overlap, n_overlap, t_overlap) of a system's branches."""
     grid = system.grid
     thetas = system.thetas()
     K = grid.max_level
@@ -630,16 +637,14 @@ def _measure_overlaps(system: BranchSystem) -> None:
         t_here = np.bincount(j[met], weights=thetas[piece[met]])
         m_best = max(m_best, int(np.bincount(j[met]).max(initial=0)))
         t_best = max(t_best, float(t_here.max(initial=0.0)))
-    system.m_overlap = m_best
-    system.t_overlap = t_best
     # support-side overlap: count branch domains containing a full cell;
     # the deepest probed level is decisive
     kk = min(K, system.probe_level)
     i0, i1 = grid.contained_runs(kk, *_ends(system.branches, "dom").T)
     # the most runs meet at the start of one of them
     starts = i0[i1 > i0]
-    system.n_overlap = int(np.sum((i0[:, None] <= starts) & (starts < i1[:, None]),
-                                  axis=0).max(initial=0))
+    n_best = int(np.sum((i0[:, None] <= starts) & (starts < i1[:, None]), axis=0).max(initial=0))
+    return m_best, n_best, t_best
 
 
 def _images_aligned_from(system: BranchSystem) -> Optional[int]:
@@ -721,12 +726,12 @@ def make_map(spec: MapSpec, grid: Grid, params: BesovParams,
     if not allow_nonexpanding:
         _check_expanding(branches)
     grid = grid.with_cuts(density_breakpoints(branches, grid))
+    _sorted_images(branches)    # refuse overlapping images before probing
+    probe_level, K = min(probe_level, grid.max_level), grid.max_level
 
-    system = BranchSystem(spec=spec, grid=grid, params=params, branches=branches,
-                          probe_level=min(probe_level, grid.max_level))
     alpha = 1.0 - params.s * params.p
     probed, failed = [], None
-    for b, samples in zip(branches, _scaling_samples(grid, branches, system.probe_level)):
+    for b, samples in zip(branches, _scaling_samples(grid, branches, probe_level)):
         try:
             b.shift, b.c_dc1, b.c_dc2 = _fit_scaling(grid, b, *samples)
         except (InfeasibleFitError, CellNotFoundError) as exc:
@@ -738,30 +743,30 @@ def make_map(spec: MapSpec, grid: Grid, params: BesovParams,
         probed.append(b)
     # the branches before a failing fit are probed in full before it is
     # raised, as by a loop that probes one branch at a time
+    weight_avgs, strong_reports = {}, {}
     if probed:
-        tops = [min(system.probe_level, 8 if b.affine_slope is None else system.probe_level)
-                for b in probed]
+        tops = [min(probe_level, 8 if b.affine_slope is None else probe_level) for b in probed]
         for b, c_dgd1 in zip(probed, _distortion_constants(grid, probed, alpha, tops)):
             b.c_dgd1, b.c_dgd2 = c_dgd1, grid.arity ** (-alpha)
-        _regularities([system.averages(b, grid.max_level) for b in probed], probed, params,
-                      min(6, system.probe_level))
+        weight_avgs = {(b.r, K): weight_averages(grid, b, K) for b in probed}
+        _regularities(list(weight_avgs.values()), probed, params, min(6, probe_level))
         reports = strong_regularities(grid, [b.img for b in probed],
                                       1.0 - params.beta * params.p, t=0)
-        system.strong_reports = {b.r: rep for b, rep in zip(probed, reports)}
+        strong_reports = {b.r: rep for b, rep in zip(probed, reports)}
     if failed is not None:
         raise failed
+    system = BranchSystem(spec=spec, grid=grid, params=params, branches=branches,
+                          strong_reports=strong_reports, probe_level=probe_level,
+                          weight_avgs=weight_avgs)
     if not allow_nonexpanding:
         system.check_a00()
-    _measure_overlaps(system)
-    system.images_cell_aligned_from = _images_aligned_from(system)
-    _classify_lebesgue(system)
     return system
 
 
 # -- integrability classification ------------------------------------------------
 
 
-def _classify_lebesgue(system: BranchSystem) -> None:
+def _classify_lebesgue(branches: Sequence[Branch]) -> Dict[str, List[int]]:
     """Split branches into the bounded / summable weight classes.
 
     Class "ratio_bounded" (finite families, sup|g| controlled by the raw
@@ -769,10 +774,6 @@ def _classify_lebesgue(system: BranchSystem) -> None:
     geometric decay strong enough for the dual exponent sum).  The split
     threshold for infinite-tail maps is shift >= 8.
     """
-    lam2, lam3 = [], []
-    for b in system.branches:
-        if len(system.branches) > 10 and b.shift >= 8:
-            lam3.append(b.r)
-        else:
-            lam2.append(b.r)
-    system.lebesgue_classes = {"L1": [], "L2": lam2, "L3": lam3}
+    tail = [len(branches) > 10 and b.shift >= 8 for b in branches]
+    return {"L1": [], "L2": [b.r for b, t in zip(branches, tail) if not t],
+            "L3": [b.r for b, t in zip(branches, tail) if t]}

@@ -45,10 +45,6 @@ class NormOverflowError(BesovTransferError):
     """A coefficient norm evaluated to a non-finite value."""
 
 
-class LedgerError(BesovTransferError):
-    """A required ledger entry is missing or inconsistent."""
-
-
 class AssumptionError(BesovTransferError):
     """A structural assumption failed (integrability or exponent box)."""
 

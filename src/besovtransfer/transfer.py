@@ -21,7 +21,7 @@ and reported with all downstream bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -102,9 +102,6 @@ class SliceCertificate:
     mode: str                      # which inequality form was certified
     c_fr: float
     c_es: float
-    n_overlap: int
-    m_overlap: int
-    t_overlap: float
     formulas: Dict[str, str] = field(default_factory=dict)
 
 
@@ -166,9 +163,6 @@ def slicing_certificates(system: BranchSystem, constants: Constants,
         mode=hiip.get(whole_mode.split("(")[0], hiip.get(tail_mode, "hiip1")),
         c_fr=c_gsr * head_val,
         c_es=c_gsr * tail_val,
-        n_overlap=system.n_overlap,
-        m_overlap=system.m_overlap,
-        t_overlap=system.t_overlap,
         formulas=formulas,
     )
 
@@ -732,12 +726,13 @@ class TransferMatrix:
             coo.row[order].tolist(), coo.col[order].tolist(), text)])
 
 
-def _widen_ledger(system: BranchSystem, images: List[Images]) -> None:
-    """Widen each branch's constants to all its forward images: the shift
-    drops to the smallest |level - k0| (k0 the image's first level holding
-    a cell, down to 16 levels below the grid), c_dc1 is multiplied by the
-    largest excess of |P|/|image| over c_dc1 * c_dc2**shift, and c_dgd1
-    rises to the largest c_dom, and to at least 1."""
+def _widen_ledger(system: BranchSystem, images: List[Images]) -> BranchSystem:
+    """A copy of the system with each branch's constants widened to all its
+    forward images: the shift drops to the smallest |level - k0| (k0 the
+    image's first level holding a cell, down to 16 levels below the grid),
+    c_dc1 is multiplied by the largest excess of |P|/|image| over
+    c_dc1 * c_dc2**shift, and c_dgd1 rises to the largest c_dom, and to at
+    least 1."""
     grid, branches = system.grid, system.branches
     br, level, meas, lo, hi = (np.concatenate(x) for x in zip(*(im[:5] for im in images)))
     k0 = np.concatenate([im.cover.k0 for im in images])
@@ -761,8 +756,9 @@ def _widen_ledger(system: BranchSystem, images: List[Images]) -> None:
     np.maximum.at(excess, br[over], ratio[over] / bound[over])
     np.minimum.at(shifts, br, shift)
     np.maximum.at(c_dgd1, br, np.maximum(dom, 1.0))
-    for b, sh, x, d in zip(branches, shifts.tolist(), excess.tolist(), c_dgd1.tolist()):
-        b.shift, b.c_dc1, b.c_dgd1 = sh, b.c_dc1 * x, d
+    return replace(system, branches=[
+        replace(b, shift=sh, c_dc1=b.c_dc1 * x, c_dgd1=d)
+        for b, sh, x, d in zip(branches, shifts.tolist(), excess.tolist(), c_dgd1.tolist())])
 
 
 def assemble_matrix(system: BranchSystem, K: Optional[int] = None, t: int = 1,
@@ -771,9 +767,9 @@ def assemble_matrix(system: BranchSystem, K: Optional[int] = None, t: int = 1,
     """Column-by-column assembly of the truncated operator.
 
     Column Q holds the analytic-route coefficients of the transfer of the
-    atom on Q, truncated at level K with sliver re-aggregation.  The branch
-    constants are widened once to the forward images of all levels
-    (_widen_ledger) before the bound ledger is evaluated.
+    atom on Q, truncated at level K with sliver re-aggregation.  The
+    result's system is a copy of the given one widened to the forward
+    images of all levels (_widen_ledger), and its ledger is evaluated there.
     """
     import scipy.sparse as sp
     grid = system.grid
@@ -812,7 +808,7 @@ def assemble_matrix(system: BranchSystem, K: Optional[int] = None, t: int = 1,
         rows_idx.append(off[K] + cell[keep])
         data.append(coef[keep])
         cols.append(off[k] + atom[keep])
-    _widen_ledger(system, images)
+    system = _widen_ledger(system, images)
     mat = sp.csc_matrix(
         (np.concatenate(data), (np.concatenate(rows_idx), np.concatenate(cols))),
         shape=(n, n))

@@ -1,5 +1,6 @@
 """SHA-256 fingerprint of the CLI outputs, the atom matrix, the ledger and
-the cross-checked transfer on six fixed systems.
+the cross-checked transfer on six fixed systems, and of one Runner run of
+all nine analyses on one of them.
 
 `tests/test_fingerprint.py` recomputes every digest and names each entry
 that differs from `tests/fingerprint.json`.  A change that moves outputs
@@ -45,6 +46,8 @@ SYSTEMS = {
                       "slopes": [3.0, 1.5]}),
     "m_ary3_K5": ({"arity": 3, "max_level": 5}, {"map": "m_ary", "arity": 3}),
 }
+# the system also run through one Runner with all nine analyses
+ALL_ANALYSES_SYSTEM = "lorenz_cusp_K8"
 # seeded expansions per system for apply_transfer: (seed, complex coefficients)
 EXPANSIONS = ((1, False), (2, False), (3, True))
 
@@ -101,6 +104,14 @@ def system_digests(name: str, root: Path) -> Dict[str, str]:
     for bound in cli.EXPLAIN_NAMES:
         _cli(out, f"{name}/explain {bound}", ["explain", bound, "--config", str(cfg),
                                               "--out", str(root / name / "explain")], root)
+    if name == ALL_ANALYSES_SYSTEM:
+        # one Runner with every analysis: the stages it shares between them
+        config = cli.RunConfig.from_json({"grid": grid, "map": spec,
+                                          "analyses": list(cli.ANALYSES)}, root / name / "all")
+        written = cli.Runner(config).run()
+        out[f"{name}/all:written"] = _sha("\n".join(path.name for path in written))
+        for path in sorted(config.out_dir.glob("*")):
+            out[f"{name}/all/{path.name}"] = _sha(path.read_bytes())
     tm = kept[0]
     coo = tm.matrix.tocoo()
     order = np.lexsort((coo.col, coo.row))

@@ -227,6 +227,26 @@ def test_bounds_do_not_depend_on_the_analyses_run_before(tmp_path, before):
     assert texts[0] == texts[1]
 
 
+def test_bounds_json_has_one_writer(tmp_path):
+    # a run that assembles M writes M's ledger once, with its measured block
+    data = {"grid": {"arity": 2, "max_level": 8}, "map": {"map": "lorenz_cusp"}}
+    texts = []
+    for analyses in (["matrix"], ["matrix", "bounds"], ["spectrum", "bounds"]):
+        out = tmp_path / "-".join(analyses)
+        written = cli.Runner(cli.RunConfig.from_json(dict(data, analyses=analyses), out)).run()
+        assert [p.name for p in written].count("bounds.json") == 1
+        texts.append((out / "bounds.json").read_text())
+    assert texts[0] == texts[1] == texts[2]
+    assert "total_defect_l1" in json.loads(texts[0])["measured"]
+
+
+def test_explain_passes_the_integrability_gate(tmp_path):
+    cfg = write_config(tmp_path, grid={"arity": 2, "max_level": 6},
+                       params={"eps": 0.05, "delta": 0.1})
+    for argv in (["bounds"], ["explain", "C_ES"]):
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_ASSUMPTION
+
+
 def test_spectrum_and_decay_share_one_factorisation(tmp_path, monkeypatch):
     calls = {"factorise": 0, "density": 0}
 

@@ -15,7 +15,6 @@ from besovtransfer.errors import (
     CellNotFoundError,
     ContainmentError,
     InfeasibleFitError,
-    LedgerError,
     MapSpecError,
     NormOverflowError,
 )
@@ -210,11 +209,6 @@ def test_theta_formula(doubling):
     p1 = BesovParams(gamma=1.0)
     assert b.theta(p1) == pytest.approx(
         b.c_dc1 ** p1.eps * b.potential.c_rp * b.c_dgd1 ** (1 / p1.p))
-
-
-def test_theta_requires_ledger(doubling):
-    with pytest.raises(LedgerError):
-        doubling.theta(99)
 
 
 def test_gauss_theta_decay_summable(gauss50):

@@ -1,5 +1,6 @@
 """Slicing, transfer action, matrix assembly and the bound certificates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -289,8 +290,9 @@ def _widen_level_by_level(system, K):
     """The branch constants widened as assembly did with a per-level,
     per-branch accumulator: the containment level of every forward image
     from Grid.containment_levels, each branch's encounters folded level by
-    level, then merged into the branches.  Returns the count of images
-    holding no cell down to K."""
+    level, then merged into copies of the branches.  Returns the system
+    rebuilt on those copies and the count of images holding no cell down
+    to K."""
     grid, params = system.grid, system.params
     alpha = 1.0 - params.s * params.p
     shift_min, violation, dom_max, deep = {}, {}, {}, 0
@@ -315,46 +317,71 @@ def _widen_level_by_level(system, K):
                 violation[r] = max(violation.get(r, 1.0),
                                    float(np.max(rho[over] / bound[over])))
             dom_max[r] = max(dom_max.get(r, 1.0), float(np.max(doms[sel])))
-    for r, b in enumerate(system.branches):
-        if r in shift_min:
-            b.shift = min(b.shift, shift_min[r])
-        if r in violation:
-            b.c_dc1 *= violation[r]
-        if r in dom_max:
-            b.c_dgd1 = max(b.c_dgd1, dom_max[r])
-    return deep
+    branches = [dataclasses.replace(b, shift=min(b.shift, shift_min.get(r, b.shift)),
+                                    c_dc1=b.c_dc1 * violation.get(r, 1.0),
+                                    c_dgd1=max(b.c_dgd1, dom_max.get(r, b.c_dgd1)))
+                for r, b in enumerate(system.branches)]
+    return dataclasses.replace(system, branches=branches), deep
 
 
 @pytest.mark.parametrize("raised", [False, True], ids=["fitted", "raised"])
 @pytest.mark.parametrize("spec,K", [(MapSpec("beta", beta=PHI), 10),
                                     (MapSpec("gauss", r_max=50), 10),
                                     (MapSpec("lorenz_cusp", exponent=0.75), 9),
-                                    (MapSpec("beta", beta=1.8), 9)],
-                         ids=["golden", "gauss", "lorenz_cusp", "beta18"])
+                                    (MapSpec("beta", beta=1.8), 9),
+                                    (MapSpec("beta", beta=1.3), 9)],
+                         ids=["golden", "gauss", "lorenz_cusp", "beta18", "beta13"])
 def test_assembly_widens_the_ledger_as_the_level_by_level_accumulator(spec, K, raised):
     # the shift drops to the smallest one met, c_dc1 takes the largest
     # excess over c_dc1 * c_dc2**shift, c_dgd1 the largest c_dom and at
     # least 1; the images with no cell down to K take their containment
-    # level deeper.  Assembly meets no shift below the fitted one, so the
-    # raised ledger starts every shift 3 higher and every c_dgd1 at 0.5.
+    # level deeper (beta=1.3 has images holding none down to K+1).
+    # Assembly meets no shift below the fitted one, so the raised ledger
+    # starts every shift 3 higher and every c_dgd1 at 0.5.
     def system():
         out = make_map(spec, build_grid(2, K), PARAMS)
-        for b in out.branches if raised else ():
-            b.shift, b.c_dgd1 = b.shift + 3, 0.5
-        return out
+        if not raised:
+            return out
+        return dataclasses.replace(out, branches=[
+            dataclasses.replace(b, shift=b.shift + 3, c_dgd1=0.5) for b in out.branches])
 
     def constants(system):
         return [repr((b.shift, b.c_dc1, b.c_dc2, b.c_dgd1, b.c_dgd2)) for b in system.branches]
 
     tm = assemble_matrix(system())
-    reference = system()
-    deep = _widen_level_by_level(reference, K)
+    reference, deep = _widen_level_by_level(system(), K)
     ledger = bound_ledger(reference, tm.constants, tm.t)
     ledger.measured["total_defect_l1"] = tm.ledger.measured["total_defect_l1"]
     assert constants(tm.system) == constants(reference)
     assert repr(tm.ledger.as_dict()) == repr(ledger.as_dict())
     assert deep > 0
 
+
+
+def _reads(system):
+    """What the probed ledger shows: ledger.csv, the bound ledger and the
+    meta of a seeded cross-checked transfer."""
+    rep = random_rep(system.grid, PARAMS, np.random.default_rng(5), n_atoms=15)
+    return (system.ledger_csv(), repr(bound_ledger(system, transfer.Constants(), 1).as_dict()),
+            repr(apply_transfer(system, rep, cross_check=True).meta))
+
+
+def test_assembly_leaves_the_probed_ledger_as_it_was():
+    system = make_map(MapSpec("lorenz_cusp"), build_grid(2, 9), PARAMS)
+    before = _reads(system)
+    tm = assemble_matrix(system)
+    assert _reads(system) == before
+    # assembly widens: M's system carries other constants
+    assert tm.system.ledger_csv() != system.ledger_csv()
+
+
+def test_assembled_ledgers_do_not_depend_on_the_assembly_order():
+    ledgers = []
+    for levels in ((9, 7), (7, 9)):
+        system = make_map(MapSpec("lorenz_cusp"), build_grid(2, 9), PARAMS)
+        ledgers.append({K: repr(assemble_matrix(system, K=K).ledger.as_dict()) for K in levels})
+    assert ledgers[0] == ledgers[1]
+    assert ledgers[0][9] != ledgers[0][7]
 
 
 def _reaggregate_by_branch(system, K, slivers, n_atoms):
