@@ -50,6 +50,12 @@ OBSERVABLES = {
     "half": lambda x: np.where(x < 0.5, 0.5, -0.5),
 }
 
+# the map-spec fields holding a number, with its type, and those holding
+# a list of numbers
+MAP_NUMBERS = {"beta": float, "arity": int, "r_max": int, "exponent": float,
+               "constant": float}
+MAP_LISTS = ("breakpoints", "slopes", "offsets")
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ASSUMPTION = 3
@@ -96,7 +102,7 @@ class RunConfig:
         params.validate()   # exponent box; violations carry the inequality
         if "map" not in data:
             raise ConfigError("config.map: missing")
-        map_spec = MapSpec.from_json(_section(data, "map"))
+        map_spec = MapSpec.from_json(_map_section(data))
         analyses = data.get("analyses", ["ledger"])
         if not (isinstance(analyses, list) and all(isinstance(a, str) for a in analyses)):
             raise ConfigError(f"config.analyses: expected a list of analysis names, "
@@ -116,12 +122,16 @@ class RunConfig:
         observable = str(data.get("observable", "cos"))
         if observable not in OBSERVABLES:
             raise ConfigError(f"config.observable: unknown observable {observable!r}")
+        seed = _number("seed", data.get("seed", 0), int)
+        basis_cap = _number("caps.basis", caps.get("basis", 8191), int)
+        split_level = _number("caps.split_level", caps.get("split_level", 1), int)
+        probe_level = _number("caps.probe_level", caps.get("probe_level", 10), int)
         return cls(grid=grid, params=params, map_spec=map_spec, analyses=analyses,
                    out_dir=out_dir, constants=constants,
-                   seed=_number("seed", data.get("seed", 0), int),
-                   basis_cap=_number("caps.basis", caps.get("basis", 8191), int),
-                   split_level=_number("caps.split_level", caps.get("split_level", 1), int),
-                   probe_level=_number("caps.probe_level", caps.get("probe_level", 10), int),
+                   seed=_in_range("config.seed", seed, 0),
+                   basis_cap=_in_range("config.caps.basis", basis_cap, 1),
+                   split_level=_in_range("config.caps.split_level", split_level, 0, max_level),
+                   probe_level=_in_range("config.caps.probe_level", probe_level, 0),
                    observable=observable)
 
 
@@ -133,10 +143,29 @@ def _section(data: Dict, name: str) -> Dict:
     return section
 
 
+def _map_section(data: Dict) -> Dict:
+    """The map section with its numbers through _number (arity and r_max
+    at least 1) and its lists of numbers checked element by element."""
+    section = dict(_section(data, "map"))
+    for name, convert in MAP_NUMBERS.items():
+        if name in section:
+            section[name] = _number(f"map.{name}", section[name], convert)
+            if convert is int:
+                _in_range(f"config.map.{name}", section[name], 1)
+    for name in MAP_LISTS:
+        if name in section:
+            raw = section[name]
+            if not isinstance(raw, list):
+                raise ConfigError(f"config.map.{name}: expected a list of numbers, got {raw!r}")
+            section[name] = [_number(f"map.{name}", x, float) for x in raw]
+    return section
+
+
 def _number(field: str, raw, convert):
     """raw converted to a finite number, a whole one for convert=int;
-    ConfigError naming the field otherwise (a bool is not a number here)."""
-    if isinstance(raw, bool):
+    ConfigError naming the field otherwise (a bool or a string is not a
+    number here)."""
+    if isinstance(raw, (bool, str)):
         raise ConfigError(f"config.{field}: expected a number, got {raw!r}")
     try:
         value = convert(raw)
@@ -146,6 +175,14 @@ def _number(field: str, raw, convert):
         raise ConfigError(f"config.{field}: expected a finite number, got {raw!r}")
     if isinstance(raw, float) and value != raw:
         raise ConfigError(f"config.{field}: expected a whole number, got {raw!r}")
+    return value
+
+
+def _in_range(name: str, value: int, low: int, high: float = math.inf) -> int:
+    """value when low <= value <= high; ConfigError naming it otherwise."""
+    if not low <= value <= high:
+        span = f">= {low}" if high == math.inf else f"in {low}..{high}"
+        raise ConfigError(f"{name}: expected a whole number {span}, got {value!r}")
     return value
 
 
@@ -391,9 +428,9 @@ def _load_config(args) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     config = RunConfig.from_json(raw, Path(args.out))
     if args.seed is not None:
-        config.seed = args.seed
+        config.seed = _in_range("--seed", args.seed, 0)
     if getattr(args, "max_cells", None) is not None:
-        config.basis_cap = args.max_cells
+        config.basis_cap = _in_range("--max-cells", args.max_cells, 1)
     return config
 
 

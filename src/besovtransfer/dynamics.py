@@ -19,15 +19,17 @@ Every branch carries a measured constant ledger:
   theta                  the combined per-branch score driving slicing
                          constants.
 
-Constants are empirical suprema over a probe range (recorded).  Operator
-assembly never writes them: it returns a new system with the constants
-widened to every forward image it met (transfer._widen_ledger).
+Constants are empirical suprema over a probe range (recorded).  Branch
+and Potential are frozen: the probes read only the branch geometry and
+weight and return their values, and make_map builds each branch once with
+its whole ledger.  Operator assembly returns a new system with the
+constants widened to every forward image it met (transfer._widen_ledger).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,7 +47,7 @@ from .errors import (
 from .grid import CONTAIN_TOL, Grid, python_pow
 
 
-@dataclass
+@dataclass(frozen=True)
 class Potential:
     """Branch weight g_r together with how to integrate it exactly."""
 
@@ -53,8 +55,6 @@ class Potential:
     fn: Callable[[np.ndarray], np.ndarray]
     value: Optional[float] = None     # for piecewise-constant weights
     positive: bool = True
-    c_rp: float = 0.0            # measured regularity constant
-    c_rp_levels: Dict[int, float] = field(default_factory=dict)
 
     def is_constant(self) -> bool:
         return self.value is not None
@@ -63,7 +63,7 @@ class Potential:
         return self.fn(np.asarray(x, dtype=float))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Branch:
     """One inverse branch h: J -> I with its weight and measured ledger."""
 
@@ -75,12 +75,13 @@ class Branch:
     increasing: bool
     affine_slope: Optional[float]     # slope of h when affine, else None
     potential: Potential = None
-    # ledger (filled by make_map's probes, never written after it returns)
+    # ledger (measured by make_map's probes)
     shift: int = 0
     c_dc1: float = 1.0
     c_dc2: float = 1.0
     c_dgd1: float = 1.0
     c_dgd2: float = 1.0
+    c_rp: float = 0.0
 
     def forward_interval(self, lo, hi):
         """Image h^{-1}([lo, hi)) as an interval (exact endpoint arithmetic).
@@ -127,7 +128,7 @@ class Branch:
     def theta(self, params: BesovParams) -> float:
         lam = self.lambda_rs2(params)
         return (self.c_dc1 ** params.eps
-                * self.potential.c_rp
+                * self.c_rp
                 * self.c_dgd1 ** (1.0 / params.p)
                 * lam ** (self.shift * (1.0 - params.gamma)))
 
@@ -259,36 +260,34 @@ def _build_branches(spec: MapSpec) -> List[Branch]:
     raise MapSpecError(f"unknown map name: {name!r}")
 
 
-def _attach_potential(branch: Branch, spec: MapSpec) -> None:
+def _potential(branch: Branch, spec: MapSpec) -> Potential:
+    """The weight of a branch under the spec's potential rule."""
     if spec.potential == "jacobian":
         if branch.affine_slope is not None:
             slope = abs(branch.affine_slope)
-            branch.potential = Potential("jacobian", lambda x, s=slope: np.full_like(
+            return Potential("jacobian", lambda x, s=slope: np.full_like(
                 np.asarray(x, dtype=float), s), value=slope)
-        elif spec.name == "gauss":
+        if spec.name == "gauss":
             r = branch.r
-            branch.potential = Potential(
+            return Potential(
                 "jacobian", lambda x, r=r: 1.0 / (np.asarray(x, dtype=float) + r) ** 2)
-        else:
-            # lorenz_cusp, the other map with curved branches
-            inv_k = 1.0 / spec.exponent
+        # lorenz_cusp, the other map with curved branches
+        inv_k = 1.0 / spec.exponent
 
-            def g(y):
-                y = np.asarray(y, dtype=float)
-                return (0.5 * inv_k) * np.power(np.maximum(1.0 - y, 0.0), inv_k - 1.0)
+        def g(y):
+            y = np.asarray(y, dtype=float)
+            return (0.5 * inv_k) * np.power(np.maximum(1.0 - y, 0.0), inv_k - 1.0)
 
-            branch.potential = Potential("jacobian", g)
-    elif spec.potential == "constant":
+        return Potential("jacobian", g)
+    if spec.potential == "constant":
         c = spec.constant
-        branch.potential = Potential("constant",
-                                     lambda x, c=c: np.full_like(np.asarray(x, dtype=float), c),
-                                     value=c, positive=c >= 0)
-    elif spec.potential == "custom":
+        return Potential("constant", lambda x, c=c: np.full_like(np.asarray(x, dtype=float), c),
+                         value=c, positive=c >= 0)
+    if spec.potential == "custom":
         if spec.custom_fn is None:
             raise MapSpecError("custom potential rule needs custom_fn")
-        branch.potential = Potential("custom", spec.custom_fn, positive=False)
-    else:
-        raise MapSpecError(f"unknown potential rule: {spec.potential!r}")
+        return Potential("custom", spec.custom_fn, positive=False)
+    raise MapSpecError(f"unknown potential rule: {spec.potential!r}")
 
 
 # -- ledger probes --------------------------------------------------------------
@@ -418,7 +417,7 @@ def _fit_scaling(grid: Grid, branch: Branch, ks: np.ndarray, ratios: np.ndarray,
 
 
 def potential_regularity(gbar: PiecewiseFn, branch: Branch, params: BesovParams,
-                         probe_level: int = 6) -> float:
+                         probe_level: int = 6) -> Tuple[float, Dict[int, float]]:
     """Measured regularity constant of the branch weight.
 
     gbar holds the cell averages of the weight (weight_averages) on the
@@ -427,16 +426,18 @@ def potential_regularity(gbar: PiecewiseFn, branch: Branch, params: BesovParams,
     against the budget (|Q|/|image Q|)**(1/p-s+eps) * |W|**(1/p-beta) with
     Q the smallest cell containing h(W).  The positive construction is used
     for nonnegative weights so downstream positivity is preserved by the
-    same numbers.  Sets the branch's c_rp and c_rp_levels.
+    same numbers.  Returns (c_rp, the worst ratio of each probe level);
+    the branch is not changed.
     """
-    _regularities([gbar], [branch], params, probe_level)
-    return branch.potential.c_rp
+    (levels,) = _regularities([gbar], [branch], params, probe_level)
+    return max(levels), dict(enumerate(levels))
 
 
 def _regularities(gbars: Sequence[PiecewiseFn], branches: Sequence[Branch],
-                  params: BesovParams, probe_level: int) -> None:
-    """potential_regularity of every branch (its weight averages in gbars,
-    all on one grid and level) in one array pass: the budgets of all probe
+                  params: BesovParams, probe_level: int) -> List[List[float]]:
+    """The per-level worst ratios of potential_regularity of every branch
+    (its weight averages in gbars, all on one grid and level), one list
+    per branch, from one array pass: the budgets of all probe
     cells at once, and the expansion norms of each probe level from one
     atoms.subtree_norms call over the power_table of the stacked
     coefficient_tables, which takes the powers of each table level once."""
@@ -461,9 +462,7 @@ def _regularities(gbars: Sequence[PiecewiseFn], branches: Sequence[Branch],
         sel = ks == k
         nums = subtree_norms(table, m, k, br[sel] * m ** k + js[sel], params)
         np.maximum.at(worst, (br[sel], k), nums / dens[sel])
-    for b, levels in zip(branches, worst.tolist()):
-        b.potential.c_rp_levels.update(enumerate(levels))
-        b.potential.c_rp = max(levels)
+    return worst.tolist()
 
 
 def _smallest_covering_levels(grid: Grid, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -575,7 +574,7 @@ class BranchSystem:
                 "c_DC2": b.c_dc2,
                 "c_DGD1": b.c_dgd1,
                 "c_DGD2": b.c_dgd2,
-                "c_RP": b.potential.c_rp,
+                "c_RP": b.c_rp,
                 "theta": b.theta(self.params),
             })
         return rows
@@ -709,57 +708,54 @@ def working_grid(spec: MapSpec, grid: Grid) -> Grid:
 
 
 def make_map(spec: MapSpec, grid: Grid, params: BesovParams,
-             probe_level: int = 10, allow_nonexpanding: bool = False) -> BranchSystem:
-    """Build a branch system for a named map and populate its ledger.
+             probe_level: int = 10) -> BranchSystem:
+    """Build a branch system for a named map with its measured ledger.
 
     The returned system's grid is the given one with its bottom cells cut
     at the map's density breakpoints (density_breakpoints, Grid.with_cuts);
     maps whose branch domains end on grid edges keep the uniform grid.
     Probes every cell inside each branch image up to probe_level for the
     scaling constants, decomposes forward images for the distortion
-    constants, and measures the weight regularity on the finer atom scale.
+    constants, and measures the weight regularity on the finer atom scale;
+    then builds each branch once with its whole ledger.
     """
     params.validate()
-    branches = _build_branches(spec)
-    for b in branches:
-        _attach_potential(b, spec)
-    if not allow_nonexpanding:
-        _check_expanding(branches)
+    branches = [replace(b, potential=_potential(b, spec)) for b in _build_branches(spec)]
+    _check_expanding(branches)
     grid = grid.with_cuts(density_breakpoints(branches, grid))
     _sorted_images(branches)    # refuse overlapping images before probing
     probe_level, K = min(probe_level, grid.max_level), grid.max_level
 
     alpha = 1.0 - params.s * params.p
-    probed, failed = [], None
+    fits, failed = [], None
     for b, samples in zip(branches, _scaling_samples(grid, branches, probe_level)):
         try:
-            b.shift, b.c_dc1, b.c_dc2 = _fit_scaling(grid, b, *samples)
+            fits.append(_fit_scaling(grid, b, *samples))
         except (InfeasibleFitError, CellNotFoundError) as exc:
-            if isinstance(exc, CellNotFoundError) or not allow_nonexpanding:
-                failed = exc
-                break
-            # sentinel >= 1 marks the branch as refusing the geometric fit
-            b.shift, b.c_dc1, b.c_dc2 = 0, 1.0, 1.0
-        probed.append(b)
+            failed = exc
+            break
     # the branches before a failing fit are probed in full before it is
     # raised, as by a loop that probes one branch at a time
-    weight_avgs, strong_reports = {}, {}
+    probed = branches[:len(fits)]
+    weight_avgs, strong_reports, c_dgd1s, levels = {}, {}, [], []
     if probed:
         tops = [min(probe_level, 8 if b.affine_slope is None else probe_level) for b in probed]
-        for b, c_dgd1 in zip(probed, _distortion_constants(grid, probed, alpha, tops)):
-            b.c_dgd1, b.c_dgd2 = c_dgd1, grid.arity ** (-alpha)
+        c_dgd1s = _distortion_constants(grid, probed, alpha, tops)
         weight_avgs = {(b.r, K): weight_averages(grid, b, K) for b in probed}
-        _regularities(list(weight_avgs.values()), probed, params, min(6, probe_level))
+        levels = _regularities(list(weight_avgs.values()), probed, params, min(6, probe_level))
         reports = strong_regularities(grid, [b.img for b in probed],
                                       1.0 - params.beta * params.p, t=0)
         strong_reports = {b.r: rep for b, rep in zip(probed, reports)}
     if failed is not None:
         raise failed
+    c_dgd2 = grid.arity ** (-alpha)
+    branches = [replace(b, shift=shift, c_dc1=c_dc1, c_dc2=c_dc2, c_dgd1=c_dgd1,
+                        c_dgd2=c_dgd2, c_rp=max(worst))
+                for b, (shift, c_dc1, c_dc2), c_dgd1, worst in zip(branches, fits, c_dgd1s, levels)]
     system = BranchSystem(spec=spec, grid=grid, params=params, branches=branches,
                           strong_reports=strong_reports, probe_level=probe_level,
                           weight_avgs=weight_avgs)
-    if not allow_nonexpanding:
-        system.check_a00()
+    system.check_a00()
     return system
 
 

@@ -112,6 +112,37 @@ def test_config_malformed_value_is_refused_by_field(tmp_path, capsys, key, value
     assert "unknown analysis" not in err
 
 
+@pytest.mark.parametrize("overrides, flags, field", [
+    ({"map": {"map": "doubling", "potential": "constant", "constant": "abc"}}, [],
+     "config.map.constant"),
+    ({"map": {"map": "beta", "beta": "x"}}, [], "config.map.beta"),
+    ({"map": {"map": "beta", "beta": float("nan")}}, [], "config.map.beta"),
+    ({"map": {"map": "gauss", "r_max": 2.5}}, [], "config.map.r_max"),
+    ({"map": {"map": "gauss", "r_max": 0}}, [], "config.map.r_max"),
+    ({"map": {"map": "m_ary", "arity": "3"}}, [], "config.map.arity"),
+    ({"map": {"map": "pw_linear", "breakpoints": [0.0, 0.5, 1.0], "slopes": "ab"}}, [],
+     "config.map.slopes"),
+    ({"map": {"map": "pw_linear", "breakpoints": [0.0, float("inf"), 1.0],
+              "slopes": [2.0, 2.0]}}, [], "config.map.breakpoints"),
+    ({"map": {"map": "lorenz_cusp", "exponent": None}}, [], "config.map.exponent"),
+    ({"seed": -1}, [], "config.seed"),
+    ({}, ["--seed", "-1"], "--seed"),
+    ({"caps": {"probe_level": -1}}, [], "config.caps.probe_level"),
+    ({"caps": {"split_level": -2}}, [], "config.caps.split_level"),
+    ({"caps": {"split_level": 9}}, [], "config.caps.split_level"),
+    ({"caps": {"basis": 0}}, [], "config.caps.basis"),
+    ({}, ["--max-cells", "0"], "--max-cells"),
+])
+def test_bad_map_value_seed_or_cap_exits_2_naming_the_field(tmp_path, capsys, overrides,
+                                                             flags, field):
+    cfg = write_config(tmp_path, grid={"arity": 2, "max_level": 6}, **overrides)
+    rc = main(["ledger", "--config", str(cfg), "--out", str(tmp_path / "o"), *flags])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert err.startswith(f"config error: {field}: expected a ")
+    assert "Traceback" not in err
+
+
 def test_nonexpanding_map_rejected(tmp_path):
     cfg = write_config(tmp_path, map={"map": "pw_linear",
                                       "breakpoints": [0.0, 0.5, 1.0],

@@ -1,5 +1,6 @@
 """Branch systems, built-in maps and the measured constant ledger."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -125,14 +126,16 @@ def test_scaling_constants_gauss_growth(gauss50):
 
 
 def test_potential_regularity_constant_level_independent(doubling):
-    levels = doubling.branches[0].potential.c_rp_levels
+    b = doubling.branches[0]
+    c_rp, levels = potential_regularity(doubling.averages(b, 10), b, PARAMS)
+    assert c_rp == b.c_rp == max(levels.values())
     vals = [v for v in levels.values() if v > 0]
     assert max(vals) - min(vals) <= 1e-9 * max(vals)
 
 
 def test_potential_regularity_gauss_finite(gauss50):
     for b in gauss50.branches[:5]:
-        assert 0 < b.potential.c_rp < math.inf
+        assert 0 < b.c_rp < math.inf
 
 
 def _smallest_covering_level(grid, lo, hi):
@@ -177,12 +180,24 @@ def test_potential_regularity_equals_the_cell_by_cell_loop():
                make_map(MapSpec("lorenz_cusp", exponent=0.75), build_grid(2, 8), PARAMS)]
     for params in (PARAMS, BesovParams(q=math.inf)):
         for system in systems:
+            ledger = system.ledger_csv()
             for b in system.branches:
                 gbar = system.averages(b, 8)
                 want, want_levels = _regularity_by_cell(gbar, b, params, 6)
-                assert potential_regularity(gbar, b, params, probe_level=6) == want
-                assert b.potential.c_rp == want
-                assert b.potential.c_rp_levels == want_levels
+                assert potential_regularity(gbar, b, params, probe_level=6) == (want, want_levels)
+            assert system.ledger_csv() == ledger
+
+
+def test_probing_a_built_system_leaves_its_ledger_unchanged():
+    system = make_map(MapSpec("lorenz_cusp"), build_grid(2, 8), PARAMS)
+    ledger = (system.ledger_csv(), system.thetas().tolist(), system.t_overlap)
+    b = system.branches[0]
+    potential_regularity(system.averages(b, 8), b, BesovParams(s=0.3))
+    assert (system.ledger_csv(), system.thetas().tolist(), system.t_overlap) == ledger
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        system.branches[0].shift = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        b.potential.value = 1.0
 
 
 def test_make_map_builds_no_subtree_expansion(monkeypatch):
@@ -204,11 +219,11 @@ def test_theta_formula(doubling):
     sys0 = make_map(MapSpec("doubling"), build_grid(2, 8), p0)
     b = sys0.branches[0]
     lam = max(0.5 ** p0.eps, sys0.grid.arity ** (-(1 - p0.s * p0.p) / p0.p))
-    assert b.theta(p0) == pytest.approx(b.potential.c_rp * lam)
+    assert b.theta(p0) == pytest.approx(b.c_rp * lam)
     # gamma = 1 removes the shift factor entirely
     p1 = BesovParams(gamma=1.0)
     assert b.theta(p1) == pytest.approx(
-        b.c_dc1 ** p1.eps * b.potential.c_rp * b.c_dgd1 ** (1 / p1.p))
+        b.c_dc1 ** p1.eps * b.c_rp * b.c_dgd1 ** (1 / p1.p))
 
 
 def test_gauss_theta_decay_summable(gauss50):
@@ -290,13 +305,10 @@ def test_custom_potential_rule():
 
 
 def test_theta_monotone_in_shift(doubling):
-    import dataclasses
     b = doubling.branches[0]
     thetas = []
     for shift in (1, 2, 3):
-        b2 = dataclasses.replace(b, shift=shift)
-        b2.potential = b.potential
-        thetas.append(b2.theta(PARAMS))
+        thetas.append(dataclasses.replace(b, shift=shift).theta(PARAMS))
     assert thetas[0] > thetas[1] > thetas[2]
 
 
@@ -412,25 +424,24 @@ def _regularity_by_branch(gbar, branch, params, probe_level):
     return worst, levels
 
 
-def _probe_by_branch(system, allow_nonexpanding=False):
+def _probe_by_branch(system):
     """The ledger probes of make_map, one branch at a time; returns the
     ledger as _ledger does."""
     grid, params = system.grid, system.params
     alpha = 1.0 - params.s * params.p
+    branches, levels, reports = [], [], {}
     for b in system.branches:
-        try:
-            b.shift, b.c_dc1, b.c_dc2 = _scaling_by_branch(grid, b, system.probe_level)
-        except InfeasibleFitError:
-            if not allow_nonexpanding:
-                raise
-            b.shift, b.c_dc1, b.c_dc2 = 0, 1.0, 1.0
+        shift, c_dc1, c_dc2 = _scaling_by_branch(grid, b, system.probe_level)
         top = min(system.probe_level, 8 if b.affine_slope is None else system.probe_level)
-        b.c_dgd1 = _distortion_by_branch(grid, b, alpha, top)
-        b.c_dgd2 = grid.arity ** (-alpha)
-        b.potential.c_rp, b.potential.c_rp_levels = _regularity_by_branch(
+        c_rp, b_levels = _regularity_by_branch(
             system.averages(b, grid.max_level), b, params, min(6, system.probe_level))
-        system.strong_reports[b.r] = strong_regularities(
-            grid, [b.img], 1.0 - params.beta * params.p)[0]
+        branches.append(dataclasses.replace(
+            b, shift=shift, c_dc1=c_dc1, c_dc2=c_dc2,
+            c_dgd1=_distortion_by_branch(grid, b, alpha, top),
+            c_dgd2=grid.arity ** (-alpha), c_rp=c_rp))
+        levels.append(b_levels)
+        reports[b.r] = strong_regularities(grid, [b.img], 1.0 - params.beta * params.p)[0]
+    system = dataclasses.replace(system, branches=branches, strong_reports=reports)
     # the overlap constants, image by image
     thetas = system.thetas()
     m_best, t_best = 0, 0.0
@@ -449,18 +460,22 @@ def _probe_by_branch(system, allow_nonexpanding=False):
     for b in system.branches:
         (i0,), (i1,) = grid.contained_runs([kk], *b.dom)
         counts[i0:i1] += 1
-    return _ledger(system, (m_best, int(counts.max(initial=0)), t_best))
+    return _ledger(system, levels, (m_best, int(counts.max(initial=0)), t_best))
 
 
-def _ledger(system, overlaps=None):
-    """ledger.csv, the ledger rows, every c_rp_levels, the strong reports
-    and the overlap constants (m, n, t) of a system."""
+def _ledger(system, levels=None, overlaps=None):
+    """ledger.csv, the ledger rows, the per-level regularities of every
+    branch, the strong reports and the overlap constants (m, n, t) of a
+    system."""
+    if levels is None:
+        K, top = system.grid.max_level, min(6, system.probe_level)
+        levels = [potential_regularity(system.averages(b, K), b, system.params, top)[1]
+                  for b in system.branches]
     reports = [(r, rep.c_strong, rep.worst_cell, rep.max_rel_defect, rep.cells_probed)
                for r, rep in system.strong_reports.items()]
     if overlaps is None:
         overlaps = (system.m_overlap, system.n_overlap, system.t_overlap)
-    return (system.ledger_csv(), system.ledger_rows(),
-            [b.potential.c_rp_levels for b in system.branches], reports, overlaps)
+    return system.ledger_csv(), system.ledger_rows(), levels, reports, overlaps
 
 
 BUILT_IN = [MapSpec("doubling"), MapSpec("m_ary"), MapSpec("beta", beta=PHI),
@@ -472,11 +487,7 @@ BUILT_IN = [MapSpec("doubling"), MapSpec("m_ary"), MapSpec("beta", beta=PHI),
 @pytest.mark.parametrize("spec", BUILT_IN, ids=lambda s: s.name)
 def test_batched_probes_equal_the_branch_by_branch_loop(spec):
     system = make_map(spec, build_grid(2, 8), PARAMS)
-    got = _ledger(system)
-    for b in system.branches:
-        b.potential.c_rp_levels = {}
-    system.strong_reports = {}
-    assert got == _probe_by_branch(system)
+    assert _ledger(system) == _probe_by_branch(system)
 
 
 def test_make_map_kernel_calls_do_not_grow_with_the_branches(monkeypatch):
@@ -505,26 +516,17 @@ def test_make_map_kernel_calls_do_not_grow_with_the_branches(monkeypatch):
 NONEXPANDING = MapSpec("pw_linear", breakpoints=(0.0, 0.5, 1.0), slopes=(2.0, 0.9))
 
 
-def test_allow_nonexpanding_gives_the_failing_branch_the_sentinel():
-    system = make_map(NONEXPANDING, build_grid(2, 8), PARAMS, allow_nonexpanding=True)
-    b1, b2 = system.branches
-    assert (b2.shift, b2.c_dc1, b2.c_dc2) == (0, 1.0, 1.0)
-    assert system.ledger_csv().splitlines()[1] == (
-        "1,0,1.0,0.5,1.0,0.8705505632961241,0.5743491774985175,0.5743491774985175")
-    got = _ledger(system)
-    for b in system.branches:
-        b.potential.c_rp_levels = {}
-    system.strong_reports = {}
-    assert got == _probe_by_branch(system, allow_nonexpanding=True)
-
-
 def test_a_failing_fit_raises_as_the_branch_by_branch_loop(monkeypatch):
     # past the expansion check, branch 2's scaling fit fails: the loop
     # raises there, after probing branch 1 in full
     monkeypatch.setattr(dynamics, "_check_expanding", lambda branches: None)
     with pytest.raises(InfeasibleFitError) as batched:
         make_map(NONEXPANDING, build_grid(2, 8), PARAMS)
-    system = make_map(NONEXPANDING, build_grid(2, 8), PARAMS, allow_nonexpanding=True)
+    # the branches as make_map builds them, before any probe
+    branches = [dataclasses.replace(b, potential=dynamics._potential(b, NONEXPANDING))
+                for b in dynamics._build_branches(NONEXPANDING)]
+    system = dynamics.BranchSystem(NONEXPANDING, build_grid(2, 8), PARAMS, branches,
+                                   probe_level=8)
     with pytest.raises(InfeasibleFitError) as looped:
         _probe_by_branch(system)
     assert str(batched.value) == str(looped.value) == (
@@ -534,14 +536,14 @@ def test_a_failing_fit_raises_as_the_branch_by_branch_loop(monkeypatch):
     # weight, infinite past 1/2, fails its regularity probe first
     contracting = MapSpec("pw_linear", breakpoints=(0.0, 0.5, 1.0), slopes=(2.0, 1e-6))
     with pytest.raises(CellNotFoundError, match="branch 2: a forward image holds no cell"):
-        make_map(contracting, build_grid(2, 8), PARAMS, allow_nonexpanding=True)
+        make_map(contracting, build_grid(2, 8), PARAMS)
     contracting.potential = "custom"
     contracting.custom_fn = lambda x: np.where(np.asarray(x) > 0.5, np.inf, 1.0)
     with np.errstate(invalid="ignore"), pytest.raises(NormOverflowError):
-        make_map(contracting, build_grid(2, 8), PARAMS, allow_nonexpanding=True)
+        make_map(contracting, build_grid(2, 8), PARAMS)
     # a branch without probe cells fails first, before the others' probes
-    branch = dynamics._build_branches(MapSpec("gauss", r_max=3))[2]
-    branch.img = (0.3, 0.3)
+    branch = dataclasses.replace(dynamics._build_branches(MapSpec("gauss", r_max=3))[2],
+                                 img=(0.3, 0.3))
     grid = build_grid(2, 6)
     with pytest.raises(InfeasibleFitError, match="branch 3: no probe cells inside image"):
         dynamics._fit_scaling(grid, branch, *next(dynamics._scaling_samples(grid, [branch], 10)))

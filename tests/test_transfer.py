@@ -423,8 +423,9 @@ def test_complex_constant_weight_keeps_its_imaginary_part():
     spec = MapSpec("doubling", potential="constant", constant=0.5)
     real = assemble_matrix(make_map(spec, build_grid(2, 6), PARAMS), K=6).matrix
     system = make_map(spec, build_grid(2, 6), PARAMS)
-    for b in system.branches:
-        b.potential.value = 0.5 * (1 + 1j)
+    system = dataclasses.replace(system, branches=[
+        dataclasses.replace(b, potential=dataclasses.replace(b.potential, value=0.5 * (1 + 1j)))
+        for b in system.branches])
     mat = assemble_matrix(system, K=6).matrix
     assert np.iscomplexobj(mat.data)
     assert abs(mat - (1 + 1j) * real).max() <= 1e-15 * abs(real).max()
@@ -683,10 +684,11 @@ def test_lebesgue_gauss_split_finite():
 
 
 def test_lebesgue_rejects_nonexpanding():
-    system = make_map(MapSpec("pw_linear", breakpoints=(0.0, 0.5, 1.0),
-                              slopes=(2.0, 0.9)),
-                      build_grid(2, 8), PARAMS, allow_nonexpanding=True)
-    with pytest.raises(AssumptionError):
+    # a branch whose scaling base is not below 1, as a non-expanding piece has
+    system = make_map(MapSpec("doubling"), build_grid(2, 8), PARAMS)
+    b1, b2 = system.branches
+    system = dataclasses.replace(system, branches=[b1, dataclasses.replace(b2, c_dc2=1.0)])
+    with pytest.raises(AssumptionError, match="branch 2: scaling base 1.0000 >= 1"):
         lebesgue_bound_check(system)
 
 
