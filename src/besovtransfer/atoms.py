@@ -142,10 +142,6 @@ class PiecewiseFn:
                              f"{self.level} of {self.grid}")
         return other.values
 
-    def l1_distance(self, other: "PiecewiseFn") -> float:
-        diff = self.values - self._values_of(other)
-        return float(self.grid.integrate(self.level, np.abs(diff)))
-
     def __mul__(self, other):
         return PiecewiseFn(self.grid, self.level, self.values * self._values_of(other))
 
@@ -153,9 +149,6 @@ class PiecewiseFn:
 
     def __add__(self, other):
         return PiecewiseFn(self.grid, self.level, self.values + self._values_of(other))
-
-    def __sub__(self, other):
-        return PiecewiseFn(self.grid, self.level, self.values - self._values_of(other))
 
     def to_csv(self) -> str:
         """One row (cell midpoint, value) per cell, as Grid.midpoint gives it."""

@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -50,16 +50,41 @@ OBSERVABLES = {
     "half": lambda x: np.where(x < 0.5, 0.5, -0.5),
 }
 
-# the map-spec fields holding a number, with its type, and those holding
-# a list of numbers
-MAP_NUMBERS = {"beta": float, "arity": int, "r_max": int, "exponent": float,
-               "constant": float}
-MAP_LISTS = ("breakpoints", "slopes", "offsets")
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ASSUMPTION = 3
 EXIT_NUMERIC = 4
+
+
+class Field(NamedTuple):
+    """What a config field may hold.  kind is int (a whole number in
+    low..high), float (a finite number above low), str, a tuple of the
+    names it may take, a one-element list for a list of that kind, or a
+    dict of Fields for a section.  Values in also are taken as they are."""
+
+    kind: object
+    low: float = -math.inf
+    high: float = math.inf
+    also: tuple = ()
+
+
+CONFIG = Field({
+    "schema_version": Field(int, 1, 1),
+    "grid": Field({"arity": Field(int, 2), "max_level": Field(int, 1)}),
+    "params": Field({**dict.fromkeys(("s", "p", "beta", "eps", "delta", "gamma"), Field(float)),
+                     "q": Field(float, also=("inf", math.inf))}),
+    "map": Field({"map": Field(str), "potential": Field(str), "beta": Field(float),
+                  "arity": Field(int, 1), "r_max": Field(int, 1), "exponent": Field(float),
+                  "constant": Field(float),
+                  **dict.fromkeys(("breakpoints", "slopes", "offsets"), Field([float]))}),
+    "analyses": Field([ANALYSES]),
+    "constants": Field({**dict.fromkeys(("C_GC", "C_GBS", "C_GBVA"), Field(float, 0)),
+                        "C_GSR": Field(float, 0, also=(None,))}),
+    "caps": Field({"basis": Field(int, 1), "split_level": Field(int, 0),
+                   "probe_level": Field(int, 0)}),
+    "observable": Field(tuple(OBSERVABLES)),
+    "seed": Field(int, 0),
+})
 
 
 @dataclass
@@ -69,121 +94,74 @@ class RunConfig:
     map_spec: MapSpec
     analyses: List[str]
     out_dir: Path
-    constants: Constants = Constants()
-    seed: int = 0
-    basis_cap: int = 8191
-    split_level: int = 1
-    probe_level: int = 10
-    observable: str = "cos"
+    constants: Constants
+    seed: int
+    basis_cap: int
+    split_level: int
+    probe_level: int
+    observable: str
 
     @classmethod
     def from_json(cls, data: Dict, out_dir: Path) -> "RunConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config: top level must be an object")
-        version = data.get("schema_version", 1)
-        if version != 1:
-            raise ConfigError(f"config.schema_version: unsupported version {version}")
-        g = _section(data, "grid")
-        arity = _number("grid.arity", g.get("arity", 2), int)
-        max_level = _number("grid.max_level", g.get("max_level", 10), int)
-        try:
-            grid = build_grid(arity, max_level)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config.grid: {exc}") from exc
-        p = _section(data, "params")
-        try:
-            params = BesovParams(
-                s=float(p.get("s", 0.4)), p=float(p.get("p", 2.0)),
-                q=float(p.get("q", 2.0)) if p.get("q") != "inf" else math.inf,
-                beta=float(p.get("beta", 0.45)), eps=float(p.get("eps", 0.1)),
-                delta=float(p.get("delta", 0.05)), gamma=float(p.get("gamma", 0.5)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config.params: {exc}") from exc
+        data = _check("config", data, CONFIG)
+        grid = build_grid(**{"arity": 2, "max_level": 10, **data.get("grid", {})})
+        # float() reads q's "inf"
+        params = BesovParams(**{k: float(v) for k, v in data.get("params", {}).items()})
         params.validate()   # exponent box; violations carry the inequality
-        if "map" not in data:
-            raise ConfigError("config.map: missing")
-        map_spec = MapSpec.from_json(_map_section(data))
-        analyses = data.get("analyses", ["ledger"])
-        if not (isinstance(analyses, list) and all(isinstance(a, str) for a in analyses)):
-            raise ConfigError(f"config.analyses: expected a list of analysis names, "
-                              f"got {analyses!r}")
-        for a in analyses:
-            if a not in ANALYSES:
-                raise ConfigError(f"config.analyses: unknown analysis {a!r}")
-        consts = _section(data, "constants")
-        constants = Constants(
-            c_gc=_number("constants.C_GC", consts.get("C_GC", 4.0), float),
-            c_gbs=_number("constants.C_GBS", consts.get("C_GBS", 2.0), float),
-            c_gbva=_number("constants.C_GBVA", consts.get("C_GBVA", 1.0), float),
-            c_gsr=None if consts.get("C_GSR") is None
-            else _number("constants.C_GSR", consts["C_GSR"], float),
-        )
-        caps = _section(data, "caps")
-        observable = str(data.get("observable", "cos"))
-        if observable not in OBSERVABLES:
-            raise ConfigError(f"config.observable: unknown observable {observable!r}")
-        seed = _number("seed", data.get("seed", 0), int)
-        basis_cap = _number("caps.basis", caps.get("basis", 8191), int)
-        split_level = _number("caps.split_level", caps.get("split_level", 1), int)
-        probe_level = _number("caps.probe_level", caps.get("probe_level", 10), int)
-        return cls(grid=grid, params=params, map_spec=map_spec, analyses=analyses,
-                   out_dir=out_dir, constants=constants,
-                   seed=_in_range("config.seed", seed, 0),
-                   basis_cap=_in_range("config.caps.basis", basis_cap, 1),
-                   split_level=_in_range("config.caps.split_level", split_level, 0, max_level),
-                   probe_level=_in_range("config.caps.probe_level", probe_level, 0),
-                   observable=observable)
+        spec = data.get("map", {})
+        if "map" not in spec:
+            raise ConfigError("config.map.map: missing")
+        caps = {"basis": 8191, "split_level": 1, "probe_level": 10, **data.get("caps", {})}
+        # split levels run to the grid's depth, which only the grid knows
+        _check("config.caps.split_level", caps["split_level"], Field(int, 0, grid.max_level))
+        constants = Constants(**{k.lower(): v for k, v in data.get("constants", {}).items()})
+        return cls(grid=grid, params=params, map_spec=MapSpec(spec.pop("map"), **spec),
+                   analyses=data.get("analyses", ["ledger"]), out_dir=out_dir,
+                   constants=constants, seed=data.get("seed", 0),
+                   basis_cap=caps["basis"], split_level=caps["split_level"],
+                   probe_level=caps["probe_level"], observable=data.get("observable", "cos"))
 
 
-def _section(data: Dict, name: str) -> Dict:
-    """The object under a top-level config key, {} when the key is absent."""
-    section = data.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config.{name}: expected an object, got {type(section).__name__}")
-    return section
-
-
-def _map_section(data: Dict) -> Dict:
-    """The map section with its numbers through _number (arity and r_max
-    at least 1) and its lists of numbers checked element by element."""
-    section = dict(_section(data, "map"))
-    for name, convert in MAP_NUMBERS.items():
-        if name in section:
-            section[name] = _number(f"map.{name}", section[name], convert)
-            if convert is int:
-                _in_range(f"config.map.{name}", section[name], 1)
-    for name in MAP_LISTS:
-        if name in section:
-            raw = section[name]
-            if not isinstance(raw, list):
-                raise ConfigError(f"config.map.{name}: expected a list of numbers, got {raw!r}")
-            section[name] = [_number(f"map.{name}", x, float) for x in raw]
-    return section
-
-
-def _number(field: str, raw, convert):
-    """raw converted to a finite number, a whole one for convert=int;
-    ConfigError naming the field otherwise (a bool or a string is not a
-    number here)."""
-    if isinstance(raw, (bool, str)):
-        raise ConfigError(f"config.{field}: expected a number, got {raw!r}")
-    try:
-        value = convert(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config.{field}: expected a number, got {raw!r}") from exc
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"config.{field}: expected a finite number, got {raw!r}")
-    if isinstance(raw, float) and value != raw:
-        raise ConfigError(f"config.{field}: expected a whole number, got {raw!r}")
-    return value
-
-
-def _in_range(name: str, value: int, low: int, high: float = math.inf) -> int:
-    """value when low <= value <= high; ConfigError naming it otherwise."""
-    if not low <= value <= high:
-        span = f">= {low}" if high == math.inf else f"in {low}..{high}"
-        raise ConfigError(f"{name}: expected a whole number {span}, got {value!r}")
-    return value
+def _check(name: str, raw, field: Field):
+    """raw as the field takes it; ConfigError naming the field otherwise.
+    A bool or a string is not a number, and a number must be finite."""
+    kind, low, high, also = field
+    if raw in also:
+        return raw
+    if isinstance(kind, dict):
+        if isinstance(raw, dict):
+            return {key: _check(f"{name}.{key}", value,
+                                kind[_check(f"{name}.{key}", key, Field(tuple(kind)))])
+                    for key, value in raw.items()}
+        expected = "an object"
+    elif isinstance(kind, list):
+        if isinstance(raw, list):
+            return [_check(name, x, Field(kind[0], low, high)) for x in raw]
+        expected = "a list"
+    elif isinstance(kind, tuple):
+        if raw in kind:
+            return raw
+        expected = f"a name from {', '.join(kind)}"
+    elif kind is str:
+        if isinstance(raw, str):
+            return raw
+        expected = "a string"
+    elif isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        expected = "a number"
+    elif not abs(raw) <= sys.float_info.max:
+        expected = "a finite number"
+    elif kind is float:
+        if low < raw:
+            return float(raw)
+        expected = f"a number > {low}"
+    elif raw != int(raw):
+        expected = "a whole number"
+    elif low <= raw <= high:
+        return int(raw)
+    else:
+        expected = f"a whole number >= {low}" if high == math.inf else \
+            f"a whole number in {low}..{high}"
+    raise ConfigError(f"{name}: expected {expected}, got {raw!r}")
 
 
 def _json_text(data) -> str:
@@ -428,9 +406,9 @@ def _load_config(args) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     config = RunConfig.from_json(raw, Path(args.out))
     if args.seed is not None:
-        config.seed = _in_range("--seed", args.seed, 0)
-    if getattr(args, "max_cells", None) is not None:
-        config.basis_cap = _in_range("--max-cells", args.max_cells, 1)
+        config.seed = _check("--seed", args.seed, CONFIG.kind["seed"])
+    if args.max_cells is not None:
+        config.basis_cap = _check("--max-cells", args.max_cells, CONFIG.kind["caps"].kind["basis"])
     return config
 
 

@@ -147,7 +147,8 @@ def _affine_branch(r: int, dom: Tuple[float, float], img: Tuple[float, float],
 
 @dataclass
 class MapSpec:
-    """Named map plus a potential rule; parsed from plain dicts."""
+    """Named map plus a potential rule; the CLI builds it from the config's
+    map section."""
 
     name: str
     potential: str = "jacobian"
@@ -160,18 +161,6 @@ class MapSpec:
     exponent: float = 0.75
     constant: float = 1.0
     custom_fn: Optional[Callable] = None
-
-    @classmethod
-    def from_json(cls, data: Dict) -> "MapSpec":
-        known = {"map", "potential", "beta", "breakpoints", "slopes", "offsets",
-                 "arity", "r_max", "exponent", "constant"}
-        bad = set(data) - known
-        if bad:
-            raise MapSpecError(f"unknown map-spec fields: {sorted(bad)}")
-        if "map" not in data:
-            raise MapSpecError("map spec needs a 'map' field")
-        kw = {k: v for k, v in data.items() if k != "map"}
-        return cls(name=data["map"], **kw)
 
 
 def _build_branches(spec: MapSpec) -> List[Branch]:

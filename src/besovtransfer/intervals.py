@@ -29,37 +29,3 @@ def normalize(pieces: Iterable[Interval]) -> List[Interval]:
 
 def measure(pieces: Iterable[Interval]) -> float:
     return sum(b - a for a, b in pieces)
-
-
-def intersect(pieces: Iterable[Interval], window: Interval) -> List[Interval]:
-    lo, hi = window
-    out = []
-    for a, b in pieces:
-        c, d = max(a, lo), min(b, hi)
-        if d - c > _EMPTY:
-            out.append((c, d))
-    return out
-
-
-def subtract(pieces: Iterable[Interval], hole: Interval) -> List[Interval]:
-    """Remove one interval from a union."""
-    lo, hi = hole
-    out = []
-    for a, b in pieces:
-        if b <= lo + _EMPTY or a >= hi - _EMPTY:
-            out.append((a, b))
-            continue
-        if lo - a > _EMPTY:
-            out.append((a, lo))
-        if b - hi > _EMPTY:
-            out.append((hi, b))
-    return normalize(out)
-
-
-def contains_interval(pieces: Iterable[Interval], sub: Interval, tol: float = 0.0) -> bool:
-    a, b = sub
-    for lo, hi in pieces:
-        if a >= lo - tol and b <= hi + tol:
-            return True
-    return False
-

@@ -707,15 +707,6 @@ class TransferMatrix:
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def mass_functional(self) -> np.ndarray:
-        """Row vector sending coefficients to the integral of the expansion."""
-        off = level_offsets(self.grid, self.K)
-        out = np.zeros(self.size)
-        for k in range(self.K + 1):
-            out[off[k]:off[k + 1]] = self.grid.widths(k) ** (
-                self.params.s - 1.0 / self.params.p + 1.0)
-        return out
-
     def to_triplets(self) -> str:
         """matrix.csv: one line per stored entry, by row, then column; a
         value with no imaginary part prints as a float."""

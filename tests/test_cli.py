@@ -11,6 +11,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 import besovtransfer.cli as cli
 import besovtransfer.spectral as spectral
 from besovtransfer.cli import EXIT_ASSUMPTION, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from besovtransfer.dynamics import MapSpec
 from besovtransfer.errors import ConvergenceError
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -103,6 +104,15 @@ def test_config_error_paths(tmp_path, capsys):
     ("caps", {"probe_level": True}, "caps.probe_level"),
     ("seed", 2.7, "seed"),
     ("grid", {"arity": 2, "max_level": 9.5}, "grid.max_level"),
+    ("params", {"q": float("nan")}, "params.q"),
+    ("params", {"q": float("-inf")}, "params.q"),
+    ("params", {"s": True}, "params.s"),
+    ("params", {"p": "2"}, "params.p"),
+    ("grid", {"max_levle": 6}, "grid.max_levle"),
+    ("params", {"sigma": 0.4}, "params.sigma"),
+    ("caps", {"bassis": 100}, "caps.bassis"),
+    ("constants", {"C_G": 4.0}, "constants.C_G"),
+    ("sed", 0, "sed"),
 ])
 def test_config_malformed_value_is_refused_by_field(tmp_path, capsys, key, value, field):
     cfg = write_config(tmp_path, **{key: value})
@@ -110,6 +120,7 @@ def test_config_malformed_value_is_refused_by_field(tmp_path, capsys, key, value
     err = capsys.readouterr().err
     assert err.startswith(f"config error: config.{field}: expected a ")
     assert "unknown analysis" not in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("overrides, flags, field", [
@@ -132,6 +143,9 @@ def test_config_malformed_value_is_refused_by_field(tmp_path, capsys, key, value
     ({"caps": {"split_level": 9}}, [], "config.caps.split_level"),
     ({"caps": {"basis": 0}}, [], "config.caps.basis"),
     ({}, ["--max-cells", "0"], "--max-cells"),
+    ({"constants": {"C_GC": -1}}, [], "config.constants.C_GC"),
+    ({"constants": {"C_GBS": 0}}, [], "config.constants.C_GBS"),
+    ({"constants": {"C_GSR": -2.0}}, [], "config.constants.C_GSR"),
 ])
 def test_bad_map_value_seed_or_cap_exits_2_naming_the_field(tmp_path, capsys, overrides,
                                                              flags, field):
@@ -141,6 +155,31 @@ def test_bad_map_value_seed_or_cap_exits_2_naming_the_field(tmp_path, capsys, ov
     assert rc == EXIT_CONFIG
     assert err.startswith(f"config error: {field}: expected a ")
     assert "Traceback" not in err
+
+
+def test_mapspec_json_roundtrip(tmp_path, capsys):
+    spec = {"map": "beta", "beta": PHI, "potential": "jacobian"}
+    config = cli.RunConfig.from_json({"map": spec}, tmp_path)
+    assert config.map_spec == MapSpec("beta", beta=PHI, potential="jacobian")
+    cfg = write_config(tmp_path, map={"map": "beta", "betta": 2.0})
+    assert main(["ledger", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: config.map.betta: ")
+
+
+@pytest.mark.parametrize("q", ['"inf"', "Infinity"])
+def test_q_infinity_loads_as_inf(tmp_path, q):
+    text = '{"map": {"map": "doubling"}, "params": {"q": %s}, "constants": {"C_GSR": null}}'
+    config = cli.RunConfig.from_json(json.loads(text % q), tmp_path)
+    assert config.params.q == math.inf
+    assert config.constants.c_gsr is None
+
+
+def test_readme_configuration_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("A configuration:\n\n```json\n", 1)[1].split("```", 1)[0]
+    config = cli.RunConfig.from_json(json.loads(block), tmp_path)
+    assert config.map_spec.name == "beta"
+    assert config.analyses == ["ledger", "density", "spectrum"]
 
 
 def test_nonexpanding_map_rejected(tmp_path):

@@ -15,23 +15,37 @@ GRID = build_grid(2, 12)
 ALPHA = 0.2
 
 
+def subtract(pieces, hole):
+    """The union of pieces less one interval."""
+    lo, hi = hole
+    out = []
+    for a, b in pieces:
+        if b <= lo + 1e-15 or a >= hi - 1e-15:
+            out.append((a, b))
+            continue
+        if lo - a > 1e-15:
+            out.append((a, lo))
+        if b - hi > 1e-15:
+            out.append((hi, b))
+    return iv.normalize(out)
+
+
 def brute_force_cost(grid, target, alpha, Q):
     """Independent decomposition-cost evaluation by cell scanning."""
-    pieces = iv.intersect(iv.normalize(target), grid.interval(Q))
-    residual = list(pieces)
+    q_lo, q_hi = grid.interval(Q)
+    residual = [(max(a, q_lo), min(b, q_hi)) for a, b in iv.normalize(target)
+                if min(b, q_hi) - max(a, q_lo) > 1e-15]
     cost = 0.0
     for k in range(grid.max_level + 1):
         taken = []
         for j in range(grid.n_cells(k)):
             cell_iv = grid.interval(CellId(k, j))
-            if iv.contains_interval(residual, cell_iv, tol=1e-12) or any(
-                lo - 1e-12 <= cell_iv[0] and cell_iv[1] <= hi + 1e-12
-                for lo, hi in residual
-            ):
+            if any(lo - 1e-12 <= cell_iv[0] and cell_iv[1] <= hi + 1e-12
+                   for lo, hi in residual):
                 taken.append(cell_iv)
                 cost += grid.width(k) ** alpha
         for cell_iv in taken:
-            residual = iv.subtract(residual, cell_iv)
+            residual = subtract(residual, cell_iv)
     return cost / grid.measure(Q) ** alpha
 
 

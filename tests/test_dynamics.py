@@ -274,14 +274,6 @@ def test_ledger_csv_columns(doubling):
     assert header == "r,a_r,c_DC1,c_DC2,c_DGD1,c_DGD2,c_RP,theta"
 
 
-def test_mapspec_json_roundtrip():
-    spec = MapSpec.from_json({"map": "beta", "beta": PHI, "potential": "jacobian"})
-    assert spec.name == "beta"
-    assert spec.beta == PHI
-    with pytest.raises(MapSpecError):
-        MapSpec.from_json({"map": "beta", "betta": 2.0})
-
-
 def test_constant_potential_rule():
     sys_c = make_map(MapSpec("doubling", potential="constant", constant=0.5),
                      build_grid(2, 8), PARAMS)

@@ -299,7 +299,10 @@ def test_density_golden_parry(golden_tm):
 def _atom_basis_density(tm, tol=1e-12, max_iter=2000):
     # reference: the renormalized power iteration of the atom matrix M from
     # the top atom, stopped on the change of the coefficient vector
-    mf = tm.mass_functional()
+    # (the mass functional: coefficients to the integral of the expansion)
+    off, mf = level_offsets(tm.grid, tm.K), np.zeros(tm.size)
+    for k in range(tm.K + 1):
+        mf[off[k]:off[k + 1]] = tm.grid.widths(k) ** (tm.params.s - 1.0 / tm.params.p + 1.0)
     vec = np.zeros(tm.size)
     vec[0] = 1.0
     vec /= mf @ vec
