@@ -287,10 +287,9 @@ def basis_cells(grid: Grid, index: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return level, index - off[level]
 
 
-def souza_atom(Q: CellId, params: BesovParams, grid: Grid,
-               resolution: Optional[int] = None) -> PiecewiseFn:
-    """The atom on Q: |Q|**(s-1/p) on Q, zero elsewhere."""
-    K = grid.max_level if resolution is None else resolution
+def souza_atom(Q: CellId, params: BesovParams, grid: Grid) -> PiecewiseFn:
+    """The atom on Q: |Q|**(s-1/p) on Q, zero elsewhere, at the grid's bottom level."""
+    K = grid.max_level
     if Q.level > K:
         raise ValueError("atom level beyond working resolution")
     vals = np.zeros(grid.n_cells(K))
@@ -737,12 +736,19 @@ def multiplier_apply(v: PiecewiseFn, rep: AtomicRep) -> AtomicRep:
 # -- random ensembles (shared by tests and calibration) ------------------------
 
 
-def _draw_atoms(grid: Grid, rng: np.random.Generator, n_atoms: int, K: int,
-                positive: bool, complex_coeffs: bool) -> Tuple[List[int], list]:
-    """random_rep's draws: the basis index and coefficient of each atom."""
-    off = level_offsets(grid, K)
+def _draw(grid: Grid, params: BesovParams, rng: np.random.Generator, size: int,
+          n_atoms: int, K: int, positive: bool, complex_coeffs: bool,
+          normalize: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`size` random expansions of n_atoms draws each on levels 0..K, as
+    (member, basis index, coefficient) arrays.
+
+    Each member's repeated cells are merged in the order of their first
+    draw and, with normalize, its coefficients scaled to unit
+    coefficient_norm; the norm of each member is the one it has alone.
+    """
+    off, n = level_offsets(grid, K), basis_size(grid, K)
     index, value = [], []
-    for _ in range(n_atoms):
+    for _ in range(size * n_atoms):
         k = int(rng.integers(0, K + 1))
         j = int(rng.integers(0, grid.n_cells(k)))
         val = rng.standard_normal()
@@ -750,7 +756,13 @@ def _draw_atoms(grid: Grid, rng: np.random.Generator, n_atoms: int, K: int,
             val = val + 1j * rng.standard_normal()
         index.append(off[k] + j)
         value.append(abs(val) if positive else val)
-    return index, value
+    member = np.repeat(np.arange(size), n_atoms)
+    key, value = merge_repeats(member * n + np.array(index, dtype=np.int64), np.array(value))
+    member, index = key // n, key % n
+    if normalize:
+        nrm = coefficient_norms(member, basis_cells(grid, index)[0], value, params, size)
+        value = (1.0 / np.where(nrm > 0, nrm, 1.0))[member] * value
+    return member, index, value
 
 
 def random_rep(grid: Grid, params: BesovParams, rng: np.random.Generator,
@@ -758,34 +770,18 @@ def random_rep(grid: Grid, params: BesovParams, rng: np.random.Generator,
                positive: bool = False, complex_coeffs: bool = False,
                normalize: bool = True) -> AtomicRep:
     K = grid.max_level if max_level is None else max_level
-    index, value = _draw_atoms(grid, rng, n_atoms, K, positive, complex_coeffs)
-    rep = AtomicRep(params, grid, *merge_repeats(np.array(index, dtype=np.int64),
-                                                 np.array(value)), positive_flag=positive)
-    if normalize:
-        nrm = coefficient_norm(rep)
-        if nrm > 0:
-            rep = rep.scaled(1.0 / nrm)
-            rep.positive_flag = positive
-    return rep
+    _, index, value = _draw(grid, params, rng, 1, n_atoms, K, positive, complex_coeffs, normalize)
+    return AtomicRep(params, grid, index, value, positive_flag=positive)
 
 
 def random_block(grid: Grid, params: BesovParams, rng: np.random.Generator, size: int,
                  n_atoms: int = 24, max_level: Optional[int] = None) -> np.ndarray:
     """`size` successive random_rep draws (real, normalized) as the columns
-    of a basis-ordered block (levels 0..max_level) in Fortran order.
-
-    The draws are random_rep's, and each column is its rep's to_vector bit
-    for bit: the members are merged and normalized together, each with
-    the sums and the norm it has alone.
+    of a basis-ordered block (levels 0..max_level) in Fortran order; each
+    column is its rep's to_vector bit for bit.
     """
     K = grid.max_level if max_level is None else max_level
-    n = basis_size(grid, K)
-    index, value = zip(*(_draw_atoms(grid, rng, n_atoms, K, False, False) for _ in range(size)))
-    member = np.repeat(np.arange(size), n_atoms)
-    key, value = merge_repeats(member * n + np.array(index, dtype=np.int64).ravel(),
-                               np.array(value).ravel())
-    member, index = key // n, key % n
-    nrm = coefficient_norms(member, basis_cells(grid, index)[0], value, params, size)
-    block = np.zeros((n, size), order="F")
-    block[index, member] = (1.0 / np.where(nrm > 0, nrm, 1.0))[member] * value
+    member, index, value = _draw(grid, params, rng, size, n_atoms, K, False, False, True)
+    block = np.zeros((basis_size(grid, K), size), order="F")
+    block[index, member] = value
     return block

@@ -17,7 +17,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .atoms import BesovParams, PiecewiseFn, atom_rep, evaluate
-from .dynamics import BranchSystem, MapSpec, make_map, working_grid
+from .dynamics import PROBE_LEVEL, BranchSystem, MapSpec, make_map, working_grid
 from .errors import (
     AssumptionError,
     BesovTransferError,
@@ -38,7 +38,15 @@ from .spectral import (
     peripheral_spectrum,
     subdominant_modulus,
 )
-from .transfer import BoundLedger, Constants, assemble_matrix, bound_ledger, lebesgue_bound_check
+from .transfer import (
+    BASIS_CAP,
+    SPLIT_LEVEL,
+    BoundLedger,
+    Constants,
+    assemble_matrix,
+    bound_ledger,
+    lebesgue_bound_check,
+)
 
 ANALYSES = ("validate", "ledger", "matrix", "density", "spectrum",
             "decay", "clt", "ly", "bounds")
@@ -111,7 +119,8 @@ class RunConfig:
         spec = data.get("map", {})
         if "map" not in spec:
             raise ConfigError("config.map.map: missing")
-        caps = {"basis": 8191, "split_level": 1, "probe_level": 10, **data.get("caps", {})}
+        caps = {"basis": BASIS_CAP, "split_level": SPLIT_LEVEL, "probe_level": PROBE_LEVEL,
+                **data.get("caps", {})}
         # split levels run to the grid's depth, which only the grid knows
         _check("config.caps.split_level", caps["split_level"], Field(int, 0, grid.max_level))
         constants = Constants(**{k.lower(): v for k, v in data.get("constants", {}).items()})
@@ -225,7 +234,7 @@ class Runner:
     def eigenvalues(self):
         """The one eigensolve of the run, shared by spectrum and decay."""
         if self._eigenvalues is None:
-            self._eigenvalues = eigenvalues(self.matrix(), full=True)
+            self._eigenvalues = eigenvalues(self.matrix())
         return self._eigenvalues
 
     # -- emitters -----------------------------------------------------------

@@ -46,6 +46,9 @@ from .errors import (
 )
 from .grid import CONTAIN_TOL, Grid, python_pow
 
+# deepest level make_map probes the scaling constants at; the CLI's default too
+PROBE_LEVEL = 10
+
 
 @dataclass(frozen=True)
 class Potential:
@@ -490,8 +493,8 @@ class BranchSystem:
     grid: Grid
     params: BesovParams
     branches: List[Branch]
+    probe_level: int
     strong_reports: Dict[int, object] = field(default_factory=dict)
-    probe_level: int = 10
     # weight averages by (branch id, level), the stacked coefficient tables
     # of all branches' weight averages (see table) and the bin operator (a
     # transfer.CellOperator, built by transfer.cell_operator) by level
@@ -697,7 +700,7 @@ def working_grid(spec: MapSpec, grid: Grid) -> Grid:
 
 
 def make_map(spec: MapSpec, grid: Grid, params: BesovParams,
-             probe_level: int = 10) -> BranchSystem:
+             probe_level: int = PROBE_LEVEL) -> BranchSystem:
     """Build a branch system for a named map with its measured ledger.
 
     The returned system's grid is the given one with its bottom cells cut

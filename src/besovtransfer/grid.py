@@ -36,6 +36,8 @@ from .errors import CapacityError
 # comparable to many ulps of the scaled coordinate; 1e-9 cell widths is far
 # below any geometric feature of the supported maps.
 CONTAIN_TOL = 1e-9
+# build_grid refuses a grid with more bottom cells than this
+CELL_BUDGET = 2_000_000
 
 
 class CellId(NamedTuple):
@@ -55,9 +57,8 @@ def _deepest(level) -> int:
 
 @dataclass(frozen=True)
 class Grid:
-    arity: int = 2
-    max_level: int = 12
-    cell_budget: int = 2_000_000
+    arity: int
+    max_level: int
     # Cells removed for validation exercises; construction never sets this.
     missing: frozenset = frozenset()
     # Moved bottom-level edges as sorted (edge index, position) pairs: edge
@@ -115,10 +116,6 @@ class Grid:
     def edge(self, level, i) -> np.ndarray:
         """Left edges of the cells (level, i), index arrays that broadcast;
         i = n_cells gives 1."""
-        if np.ndim(level) == 0:
-            if self.cuts and level == self.max_level:
-                return self._cut_edges[i]
-            return i * self.width(level)
         e = i * self.nominal_widths(level)
         cut = np.asarray(level) == self.max_level
         if self.cuts and cut.any():
@@ -226,7 +223,7 @@ class Grid:
         w = self.nominal_widths(level)
         if self.cuts:
             cut = level == self.max_level
-            w[cut] = self._cut_widths[j[cut]]
+            w = np.where(cut, self._cut_widths[np.where(cut, j, 0)], w)
         return self.edge(level, j), self.edge(level, j + 1), w
 
     def cell_index(self, level, x) -> np.ndarray:
@@ -346,17 +343,14 @@ class Grid:
         # itself.
         return 1
 
-def build_grid(arity: int, max_level: int, cell_budget: int = 2_000_000) -> Grid:
+def build_grid(arity: int, max_level: int) -> Grid:
     """Construct the uniform m-adic grid, checking the cell budget."""
-    if arity < 2:
-        raise ValueError("arity must be >= 2")
-    if max_level < 1:
-        raise ValueError("max_level must be >= 1")
-    if arity ** max_level > cell_budget:
+    grid = Grid(arity=arity, max_level=max_level)
+    if arity ** max_level > CELL_BUDGET:
         raise CapacityError(
-            f"arity**max_level = {arity}**{max_level} exceeds cell budget {cell_budget}"
+            f"arity**max_level = {arity}**{max_level} exceeds cell budget {CELL_BUDGET}"
         )
-    return Grid(arity=arity, max_level=max_level, cell_budget=cell_budget)
+    return grid
 
 
 # -- axiom validation -------------------------------------------------------

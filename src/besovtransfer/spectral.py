@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +43,12 @@ from .transfer import CellOperator, TransferMatrix, build_cell_operator, cell_op
 # perfbench's tracer counts solves up to this size as dense (`dense_n`);
 # no solve here densifies a matrix that ARPACK can take
 DENSE_EIG_CAP = 8191
+# an eigenvalue is peripheral when its modulus is at least 1 - PERIPHERAL_TOL,
+# and two eigenvalues within it of each other are one
+PERIPHERAL_TOL = 1e-6
+# the twist parameters t of clt_variance: each is half the next, so the
+# curvatures extrapolate in two Richardson pairs
+T_GRID = (0.01, 0.02, 0.04)
 
 
 # -- eigenvalues ----------------------------------------------------------------
@@ -77,14 +83,14 @@ def _level_triangular_diag(tm: TransferMatrix) -> Optional[np.ndarray]:
     return None if np.any(np.abs(coo.data[bad]) > 1e-14) else tm.matrix.diagonal()
 
 
-def _arnoldi(tm: TransferMatrix, tol: float) -> Eigensystem:
+def _arnoldi(tm: TransferMatrix) -> Eigensystem:
     """Peripheral eigenvalues and the first one inside the disc, by ARPACK.
 
     Implicitly restarted Arnoldi on the sparse matrix from a fixed start,
     with a seeded generator for the restart vectors ARPACK asks for, so
     runs repeat exactly.  k starts at 2 and doubles while every value
-    has modulus >= 1 - tol; it stays minimal because ARPACK stalls on the
-    clusters deeper in the disc.  Non-convergence raises ConvergenceError,
+    has modulus >= 1 - PERIPHERAL_TOL; it stays minimal because ARPACK
+    stalls on the clusters deeper in the disc.  Non-convergence raises ConvergenceError,
     with no dense fallback; only a matrix too small for ARPACK is dense.
     """
     from scipy.sparse.linalg import ArpackNoConvergence
@@ -104,38 +110,36 @@ def _arnoldi(tm: TransferMatrix, tol: float) -> Eigensystem:
                 f"ARPACK: {len(exc.eigenvalues)} of the {k} largest eigenvalues "
                 f"converged (n={n}, ncv={ncv})") from exc
         solver = {"method": "arpack", "k": k, "ncv": ncv, "converged": True}
-        if np.min(np.abs(ev)) < 1.0 - tol:
+        if np.min(np.abs(ev)) < 1.0 - PERIPHERAL_TOL:
             break
         k *= 2
     order = np.argsort(-np.abs(ev), kind="stable")
     return Eigensystem(ev[order], vecs[:, order], solver)
 
 
-def eigenvalues(tm: TransferMatrix, tol: float = 1e-6, full: bool = False):
+def eigenvalues(tm: TransferMatrix) -> Eigensystem:
     """Leading spectrum of the truncated operator, by decreasing modulus.
 
     A level-triangular matrix gives its whole spectrum exactly, as its
     diagonal; any other its peripheral eigenvalues and the largest one
     inside the disc (`_arnoldi`), all that the peripheral set, the gap and
-    the decay certificate read.  `full` returns the `Eigensystem`.
+    the decay certificate read.
     """
     diag = _level_triangular_diag(tm)
     if diag is None:
-        es = _arnoldi(tm, tol)
-    else:
-        ev = np.sort_complex(diag.astype(np.complex128))[::-1]
-        es = Eigensystem(ev[np.argsort(-np.abs(ev), kind="stable")], None, {
-            "method": "level_triangular", "k": tm.size, "ncv": None, "converged": True})
-    return es if full else es.values
+        return _arnoldi(tm)
+    ev = np.sort_complex(diag.astype(np.complex128))[::-1]
+    return Eigensystem(ev[np.argsort(-np.abs(ev), kind="stable")], None, {
+        "method": "level_triangular", "k": tm.size, "ncv": None, "converged": True})
 
 
-def subdominant_modulus(ev: np.ndarray, tol: float = 1e-6) -> float:
-    """Largest eigenvalue modulus below 1 - tol (0 when there is none).
+def subdominant_modulus(ev: np.ndarray) -> float:
+    """Largest eigenvalue modulus below 1 - PERIPHERAL_TOL (0 when there is none).
 
     The spectral gap is 1 minus this, and it is the rate that correlation
     decay is certified against.
     """
-    inside = np.abs(ev)[np.abs(ev) < 1.0 - tol]
+    inside = np.abs(ev)[np.abs(ev) < 1.0 - PERIPHERAL_TOL]
     return float(inside.max()) if inside.size else 0.0
 
 
@@ -203,16 +207,16 @@ class DensityInfo:
     deficit: float          # stationary mass lost per application (truncation)
 
 
-def invariant_density(system: BranchSystem, K: int, tol: float = 1e-12,
-                      max_iter: int = 2000, start: Optional[np.ndarray] = None
+def invariant_density(system: BranchSystem, K: int, start: Optional[np.ndarray] = None
                       ) -> Tuple[PiecewiseFn, DensityInfo]:
     """Fixed density of the level-K truncated operator, normalized to unit mass.
 
     Renormalized power iteration of the bin operator U on cell values from
     the flat function, or from `start`, cell values at level K, until no
-    value moves by tol.  Negative dust below -tol is clamped and the
-    clamped mass reported.
+    value moves by 1e-12, in at most 2000 steps.  Negative dust below
+    -1e-12 is clamped and the clamped mass reported.
     """
+    tol, max_iter = 1e-12, 2000
     grid = system.grid
     U = cell_operator(system, K)
     vals = np.ones(grid.n_cells(K)) if start is None else np.asarray(start, dtype=float)
@@ -254,56 +258,53 @@ class SpectralReport:
     solver: Dict[str, object]
 
 
-def _root_of_unity_match(lam: complex, max_order: int,
-                         tol: float = 1e-6) -> Optional[Tuple[int, int]]:
+def _root_of_unity_match(lam: complex, max_order: int) -> Optional[Tuple[int, int]]:
     arg = cmath.phase(lam)
     for q_ in range(1, max_order + 1):
         p_ = round(q_ * arg / (2 * math.pi)) % q_
-        if abs(lam - cmath.exp(2j * math.pi * p_ / q_)) <= tol:
+        if abs(lam - cmath.exp(2j * math.pi * p_ / q_)) <= PERIPHERAL_TOL:
             return (p_, q_)
     return None
 
 
-def peripheral_spectrum(tm: TransferMatrix, tol: float = 1e-6,
-                        spectrum: Optional[Eigensystem] = None,
+def peripheral_spectrum(tm: TransferMatrix, spectrum: Optional[Eigensystem] = None,
                         density: Optional[Tuple[PiecewiseFn, DensityInfo]] = None
                         ) -> SpectralReport:
     """Unit-circle eigenvalue cluster and its structure.
 
-    The peripheral set holds eigenvalues of modulus >= 1 - tol; each is
-    matched against roots of unity of order up to the cluster size, the
-    1-eigenspace dimension is the cardinality of its cluster, and
-    semisimplicity is checked through the rank of the cluster's
+    The peripheral set holds eigenvalues of modulus >= 1 - PERIPHERAL_TOL;
+    each is matched against roots of unity of order up to the cluster
+    size, the 1-eigenspace dimension is the cardinality of its cluster,
+    and semisimplicity is checked through the rank of the cluster's
     eigenvectors.
 
-    `spectrum` (as `eigenvalues(tm, tol, full=True)` returns it) and
-    `density` (as `invariant_density(tm.system, tm.K)` returns it) are
-    computed here when not given.  A diagonal spectrum carries no
-    eigenvectors; when one of its peripheral eigenvalues is repeated,
-    ARPACK solves for them and the report carries the eigenvalues of that
-    solve.
+    `spectrum` (as `eigenvalues(tm)` returns it) and `density` (as
+    `invariant_density(tm.system, tm.K)` returns it) are computed here
+    when not given.  A diagonal spectrum carries no eigenvectors; when one
+    of its peripheral eigenvalues is repeated, ARPACK solves for them and
+    the report carries the eigenvalues of that solve.
     """
-    es = eigenvalues(tm, tol, full=True) if spectrum is None else spectrum
-    near = max(tol, 1e-9)
-    if es.vectors is None and any(np.count_nonzero(np.abs(es.values - l) <= near) > 1
+    tol = PERIPHERAL_TOL
+    es = eigenvalues(tm) if spectrum is None else spectrum
+    if es.vectors is None and any(np.count_nonzero(np.abs(es.values - l) <= tol) > 1
                                   for l in es.values[np.abs(es.values) >= 1.0 - tol]):
-        es = _arnoldi(tm, tol)
+        es = _arnoldi(tm)
     ev = es.values
     peripheral = [complex(l) for l in ev if abs(l) >= 1.0 - tol]
-    dim1 = int(np.sum(np.abs(ev - 1.0) <= near))
+    dim1 = int(np.sum(np.abs(ev - 1.0) <= tol))
     semisimple = True
     if es.vectors is not None:
         for lam in {round(l.real, 8) + 1j * round(l.imag, 8) for l in peripheral}:
-            idx = np.nonzero(np.abs(ev - lam) <= near)[0]
+            idx = np.nonzero(np.abs(ev - lam) <= tol)[0]
             if len(idx) > 1:
                 rank = np.linalg.matrix_rank(es.vectors[:, idx], tol=1e-8)
                 if rank < len(idx):
                     semisimple = False
-    gap = 1.0 - subdominant_modulus(ev, tol)
+    gap = 1.0 - subdominant_modulus(ev)
     rho, info = invariant_density(tm.system, tm.K) if density is None else density
     roots = {}
     for lam in peripheral:
-        match = _root_of_unity_match(lam, max_order=max(len(peripheral), 8), tol=tol)
+        match = _root_of_unity_match(lam, max_order=max(len(peripheral), 8))
         if match is not None:
             roots[lam] = match
     return SpectralReport(
@@ -348,26 +349,30 @@ class DecayReport:
     passed: bool
 
 
-def _check_observable(system: BranchSystem, v: PiecewiseFn,
-                      density: Optional[PiecewiseFn]) -> None:
-    """Refuse an observable off the system's grid or off the density's level."""
-    level = v.level if density is None else density.level
-    if v.grid != system.grid or v.level != level:
+def _centering(system: BranchSystem, v: PiecewiseFn, density: Optional[PiecewiseFn]
+              ) -> Tuple[CellOperator, PiecewiseFn, float]:
+    """The bin operator at v's level, the density (the invariant one when
+    not given) and the mean of v against it.
+
+    An observable off the system's grid or off the density's level is refused.
+    """
+    K = v.level if density is None else density.level
+    if v.grid != system.grid or v.level != K:
         raise ValueError(
-            f"observable on level {v.level} of {v.grid}, density on level {level} of "
+            f"observable on level {v.level} of {v.grid}, density on level {K} of "
             f"{system.grid}: build the observable on the system's grid at the density's level")
+    if density is None:
+        density, _ = invariant_density(system, K)
+    mean_v = float(np.real(system.grid.integrate(K, v.values * density.values)))
+    return cell_operator(system, K), density, mean_v
 
 
 def correlations(system: BranchSystem, u: AtomicRep, v: PiecewiseFn,
                  k_max: int, density: Optional[PiecewiseFn] = None) -> np.ndarray:
     """c_k = int v * U^k(E u) - int v rho * int u for k = 0..k_max, on the
     cell values of v's level."""
-    _check_observable(system, v, density)
+    U, _, mean_v = _centering(system, v, density)
     grid, K = system.grid, v.level
-    if density is None:
-        density, _ = invariant_density(system, K)
-    U = cell_operator(system, K)
-    mean_v = float(np.real(grid.integrate(K, v.values * density.values)))
     f = evaluate_vector(u.to_vector(K).astype(np.complex128), grid, K, system.params)
     mass_u = complex(grid.integrate(K, f))
     out = np.empty(k_max + 1, dtype=np.complex128)
@@ -445,10 +450,8 @@ def _leading_eigenvalue(U: CellOperator, phase: np.ndarray) -> Tuple[complex, bo
 def green_kubo_variance(system: BranchSystem, v: PiecewiseFn,
                         density: PiecewiseFn) -> float:
     """Lag-sum variance: c_0 + 2 sum_k int v * transfer^k(v rho), on cell values."""
-    _check_observable(system, v, density)
+    U, density, mean_v = _centering(system, v, density)
     grid, K = system.grid, v.level
-    U = cell_operator(system, K)
-    mean_v = float(np.real(grid.integrate(K, v.values * density.values)))
     vc = np.real(v.values) - mean_v
     total = float(grid.integrate(K, vc * vc * density.values))
     vals = vc * density.values
@@ -462,10 +465,9 @@ def green_kubo_variance(system: BranchSystem, v: PiecewiseFn,
 
 
 def clt_variance(system: BranchSystem, v: PiecewiseFn,
-                 t_grid: Sequence[float] = (0.01, 0.02, 0.04),
                  density: Optional[PiecewiseFn] = None) -> CLTReport:
     """Variance via the curvature of the leading eigenvalue of the
-    phase-twisted operator, Richardson-extrapolated over the sample grid,
+    phase-twisted operator, Richardson-extrapolated over T_GRID,
     cross-checked against the lag-sum route.
 
     The observable is centered against the computed density first; a
@@ -475,22 +477,14 @@ def clt_variance(system: BranchSystem, v: PiecewiseFn,
     v's level K: by E M = U E it is `tm.matrix @ multiplier_matrix(tm, phase)`,
     tm the atom matrix at level K, on the quotient by the kernel of evaluation.
     """
-    _check_observable(system, v, density)
-    grid, K = system.grid, v.level
-    if density is None:
-        density, _ = invariant_density(system, K)
-    mean_v = float(np.real(grid.integrate(K, v.values * density.values)))
+    U, density, mean_v = _centering(system, v, density)
     vc = np.real(v.values) - mean_v
-    ts = sorted(abs(t) for t in t_grid)
-    if len(ts) < 2:
-        raise ValueError("need at least two sample parameters")
     leading: Dict[float, complex] = {}
-    U = cell_operator(system, K)
     lam0, ok0, _ = _leading_eigenvalue(U, np.ones(U.shape[0]))
     if not ok0:
         raise GapCollapseError("unperturbed leading eigenvalue did not isolate")
     leading[0.0] = lam0
-    for t in ts:
+    for t in T_GRID:
         lam, ok, res = _leading_eigenvalue(U, np.exp(1j * t * vc))
         if not ok:
             raise GapCollapseError(
@@ -498,18 +492,11 @@ def clt_variance(system: BranchSystem, v: PiecewiseFn,
                 "the next eigenvalue crowds the leading one"
             )
         leading[t] = lam
-    curv = {t: -2.0 * math.log(abs(leading[t]) / abs(lam0)) / t ** 2 for t in ts}
-    pairs = [(a, b) for a, b in zip(ts, ts[1:]) if abs(b - 2 * a) < 1e-12]
-    if pairs:
-        extr = [(4 * curv[a] - curv[b]) / 3.0 for a, b in pairs]
-        sigma2 = extr[0]
-        fd_err = abs(extr[0] - extr[-1]) if len(extr) > 1 else abs(curv[ts[0]] - sigma2)
-    else:
-        sigma2 = curv[ts[0]]
-        fd_err = abs(curv[ts[0]] - curv[ts[-1]])
+    curv = {t: -2.0 * math.log(abs(leading[t]) / abs(lam0)) / t ** 2 for t in T_GRID}
+    extr = [(4 * curv[a] - curv[b]) / 3.0 for a, b in zip(T_GRID, T_GRID[1:])]
     gk = green_kubo_variance(system, v, density)
-    return CLTReport(sigma2=sigma2, fd_error=fd_err, green_kubo=gk,
-                     leading=leading, t_grid=tuple(ts))
+    return CLTReport(sigma2=extr[0], fd_error=abs(extr[0] - extr[-1]), green_kubo=gk,
+                     leading=leading, t_grid=T_GRID)
 
 
 def monte_carlo_variance(system: BranchSystem, v_fn: Callable[[np.ndarray], np.ndarray],

@@ -51,6 +51,10 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 INF = math.inf
+# defaults of a run's caps, read by the keyword defaults below and by the CLI:
+# the largest atom basis assemble_matrix builds, and the head/tail split level t
+BASIS_CAP = 8191
+SPLIT_LEVEL = 1
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,7 @@ class SliceCertificate:
 
 
 def slicing_certificates(system: BranchSystem, constants: Constants,
-                         t: int = 1) -> SliceCertificate:
+                         t: int = SPLIT_LEVEL) -> SliceCertificate:
     """Certified slicing constants from the measured ledger.
 
     Head (levels < t) and tail (levels >= t) constants come from the
@@ -752,9 +756,9 @@ def _widen_ledger(system: BranchSystem, images: List[Images]) -> BranchSystem:
         for b, sh, x, d in zip(branches, shifts.tolist(), excess.tolist(), c_dgd1.tolist())])
 
 
-def assemble_matrix(system: BranchSystem, K: Optional[int] = None, t: int = 1,
+def assemble_matrix(system: BranchSystem, K: Optional[int] = None, t: int = SPLIT_LEVEL,
                     constants: Constants = Constants(),
-                    basis_cap: int = 8191) -> TransferMatrix:
+                    basis_cap: int = BASIS_CAP) -> TransferMatrix:
     """Column-by-column assembly of the truncated operator.
 
     Column Q holds the analytic-route coefficients of the transfer of the

@@ -1,5 +1,6 @@
 """Command-line front end: configs, outputs, exit codes, determinism."""
 
+import inspect
 import json
 import math
 from pathlib import Path
@@ -9,7 +10,9 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import besovtransfer.cli as cli
+import besovtransfer.dynamics as dynamics
 import besovtransfer.spectral as spectral
+import besovtransfer.transfer as transfer
 from besovtransfer.cli import EXIT_ASSUMPTION, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from besovtransfer.dynamics import MapSpec
 from besovtransfer.errors import ConvergenceError
@@ -285,6 +288,19 @@ def test_basis_cap_applies_to_the_atom_matrix_alone(tmp_path, capsys):
     assert "exceeds cap 8191" in capsys.readouterr().err
 
 
+def test_caps_defaults_are_the_library_defaults(tmp_path):
+    # a config without a caps section runs as the library does by default
+    config = cli.RunConfig.from_json(json.loads(write_config(tmp_path).read_text()), tmp_path)
+    assemble = inspect.signature(transfer.assemble_matrix).parameters
+    make_map = inspect.signature(dynamics.make_map).parameters
+    slicing = inspect.signature(transfer.slicing_certificates).parameters
+    library = (assemble["basis_cap"].default, assemble["t"].default,
+               make_map["probe_level"].default)
+    assert (config.basis_cap, config.split_level, config.probe_level) == library \
+        == (transfer.BASIS_CAP, transfer.SPLIT_LEVEL, dynamics.PROBE_LEVEL) == (8191, 1, 10)
+    assert slicing["t"].default == transfer.SPLIT_LEVEL
+
+
 @pytest.mark.parametrize("before", ["density", "clt"])
 def test_bounds_do_not_depend_on_the_analyses_run_before(tmp_path, before):
     # neither analysis assembles M, whose assembly widens the ledger
@@ -350,7 +366,7 @@ def test_arpack_solves_repeat_exactly(tmp_path):
               "analyses": ["spectrum", "decay"]}
     runners = [cli.Runner(cli.RunConfig.from_json(config, tmp_path / name)) for name in "ab"]
     tm = runners[0].matrix()
-    assert spectral.eigenvalues(tm).tobytes() == spectral.eigenvalues(tm).tobytes()
+    assert spectral.eigenvalues(tm).values.tobytes() == spectral.eigenvalues(tm).values.tobytes()
     for runner in runners:
         runner.run()
     for fname in ("spectrum.csv", "spectral.json", "decay.json"):

@@ -40,7 +40,7 @@ def test_triadic_indexing():
 
 def test_cell_budget():
     with pytest.raises(CapacityError):
-        build_grid(2, 40, cell_budget=10**6)
+        build_grid(2, 40)
 
 
 def test_validate_uniform_dyadic():
@@ -227,3 +227,21 @@ def test_scalar_lookups_agree_with_one_item_arrays():
             assert all(np.ndim(r) == 0 for r in runs)
             assert [int(r) for r in runs] == [
                 int(r[0]) for r in grid.contained_runs(np.array([level]), one, one + 0.05)]
+
+
+@pytest.mark.parametrize("grid, cut", [
+    (build_grid(2, 7), False),
+    (build_grid(2, 7).with_cuts([0.6180339887498949]), True),
+    (build_grid(3, 5), False),
+    (build_grid(3, 5).with_cuts([0.0881, 0.61]), True),
+], ids=["dyadic", "dyadic_cut", "triadic", "triadic_cut"])
+def test_extents_of_one_cell_equal_interval_and_measure(grid, cut):
+    assert bool(grid.cuts) == cut
+    for k in range(grid.max_level + 1):
+        for j in range(grid.n_cells(k)):
+            lo, hi = grid.interval(CellId(k, j))
+            want = [lo.hex(), hi.hex(), float(grid.measure(CellId(k, j))).hex()]
+            for level, index, ndim in ((k, j, 0), (np.array([k]), np.array([j]), 1)):
+                got = grid.extents(level, index)
+                assert [np.ndim(x) for x in got] == [ndim] * 3
+                assert [x.item().hex() for x in got] == want, (k, j)

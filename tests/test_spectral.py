@@ -88,7 +88,7 @@ def swap_tm():
 # -- eigenvalues -----------------------------------------------------------------
 
 def test_doubling_spectrum_exact(doubling_tm):
-    ev = eigenvalues(doubling_tm)
+    ev = eigenvalues(doubling_tm).values
     assert abs(ev[0] - 1.0) <= 1e-12
     assert np.max(np.abs(ev[1:])) <= 1e-10
 
@@ -131,7 +131,7 @@ def test_golden_peripheral(golden_tm):
 
 def test_modulus_bounded_by_one(doubling_tm, golden_tm, halves_tm, swap_tm):
     for tm in (doubling_tm, golden_tm, halves_tm, swap_tm):
-        ev = eigenvalues(tm)
+        ev = eigenvalues(tm).values
         assert np.max(np.abs(ev)) <= 1.0 + 1e-9
 
 
@@ -151,7 +151,7 @@ def test_krylov_spectrum_matches_dense():
     solved = []
     for name, spec in BUILTIN_SPECS.items():
         tm = assemble_matrix(make_map(spec, build_grid(2, 8), PARAMS, probe_level=8), K=8)
-        es = eigenvalues(tm, full=True)
+        es = eigenvalues(tm)
         if es.solver["method"] == "level_triangular":
             continue
         assert es.solver == {"method": "arpack", "k": 2, "ncv": 40, "converged": True}
@@ -440,7 +440,7 @@ def test_decay_doubling_nilpotent(doubling_tm):
     assert np.max(np.abs(cks[doubling_tm.K + 1:])) <= 1e-12
     with pytest.raises(DegenerateFitError):
         decay_rate(doubling_tm.system, u, v, k_max=doubling_tm.K + 4,
-                   lambda2=subdominant_modulus(eigenvalues(doubling_tm)))
+                   lambda2=subdominant_modulus(eigenvalues(doubling_tm).values))
 
 
 def test_decay_fixed_density_orthogonal(doubling_tm):
@@ -460,7 +460,7 @@ def test_decay_golden_rate(golden_tm):
         + atom_rep(CellId(1, 1), PARAMS, grid, -1.0)
     v = evaluate(u, golden_tm.K)
     rep = decay_rate(golden_tm.system, u, v, k_max=36,
-                     lambda2=subdominant_modulus(eigenvalues(golden_tm)))
+                     lambda2=subdominant_modulus(eigenvalues(golden_tm).values))
     assert rep.passed
     assert rep.fitted_rate <= rep.certificate_rate + 0.02
 
