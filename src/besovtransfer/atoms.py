@@ -432,81 +432,40 @@ def evaluate_vector(vec: np.ndarray, grid: Grid, K: int, params: BesovParams) ->
     return vals
 
 
-def _averages_pyramid(values: np.ndarray, m: int,
-                      leaf_widths: Optional[np.ndarray] = None) -> List[np.ndarray]:
-    """Cell averages at every level, coarse first.
-
-    With leaf_widths the first reduction weights the leaves by their
-    actual widths (the cut bottom level); the levels above are uniform.
-    """
-    levels = [values]
-    a = values
-    if leaf_widths is not None and a.size > 1:
-        w = leaf_widths.reshape(-1, m)
-        a = (a.reshape(-1, m) * w).sum(axis=1) / w.sum(axis=1)
-        levels.append(a)
-    while a.size > 1:
-        a = a.reshape(-1, m).mean(axis=1)
-        levels.append(a)
-    levels.reverse()
-    return levels
-
-
-def _minima_pyramid(values: np.ndarray, m: int) -> List[np.ndarray]:
-    levels = [values]
-    a = values
-    while a.size > 1:
-        a = a.reshape(-1, m).min(axis=1)
-        levels.append(a)
-    levels.reverse()
-    return levels
-
-
-def _roots_and_arrays(values: np.ndarray, m: int, theta: float, base_level: int,
-                      positive: bool, leaf_widths: Optional[np.ndarray]):
-    """Per level: the pyramid value times the atom scale, and the coefficients."""
-    if positive:
-        pyramid = _minima_pyramid(np.maximum(np.real(values), 0.0), m)
-    else:
-        pyramid = _averages_pyramid(values, m, leaf_widths)
-    scales = [float(m) ** (-(base_level + u) * theta) for u in range(len(pyramid))]
-    if leaf_widths is not None:
-        scales[-1] = leaf_widths ** theta
-    roots = [a * s for a, s in zip(pyramid, scales)]
-    return roots, [roots[0]] + [(pyramid[u] - np.repeat(pyramid[u - 1], m)) * scales[u]
-                                for u in range(1, len(pyramid))]
-
-
-def canonical_coeff_arrays(values: np.ndarray, m: int, theta: float,
-                           base_level: int = 0, positive: bool = False,
-                           leaf_widths: Optional[np.ndarray] = None) -> List[np.ndarray]:
-    """Tree coefficients of the supported-on-subtree expansion of `values`.
-
-    Level u of the output addresses the cells at global level base_level+u
-    inside the subtree.  The root coefficient carries the full average, so
-    the expansion telescopes exactly to `values` inside the subtree and to
-    zero outside.  With positive=True a running-minimum construction is
-    used instead of averaged differences; it has nonnegative coefficients
-    whenever values >= 0, at the cost of a generally larger norm.
-    leaf_widths, when given, are the actual widths of the leaves on a cut
-    bottom level: the leaf atoms are scaled by them and the averages
-    weighted with them.
-    """
-    return _roots_and_arrays(values, m, theta, base_level, positive, leaf_widths)[1]
-
-
 def coefficient_table(f: PiecewiseFn, theta: float,
                       positive: bool = False) -> Tuple[List[np.ndarray], List[np.ndarray]]:
     """Every subtree expansion of f at once: (roots, arrays).
 
     roots[k][j] is the average of f over cell (k, j) times that cell's atom
-    scale, and arrays is canonical_coeff_arrays of f over the whole tree.
-    For W = (k, j), subtree_arrays(f, W, theta, positive) is roots[k][j]
-    followed by arrays[k + u][j * m**u:(j + 1) * m**u] for u >= 1, bit for
-    bit: every pyramid reduction works within one parent.
+    scale, and arrays[k] the martingale differences of level k (arrays[0]
+    the root) times the atom scales, which telescope to f.  The expansion
+    of f on the subtree of W = (k, j) is roots[k][j] followed by
+    arrays[k + u][j * m**u:(j + 1) * m**u] for u >= 1, bit for bit the one
+    built from the cells of W alone: every reduction works within one
+    parent.  With positive=True running minima of max(Re f, 0) replace the
+    averages, which gives nonnegative coefficients at the cost of a
+    generally larger norm.  A cut bottom level weights its averages by the
+    actual widths of its cells, and scales its atoms by them.
     """
-    return _roots_and_arrays(f.values, f.grid.arity, theta, 0, positive,
-                             f.grid.cut_widths(f.level))
+    grid, m, K = f.grid, f.grid.arity, f.level
+    cut = grid.is_cut(K)
+    pyramid = [np.maximum(np.real(f.values), 0.0) if positive else f.values]
+    while pyramid[-1].size > 1:
+        a = pyramid[-1].reshape(-1, m)
+        if positive:
+            pyramid.append(a.min(axis=1))
+        elif cut and len(pyramid) == 1:
+            w = grid.widths(K).reshape(-1, m)
+            pyramid.append((a * w).sum(axis=1) / w.sum(axis=1))
+        else:
+            pyramid.append(a.mean(axis=1))
+    pyramid.reverse()
+    scales = [float(m) ** (-k * theta) for k in range(K + 1)]
+    if cut:
+        scales[-1] = grid.widths(K) ** theta
+    roots = [a * s for a, s in zip(pyramid, scales)]
+    return roots, [roots[0]] + [(pyramid[k] - np.repeat(pyramid[k - 1], m)) * scales[k]
+                                for k in range(1, K + 1)]
 
 
 @lru_cache(maxsize=256)
@@ -582,8 +541,8 @@ def subtree_norms(table: PowerTable, m: int, k: int, cells: np.ndarray,
 
     Read from the power_table (made with params.p) of a coefficient_table,
     or of a stack of them, where cell j of table t is t * m**k + j; equal
-    bit for bit to coefficient_norm(tree_rep(subtree_arrays(...))) per
-    cell, which drops zero coefficients and levels without a nonzero one.
+    bit for bit to coefficient_norm(subtree_rep(...)) per cell, which
+    drops zero coefficients and levels without a nonzero one.
     """
     p, q = params.p, params.q
     reduce = np.max if p == INF else np.sum
@@ -613,16 +572,15 @@ def canonical_rep(f: PiecewiseFn, params: BesovParams, positive: bool = False) -
     hence an L^1-bounded functional) and the expansion reconstructs f
     exactly at its own resolution.
     """
-    arrays = canonical_coeff_arrays(f.values, f.grid.arity, params.theta,
-                                    base_level=0, positive=positive,
-                                    leaf_widths=f.grid.cut_widths(f.level))
-    return tree_rep(arrays, CellId(0, 0), params, f.grid, positive)
+    return tree_rep(coefficient_table(f, params.theta, positive)[1], CellId(0, 0), params,
+                    f.grid, positive)
 
 
 def tree_rep(arrays: List[np.ndarray], W: CellId, params: BesovParams, grid: Grid,
              positive: bool) -> AtomicRep:
-    """The expansion with the canonical_coeff_arrays of the subtree of W, flagged
-    positive when `positive` is set and no coefficient is negative."""
+    """The expansion with the coefficient_table slice of the subtree of W
+    (its root, then level by level), flagged positive when `positive` is
+    set and no coefficient is negative."""
     index = subtree_indices(grid, W.level + len(arrays) - 1, W.level, W.index)
     value = np.concatenate(arrays)
     keep = np.abs(value) > 0.0
@@ -634,9 +592,7 @@ def tree_rep(arrays: List[np.ndarray], W: CellId, params: BesovParams, grid: Gri
 
 def canonical_vector(values: np.ndarray, grid: Grid, K: int, params: BesovParams) -> np.ndarray:
     """canonical_rep as a basis-ordered vector (fast path)."""
-    arrays = canonical_coeff_arrays(values, grid.arity, params.theta,
-                                    leaf_widths=grid.cut_widths(K))
-    return np.concatenate(arrays)
+    return np.concatenate(coefficient_table(PiecewiseFn(grid, K, values), params.theta)[1])
 
 
 def subtree_rep(f: PiecewiseFn, W: CellId, params: BesovParams,
@@ -650,19 +606,11 @@ def subtree_rep(f: PiecewiseFn, W: CellId, params: BesovParams,
     """
     if W.level > f.level:
         raise ValueError("support cell below working resolution")
-    th = params.theta if theta is None else theta
-    return tree_rep(subtree_arrays(f, W, th, positive), W, params, f.grid, positive)
-
-
-def subtree_arrays(f: PiecewiseFn, W: CellId, theta: float,
-                   positive: bool = False) -> List[np.ndarray]:
-    """canonical_coeff_arrays of f on the subtree of W (atom exponent theta)."""
-    m = f.grid.arity
-    span = m ** (f.level - W.level)
-    lo, hi = W.index * span, (W.index + 1) * span
-    return canonical_coeff_arrays(f.values[lo:hi], m, theta, base_level=W.level,
-                                  positive=positive,
-                                  leaf_widths=f.grid.cut_widths(f.level, lo, hi))
+    m, (k, j) = f.grid.arity, W
+    roots, arrays = coefficient_table(f, params.theta if theta is None else theta, positive)
+    return tree_rep([roots[k][j:j + 1]] + [arrays[k + u][j * m ** u:(j + 1) * m ** u]
+                                           for u in range(1, f.level - k + 1)],
+                    W, params, f.grid, positive)
 
 
 # -- conversions ---------------------------------------------------------------

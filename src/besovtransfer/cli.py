@@ -246,7 +246,11 @@ class Runner:
         return path
 
     def run(self) -> List[Path]:
-        self.config.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.config.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {self.config.out_dir} is not a usable directory: "
+                              f"{exc}") from exc
         order = [a for a in ANALYSES if a in self.config.analyses]
         for analysis in order:
             getattr(self, f"emit_{analysis}")()
@@ -408,9 +412,11 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 
 def _load_config(args) -> RunConfig:
     try:
-        raw = json.loads(Path(args.config).read_text())
+        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {args.config}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {args.config} cannot be read: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     config = RunConfig.from_json(raw, Path(args.out))

@@ -128,14 +128,14 @@ class Grid:
         return np.arange(self.n_cells(level) + 1) * self.width(level)
 
     @cached_property
-    def _cut_widths(self) -> np.ndarray:
+    def _cut_level_widths(self) -> np.ndarray:
         ws = np.diff(self._cut_edges)
         ws.flags.writeable = False
         return ws
 
     @cached_property
     def _cut_width_range(self) -> Tuple[float, float]:
-        return float(self._cut_widths.min()), float(self._cut_widths.max())
+        return float(self._cut_level_widths.min()), float(self._cut_level_widths.max())
 
     def width_range(self, level: int) -> Tuple[float, float]:
         """Narrowest and widest cell width of a level."""
@@ -145,15 +145,8 @@ class Grid:
 
     def widths(self, level: int) -> np.ndarray:
         if self.is_cut(level):
-            return self._cut_widths
+            return self._cut_level_widths
         return np.full(self.n_cells(level), self.width(level))
-
-    def cut_widths(self, level: int, lo: int = 0,
-                   hi: Optional[int] = None) -> Optional[np.ndarray]:
-        """Actual widths of the cells lo..hi of a cut level, None on a uniform one."""
-        if not self.is_cut(level):
-            return None
-        return self._cut_widths[lo:hi]
 
     def measure(self, cell: CellId) -> float:
         if self.cuts and cell.level == self.max_level:
@@ -223,7 +216,7 @@ class Grid:
         w = self.nominal_widths(level)
         if self.cuts:
             cut = level == self.max_level
-            w = np.where(cut, self._cut_widths[np.where(cut, j, 0)], w)
+            w = np.where(cut, self._cut_level_widths[np.where(cut, j, 0)], w)
         return self.edge(level, j), self.edge(level, j + 1), w
 
     def cell_index(self, level, x) -> np.ndarray:

@@ -512,7 +512,6 @@ def monte_carlo_variance(system: BranchSystem, v_fn: Callable[[np.ndarray], np.n
     """
     rng = np.random.default_rng(seed)
     slopes = [b.affine_slope for b in system.branches]
-    m = system.grid.arity
     uniform = (len(slopes) >= 2 and all(s is not None for s in slopes)
                and all(abs(abs(s) - 1.0 / len(slopes)) < 1e-12 for s in slopes))
     if uniform:
@@ -547,7 +546,6 @@ class SupportReport:
     cells: List[CellId]
     defect_mass: float
     covered_measure: float
-    is_cell_union: bool
 
 
 def support_structure(density: PiecewiseFn, grid: Grid,
@@ -576,4 +574,4 @@ def support_structure(density: PiecewiseFn, grid: Grid,
         cells.append(CellId(0, 0))
     covered = sum(grid.measure(c) for c in cells)
     return SupportReport(cells=sorted(cells), defect_mass=defect,
-                         covered_measure=covered, is_cell_union=True)
+                         covered_measure=covered)

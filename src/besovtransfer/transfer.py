@@ -821,20 +821,12 @@ def assemble_matrix(system: BranchSystem, K: Optional[int] = None, t: int = SPLI
 class BoundReport:
     classes: Dict[str, List[int]]
     c_11: float
-    c_113: float
     sum_l2: float
     sum_l3: float
     c_232: float
     t0: float
     eps_prime: float
     a0_pass: bool
-
-    def as_dict(self) -> Dict:
-        return {
-            "classes": self.classes, "c_11": self.c_11, "c_113": self.c_113,
-            "sum_L2": self.sum_l2, "sum_L3": self.sum_l3, "c_232": self.c_232,
-            "t0": self.t0, "eps_prime": self.eps_prime, "a0_pass": self.a0_pass,
-        }
 
 
 def lebesgue_bound_check(system: BranchSystem, probe_level: int = 6) -> BoundReport:
@@ -883,11 +875,10 @@ def lebesgue_bound_check(system: BranchSystem, probe_level: int = 6) -> BoundRep
     sum_l3 = sum_l3_raw ** (1.0 / t0_conj) if sum_l3_raw > 0 else 0.0
     if classes.get("L3"):
         sum_l3 *= max(by_r[r].c_dc1 ** eps_prime for r in classes["L3"])
-    c_113 = 0.0
-    c_232 = c_113 + c_11 * (sum_l2 + sum_l3)
+    c_232 = c_11 * (sum_l2 + sum_l3)
     a0_pass = math.isfinite(c_232) and c_232 > 0
     if not a0_pass:
         raise AssumptionError("no admissible class split yields finite constants")
-    return BoundReport(classes=classes, c_11=c_11, c_113=c_113, sum_l2=sum_l2,
+    return BoundReport(classes=classes, c_11=c_11, sum_l2=sum_l2,
                        sum_l3=sum_l3, c_232=c_232, t0=t0, eps_prime=eps_prime,
                        a0_pass=a0_pass)

@@ -6,7 +6,7 @@ all nine analyses on one of them.
 that differs from `tests/fingerprint.json`.  A change that moves outputs
 by design regenerates the file and lists each changed entry:
 
-    PYTHONPATH=src python tests/make_fingerprint.py
+    python tests/make_fingerprint.py
 
 Digests depend on the floating-point libraries, so the file records the
 NumPy and SciPy versions it was made with.
@@ -27,6 +27,9 @@ from unittest import mock
 
 import numpy as np
 import scipy
+
+# the checkout's package, as pytest's pythonpath setting gives the tests
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import besovtransfer.cli as cli
 from besovtransfer.atoms import random_rep

@@ -1,5 +1,6 @@
 """Atom expansions: norms, canonical transform, conversions, multipliers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from besovtransfer.atoms import (
     atom_heights,
     besov_to_souza,
     canonical_rep,
+    canonical_vector,
     coefficient_norm,
     coefficient_table,
     evaluate,
@@ -24,9 +26,9 @@ from besovtransfer.atoms import (
     random_block,
     random_rep,
     souza_atom,
-    subtree_arrays,
     subtree_indices,
     subtree_norms,
+    tree_rep,
 )
 from besovtransfer.dynamics import MapSpec, make_map, working_grid
 from besovtransfer.errors import AtomBudgetError, ParamsError
@@ -339,10 +341,44 @@ def _table_functions():
     return fns
 
 
+def _subtree_arrays(f, W, theta, positive):
+    """The expansion of f on the subtree of W built from the cells of W
+    alone, level by level from W: averages (running minima of max(Re f, 0)
+    when positive) with the leaves weighted by their widths on a cut
+    level, and their differences times the atom scales."""
+    m, K = f.grid.arity, f.level
+    span = m ** (K - W.level)
+    lo, hi = W.index * span, (W.index + 1) * span
+    pyramid = [np.maximum(np.real(f.values[lo:hi]), 0.0) if positive else f.values[lo:hi]]
+    cut = f.grid.is_cut(K)
+    if cut and not positive and span > 1:
+        w = f.grid.widths(K)[lo:hi].reshape(-1, m)
+        pyramid.append((pyramid[0].reshape(-1, m) * w).sum(axis=1) / w.sum(axis=1))
+    while pyramid[-1].size > 1:
+        a = pyramid[-1].reshape(-1, m)
+        pyramid.append(a.min(axis=1) if positive else a.mean(axis=1))
+    pyramid.reverse()
+    scales = [float(m) ** (-(W.level + u) * theta) for u in range(len(pyramid))]
+    if cut:
+        scales[-1] = f.grid.widths(K)[lo:hi] ** theta
+    return [pyramid[0] * scales[0]] + [(pyramid[u] - np.repeat(pyramid[u - 1], m)) * scales[u]
+                                       for u in range(1, len(pyramid))]
+
+
+def _assert_same_rep(got, want):
+    assert (got.params, got.grid, got.positive_flag) == (want.params, want.grid,
+                                                         want.positive_flag)
+    for a, b in ((got.index, want.index), (got.value, want.value)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_coefficient_table_slices_are_the_subtree_expansions():
     m, K = 2, 8
+    root = CellId(0, 0)
     for f in _table_functions():
-        for theta in (PARAMS.theta, PARAMS.theta_beta):
+        # theta and theta_beta, as the atom exponent of params
+        for params in (PARAMS, dataclasses.replace(PARAMS, s=PARAMS.beta)):
+            theta = params.theta
             for positive in (False, True):
                 roots, arrays = coefficient_table(f, theta, positive)
                 flat = np.concatenate(arrays)
@@ -351,13 +387,23 @@ def test_coefficient_table_slices_are_the_subtree_expansions():
                     gathered = flat[subtree_indices(f.grid, K, k, js)]
                     gathered[:, 0] = roots[k]
                     for j in js:
-                        want = subtree_arrays(f, CellId(k, int(j)), theta, positive)
+                        W = CellId(k, int(j))
+                        want = _subtree_arrays(f, W, theta, positive)
                         got = [roots[k][j:j + 1]] + [arrays[k + u][j * m ** u:(j + 1) * m ** u]
                                                      for u in range(1, K - k + 1)]
                         assert len(got) == len(want)
                         for a, b in zip(got, want):
                             assert np.array_equal(a, b)
                         assert np.array_equal(gathered[j], np.concatenate(want))
+                        _assert_same_rep(subtree_rep(f, W, PARAMS, positive, theta=theta),
+                                         tree_rep(want, W, PARAMS, f.grid, positive))
+                whole = _subtree_arrays(f, root, theta, positive)
+                _assert_same_rep(canonical_rep(f, params, positive),
+                                 tree_rep(whole, root, params, f.grid, positive))
+                if not positive:
+                    got = canonical_vector(f.values, f.grid, K, params)
+                    assert got.dtype == f.values.dtype
+                    assert np.array_equal(got, np.concatenate(whole))
 
 
 def test_subtree_norms_equal_coefficient_norm_cell_by_cell():

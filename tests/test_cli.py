@@ -93,6 +93,28 @@ def test_config_error_paths(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"config error: config.{key}: ")
 
 
+@pytest.mark.parametrize("case", ["config_is_dir", "config_not_utf8", "out_is_file",
+                                  "out_under_file"])
+def test_unreadable_config_or_unusable_out_exits_2_naming_the_path(tmp_path, capsys, case):
+    cfg, out = write_config(tmp_path), tmp_path / "out"
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    if case == "config_is_dir":
+        cfg = tmp_path
+    elif case == "config_not_utf8":
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes(b'{"seed": "\xe9"}')
+    elif case == "out_is_file":
+        out = plain
+    else:
+        out = plain / "out"
+    assert main(["ledger", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert str(cfg if case.startswith("config") else out) in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("key, value, field", [
     ("caps", {"basis": "x"}, "caps.basis"),
     ("caps", {"probe_level": [8]}, "caps.probe_level"),
