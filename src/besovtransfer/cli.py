@@ -174,19 +174,7 @@ def _check(name: str, raw, field: Field):
 
 
 def _json_text(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True, default=_coerce) + "\n"
-
-
-def _coerce(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, complex):
-        return {"re": x.real, "im": x.imag}
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, Path):
-        return str(x)
-    raise TypeError(f"not serializable: {type(x)}")
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 class Runner:
@@ -283,8 +271,7 @@ class Runner:
             "clamp_mass": info.clamp_mass, "tail_deficit": info.deficit}))
 
     def emit_spectrum(self) -> None:
-        report = peripheral_spectrum(self.matrix(), spectrum=self.eigenvalues(),
-                                     density=self.density())
+        report = peripheral_spectrum(self.matrix(), spectrum=self.eigenvalues())
         lines = ["re,im,modulus"]
         for lam in report.eigenvalues:
             lines.append(f"{float(lam.real)!r},{float(lam.imag)!r},{float(abs(lam))!r}")
@@ -418,7 +405,7 @@ def _load_config(args) -> RunConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {args.config} cannot be read: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
     config = RunConfig.from_json(raw, Path(args.out))
     if args.seed is not None:
         config.seed = _check("--seed", args.seed, CONFIG.kind["seed"])

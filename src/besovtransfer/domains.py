@@ -155,7 +155,6 @@ def _greedy_runs(grid: Grid, lo: np.ndarray, hi: np.ndarray, depth: int):
 class RegularDecomp:
     """Disjoint cell families covering a target set, with measured constants."""
 
-    target: List[Tuple[float, float]]
     alpha: float
     families: Dict[int, List[CellId]]
     k0: int
@@ -216,7 +215,7 @@ def decompose(grid: Grid, pieces, alpha: float,
             raise ResolutionError("no cell of any level fits inside the target set")
         k0 = K
 
-    return RegularDecomp(target=target, alpha=alpha, families=families, k0=k0,
+    return RegularDecomp(alpha=alpha, families=families, k0=k0,
                          c_dom=float(c_dom(grid, cov, lo, hi, alpha, group)[0]),
                          lambda_dom=grid.arity ** (-alpha),
                          defect_pieces=defect, defect_measure=defect_measure)
@@ -226,7 +225,6 @@ def decompose(grid: Grid, pieces, alpha: float,
 class StrongRegularityReport:
     """Uniform decomposition cost of the set relative to every probing cell."""
 
-    target: List[Tuple[float, float]]
     alpha: float
     t: int
     c_strong: float
@@ -320,13 +318,13 @@ def strong_regularities(grid: Grid, sets: Sequence, alpha: float, t: int = 0,
     # the probed cells of a set are a run of probed
     bounds = np.searchsorted(c_tgt[probed], np.arange(len(targets) + 1))
     reports = []
-    for target, i0, i1 in zip(targets, bounds[:-1].tolist(), bounds[1:].tolist()):
+    for i0, i1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         c_strong, worst = 1.0, None
         if i1 > i0 and ratio[i0:i1].max() > 1.0:
             c = probed[i0 + ratio[i0:i1].argmax()]
             c_strong, worst = float(ratio[i0:i1].max()), CellId(int(c_level[c]), int(c_index[c]))
         reports.append(StrongRegularityReport(
-            target=target, alpha=alpha, t=t, c_strong=c_strong, worst_cell=worst,
+            alpha=alpha, t=t, c_strong=c_strong, worst_cell=worst,
             max_rel_defect=float(np.max(rel_defect[i0:i1], initial=0.0)),
             cells_probed=i1 - i0))
     return reports

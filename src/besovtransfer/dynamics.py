@@ -719,27 +719,16 @@ def make_map(spec: MapSpec, grid: Grid, params: BesovParams,
     probe_level, K = min(probe_level, grid.max_level), grid.max_level
 
     alpha = 1.0 - params.s * params.p
-    fits, failed = [], None
-    for b, samples in zip(branches, _scaling_samples(grid, branches, probe_level)):
-        try:
-            fits.append(_fit_scaling(grid, b, *samples))
-        except (InfeasibleFitError, CellNotFoundError) as exc:
-            failed = exc
-            break
-    # the branches before a failing fit are probed in full before it is
-    # raised, as by a loop that probes one branch at a time
-    probed = branches[:len(fits)]
-    weight_avgs, strong_reports, c_dgd1s, levels = {}, {}, [], []
-    if probed:
-        tops = [min(probe_level, 8 if b.affine_slope is None else probe_level) for b in probed]
-        c_dgd1s = _distortion_constants(grid, probed, alpha, tops)
-        weight_avgs = {(b.r, K): weight_averages(grid, b, K) for b in probed}
-        levels = _regularities(list(weight_avgs.values()), probed, params, min(6, probe_level))
-        reports = strong_regularities(grid, [b.img for b in probed],
-                                      1.0 - params.beta * params.p, t=0)
-        strong_reports = {b.r: rep for b, rep in zip(probed, reports)}
-    if failed is not None:
-        raise failed
+    # a failing fit raises before any other probe runs
+    fits = [_fit_scaling(grid, b, *samples)
+            for b, samples in zip(branches, _scaling_samples(grid, branches, probe_level))]
+    tops = [min(probe_level, 8 if b.affine_slope is None else probe_level) for b in branches]
+    c_dgd1s = _distortion_constants(grid, branches, alpha, tops)
+    weight_avgs = {(b.r, K): weight_averages(grid, b, K) for b in branches}
+    levels = _regularities(list(weight_avgs.values()), branches, params, min(6, probe_level))
+    reports = strong_regularities(grid, [b.img for b in branches],
+                                  1.0 - params.beta * params.p, t=0)
+    strong_reports = {b.r: rep for b, rep in zip(branches, reports)}
     c_dgd2 = grid.arity ** (-alpha)
     branches = [replace(b, shift=shift, c_dc1=c_dc1, c_dc2=c_dc2, c_dgd1=c_dgd1,
                         c_dgd2=c_dgd2, c_rp=max(worst))

@@ -79,7 +79,7 @@ class Grid:
     def cell_counts(self, level) -> np.ndarray:
         """Array form of n_cells as floats, each count rounded once from the
         exact integer, so deep levels of any arity do not overflow."""
-        return self._level_table(level)[0][level]
+        return self._levels[0][level]
 
     def width(self, level: int) -> float:
         """Nominal cell width arity**-level (the actual one off the cuts)."""
@@ -87,19 +87,15 @@ class Grid:
 
     def nominal_widths(self, level) -> np.ndarray:
         """Array form of width: the nominal width of each level given."""
-        return self._level_table(level)[1][level]
+        return self._levels[1][level]
 
-    def _level_table(self, level) -> Tuple[np.ndarray, np.ndarray]:
-        """(cell counts as floats, nominal widths) of the levels 0, 1, ...
-        past the deepest one given, from n_cells and width; kept on the grid."""
-        table = self.__dict__.get("_levels")
-        top = _deepest(level)
-        if table is None or table[0].size <= top:
-            levels = range(max(top, self.max_level + 16) + 1)
-            table = (np.array([float(self.n_cells(k)) for k in levels]),
-                     np.array([self.width(k) for k in levels]))
-            self.__dict__["_levels"] = table      # as cached_property stores
-        return table
+    @cached_property
+    def _levels(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(cell counts as floats, nominal widths) of the levels 0 to
+        max_level + 16, the deepest any probe reads, from n_cells and width."""
+        levels = range(self.max_level + 17)
+        return (np.array([float(self.n_cells(k)) for k in levels]),
+                np.array([self.width(k) for k in levels]))
 
     def is_cut(self, level: int) -> bool:
         """Whether some cell of this level is cut away from its nominal edges."""
@@ -330,11 +326,6 @@ class Grid:
         """Upper bound of the child/parent measure ratio."""
         return self.child_ratios(self.max_level)[1]
 
-    @property
-    def overlap_bound(self) -> int:
-        # Cells at one level are pairwise disjoint, so a cell meets only
-        # itself.
-        return 1
 
 def build_grid(arity: int, max_level: int) -> Grid:
     """Construct the uniform m-adic grid, checking the cell budget."""
@@ -349,23 +340,21 @@ def build_grid(arity: int, max_level: int) -> Grid:
 # -- axiom validation -------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class AxiomReport:
     """Per-axiom pass/fail plus the measured constants."""
 
-    overlap_bound: int
+    overlap_bound: int              # most cells of one level sharing a point
     measure_sum_dev: float          # max_k |sum of level-k measures - 1|
-    disjoint: bool
-    nested: bool
     ratio_min: float
     ratio_max: float
     resolution_note: str
-    g1_pass: bool = True
-    g2_pass: bool = True
-    g3_pass: bool = True
-    g4_pass: bool = True
-    g5_pass: bool = True
-    g6_pass: bool = True
+    g1_pass: bool
+    g2_pass: bool
+    g3_pass: bool
+    g4_pass: bool
+    g5_pass: bool
+    g6_pass: bool
 
     @property
     def all_pass(self) -> bool:
@@ -387,6 +376,19 @@ class AxiomReport:
         }
 
 
+def _coverage(lo: np.ndarray, hi: np.ndarray, tol: float) -> Tuple[int, bool]:
+    """(most of the cells [lo, hi) sharing a point, whether they cover
+    [0, 1) with no uncovered stretch longer than tol)."""
+    lo, hi = lo[hi > lo], hi[hi > lo]
+    points = np.unique(np.concatenate([lo, hi, [0.0, 1.0]]))
+    x, stretch = points[:-1], np.diff(points)
+    # the cells holding x[i] hold the stretch [x[i], x[i + 1]) too
+    depth = (np.searchsorted(np.sort(lo), x, side="right")
+             - np.searchsorted(np.sort(hi), x, side="right"))
+    gap = (depth == 0) & (x >= 0.0) & (x < 1.0) & (stretch > tol)
+    return int(depth.max(initial=0)), not gap.any()
+
+
 def validate_grid(grid: Grid) -> AxiomReport:
     """Check the nesting/measure axioms level by level.
 
@@ -395,19 +397,22 @@ def validate_grid(grid: Grid) -> AxiomReport:
     to max_level) as a note.
     """
     m = grid.arity
-    dev = 0.0
+    dev, overlap = 0.0, 0
     ratio_min, ratio_max = math.inf, -math.inf
-    disjoint = True
-    nested = True
+    gapless = disjoint = nested = True
     for k in range(grid.max_level + 1):
         n = grid.n_cells(k)
         gone = [c.index for c in grid.missing if c.level == k]
+        edges = grid.edges(k)
         if grid.is_cut(k):
             total = float(np.sum(np.delete(grid.widths(k), gone)))
-            disjoint = disjoint and bool(np.all(np.diff(grid.edges(k)) > 0))
+            disjoint = disjoint and bool(np.all(np.diff(edges) > 0))
         else:
             total = (n - len(gone)) * grid.width(k)
         dev = max(dev, abs(total - 1.0))
+        depth, covered = _coverage(np.delete(edges[:-1], gone), np.delete(edges[1:], gone),
+                                   CONTAIN_TOL * grid.width(k))
+        overlap, gapless = max(overlap, depth), gapless and covered
         if k > 0:
             r_lo, r_hi = grid.child_ratios(k)
             ratio_min = min(ratio_min, r_lo)
@@ -427,24 +432,23 @@ def validate_grid(grid: Grid) -> AxiomReport:
                 # (j * 3**-k against (j // 3) * 3**-(k-1), say)
                 if not (plo <= lo + 1e-15 and hi <= phi + 1e-15):
                     nested = False
-    report = AxiomReport(
-        overlap_bound=grid.overlap_bound,
+    return AxiomReport(
+        overlap_bound=overlap,
         measure_sum_dev=dev,
-        disjoint=disjoint,
-        nested=nested,
         ratio_min=ratio_min,
         ratio_max=ratio_max,
         resolution_note=(
             f"generates the Borel sigma-algebra up to resolution {grid.max_level} "
             "(finite surrogate)"
         ),
+        g1_pass=overlap <= 1,
+        g2_pass=gapless,
+        g3_pass=dev <= 1e-12,
+        g4_pass=disjoint,
+        g5_pass=nested,
+        # cuts keep every child at least half a nominal child wide
+        g6_pass=math.isfinite(ratio_min) and ratio_min >= 1.0 / (2 * m),
     )
-    report.g3_pass = dev <= 1e-12
-    report.g4_pass = disjoint
-    report.g5_pass = nested
-    # cuts keep every child at least half a nominal child wide
-    report.g6_pass = math.isfinite(ratio_min) and ratio_min >= 1.0 / (2 * m)
-    return report
 
 
 def python_pow(x: np.ndarray, e: float) -> np.ndarray:

@@ -247,14 +247,12 @@ def invariant_density(system: BranchSystem, K: int, start: Optional[np.ndarray] 
 class SpectralReport:
     eigenvalues: np.ndarray
     peripheral: List[complex]
-    density: PiecewiseFn
     gap: float
     essential_bound: float
     eigenspace_dim_at_1: int
     semisimple: bool
     roots_of_unity: Dict[complex, Tuple[int, int]]
     transitive: bool
-    density_info: DensityInfo
     solver: Dict[str, object]
 
 
@@ -267,8 +265,7 @@ def _root_of_unity_match(lam: complex, max_order: int) -> Optional[Tuple[int, in
     return None
 
 
-def peripheral_spectrum(tm: TransferMatrix, spectrum: Optional[Eigensystem] = None,
-                        density: Optional[Tuple[PiecewiseFn, DensityInfo]] = None
+def peripheral_spectrum(tm: TransferMatrix, spectrum: Optional[Eigensystem] = None
                         ) -> SpectralReport:
     """Unit-circle eigenvalue cluster and its structure.
 
@@ -278,9 +275,8 @@ def peripheral_spectrum(tm: TransferMatrix, spectrum: Optional[Eigensystem] = No
     and semisimplicity is checked through the rank of the cluster's
     eigenvectors.
 
-    `spectrum` (as `eigenvalues(tm)` returns it) and `density` (as
-    `invariant_density(tm.system, tm.K)` returns it) are computed here
-    when not given.  A diagonal spectrum carries no eigenvectors; when one
+    `spectrum` (as `eigenvalues(tm)` returns it) is computed here when
+    not given.  A diagonal spectrum carries no eigenvectors; when one
     of its peripheral eigenvalues is repeated, ARPACK solves for them and
     the report carries the eigenvalues of that solve.
     """
@@ -301,7 +297,6 @@ def peripheral_spectrum(tm: TransferMatrix, spectrum: Optional[Eigensystem] = No
                 if rank < len(idx):
                     semisimple = False
     gap = 1.0 - subdominant_modulus(ev)
-    rho, info = invariant_density(tm.system, tm.K) if density is None else density
     roots = {}
     for lam in peripheral:
         match = _root_of_unity_match(lam, max_order=max(len(peripheral), 8))
@@ -310,14 +305,12 @@ def peripheral_spectrum(tm: TransferMatrix, spectrum: Optional[Eigensystem] = No
     return SpectralReport(
         eigenvalues=ev,
         peripheral=peripheral,
-        density=rho,
         gap=gap,
         essential_bound=tm.ledger.essential_bound,
         eigenspace_dim_at_1=dim1,
         semisimple=semisimple,
         roots_of_unity=roots,
         transitive=transitivity_check(tm.system, min(tm.K, 6)),
-        density_info=info,
         solver=es.solver,
     )
 

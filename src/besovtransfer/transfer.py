@@ -689,7 +689,6 @@ class TransferMatrix:
     K: int
     t: int
     matrix: sp.csc_matrix
-    defect_per_column: np.ndarray
     ledger: BoundLedger
     constants: Constants
 
@@ -809,8 +808,7 @@ def assemble_matrix(system: BranchSystem, K: Optional[int] = None, t: int = SPLI
         shape=(n, n))
     ledger = bound_ledger(system, constants, t)
     ledger.measured["total_defect_l1"] = float(defect.sum())
-    return TransferMatrix(system=system, K=K, t=t, matrix=mat,
-                          defect_per_column=defect, ledger=ledger,
+    return TransferMatrix(system=system, K=K, t=t, matrix=mat, ledger=ledger,
                           constants=constants)
 
 

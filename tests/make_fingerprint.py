@@ -71,7 +71,7 @@ def _array_sha(a: np.ndarray) -> str:
 
 
 def _json(data) -> str:
-    return json.dumps(data, sort_keys=True, default=cli._coerce)
+    return json.dumps(data, sort_keys=True)
 
 
 def _cli(out: dict, key: str, argv, root: Path) -> None:

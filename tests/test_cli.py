@@ -93,8 +93,8 @@ def test_config_error_paths(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"config error: config.{key}: ")
 
 
-@pytest.mark.parametrize("case", ["config_is_dir", "config_not_utf8", "out_is_file",
-                                  "out_under_file"])
+@pytest.mark.parametrize("case", ["config_is_dir", "config_not_utf8", "config_not_json",
+                                  "out_is_file", "out_under_file"])
 def test_unreadable_config_or_unusable_out_exits_2_naming_the_path(tmp_path, capsys, case):
     cfg, out = write_config(tmp_path), tmp_path / "out"
     plain = tmp_path / "plain"
@@ -104,6 +104,9 @@ def test_unreadable_config_or_unusable_out_exits_2_naming_the_path(tmp_path, cap
     elif case == "config_not_utf8":
         cfg = tmp_path / "latin1.json"
         cfg.write_bytes(b'{"seed": "\xe9"}')
+    elif case == "config_not_json":
+        cfg = tmp_path / "broken.json"
+        cfg.write_text("{not json")
     elif case == "out_is_file":
         out = plain
     else:
@@ -180,6 +183,40 @@ def test_bad_map_value_seed_or_cap_exits_2_naming_the_field(tmp_path, capsys, ov
     assert rc == EXIT_CONFIG
     assert err.startswith(f"config error: {field}: expected a ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("section, message", [
+    ({"potential": "jacobian"}, "config.map.map: missing"),
+    ({"map": 5}, "config.map.map: expected a string, got 5"),
+    ({"map": "beta", "beta": 1.0}, "beta map with beta=1.0 is not expanding"),
+    ({"map": "pw_linear", "breakpoints": [0.0, 0.5, 1.0]},
+     "pw_linear needs breakpoints and slopes"),
+    ({"map": "pw_linear", "breakpoints": [0.0, 0.5, 1.0], "slopes": [2.0]},
+     "pw_linear needs len(breakpoints) == len(slopes)+1"),
+    ({"map": "pw_linear", "breakpoints": [0.0, 0.5, 1.0], "slopes": [2.0, -2.0]},
+     "pw_linear slopes must be positive"),
+    ({"map": "pw_linear", "breakpoints": [0.0, 0.5, 1.0], "slopes": [2.0, 2.0],
+      "offsets": [0.5, 0.0]}, "piece 0 maps [0.0,0.5) outside [0,1)"),
+    ({"map": "tent"}, "unknown map name: 'tent'"),
+    ({"map": "doubling", "potential": "x"}, "unknown potential rule: 'x'"),
+    ({"map": "doubling", "potential": "custom"}, "custom potential rule needs custom_fn"),
+])
+def test_unusable_map_section_exits_2_with_its_message(tmp_path, capsys, section, message):
+    cfg = write_config(tmp_path, grid={"arity": 2, "max_level": 6}, map=section)
+    assert main(["ledger", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
+
+
+def test_configured_c_gsr_is_echoed_as_an_override(tmp_path):
+    cfg = write_config(tmp_path, grid={"arity": 2, "max_level": 6},
+                       constants={"C_GSR": 2.5})
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    bounds = json.loads((out / "bounds.json").read_text())
+    assert bounds["constants"]["C_GSR"] == 2.5
+    assert bounds["formulas"]["C_GSR"] == "configured"
+    assert bounds["provenance"]["C_GSR"] == "configured override"
 
 
 def test_mapspec_json_roundtrip(tmp_path, capsys):
@@ -379,6 +416,32 @@ def test_spectrum_and_decay_share_one_factorisation(tmp_path, monkeypatch):
     decay = json.loads((tmp_path / "decay.json").read_text())
     gap = json.loads((tmp_path / "spectral.json").read_text())["gap"]
     assert decay["certificate_rate"] == pytest.approx(1.0 - gap, abs=1e-15)
+
+
+def test_spectrum_alone_computes_no_density(tmp_path, monkeypatch):
+    calls, solve = [], spectral.invariant_density
+
+    def density(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "invariant_density", density)
+    monkeypatch.setattr(spectral, "invariant_density", density)
+    config = cli.RunConfig.from_json(
+        {"grid": {"arity": 2, "max_level": 6}, "map": {"map": "beta", "beta": 1.8},
+         "analyses": ["spectrum"]}, tmp_path)
+    cli.Runner(config).run()
+    assert calls == []
+
+
+def test_a_basis_too_small_for_arpack_is_solved_densely(tmp_path):
+    # beta=1.8 at K=1 has 3 atoms and is not level-triangular
+    cfg = write_config(tmp_path, grid={"arity": 2, "max_level": 1},
+                       map={"map": "beta", "beta": 1.8})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    solver = json.loads((out / "spectral.json").read_text())["solver"]
+    assert solver == {"method": "dense", "k": 3, "ncv": None, "converged": True}
 
 
 def test_arpack_solves_repeat_exactly(tmp_path):

@@ -17,7 +17,6 @@ from besovtransfer.errors import (
     ContainmentError,
     InfeasibleFitError,
     MapSpecError,
-    NormOverflowError,
 )
 from besovtransfer.grid import CellId, build_grid, python_pow
 
@@ -482,7 +481,9 @@ def test_batched_probes_equal_the_branch_by_branch_loop(spec):
     assert _ledger(system) == _probe_by_branch(system)
 
 
-def test_make_map_kernel_calls_do_not_grow_with_the_branches(monkeypatch):
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of the cover and subtree_norms calls made from here on."""
     calls = {"cover": 0, "subtree_norms": 0}
 
     def counting(name, fn):
@@ -495,11 +496,15 @@ def test_make_map_kernel_calls_do_not_grow_with_the_branches(monkeypatch):
     for mod in (domains, dynamics):
         monkeypatch.setattr(mod, "cover", counted_cover)
     monkeypatch.setattr(dynamics, "subtree_norms", counting("subtree_norms", atoms.subtree_norms))
+    return calls
+
+
+def test_make_map_kernel_calls_do_not_grow_with_the_branches(kernel_calls):
     counts = []
     for r_max in (5, 40):
         make_map(MapSpec("gauss", r_max=r_max), build_grid(2, 8), PARAMS)
-        counts.append(dict(calls))
-        calls.update(cover=0, subtree_norms=0)
+        counts.append(dict(kernel_calls))
+        kernel_calls.update(cover=0, subtree_norms=0)
     # one cover call each for the distortion and the strong regularity, one
     # subtree_norms call per probe level
     assert counts == [{"cover": 2, "subtree_norms": 7}] * 2
@@ -508,12 +513,13 @@ def test_make_map_kernel_calls_do_not_grow_with_the_branches(monkeypatch):
 NONEXPANDING = MapSpec("pw_linear", breakpoints=(0.0, 0.5, 1.0), slopes=(2.0, 0.9))
 
 
-def test_a_failing_fit_raises_as_the_branch_by_branch_loop(monkeypatch):
-    # past the expansion check, branch 2's scaling fit fails: the loop
-    # raises there, after probing branch 1 in full
+def test_a_failing_fit_raises_as_the_branch_by_branch_loop(monkeypatch, kernel_calls):
+    # past the expansion check, branch 2's scaling fit fails: make_map
+    # raises the error that the loop raises at branch 2
     monkeypatch.setattr(dynamics, "_check_expanding", lambda branches: None)
     with pytest.raises(InfeasibleFitError) as batched:
         make_map(NONEXPANDING, build_grid(2, 8), PARAMS)
+    assert kernel_calls == {"cover": 0, "subtree_norms": 0}
     # the branches as make_map builds them, before any probe
     branches = [dataclasses.replace(b, potential=dynamics._potential(b, NONEXPANDING))
                 for b in dynamics._build_branches(NONEXPANDING)]
@@ -523,16 +529,18 @@ def test_a_failing_fit_raises_as_the_branch_by_branch_loop(monkeypatch):
         _probe_by_branch(system)
     assert str(batched.value) == str(looped.value) == (
         "branch 2: no geometric base < 1 fits the scaling samples")
-    # a fit that fails lets the branches before it finish their probes:
-    # here branch 2's contracting piece holds no cell, and branch 1's
-    # weight, infinite past 1/2, fails its regularity probe first
+    # a failing fit raises before any other probe runs: here branch 2's
+    # contracting piece holds no cell, and branch 1's weight, infinite past
+    # 1/2, is never probed for its regularity
+    kernel_calls.update(cover=0, subtree_norms=0)
     contracting = MapSpec("pw_linear", breakpoints=(0.0, 0.5, 1.0), slopes=(2.0, 1e-6))
     with pytest.raises(CellNotFoundError, match="branch 2: a forward image holds no cell"):
         make_map(contracting, build_grid(2, 8), PARAMS)
     contracting.potential = "custom"
     contracting.custom_fn = lambda x: np.where(np.asarray(x) > 0.5, np.inf, 1.0)
-    with np.errstate(invalid="ignore"), pytest.raises(NormOverflowError):
+    with pytest.raises(CellNotFoundError, match="branch 2: a forward image holds no cell"):
         make_map(contracting, build_grid(2, 8), PARAMS)
+    assert kernel_calls == {"cover": 0, "subtree_norms": 0}
     # a branch without probe cells fails first, before the others' probes
     branch = dataclasses.replace(dynamics._build_branches(MapSpec("gauss", r_max=3))[2],
                                  img=(0.3, 0.3))

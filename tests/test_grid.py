@@ -68,8 +68,18 @@ def test_validate_deleted_cell_fails_g3():
     g = Grid(arity=2, max_level=2, missing=frozenset({CellId(2, 1)}))
     rep = validate_grid(g)
     assert not rep.g3_pass
-    # removing one level-2 cell leaves 3/4 of the mass
+    # removing one level-2 cell leaves 3/4 of the mass, and a gap
     assert rep.measure_sum_dev == pytest.approx(0.25)
+    assert not rep.g2_pass
+
+
+def test_validate_reversed_cut_fails_g1():
+    # edge 3 of level 3 moved past edges 4..6: cell 2 = [1/4, 0.9) overlaps
+    # cells 4, 5 and 6, and cell 3 is empty
+    rep = validate_grid(Grid(2, 3, cuts=((3, 0.9),)))
+    assert not rep.g1_pass
+    assert rep.overlap_bound == 2
+    assert rep.g2_pass and not rep.g4_pass
 
 
 def test_validate_triadic_ratios():
