@@ -1,6 +1,7 @@
-"""SHA-256 fingerprint of the CLI outputs, the atom matrix, the ledger and
-the cross-checked transfer on six fixed systems, and of one Runner run of
-all nine analyses on one of them.
+"""SHA-256 fingerprint of the CLI outputs, the atom matrix, the ledger, the
+cross-checked transfer, the sliced expansions, a finer-scale flattening,
+the strong-regularity, weight-regularity and integrability reports on six
+fixed systems, and of one Runner run of all nine analyses on one of them.
 
 `tests/test_fingerprint.py` recomputes every digest and names each entry
 that differs from `tests/fingerprint.json`.  A change that moves outputs
@@ -15,6 +16,7 @@ NumPy and SciPy versions it was made with.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -32,8 +34,12 @@ import scipy
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import besovtransfer.cli as cli
-from besovtransfer.atoms import random_rep
-from besovtransfer.transfer import apply_transfer
+from besovtransfer.atoms import (BesovAtom, PiecewiseFn, besov_to_souza, coefficient_norm,
+                                 random_rep, subtree_rep)
+from besovtransfer.domains import strong_regularities
+from besovtransfer.dynamics import potential_regularity
+from besovtransfer.grid import CellId
+from besovtransfer.transfer import apply_transfer, lebesgue_bound_check, slice_rep
 
 FINGERPRINT = Path(__file__).resolve().with_name("fingerprint.json")
 
@@ -130,6 +136,42 @@ def system_digests(name: str, root: Path) -> Dict[str, str]:
         out[f"{key}:index"] = _array_sha(res.index)
         out[f"{key}:value"] = _array_sha(res.value)
         out[f"{key}:meta"] = _sha(_json(res.meta))
+        for q in (system.params.q, math.inf):
+            params = dataclasses.replace(system.params, q=q)
+            sliced = slice_rep(dataclasses.replace(rep, params=params),
+                               dataclasses.replace(system, params=params))
+            out[f"{name}/slice_rep seed {seed} q={q}"] = _sha(_json(
+                {"measured_lhs": sliced.measured_lhs, "input_norm": sliced.input_norm}))
+    out.update(library_digests(name, system))
+    return out
+
+
+def library_digests(name: str, system) -> Dict[str, str]:
+    """Digests of the library reports no CLI output prints whole: a
+    finer-scale flattening, the strong-regularity reports, the weight
+    regularity of every branch and the integrability report."""
+    grid, params, K = system.grid, system.params, system.grid.max_level
+    out: Dict[str, str] = {}
+    f = PiecewiseFn.from_function(grid, K, lambda x: 1.0 + 0.3 * np.sin(2 * np.pi * x))
+    general = []
+    for d, W in ((0.5, CellId(1, 0)), (1.5, CellId(2, 3)), (-0.75 + 0.25j, CellId(1, 1)),
+                 (2.0, CellId(3, 2)), (1.0, CellId(K, 5))):
+        rep = subtree_rep(f, W, params, positive=True, theta=params.theta_beta)
+        budget = grid.measure(W) ** (params.s - params.beta)
+        general.append((d, BesovAtom(W, rep.scaled(budget / (coefficient_norm(rep) * 1.0000001)))))
+    for q in (params.q, math.inf):
+        flat = besov_to_souza(general, dataclasses.replace(params, q=q), grid)
+        out[f"{name}/besov_to_souza q={q}:meta"] = _sha(_json(flat.meta))
+    images = [b.img for b in system.branches]
+    for t, reports in ((0, system.strong_reports.values()),
+                       (2, strong_regularities(grid, images + [images[:2]], 0.5, t=2))):
+        out[f"{name}/strong_regularities t={t}"] = _sha(_json([
+            [rep.c_strong, rep.worst_cell, rep.max_rel_defect, rep.cells_probed]
+            for rep in reports]))
+    out[f"{name}/potential_regularity"] = _sha(_json([
+        potential_regularity(system.averages(b, K), b, params)[1] for b in system.branches]))
+    out[f"{name}/lebesgue_bound_check"] = _sha(_json(
+        dataclasses.asdict(lebesgue_bound_check(system))))
     return out
 
 
