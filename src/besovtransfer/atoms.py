@@ -326,7 +326,7 @@ def coefficient_norms(member: np.ndarray, level: np.ndarray, value: np.ndarray,
     the same order as the norm of the expansion alone, so it is the same
     bits.
     """
-    p, q = params.p, params.q
+    p = params.p
     # one group per (expansion, level), its entries in entry order
     n_levels = int(level.max(initial=0)) + 1
     groups, first, at = np.unique(member * n_levels + level, return_index=True,
@@ -338,10 +338,27 @@ def coefficient_norms(member: np.ndarray, level: np.ndarray, value: np.ndarray,
     # each expansion's level masses in the order of their first entry
     owner = groups // n_levels
     mass = _roots(mass, p)[np.lexsort((first, owner))]
-    count = np.bincount(owner, minlength=size)
-    total = _roots(_group_reductions(mass if q == INF else mass ** q, np.cumsum(count) - count,
-                                     count, np.max if q == INF else np.sum), q)
-    if not np.all(np.isfinite(total)):
+    return level_norms(mass, params.q, np.bincount(owner, minlength=size))
+
+
+def level_norms(masses: np.ndarray, q: float, count: Optional[np.ndarray] = None) -> np.ndarray:
+    """The l^q combination of level norms (their max when q is infinite).
+
+    Without count, one combination per row of `masses` (levels on the last
+    axis); with count, one per run of count[i] consecutive entries of a
+    1-D `masses` (0 for an empty run).  NormOverflowError if one is not
+    finite.
+    """
+    if count is not None:
+        first = np.cumsum(count) - count
+        total = _group_reductions(masses if q == INF else masses ** q, first, count,
+                                  np.max if q == INF else np.sum)
+    elif q == INF:
+        total = masses.max(axis=-1, initial=0.0)
+    else:
+        total = np.sum(masses ** q, axis=-1)
+    total = _roots(total, q)
+    if not np.isfinite(total).all():
         raise NormOverflowError("coefficient norm is not finite")
     return total
 
@@ -374,12 +391,7 @@ def level_masses(vec: np.ndarray, grid: Grid, K: int, p: float) -> np.ndarray:
 
 def masses_norm(masses: np.ndarray, params: BesovParams) -> np.ndarray:
     """The coefficient norms of level_masses rows (the last axis)."""
-    p, q = params.p, params.q
-    masses = _roots(masses, p)
-    total = masses.max(axis=-1) if q == INF else _roots(np.sum(masses ** q, axis=-1), q)
-    if not np.isfinite(total).all():
-        raise NormOverflowError("coefficient norm is not finite")
-    return total
+    return level_norms(_roots(masses, params.p), params.q)
 
 
 def coefficient_norm_vector(vec: np.ndarray, grid: Grid, K: int, params: BesovParams):
@@ -460,9 +472,7 @@ def coefficient_table(f: PiecewiseFn, theta: float,
         else:
             pyramid.append(a.mean(axis=1))
     pyramid.reverse()
-    scales = [float(m) ** (-k * theta) for k in range(K + 1)]
-    if cut:
-        scales[-1] = grid.widths(K) ** theta
+    scales = [atom_heights(grid, k, -theta) for k in range(K + 1)]
     roots = [a * s for a, s in zip(pyramid, scales)]
     return roots, [roots[0]] + [(pyramid[k] - np.repeat(pyramid[k - 1], m)) * scales[k]
                                 for k in range(1, K + 1)]
@@ -544,7 +554,7 @@ def subtree_norms(table: PowerTable, m: int, k: int, cells: np.ndarray,
     bit for bit to coefficient_norm(subtree_rep(...)) per cell, which
     drops zero coefficients and levels without a nonzero one.
     """
-    p, q = params.p, params.q
+    p = params.p
     reduce = np.max if p == INF else np.sum
     masses, present = [], []
     for u in range(len(table.arrays) - k):
@@ -554,15 +564,7 @@ def subtree_norms(table: PowerTable, m: int, k: int, cells: np.ndarray,
         masses.append(_group_reductions(kept, first, count, reduce))
         present.append(count > 0)
     masses, present = _roots(np.stack(masses, axis=1), p), np.stack(present, axis=1)
-    if q == INF:
-        total = masses.max(axis=1)
-    else:
-        count = present.sum(axis=1)
-        total = _roots(_group_reductions((masses ** q)[present], np.cumsum(count) - count,
-                                         count, np.sum), q)
-    if not np.all(np.isfinite(total)):
-        raise NormOverflowError("coefficient norm is not finite")
-    return total
+    return level_norms(masses[present], params.q, present.sum(axis=1))
 
 
 def canonical_rep(f: PiecewiseFn, params: BesovParams, positive: bool = False) -> AtomicRep:
@@ -663,11 +665,7 @@ def besov_to_souza(general_rep: Sequence[Tuple[complex, BesovAtom]],
     rep = AtomicRep(params, grid, index, value, all_positive and bool(
         np.all(np.isreal(value)) and np.all(np.real(value) >= 0)))
     # layered input norm: l^q over support levels of l^p of the weights
-    masses = np.asarray([v ** (1.0 / params.p) for v in level_masses.values()])
-    if params.q == INF:
-        in_norm = float(masses.max(initial=0.0))
-    else:
-        in_norm = float(np.sum(masses ** params.q) ** (1.0 / params.q))
+    in_norm = float(level_norms(_roots(np.array(list(level_masses.values())), params.p), params.q))
     out_norm = coefficient_norm(rep)
     rep.meta["input_norm"] = in_norm
     rep.meta["output_norm"] = out_norm

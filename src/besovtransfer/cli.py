@@ -17,7 +17,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .atoms import BesovParams, PiecewiseFn, atom_rep, evaluate
-from .dynamics import PROBE_LEVEL, BranchSystem, MapSpec, make_map, working_grid
+from .dynamics import MAP_FIELDS, PROBE_LEVEL, BranchSystem, MapSpec, make_map, working_grid
 from .errors import (
     AssumptionError,
     BesovTransferError,
@@ -119,6 +119,15 @@ class RunConfig:
         spec = data.get("map", {})
         if "map" not in spec:
             raise ConfigError("config.map.map: missing")
+        name, potential = spec["map"], spec.get("potential", "jacobian")
+        if name in MAP_FIELDS:      # make_map refuses an unknown name
+            read = {"map", "potential", *MAP_FIELDS[name]}
+            if potential == "constant":
+                read.add("constant")
+            unread = [key for key in spec if key not in read]
+            if unread:
+                raise ConfigError(f"config.map.{unread[0]}: not read by map {name!r} "
+                                  f"with potential {potential!r}")
         caps = {"basis": BASIS_CAP, "split_level": SPLIT_LEVEL, "probe_level": PROBE_LEVEL,
                 **data.get("caps", {})}
         # split levels run to the grid's depth, which only the grid knows

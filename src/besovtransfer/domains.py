@@ -185,8 +185,6 @@ def decompose(grid: Grid, pieces, alpha: float,
     """
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
-    if isinstance(pieces, tuple) and len(pieces) == 2 and not isinstance(pieces[0], tuple):
-        pieces = [pieces]
     target = iv.normalize(pieces)
     if not target:
         raise ValueError("target set has zero measure")
@@ -225,8 +223,6 @@ def decompose(grid: Grid, pieces, alpha: float,
 class StrongRegularityReport:
     """Uniform decomposition cost of the set relative to every probing cell."""
 
-    alpha: float
-    t: int
     c_strong: float
     worst_cell: Optional[CellId]
     max_rel_defect: float
@@ -270,9 +266,7 @@ def strong_regularities(grid: Grid, sets: Sequence, alpha: float, t: int = 0,
     certificates cover truncation re-aggregation.  The sets Q * set of all
     candidate cells of all sets are decomposed in one `cover` call.
     """
-    targets = [iv.normalize([pieces] if isinstance(pieces, tuple) and len(pieces) == 2
-                            and not isinstance(pieces[0], tuple) else pieces)
-               for pieces in sets]
+    targets = [iv.normalize(pieces) for pieces in sets]
     K = grid.max_level
     # cut bottom cells differ in width: residual cells are counted with the
     # narrowest and charged with the widest
@@ -324,7 +318,7 @@ def strong_regularities(grid: Grid, sets: Sequence, alpha: float, t: int = 0,
             c = probed[i0 + ratio[i0:i1].argmax()]
             c_strong, worst = float(ratio[i0:i1].max()), CellId(int(c_level[c]), int(c_index[c]))
         reports.append(StrongRegularityReport(
-            alpha=alpha, t=t, c_strong=c_strong, worst_cell=worst,
+            c_strong=c_strong, worst_cell=worst,
             max_rel_defect=float(np.max(rel_defect[i0:i1], initial=0.0)),
             cells_probed=i1 - i0))
     return reports

@@ -68,13 +68,15 @@ class Potential:
 
 @dataclass(frozen=True)
 class Branch:
-    """One inverse branch h: J -> I with its weight and measured ledger."""
+    """One inverse branch h: J -> I with its jacobian |h'|, its weight and
+    its measured ledger."""
 
     r: int
     dom: Tuple[float, float]          # J_r, where the branch is defined
     img: Tuple[float, float]          # I_r, the image h(J_r)
     h: Callable[[np.ndarray], np.ndarray]
     h_inv: Callable[[np.ndarray], np.ndarray]
+    jacobian: Callable[[np.ndarray], np.ndarray]
     increasing: bool
     affine_slope: Optional[float]     # slope of h when affine, else None
     potential: Potential = None
@@ -144,7 +146,8 @@ def _affine_branch(r: int, dom: Tuple[float, float], img: Tuple[float, float],
     """Branch h(x) = slope*x + intercept on dom, mapping onto img."""
     h = lambda x: slope * np.asarray(x, dtype=float) + intercept
     h_inv = lambda y: (np.asarray(y, dtype=float) - intercept) / slope
-    return Branch(r=r, dom=dom, img=img, h=h, h_inv=h_inv,
+    jacobian = lambda x: np.full_like(np.asarray(x, dtype=float), abs(slope))
+    return Branch(r=r, dom=dom, img=img, h=h, h_inv=h_inv, jacobian=jacobian,
                   increasing=slope > 0, affine_slope=slope)
 
 
@@ -164,6 +167,13 @@ class MapSpec:
     exponent: float = 0.75
     constant: float = 1.0
     custom_fn: Optional[Callable] = None
+
+
+# the MapSpec fields each built-in map reads besides its name and potential
+# rule; every map reads `constant` under the "constant" rule
+MAP_FIELDS = {"doubling": (), "m_ary": ("arity",), "beta": ("beta",),
+              "pw_linear": ("breakpoints", "slopes", "offsets"),
+              "lorenz_cusp": ("exponent",), "gauss": ("r_max",)}
 
 
 def _build_branches(spec: MapSpec) -> List[Branch]:
@@ -231,9 +241,13 @@ def _build_branches(spec: MapSpec) -> List[Branch]:
         def h2_inv(x):
             return 1.0 - c * np.power(np.asarray(x, dtype=float) - 0.5, kappa)
 
+        def jacobian(y):      # |h1'| = |h2'|
+            y = np.asarray(y, dtype=float)
+            return (0.5 * inv_k) * np.power(np.maximum(1.0 - y, 0.0), inv_k - 1.0)
+
         return [
-            Branch(1, (0.0, 1.0), (0.0, 0.5), h1, h1_inv, True, None),
-            Branch(2, (0.0, 1.0), (0.5, 1.0), h2, h2_inv, False, None),
+            Branch(1, (0.0, 1.0), (0.0, 0.5), h1, h1_inv, jacobian, True, None),
+            Branch(2, (0.0, 1.0), (0.5, 1.0), h2, h2_inv, jacobian, False, None),
         ]
     if name == "gauss":
         branches = []
@@ -244,8 +258,11 @@ def _build_branches(spec: MapSpec) -> List[Branch]:
             def h_inv(x, r=r):
                 return 1.0 / np.asarray(x, dtype=float) - r
 
+            def jacobian(y, r=r):
+                return 1.0 / (np.asarray(y, dtype=float) + r) ** 2
+
             branches.append(
-                Branch(r, (0.0, 1.0), (1.0 / (r + 1), 1.0 / r), h, h_inv,
+                Branch(r, (0.0, 1.0), (1.0 / (r + 1), 1.0 / r), h, h_inv, jacobian,
                        increasing=False, affine_slope=None)
             )
         return branches
@@ -255,22 +272,8 @@ def _build_branches(spec: MapSpec) -> List[Branch]:
 def _potential(branch: Branch, spec: MapSpec) -> Potential:
     """The weight of a branch under the spec's potential rule."""
     if spec.potential == "jacobian":
-        if branch.affine_slope is not None:
-            slope = abs(branch.affine_slope)
-            return Potential("jacobian", lambda x, s=slope: np.full_like(
-                np.asarray(x, dtype=float), s), value=slope)
-        if spec.name == "gauss":
-            r = branch.r
-            return Potential(
-                "jacobian", lambda x, r=r: 1.0 / (np.asarray(x, dtype=float) + r) ** 2)
-        # lorenz_cusp, the other map with curved branches
-        inv_k = 1.0 / spec.exponent
-
-        def g(y):
-            y = np.asarray(y, dtype=float)
-            return (0.5 * inv_k) * np.power(np.maximum(1.0 - y, 0.0), inv_k - 1.0)
-
-        return Potential("jacobian", g)
+        return Potential("jacobian", branch.jacobian, value=None if branch.affine_slope is None
+                         else abs(branch.affine_slope))
     if spec.potential == "constant":
         c = spec.constant
         return Potential("constant", lambda x, c=c: np.full_like(np.asarray(x, dtype=float), c),
@@ -507,7 +510,6 @@ class BranchSystem:
     n_overlap: int = field(init=False)      # sup over cells of #branch supports containing it
     t_overlap: float = field(init=False)    # sup over probing cells of theta-weighted overlap
     images_cell_aligned_from: Optional[int] = field(init=False)
-    lebesgue_classes: Dict[str, List[int]] = field(init=False)
     # the branch positions ordered by image, and the sorted image ends
     image_order: np.ndarray = field(init=False, repr=False, compare=False)
     image_lo: np.ndarray = field(init=False, repr=False, compare=False)
@@ -517,7 +519,6 @@ class BranchSystem:
         self.image_order, self.image_lo, self.image_hi = _sorted_images(self.branches)
         self.m_overlap, self.n_overlap, self.t_overlap = _measure_overlaps(self)
         self.images_cell_aligned_from = _images_aligned_from(self)
-        self.lebesgue_classes = _classify_lebesgue(self.branches)
 
     def averages(self, branch: Branch, K: int) -> PiecewiseFn:
         """weight_averages of a branch at level K, computed once per system."""
@@ -548,35 +549,16 @@ class BranchSystem:
     def c_strong(self) -> float:
         return max(rep.c_strong for rep in self.strong_reports.values())
 
-    def check_a00(self) -> None:
-        lam = self.lambda_rs2
-        if lam >= 1.0:
-            raise AssumptionError(
-                f"scaling/distortion ratio sup is {lam:.6f} >= 1; the branch "
-                "family is not uniformly contracting on the atom scale"
-            )
-
     def ledger_rows(self) -> List[Dict]:
-        rows = []
-        for b in self.branches:
-            rows.append({
-                "r": b.r,
-                "a_r": b.shift,
-                "c_DC1": b.c_dc1,
-                "c_DC2": b.c_dc2,
-                "c_DGD1": b.c_dgd1,
-                "c_DGD2": b.c_dgd2,
-                "c_RP": b.c_rp,
-                "theta": b.theta(self.params),
-            })
-        return rows
+        return [{"r": b.r, "a_r": b.shift, "c_DC1": b.c_dc1, "c_DC2": b.c_dc2,
+                 "c_DGD1": b.c_dgd1, "c_DGD2": b.c_dgd2, "c_RP": b.c_rp,
+                 "theta": b.theta(self.params)} for b in self.branches]
 
     def ledger_csv(self) -> str:
-        cols = ["r", "a_r", "c_DC1", "c_DC2", "c_DGD1", "c_DGD2", "c_RP", "theta"]
-        lines = [",".join(cols)]
-        for row in self.ledger_rows():
-            lines.append(",".join(repr(row[c]) if c != "r" else str(row[c]) for c in cols))
-        return "\n".join(lines) + "\n"
+        """ledger.csv: the ledger_rows under a header of their keys."""
+        rows = self.ledger_rows()
+        lines = [rows[0].keys()] + [map(repr, row.values()) for row in rows]
+        return "".join(",".join(line) + "\n" for line in lines)
 
 
 def _sorted_images(branches: Sequence[Branch]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -592,10 +574,10 @@ def _sorted_images(branches: Sequence[Branch]) -> Tuple[np.ndarray, np.ndarray, 
 def _check_expanding(branches: List[Branch]) -> None:
     """Reject maps with a non-expanding piece.
 
-    Derivatives are sampled strictly inside each branch domain, so maps
-    whose expansion degenerates only at an endpoint (the slowest branch of
-    the continued-fraction map, the cusp image) are accepted while any
-    piece with |T'| <= 1 on a set of positive measure is refused.
+    The jacobians |h'| are sampled strictly inside each branch domain, so
+    maps whose expansion degenerates only at an endpoint (the slowest
+    branch of the continued-fraction map, the cusp image) are accepted
+    while any piece with |T'| <= 1 on a set of positive measure is refused.
     """
     for b in branches:
         if b.affine_slope is not None:
@@ -607,9 +589,7 @@ def _check_expanding(branches: List[Branch]) -> None:
             continue
         lo, hi = b.dom
         xs = lo + (hi - lo) * np.arange(1, 512) / 512       # 511 samples
-        d = 1e-6 * (hi - lo)
-        hv = np.abs((np.asarray(b.h(xs + d)) - np.asarray(b.h(xs - d))) / (2 * d))
-        if np.any(hv >= 1.0 / (1.0 + 1e-9)):
+        if np.any(b.jacobian(xs) >= 1.0 / (1.0 + 1e-9)):
             raise MapSpecError(f"branch {b.r}: |T'| < 1 + 1e-9 somewhere (not expanding)")
 
 
@@ -736,21 +716,8 @@ def make_map(spec: MapSpec, grid: Grid, params: BesovParams,
     system = BranchSystem(spec=spec, grid=grid, params=params, branches=branches,
                           strong_reports=strong_reports, probe_level=probe_level,
                           weight_avgs=weight_avgs)
-    system.check_a00()
+    if system.lambda_rs2 >= 1.0:
+        raise AssumptionError(f"scaling/distortion ratio sup is {system.lambda_rs2:.6f} >= 1; "
+                              "the branch family is not uniformly contracting on the atom scale")
     return system
 
-
-# -- integrability classification ------------------------------------------------
-
-
-def _classify_lebesgue(branches: Sequence[Branch]) -> Dict[str, List[int]]:
-    """Split branches into the bounded / summable weight classes.
-
-    Class "ratio_bounded" (finite families, sup|g| controlled by the raw
-    measure ratio) and class "tail_summable" (disjoint images with
-    geometric decay strong enough for the dual exponent sum).  The split
-    threshold for infinite-tail maps is shift >= 8.
-    """
-    tail = [len(branches) > 10 and b.shift >= 8 for b in branches]
-    return {"L1": [], "L2": [b.r for b, t in zip(branches, tail) if not t],
-            "L3": [b.r for b, t in zip(branches, tail) if t]}

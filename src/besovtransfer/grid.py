@@ -50,11 +50,6 @@ class CellId(NamedTuple):
         return f"{self.level}:{self.index}"
 
 
-def _deepest(level) -> int:
-    """The deepest of one level or an array of levels."""
-    return level if isinstance(level, int) else int(np.max(level, initial=0))
-
-
 @dataclass(frozen=True)
 class Grid:
     arity: int
@@ -180,8 +175,9 @@ class Grid:
         found by bisecting the actual edges on a cut level.  The indices
         are int64, so no level may hold 2**62 cells or more.
         """
-        if self.n_cells(_deepest(level)) >= 2 ** 62:
-            raise ValueError(f"cell indices of level {_deepest(level)} overflow int64")
+        deepest = level if isinstance(level, int) else int(np.max(level, initial=0))
+        if self.n_cells(deepest) >= 2 ** 62:
+            raise ValueError(f"cell indices of level {deepest} overflow int64")
         i0, i1 = self._runs(level, lo, hi)
         return i0.astype(np.int64), i1.astype(np.int64)
 

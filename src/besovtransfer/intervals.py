@@ -15,8 +15,11 @@ Interval = Tuple[float, float]
 _EMPTY = 1e-15
 
 
-def normalize(pieces: Iterable[Interval]) -> List[Interval]:
-    """Sort, merge touching/overlapping pieces and drop empty ones."""
+def normalize(pieces) -> List[Interval]:
+    """Sort, merge touching/overlapping pieces and drop empty ones; a lone
+    pair (lo, hi) is one piece."""
+    if isinstance(pieces, tuple) and len(pieces) == 2 and not isinstance(pieces[0], tuple):
+        pieces = [pieces]
     ps = sorted((float(a), float(b)) for a, b in pieces if b - a > _EMPTY)
     out: List[Interval] = []
     for a, b in ps:

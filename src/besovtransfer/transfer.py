@@ -38,6 +38,7 @@ from .atoms import (
     coefficient_norm_vector,
     evaluate,
     evaluate_vector,
+    level_norms,
     level_offsets,
     merge_repeats,
     subtree_indices,
@@ -50,7 +51,6 @@ from .grid import Grid, python_pow
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-INF = math.inf
 # defaults of a run's caps, read by the keyword defaults below and by the CLI:
 # the largest atom basis assemble_matrix builds, and the head/tail split level t
 BASIS_CAP = 8191
@@ -67,19 +67,15 @@ class Constants:
     c_gbva: float = 1.0
     c_gsr: Optional[float] = None   # None: closed form from the slicing kernel
 
-    def gsr(self, grid: Grid, params: BesovParams) -> float:
-        """Geometric series of the re-expansion kernel over the grid's
-        largest child/parent measure ratio (1/arity off the cuts)."""
+    def gsr(self, grid: Grid, params: BesovParams) -> Tuple[float, str]:
+        """C_GSR and its formula: the configured value, or the geometric
+        series of the re-expansion kernel over the grid's largest
+        child/parent measure ratio (1/arity off the cuts)."""
         if self.c_gsr is not None:
-            return self.c_gsr
+            return self.c_gsr, "configured"
         if grid.cuts:
-            return 1.0 / (1.0 - grid.c_g2 ** params.theta)
-        return 1.0 / (1.0 - grid.arity ** (-params.theta))
-
-    def gsr_formula(self, grid: Grid) -> str:
-        if self.c_gsr is not None:
-            return "configured"
-        return "1/(1 - c_G2**(1/p - s))" if grid.cuts else "1/(1 - arity**-(1/p - s))"
+            return 1.0 / (1.0 - grid.c_g2 ** params.theta), "1/(1 - c_G2**(1/p - s))"
+        return 1.0 / (1.0 - grid.arity ** (-params.theta)), "1/(1 - arity**-(1/p - s))"
 
 
 def _pconj_power(values: np.ndarray, p: float) -> float:
@@ -122,7 +118,7 @@ def slicing_certificates(system: BranchSystem, constants: Constants,
     p = params.p
     grid = system.grid
     thetas = system.thetas()
-    c_gsr = constants.gsr(grid, params)
+    c_gsr, gsr_formula = constants.gsr(grid, params)
     c_str = system.c_strong()
     sum_theta = float(thetas.sum())
     sup_theta = float(thetas.max())
@@ -154,7 +150,7 @@ def slicing_certificates(system: BranchSystem, constants: Constants,
 
     hiip = {"core1": "hiip1", "tail1": "hiip1", "core2": "hiip2", "tail2": "hiip2"}
     formulas = {
-        "C_GSR": constants.gsr_formula(grid),
+        "C_GSR": gsr_formula,
         "C_FR": "C_GSR * min(#branches*(c_strong*c_G1**-t)**(1/p)*(sum theta_r**p')**(1/p'), "
                 "N**(1/p')*#branches*sup(theta)*(c_strong*c_G1**-t)**(1/p))",
         "C_ES": "C_GSR * min(M*c_strong**(1/p)*(sum theta_r**p')**(1/p'), "
@@ -269,20 +265,14 @@ def slice_rep(rep: AtomicRep, system: BranchSystem,
     mod = np.hypot(coef.real, coef.imag)
     masses = np.bincount(at * len(thetas) + branch, weights=python_pow(mod, p),
                          minlength=levels.size * len(thetas)).reshape(-1, len(thetas)).tolist()
-    lhs1_levels = [sum(t * m ** (1 / p) for t, m in zip(thetas, row)) for row in masses]
-    lhs2_levels = [sum(t ** p * m for t, m in zip(thetas, row)) ** (1 / p) for row in masses]
-    q = params.q
-    if q == INF:
-        lhs1 = max(lhs1_levels, default=0.0)
-        lhs2 = max(lhs2_levels, default=0.0)
-    else:
-        lhs1 = float(np.sum(np.asarray(lhs1_levels) ** q) ** (1 / q)) if lhs1_levels else 0.0
-        lhs2 = float(np.sum(np.asarray(lhs2_levels) ** q) ** (1 / q)) if lhs2_levels else 0.0
-    lhs2 *= _n_power(system.n_overlap, params.p)
+    lhs1, lhs2 = level_norms(np.array([
+        [sum(t * m ** (1 / p) for t, m in zip(thetas, row)) for row in masses],
+        [sum(t ** p * m for t, m in zip(thetas, row)) ** (1 / p) for row in masses]]),
+        params.q).tolist()
 
     return SlicedRep(
         branch_reps=reps,
-        measured_lhs={"hiip1": lhs1, "hiip2": lhs2},
+        measured_lhs={"hiip1": lhs1, "hiip2": lhs2 * _n_power(system.n_overlap, p)},
         input_norm=coefficient_norm(rep),
         certificate=slicing_certificates(system, constants),
     )
@@ -656,7 +646,7 @@ class BoundLedger:
 def bound_ledger(system: BranchSystem, constants: Constants, t: int) -> BoundLedger:
     cert = slicing_certificates(system, constants, t=t)
     c_d = c_d_constant(system)
-    c_gsr = constants.gsr(system.grid, system.params)
+    c_gsr, _ = constants.gsr(system.grid, system.params)
     formulas = dict(cert.formulas)
     formulas.update({
         "C_D": "2/(1 - lambda_RS2**gamma)",
@@ -864,15 +854,19 @@ def lebesgue_bound_check(system: BranchSystem, probe_level: int = 6) -> BoundRep
     # Python's pow: numpy's vectorized one can differ in the last bit
     c_11 = max([0.0] + [g / r ** exponent
                         for g, r in zip(abs_g.max(axis=-1).tolist(), ratio.tolist())])
-    classes = system.lebesgue_classes
-    by_r = {b.r: b for b in system.branches}
-    sum_l2 = sum(by_r[r].c_dc1 ** eps_prime * by_r[r].c_dc2 ** (by_r[r].shift * eps_prime)
-                 for r in classes.get("L2", []))
-    sum_l3_raw = sum(by_r[r].c_dc2 ** (t0_conj * by_r[r].shift * eps_prime)
-                     for r in classes.get("L3", []))
+    # class L3, the tail-summable branches (disjoint images with geometric
+    # decay strong enough for the dual exponent sum): shift >= 8 in a family
+    # of more than 10; class L2, the ratio-bounded ones (sup|g| controlled
+    # by the raw measure ratio): all others
+    tail = [len(branches) > 10 and b.shift >= 8 for b in branches]
+    l2 = [b for b, t in zip(branches, tail) if not t]
+    l3 = [b for b, t in zip(branches, tail) if t]
+    classes = {"L1": [], "L2": [b.r for b in l2], "L3": [b.r for b in l3]}
+    sum_l2 = sum(b.c_dc1 ** eps_prime * b.c_dc2 ** (b.shift * eps_prime) for b in l2)
+    sum_l3_raw = sum(b.c_dc2 ** (t0_conj * b.shift * eps_prime) for b in l3)
     sum_l3 = sum_l3_raw ** (1.0 / t0_conj) if sum_l3_raw > 0 else 0.0
-    if classes.get("L3"):
-        sum_l3 *= max(by_r[r].c_dc1 ** eps_prime for r in classes["L3"])
+    if l3:
+        sum_l3 *= max(b.c_dc1 ** eps_prime for b in l3)
     c_232 = c_11 * (sum_l2 + sum_l3)
     a0_pass = math.isfinite(c_232) and c_232 > 0
     if not a0_pass:

@@ -200,12 +200,33 @@ def test_bad_map_value_seed_or_cap_exits_2_naming_the_field(tmp_path, capsys, ov
     ({"map": "tent"}, "unknown map name: 'tent'"),
     ({"map": "doubling", "potential": "x"}, "unknown potential rule: 'x'"),
     ({"map": "doubling", "potential": "custom"}, "custom potential rule needs custom_fn"),
+    ({"map": "doubling", "arity": 5},
+     "config.map.arity: not read by map 'doubling' with potential 'jacobian'"),
+    ({"map": "beta", "beta": 1.8, "r_max": 3, "constant": 7},
+     "config.map.r_max: not read by map 'beta' with potential 'jacobian'"),
+    ({"map": "beta", "beta": 1.8, "constant": 7},
+     "config.map.constant: not read by map 'beta' with potential 'jacobian'"),
+    ({"map": "tent", "arity": 3}, "unknown map name: 'tent'"),
 ])
 def test_unusable_map_section_exits_2_with_its_message(tmp_path, capsys, section, message):
     cfg = write_config(tmp_path, grid={"arity": 2, "max_level": 6}, map=section)
     assert main(["ledger", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("section", [
+    {"map": "doubling"}, {"map": "m_ary", "arity": 3}, {"map": "beta", "beta": 1.8},
+    {"map": "pw_linear", "breakpoints": [0.0, 0.5, 1.0], "slopes": [2.0, 2.0],
+     "offsets": [0.0, 0.0]},
+    {"map": "lorenz_cusp", "exponent": 0.6}, {"map": "gauss", "r_max": 3},
+    {"map": "gauss", "r_max": 3, "potential": "constant", "constant": 0.5},
+    {"map": "lorenz_cusp", "potential": "jacobian"},
+])
+def test_map_section_with_only_fields_its_map_reads_loads(tmp_path, section):
+    fields = dict(section)
+    spec = cli.RunConfig.from_json({"map": section}, tmp_path).map_spec
+    assert spec == MapSpec(fields.pop("map"), **fields)
 
 
 def test_configured_c_gsr_is_echoed_as_an_override(tmp_path):

@@ -19,6 +19,7 @@ from besovtransfer.errors import (
     MapSpecError,
 )
 from besovtransfer.grid import CellId, build_grid, python_pow
+from besovtransfer.transfer import lebesgue_bound_check
 
 PARAMS = BesovParams()
 PHI = (1 + math.sqrt(5)) / 2
@@ -257,13 +258,43 @@ def test_nonexpanding_rejected():
                  build_grid(2, 8), PARAMS)
 
 
+@pytest.mark.parametrize("spec", [MapSpec("lorenz_cusp", exponent=k) for k in (0.6, 0.75, 0.9)]
+                         + [MapSpec("gauss", r_max=50)],
+                         ids=["lorenz_cusp-0.6", "lorenz_cusp-0.75", "lorenz_cusp-0.9", "gauss-50"])
+def test_branch_jacobian_is_the_derivative_of_h(spec):
+    for b in dynamics._build_branches(spec):
+        lo, hi = b.dom
+        xs = lo + (hi - lo) * np.arange(1, 512) / 512
+        d = 1e-6 * (hi - lo)
+        numeric = np.abs((b.h(xs + d) - b.h(xs - d)) / (2 * d))
+        np.testing.assert_allclose(b.jacobian(xs), numeric, rtol=1e-6, atol=0)
+
+
+def _curved_branch(c):
+    """h(y) = y/4 + c*y**2 on [0, 1), increasing, |h'| = 1/4 + 2*c*y."""
+    return dynamics.Branch(1, (0.0, 1.0), (0.0, 0.25 + c),
+                           lambda y: 0.25 * y + c * y ** 2,
+                           lambda x: (np.sqrt(0.0625 + 4 * c * x) - 0.25) / (2 * c),
+                           lambda y: 0.25 + 2 * c * np.asarray(y, dtype=float), True, None)
+
+
+def test_curved_branch_whose_jacobian_reaches_one_is_refused(monkeypatch):
+    # |h'| reaches 1 at y = 3/4: past it the piece does not expand
+    monkeypatch.setattr(dynamics, "_build_branches", lambda spec: [_curved_branch(0.5)])
+    with pytest.raises(MapSpecError, match=r"branch 1: \|T'\| < 1 \+ 1e-9 somewhere "
+                                           r"\(not expanding\)"):
+        make_map(MapSpec("doubling"), build_grid(2, 8), PARAMS)
+    # |h'| stays at most 0.85: the expansion check lets it through
+    dynamics._check_expanding([_curved_branch(0.3)])
+
+
 def test_lorenz_cusp_exponent_box():
     with pytest.raises(MapSpecError):
         make_map(MapSpec("lorenz_cusp", exponent=0.3), build_grid(2, 8), PARAMS)
 
 
 def test_gauss_lebesgue_split(gauss50):
-    classes = gauss50.lebesgue_classes
+    classes = lebesgue_bound_check(gauss50).classes
     assert classes["L2"] and classes["L3"]
     assert set(classes["L2"]) | set(classes["L3"]) == {b.r for b in gauss50.branches}
 
