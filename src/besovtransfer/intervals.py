@@ -7,7 +7,7 @@ code can rely on disjoint, ordered pieces.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Tuple, Union
 
 Interval = Tuple[float, float]
 
@@ -15,7 +15,7 @@ Interval = Tuple[float, float]
 _EMPTY = 1e-15
 
 
-def normalize(pieces) -> List[Interval]:
+def normalize(pieces: Union[Interval, Iterable[Interval]]) -> List[Interval]:
     """Sort, merge touching/overlapping pieces and drop empty ones; a lone
     pair (lo, hi) is one piece."""
     if isinstance(pieces, tuple) and len(pieces) == 2 and not isinstance(pieces[0], tuple):
