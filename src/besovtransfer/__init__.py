@@ -19,7 +19,6 @@ from .atoms import (
     coefficient_norm,
     evaluate,
     multiplier_apply,
-    souza_atom,
 )
 from .domains import RegularDecomp, StrongRegularityReport, decompose
 from .dynamics import (
@@ -53,7 +52,6 @@ from .transfer import (
     TransferMatrix,
     apply_transfer,
     assemble_matrix,
-    essential_split,
     lebesgue_bound_check,
     slice_rep,
 )

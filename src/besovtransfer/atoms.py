@@ -151,7 +151,8 @@ class PiecewiseFn:
         return PiecewiseFn(self.grid, self.level, self.values + self._values_of(other))
 
     def to_csv(self) -> str:
-        """One row (cell midpoint, value) per cell, as Grid.midpoint gives it."""
+        """One row (cell midpoint, value) per cell: 0.5 * (lo + hi) on cut
+        cells, (j + 0.5) * width elsewhere."""
         grid, k = self.grid, self.level
         e = grid.edges(k)
         mid = (np.arange(e.size - 1) + 0.5) * grid.width(k)
@@ -285,17 +286,6 @@ def basis_cells(grid: Grid, index: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     off = np.asarray(level_offsets(grid, grid.max_level))
     level = np.searchsorted(off, index, side="right") - 1
     return level, index - off[level]
-
-
-def souza_atom(Q: CellId, params: BesovParams, grid: Grid) -> PiecewiseFn:
-    """The atom on Q: |Q|**(s-1/p) on Q, zero elsewhere, at the grid's bottom level."""
-    K = grid.max_level
-    if Q.level > K:
-        raise ValueError("atom level beyond working resolution")
-    vals = np.zeros(grid.n_cells(K))
-    span = grid.arity ** (K - Q.level)
-    vals[Q.index * span:(Q.index + 1) * span] = grid.measure(Q) ** (-params.theta)
-    return PiecewiseFn(grid, K, vals)
 
 
 def atom_rep(Q: CellId, params: BesovParams, grid: Grid, coeff: complex = 1.0) -> AtomicRep:

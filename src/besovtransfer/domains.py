@@ -1,14 +1,15 @@
-"""Greedy maximal-cell decompositions of interval unions.
+"""Greedy maximal-cell decompositions of intervals.
 
-A set is decomposed level by level: at each level all cells contained in
-the remaining residual are taken, and the residual shrinks to the pieces
-beside the taken run.  For an interval this is optimal up to the two
-boundary fringes, and the geometric constants of the decomposition have
-closed forms, which is why the geometric ratio is pinned to
-arity**(-alpha) rather than fitted (two-parameter fits are
-ill-conditioned).
+Every set decomposed here is one interval [lo, hi): the image or domain
+of a monotone branch, a slice of a cell, or their intersection.  It is
+decomposed level by level: at each level all cells contained in the
+remaining residual are taken, and the residual shrinks to the fringes
+beside the taken run.  This is optimal up to the two boundary fringes,
+and the geometric constants of the decomposition have closed forms,
+which is why the geometric ratio is pinned to arity**(-alpha) rather
+than fitted (two-parameter fits are ill-conditioned).
 
-One array kernel, `cover`, decomposes a batch of pieces at once, reading
+One array kernel, `cover`, decomposes a batch of intervals at once, reading
 them off one (piece x level) table of contained runs [a_k, b_k) from the
 grid's one containment rule (Grid.contained_runs).  A piece gives its run
 at its first level k0; past k0 its left fringe gives [a_k, m*a_(k-1)) and
@@ -22,7 +23,7 @@ float edges leave staircase slivers and cut grids stop nesting.  It
 returns the cells as COO arrays (piece, level, index) and the first level
 holding a cell; `c_dom` reads the distortion constants off it, adding
 level sums in cell order (as Python's sum does) from Python's pows.
-`decompose` is the one-set form with the RegularDecomp result.
+`decompose` is the one-interval form with the RegularDecomp result.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import intervals as iv
 from .errors import ResolutionError
 from .grid import CellId, Grid, python_pow
 
@@ -43,35 +43,20 @@ class Cover(NamedTuple):
     piece: np.ndarray         # cells, ordered by piece, then level, then index
     level: np.ndarray
     index: np.ndarray
-    k0: np.ndarray            # per group: first level holding a cell, -1 if none
+    k0: np.ndarray            # per piece: first level holding a cell, -1 if none
     defect_piece: np.ndarray  # residual below the depth, in piece order
     defect_lo: np.ndarray
     defect_hi: np.ndarray
 
 
-def _fold(keys: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Sum vals over each run of equal consecutive keys, left to right.
-
-    Python's sum adds in order while numpy's sums add pairwise; the ledger
-    constants are folded in order (np.add.at adds one value at a time, in
-    order).  Returns the start of each run and its sum.
-    """
-    new = np.ones(keys.size, dtype=bool)
-    new[1:] = keys[1:] != keys[:-1]
-    out = np.zeros(int(new.sum()), dtype=np.result_type(vals, float))
-    np.add.at(out, np.cumsum(new) - 1, vals)
-    return np.flatnonzero(new), out
-
-
-def cover(grid: Grid, lo, hi, depth: int, group: Optional[np.ndarray] = None) -> Cover:
+def cover(grid: Grid, lo, hi, depth: int) -> Cover:
     """Greedy maximal-cell decomposition of the pieces [lo[i], hi[i]).
 
     Level by level down to depth, each residual piece gives up the cells
     contained in it (Grid.contained_runs); the run is snapped to its
     edges, and what lies beside it by more than 1e-15 stays residual.
     What remains below depth is the defect; a depth past grid.max_level
-    raises ValueError.  `group` (nondecreasing, one id per piece, default:
-    each piece its own group) joins the pieces of one set for k0.
+    raises ValueError.
     """
     lo = np.asarray(lo, dtype=float).ravel()
     hi = np.asarray(hi, dtype=float).ravel()
@@ -80,33 +65,31 @@ def cover(grid: Grid, lo, hi, depth: int, group: Optional[np.ndarray] = None) ->
     start = np.cumsum(count) - count
     piece, level = np.repeat(piece, count), np.repeat(level, count)
     index = np.arange(piece.size) - np.repeat(start - i0, count)
-
-    group = np.arange(lo.size) if group is None else np.asarray(group)
-    k0 = np.full(int(group[-1]) + 1 if group.size else 0, depth + 1)
-    np.minimum.at(k0, group, first)
-    k0[k0 > depth] = -1
-    return Cover(piece, level, index, k0, *defect)
+    return Cover(piece, level, index, np.where(first > depth, -1, first), *defect)
 
 
-def c_dom(grid: Grid, cov: Cover, lo, hi, alpha: float,
-          group: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per set of the pieces [lo[i], hi[i]) that cov decomposes (group as
-    given to cover), its distortion constant: the largest level sum of
-    |P|**alpha over lambda**(k - k0) * |set|**alpha, lambda =
-    arity**(-alpha); 0 for a set holding no cell."""
-    size = np.ravel(hi) - np.ravel(lo)
-    group = np.arange(size.size) if group is None else np.asarray(group)
-    _, total = _fold(group, size)
+def c_dom(grid: Grid, cov: Cover, lo, hi, alpha: float) -> np.ndarray:
+    """Per piece [lo[i], hi[i]) that cov decomposes, its distortion
+    constant: the largest level sum of |P|**alpha over
+    lambda**(k - k0) * |piece|**alpha, lambda = arity**(-alpha); 0 for a
+    piece holding no cell.
+
+    The level sums add in cell order (np.add.at adds one value at a time),
+    as Python's sum does, where numpy's sums add pairwise.
+    """
     n = grid.max_level + 1                  # past every level of a cover
-    key = group[cov.piece] * n + cov.level
-    by_level = np.argsort(key, kind="stable")
-    start, level_sum = _fold(key[by_level], python_pow(
-        grid.extents(cov.level[by_level], cov.index[by_level])[2], alpha))
-    g, lev = np.divmod(key[by_level][start], n)
+    key = cov.piece * n + cov.level         # nondecreasing: cells come in this order
+    run = np.ones(key.size, dtype=bool)
+    run[1:] = key[1:] != key[:-1]
+    level_sum = np.zeros(int(run.sum()))
+    np.add.at(level_sum, np.cumsum(run) - 1,
+              python_pow(grid.extents(cov.level, cov.index)[2], alpha))
+    p, lev = cov.piece[run], cov.level[run]
     lam = grid.arity ** (-alpha)
     lam_pow = np.array([lam ** d for d in range(n)])
+    size = python_pow(np.ravel(hi) - np.ravel(lo), alpha)
     out = np.zeros(cov.k0.size)
-    np.maximum.at(out, g, level_sum / (lam_pow[lev - cov.k0[g]] * python_pow(total, alpha)[g]))
+    np.maximum.at(out, p, level_sum / (lam_pow[lev - cov.k0[p]] * size[p]))
     return out
 
 
@@ -173,48 +156,44 @@ class RegularDecomp:
         return sum(grid.measure(c) ** self.alpha for c in self.families.get(k, []))
 
 
-def decompose(grid: Grid, pieces, alpha: float,
+def decompose(grid: Grid, interval: Tuple[float, float], alpha: float,
               defect_cap: Optional[float] = None) -> RegularDecomp:
-    """Greedy maximal-cell decomposition of an interval union.
+    """Greedy maximal-cell decomposition of the interval (lo, hi).
 
-    The residual left below grid.max_level is returned as defect pieces.  A
-    ResolutionError is raised only when the defect exceeds both the
-    relative cap and the structural boundary-fringe allowance (a set with
-    endpoints off the grid always leaves up to one sub-cell sliver per
-    endpoint).
+    The residual left below grid.max_level, at most the two boundary
+    fringes, is returned as defect pieces.  A ResolutionError is raised
+    only when the defect exceeds both the relative cap and the structural
+    boundary-fringe allowance (an interval with endpoints off the grid
+    always leaves up to one sub-cell sliver per endpoint).
     """
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
-    target = iv.normalize(pieces)
-    if not target:
+    lo, hi = (float(e) for e in interval)
+    total = hi - lo
+    if total <= 1e-15:
         raise ValueError("target set has zero measure")
-    total = iv.measure(target)
     K = grid.max_level
-    lo, hi = np.reshape(target, (-1, 2)).T
-    group = np.zeros(len(target), dtype=np.int64)
-    cov = cover(grid, lo, hi, K, group=group)
+    cov = cover(grid, [lo], [hi], K)
     families: Dict[int, List[CellId]] = {}
-    by_level = np.argsort(cov.level, kind="stable")
-    for k, j in zip(cov.level[by_level].tolist(), cov.index[by_level].tolist()):
+    for k, j in zip(cov.level.tolist(), cov.index.tolist()):
         families.setdefault(k, []).append(CellId(k, j))
-    defect = iv.normalize(list(zip(cov.defect_lo.tolist(), cov.defect_hi.tolist())))
-    defect_measure = iv.measure(defect)
+    defect = list(zip(cov.defect_lo.tolist(), cov.defect_hi.tolist()))
+    defect_measure = sum(b - a for a, b in defect)
     cap = 1e-9 * total if defect_cap is None else defect_cap
     w_bot = grid.width_range(K)[1]
-    fringe_allowance = 2.0 * len(target) * w_bot * (1 + 1e-9)
-    if defect_measure > cap and defect_measure > fringe_allowance:
+    if defect_measure > cap and defect_measure > 2.0 * w_bot * (1 + 1e-9):
         raise ResolutionError(f"residual measure {defect_measure:.3e} exceeds cap "
                               f"at level {K}")
     k0 = int(cov.k0[0])
     if k0 < 0:
         # a sliver thinner than one bottom-level cell decomposes to defect
         # only; anything larger that produced no cell is a real failure
-        if total > 2 * len(target) * w_bot:
+        if total > 2 * w_bot:
             raise ResolutionError("no cell of any level fits inside the target set")
         k0 = K
 
     return RegularDecomp(alpha=alpha, families=families, k0=k0,
-                         c_dom=float(c_dom(grid, cov, lo, hi, alpha, group)[0]),
+                         c_dom=float(c_dom(grid, cov, [lo], [hi], alpha)[0]),
                          lambda_dom=grid.arity ** (-alpha),
                          defect_pieces=defect, defect_measure=defect_measure)
 
@@ -229,19 +208,19 @@ class StrongRegularityReport:
     cells_probed: int
 
 
-def _candidate_cells(grid: Grid, targets: Sequence[List[Tuple[float, float]]],
+def _candidate_cells(grid: Grid, sets: Sequence[Tuple[float, float]],
                      t: int, K: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cells whose intersection with a target can be nontrivial, as
-    (target, level, index) arrays.
+    """Cells whose intersection with a set can be nontrivial, as
+    (set, level, index) arrays.
 
     A cell fully inside the set decomposes as itself (ratio 1) and a cell
-    disjoint from it is skipped, so only cells containing a boundary point
-    of the set matter, plus every cell containing a whole component.
-    Both kinds contain some endpoint of the set.  Per target, level by
-    level from t to K, the cells on either side of each endpoint come in
-    the order of a set of the endpoints, each cell once.
+    disjoint from it is skipped, so only cells containing an end of the
+    set matter, plus every cell containing the whole set.  Both kinds
+    contain an end.  Per set, level by level from t to K, the cells on
+    either side of each end come in the order of a Python set of the ends,
+    each cell once.
     """
-    ends = [list({e for piece in target for e in piece}) for target in targets]
+    ends = [list({float(lo), float(hi)}) for lo, hi in sets]
     tgt = np.repeat(np.arange(len(ends)), [len(e) for e in ends])
     x = np.array([e for es in ends for e in es], dtype=float)
     levels = np.arange(t, K + 1)
@@ -255,62 +234,44 @@ def _candidate_cells(grid: Grid, targets: Sequence[List[Tuple[float, float]]],
     return cells[0, first], cells[1, first], cells[2, first]
 
 
-def strong_regularities(grid: Grid, sets: Sequence, alpha: float, t: int = 0,
-                        include_defect_cells: bool = True) -> List[StrongRegularityReport]:
-    """Measure, for each set, sup over probing cells Q of the decomposition
-    cost of Q * set.
+def strong_regularities(grid: Grid, sets: Sequence[Tuple[float, float]], alpha: float,
+                        t: int = 0, include_defect_cells: bool = True
+                        ) -> List[StrongRegularityReport]:
+    """Measure, for each interval (lo, hi) of sets, sup over probing cells
+    Q of the decomposition cost of Q * set.
 
     The cost of one cell is the sum over all levels and all decomposition
     cells P of (|P|/|Q|)**alpha, capped at max_level; residual slivers are
     conservatively counted as whole bottom-level cells so downstream
-    certificates cover truncation re-aggregation.  The sets Q * set of all
-    candidate cells of all sets are decomposed in one `cover` call.
+    certificates cover truncation re-aggregation.  The intervals Q * set
+    of all candidate cells of all sets are decomposed in one `cover` call.
     """
-    targets = [iv.normalize(pieces) for pieces in sets]
     K = grid.max_level
     # cut bottom cells differ in width: residual cells are counted with the
     # narrowest and charged with the widest
     w_lo, w_hi = grid.width_range(K)
-    c_tgt, c_level, c_index = _candidate_cells(grid, targets, t, K)
+    c_set, c_level, c_index = _candidate_cells(grid, sets, t, K)
     q_lo, q_hi, q_meas = grid.extents(c_level, c_index)
-    # the pieces of Q * set, candidate by candidate in the order of the set
-    t_lo, t_hi = np.reshape([p for target in targets for p in target], (-1, 2)).T
-    sizes = np.array([len(target) for target in targets], dtype=np.int64)
-    n_pieces = sizes[c_tgt]
-    cand = np.repeat(np.arange(c_tgt.size), n_pieces)
-    piece = (np.cumsum(sizes) - sizes)[c_tgt][cand] + np.arange(cand.size) \
-        - np.repeat(np.cumsum(n_pieces) - n_pieces, n_pieces)
-    lo = np.maximum(t_lo[piece], q_lo[cand])
-    hi = np.minimum(t_hi[piece], q_hi[cand])
-    meets = hi - lo > 1e-15
-    cand, lo, hi = cand[meets], lo[meets], hi[meets]
-    start, inter = _fold(cand, hi - lo)
-    # a Q inside the set costs exactly 1
-    partial = inter < q_meas[cand[start]] * (1 - 1e-12)
-    probed = cand[start][partial]
-    inter = inter[partial]
-    sel = np.isin(cand, probed)
-    group = np.searchsorted(probed, cand[sel])
-    dec = cover(grid, lo[sel], hi[sel], K, group=group)
-    g = group[dec.piece]
-    by_level = np.argsort(g * (K + 1) + dec.level, kind="stable")
+    s_lo, s_hi = np.reshape(np.asarray(sets, dtype=float), (-1, 2)).T
+    lo, hi = np.maximum(s_lo[c_set], q_lo), np.minimum(s_hi[c_set], q_hi)
+    inter = hi - lo
+    # a Q disjoint from the set is skipped, and a Q inside it costs exactly 1
+    probed = np.flatnonzero((inter > 1e-15) & (inter < q_meas * (1 - 1e-12)))
+    inter = inter[probed]
+    dec = cover(grid, lo[probed], hi[probed], K)
     cost = np.zeros(probed.size)
-    start, level_cost = _fold(g[by_level], python_pow(
-        grid.extents(dec.level[by_level], dec.index[by_level])[2], alpha))
-    cost[g[by_level][start]] = level_cost
-    g = group[dec.defect_piece]
+    np.add.at(cost, dec.piece, python_pow(grid.extents(dec.level, dec.index)[2], alpha))
     defect = np.zeros(probed.size)
-    start, widths = _fold(g, dec.defect_hi - dec.defect_lo)
-    defect[g[start]] = widths
+    np.add.at(defect, dec.defect_piece, dec.defect_hi - dec.defect_lo)
     if include_defect_cells:
         n_res_cells = np.zeros(probed.size, dtype=np.int64)
-        np.add.at(n_res_cells, g,
+        np.add.at(n_res_cells, dec.defect_piece,
                   np.ceil((dec.defect_hi - dec.defect_lo) / w_lo).astype(np.int64) + 1)
         cost += n_res_cells * w_hi ** alpha
     ratio = cost / python_pow(q_meas[probed], alpha)
     rel_defect = defect / np.maximum(inter, 1e-300)
     # the probed cells of a set are a run of probed
-    bounds = np.searchsorted(c_tgt[probed], np.arange(len(targets) + 1))
+    bounds = np.searchsorted(c_set[probed], np.arange(len(sets) + 1))
     reports = []
     for i0, i1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         c_strong, worst = 1.0, None

@@ -210,11 +210,15 @@ def _build_branches(spec: MapSpec) -> List[Branch]:
         offsets = list(spec.offsets) if spec.offsets is not None else [0.0] * len(slopes)
         if len(xs) != len(slopes) + 1 or len(offsets) != len(slopes):
             raise MapSpecError("pw_linear needs len(breakpoints) == len(slopes)+1")
+        if not slopes:
+            raise MapSpecError("pw_linear needs at least one piece")
         branches = []
         for i, s in enumerate(slopes):
             if s <= 0:
                 raise MapSpecError("pw_linear slopes must be positive")
             lo, hi = xs[i], xs[i + 1]
+            if hi <= lo:
+                raise MapSpecError(f"piece {i} [{lo},{hi}) is empty")
             y0, y1 = offsets[i], offsets[i] + s * (hi - lo)
             if y1 > 1 + 1e-9 or y0 < -1e-9:
                 raise MapSpecError(f"piece {i} maps [{lo},{hi}) outside [0,1)")

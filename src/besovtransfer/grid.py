@@ -151,13 +151,6 @@ class Grid:
         w = self.width(cell.level)
         return (cell.index * w, (cell.index + 1) * w)
 
-    def midpoint(self, cell: CellId) -> float:
-        if self.cuts and cell.level == self.max_level:
-            lo, hi = self.interval(cell)
-            return 0.5 * (lo + hi)
-        w = self.width(cell.level)
-        return (cell.index + 0.5) * w
-
     def parent(self, cell: CellId) -> CellId:
         if cell.level == 0:
             raise ValueError("root cell has no parent")

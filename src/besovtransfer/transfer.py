@@ -586,14 +586,6 @@ def transfer_numeric(system: BranchSystem, f: PiecewiseFn) -> PiecewiseFn:
 # -- coefficient split and matrix assembly -------------------------------------
 
 
-def essential_split(rep: AtomicRep, t: int) -> Tuple[AtomicRep, AtomicRep]:
-    """Coefficientwise split into levels < t (head) and levels >= t (tail)."""
-    head = rep.cells()[0] < t
-    mk = lambda keep: AtomicRep(rep.params, rep.grid, rep.index[keep], rep.value[keep],
-                                rep.positive_flag)
-    return mk(head), mk(~head)
-
-
 @dataclass
 class BoundLedger:
     """Certified constants with their defining formulas."""

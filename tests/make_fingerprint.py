@@ -163,8 +163,10 @@ def library_digests(name: str, system) -> Dict[str, str]:
         flat = besov_to_souza(general, dataclasses.replace(params, q=q), grid)
         out[f"{name}/besov_to_souza q={q}:meta"] = _sha(_json(flat.meta))
     images = [b.img for b in system.branches]
+    # the first two images joined into their one interval
+    merged = (min(lo for lo, _ in images[:2]), max(hi for _, hi in images[:2]))
     for t, reports in ((0, system.strong_reports.values()),
-                       (2, strong_regularities(grid, images + [images[:2]], 0.5, t=2))):
+                       (2, strong_regularities(grid, images + [merged], 0.5, t=2))):
         out[f"{name}/strong_regularities t={t}"] = _sha(_json([
             [rep.c_strong, rep.worst_cell, rep.max_rel_defect, rep.cells_probed]
             for rep in reports]))

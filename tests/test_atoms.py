@@ -25,7 +25,6 @@ from besovtransfer.atoms import (
     power_table,
     random_block,
     random_rep,
-    souza_atom,
     subtree_indices,
     subtree_norms,
     tree_rep,
@@ -70,13 +69,13 @@ def test_params_reject_delta_box():
 # -- atoms and evaluation ------------------------------------------------------
 
 def test_atom_on_whole_space_is_one():
-    f = souza_atom(CellId(0, 0), PARAMS, GRID)
+    f = evaluate(atom_rep(CellId(0, 0), PARAMS, GRID))
     assert np.allclose(f.values, 1.0)
 
 
 def test_atom_is_indicator_when_s_equals_recip_p():
     p = BesovParams(s=0.5, p=2.0)
-    f = souza_atom(CellId(3, 2), p, GRID)
+    f = evaluate(atom_rep(CellId(3, 2), p, GRID))
     lo, hi = GRID.interval(CellId(3, 2))
     mids = (np.arange(256) + 0.5) / 256
     inside = (mids >= lo) & (mids < hi)
@@ -85,7 +84,7 @@ def test_atom_is_indicator_when_s_equals_recip_p():
 
 
 def test_atom_value_level2():
-    f = souza_atom(CellId(2, 1), PARAMS, GRID)
+    f = evaluate(atom_rep(CellId(2, 1), PARAMS, GRID))
     # |Q|**(s-1/p) = (1/4)**(-0.1) = 4**0.1
     assert f.values.max() == pytest.approx(4 ** 0.1)
     assert f.values.max() == pytest.approx(1.148698354997035, rel=1e-12)
@@ -568,7 +567,7 @@ def test_piecewise_csv_format():
 
 def test_atom_resolution_guards():
     with pytest.raises(ValueError):
-        souza_atom(CellId(9, 0), PARAMS, GRID)
+        atom_rep(CellId(9, 0), PARAMS, GRID)
     deep = AtomicRep.from_cells(PARAMS, GRID, {CellId(8, 1): 1.0})
     with pytest.raises(ValueError):
         evaluate(deep, resolution=5)

@@ -215,6 +215,22 @@ def test_unusable_map_section_exits_2_with_its_message(tmp_path, capsys, section
     assert err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("section, message", [
+    ({"map": "pw_linear", "breakpoints": [0.0], "slopes": []},
+     "pw_linear needs at least one piece"),
+    ({"map": "pw_linear", "breakpoints": [0.0, 0.5, 0.5, 1.0], "slopes": [2.0, 2.0, 2.0]},
+     "piece 1 [0.5,0.5) is empty"),
+])
+@pytest.mark.parametrize("analysis", ["validate", "ledger", "density"])
+def test_pw_linear_without_a_piece_to_map_exits_2(tmp_path, capsys, section, message,
+                                                  analysis):
+    # a map with no branch, or a branch on an empty domain, is a config error
+    # in every analysis, validate included
+    cfg = write_config(tmp_path, grid={"arity": 2, "max_level": 6}, map=section)
+    assert main([analysis, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("section", [
     {"map": "doubling"}, {"map": "m_ary", "arity": 3}, {"map": "beta", "beta": 1.8},
     {"map": "pw_linear", "breakpoints": [0.0, 0.5, 1.0], "slopes": [2.0, 2.0],
@@ -318,6 +334,17 @@ def test_explain_unknown_name(tmp_path):
     assert rc == EXIT_OK
     with pytest.raises(SystemExit):
         main(["explain", "bogus", "--config", str(cfg), "--out", str(tmp_path)])
+
+
+def test_clt_on_decoupled_halves_exits_4_when_the_gap_collapses(tmp_path, capsys):
+    # each half maps onto itself, so 1 is a double eigenvalue: the twisted
+    # leading eigenvalue of the "half" observable has no gap to isolate it
+    halves = {"map": "pw_linear", "breakpoints": [0.0, 0.25, 0.5, 0.75, 1.0],
+              "slopes": [2.0, 2.0, 2.0, 2.0], "offsets": [0.0, 0.0, 0.5, 0.5]}
+    cfg = write_config(tmp_path, grid={"arity": 2, "max_level": 6}, map=halves,
+                       analyses=["clt"], observable="half")
+    assert main(["clt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+    assert "power iteration stalls at t=0.01" in capsys.readouterr().err
 
 
 def test_bounds_and_clt_outputs(tmp_path):

@@ -7,12 +7,23 @@ import numpy as np
 import pytest
 
 from besovtransfer import domains
-from besovtransfer import intervals as iv
 from besovtransfer.domains import cover, decompose, strong_regularities
 from besovtransfer.grid import CONTAIN_TOL, CellId, Grid, build_grid
 
 GRID = build_grid(2, 12)
 ALPHA = 0.2
+
+
+def normalize(pieces):
+    """Sort a union of pieces, merge touching or overlapping ones and drop
+    empty ones (1e-15 or less wide)."""
+    out = []
+    for a, b in sorted((float(a), float(b)) for a, b in pieces if b - a > 1e-15):
+        if out and a <= out[-1][1] + 1e-15:
+            out[-1] = (out[-1][0], max(out[-1][1], b))
+        else:
+            out.append((a, b))
+    return out
 
 
 def subtract(pieces, hole):
@@ -27,13 +38,13 @@ def subtract(pieces, hole):
             out.append((a, lo))
         if b - hi > 1e-15:
             out.append((hi, b))
-    return iv.normalize(out)
+    return normalize(out)
 
 
 def brute_force_cost(grid, target, alpha, Q):
     """Independent decomposition-cost evaluation by cell scanning."""
     q_lo, q_hi = grid.interval(Q)
-    residual = [(max(a, q_lo), min(b, q_hi)) for a, b in iv.normalize(target)
+    residual = [(max(a, q_lo), min(b, q_hi)) for a, b in normalize(target)
                 if min(b, q_hi) - max(a, q_lo) > 1e-15]
     cost = 0.0
     for k in range(grid.max_level + 1):
@@ -148,10 +159,10 @@ def test_strong_regularity_covers_interior_cells():
 
 
 def test_strong_regularities_equal_one_set_at_a_time():
-    # sets of one to three pieces, on a grid cut off its nominal edges
+    # intervals on and off the edges of a grid cut off its nominal edges
     grid = build_grid(2, 8).with_cuts([0.3001, 0.61])
-    sets = [(0.0, 1 / 3), [(0.1, 0.2), (0.3, 0.55)], (0.5, 1.0),
-            [(0.05, 0.06), (0.07, 0.5), (0.6, 0.61)]]
+    sets = [(0.0, 1 / 3), (0.1, 0.55), (0.5, 1.0), (0.05, 0.61), (0.3001, 0.61),
+            (0.2, 0.2)]
     for t in (0, 3):
         assert strong_regularities(grid, sets, ALPHA, t) == [
             strong_regularities(grid, [s], ALPHA, t)[0] for s in sets]
@@ -201,8 +212,8 @@ def _scalar_decompose(grid, target, alpha, K):
     c_dom = 0.0
     for k, cells in families.items():
         level_sum = sum(grid.measure(c) ** alpha for c in cells)
-        c_dom = max(c_dom, level_sum / (lam ** (k - k0) * iv.measure(target) ** alpha))
-    return families, k0, c_dom, iv.normalize(residual)
+        c_dom = max(c_dom, level_sum / (lam ** (k - k0) * sum(b - a for a, b in target) ** alpha))
+    return families, k0, c_dom, normalize(residual)
 
 
 def _awkward_pieces(grid, rng):
@@ -236,7 +247,7 @@ def test_cover_equals_the_scalar_greedy_loop(grid):
     pieces = _awkward_pieces(grid, rng)
     for depth in (grid.max_level - 2, grid.max_level):
         for alpha in (0.2, 1.0):
-            targets = [iv.normalize([p]) for p in pieces]
+            targets = [normalize([p]) for p in pieces]
             targets = [t for t in targets if t]
             lo, hi = np.array([t[0] for t in targets]).T
             cov = cover(grid, lo, hi, depth)
@@ -256,13 +267,16 @@ def test_cover_equals_the_scalar_greedy_loop(grid):
                                 cov.defect_hi[left].tolist())) == defect
 
 
-def test_decompose_of_a_union_equals_the_scalar_greedy_loop():
+def test_decompose_of_an_interval_equals_the_scalar_greedy_loop():
     rng = np.random.default_rng(31)
     for grid in (build_grid(2, 8), build_grid(3, 5).with_cuts([0.0881])):
         for _ in range(20):
-            target = iv.normalize([tuple(np.sort(rng.uniform(0, 1, 2))) for _ in range(3)])
-            dec = decompose(grid, target, ALPHA, defect_cap=math.inf)
-            families, k0, c_dom, defect = _scalar_decompose(grid, target, ALPHA, grid.max_level)
+            lo, hi = np.sort(rng.uniform(0, 1, 2)).tolist()
+            if hi - lo < 2 * grid.width_range(grid.max_level)[1]:
+                continue      # decompose gives a cell-free sliver k0 = K, the loop none
+            dec = decompose(grid, (lo, hi), ALPHA, defect_cap=math.inf)
+            families, k0, c_dom, defect = _scalar_decompose(grid, [(lo, hi)], ALPHA,
+                                                            grid.max_level)
             assert (dec.families, dec.k0, dec.c_dom, dec.defect_pieces) == \
                 (families, k0, c_dom, defect)
 

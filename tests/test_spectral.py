@@ -21,7 +21,7 @@ from besovtransfer.atoms import (
     random_rep,
 )
 from besovtransfer.dynamics import MapSpec, make_map
-from besovtransfer.errors import AssumptionError, DegenerateFitError
+from besovtransfer.errors import AssumptionError, ConvergenceError, DegenerateFitError
 from besovtransfer.grid import CellId, build_grid
 from besovtransfer.spectral import (
     LYReport,
@@ -109,6 +109,15 @@ def test_swap_system_peripheral_group(swap_tm):
     # the peripheral set is the two-element cyclic group
     assert len(rep.peripheral) == 2
     assert all(q in (1, 2) for (_, q) in rep.roots_of_unity.values())
+
+
+def test_swap_density_from_one_half_does_not_converge(swap_tm):
+    # the swap carries the mass of one half onto the other: the iterates
+    # alternate between the halves, and the power iteration gives up
+    system = swap_tm.system
+    start = (np.arange(system.grid.n_cells(6)) < system.grid.n_cells(6) // 2).astype(float)
+    with pytest.raises(ConvergenceError, match="no convergence in 2000"):
+        invariant_density(system, 6, start=start)
 
 
 def test_halves_eigenspace_dimension(halves_tm):
@@ -291,7 +300,8 @@ def test_density_golden_parry(golden_tm):
     assert x_cut == pytest.approx(1 / PHI, abs=1e-15)
     assert system.grid.interval(CellId(10, edge))[0] == x_cut
     rho10, _ = invariant_density(system, 10)
-    mid = np.asarray([system.grid.midpoint(CellId(10, j)) for j in range(system.grid.n_cells(10))])
+    lo, hi, _ = system.grid.extents(10, np.arange(system.grid.n_cells(10)))
+    mid = 0.5 * (lo + hi)
     truth10 = np.where(mid < 1 / PHI, PHI * c, c)
     assert np.max(np.abs(rho10.values - truth10)) <= 1e-10
 

@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 
 import besovtransfer.atoms as atoms
-import besovtransfer.intervals as iv
 import besovtransfer.grid as grid_module
 import besovtransfer.transfer as transfer
 from besovtransfer.atoms import (
     BesovParams,
     PiecewiseFn,
     atom_rep,
-    coefficient_norm,
     coefficient_norm_vector,
     evaluate,
     evaluate_vector,
@@ -31,7 +29,6 @@ from besovtransfer.transfer import (
     bound_ledger,
     build_cell_operator,
     c_d_constant,
-    essential_split,
     lebesgue_bound_check,
     slice_rep,
     transfer_numeric,
@@ -128,12 +125,11 @@ def _slice_by_atom(rep, system):
             lo, hi = max(q_iv[0], b.img[0]), min(q_iv[1], b.img[1])
             if hi - lo <= 1e-15:
                 continue
-            inter = [(lo, hi)]
             bucket = out[b.r]
-            if abs(iv.measure(inter) - q_meas) < 1e-15:
+            if abs((hi - lo) - q_meas) < 1e-15:
                 bucket[Q] = bucket.get(Q, 0.0) + d
                 continue
-            dec = decompose(grid, inter, 1.0 - params.s * params.p, defect_cap=math.inf)
+            dec = decompose(grid, (lo, hi), 1.0 - params.s * params.p, defect_cap=math.inf)
             for P in dec.all_cells():
                 bucket[P] = bucket.get(P, 0.0) + d * (grid.measure(P) / q_meas) ** theta
             _, js, a_, b_, w_j = grid.overlaps(K, *np.reshape(dec.defect_pieces, (-1, 2)).T)
@@ -486,17 +482,7 @@ def test_gauss_density_fixed_point(gauss):
     assert dist <= 1e-4 + lost * 1.05
 
 
-# -- split and matrix ------------------------------------------------------------
-
-def test_essential_split_edges(doubling):
-    rng = np.random.default_rng(23)
-    rep = random_rep(doubling.grid, PARAMS, rng)
-    head, tail = essential_split(rep, 0)
-    assert not head.coeffs and tail.coeffs == rep.coeffs
-    head, tail = essential_split(rep, doubling.grid.max_level + 1)
-    assert head.coeffs == rep.coeffs and not tail.coeffs
-    head, tail = essential_split(atom_rep(CellId(2, 1), PARAMS, doubling.grid), 3)
-    assert CellId(2, 1) in head.coeffs
+# -- matrix ------------------------------------------------------------------------
 
 
 def test_matrix_doubling_structure(doubling):
@@ -567,12 +553,12 @@ def test_tail_norm_certificate(golden):
     bound = tm.ledger.essential_bound
     for _ in range(10):
         rep = random_rep(golden.grid, PARAMS, rng, n_atoms=15)
-        head, tailrep = essential_split(rep, 2)
-        vec = tailrep.to_vector(8)
+        vec = rep.to_vector(8)
+        vec[:level_offsets(golden.grid, 8)[2]] = 0.0
         nrm_in = coefficient_norm_vector(vec, golden.grid, 8, PARAMS)
         if nrm_in == 0:
             continue
-        # essential_split zeroed the head entries: the matrix acts on the tail alone
+        # the head levels are zeroed: the matrix acts on the tail alone
         nrm_out = coefficient_norm_vector(tm.matrix @ vec, golden.grid, 8, PARAMS)
         assert nrm_out <= bound * nrm_in * (1 + 1e-9)
 
