@@ -1,5 +1,6 @@
 """SHA-256 fingerprint of the CLI outputs, the atom matrix, the ledger, the
-cross-checked transfer, the sliced expansions, a finer-scale flattening,
+cross-checked transfer on the widened and on the probed system, the sliced
+expansions, a finer-scale flattening,
 the strong-regularity, weight-regularity and integrability reports on six
 fixed systems, and of one Runner run of all nine analyses on one of them.
 
@@ -128,14 +129,18 @@ def system_digests(name: str, root: Path) -> Dict[str, str]:
         out[f"{name}/M.{part}"] = _array_sha(getattr(coo, part)[order])
     out[f"{name}/ledger"] = _sha(_json(tm.ledger.as_dict()))
     system = tm.system
+    # the probed system as a run builds it, before assembly widens its ledger
+    probed = cli.Runner(cli.RunConfig.from_json({"grid": grid, "map": spec},
+                                                root / name / "probed")).system()
     for seed, complex_coeffs in EXPANSIONS:
         rep = random_rep(system.grid, system.params, np.random.default_rng(seed),
                          n_atoms=15, complex_coeffs=complex_coeffs)
-        res = apply_transfer(system, rep, mode="analytic", cross_check=True)
-        key = f"{name}/apply_transfer seed {seed}"
-        out[f"{key}:index"] = _array_sha(res.index)
-        out[f"{key}:value"] = _array_sha(res.value)
-        out[f"{key}:meta"] = _sha(_json(res.meta))
+        for key, on in ((f"{name}/apply_transfer seed {seed}", system),
+                        (f"{name}/apply_transfer probed seed {seed}", probed)):
+            res = apply_transfer(on, rep, mode="analytic", cross_check=True)
+            out[f"{key}:index"] = _array_sha(res.index)
+            out[f"{key}:value"] = _array_sha(res.value)
+            out[f"{key}:meta"] = _sha(_json(res.meta))
         for q in (system.params.q, math.inf):
             params = dataclasses.replace(system.params, q=q)
             sliced = slice_rep(dataclasses.replace(rep, params=params),
