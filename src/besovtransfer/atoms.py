@@ -264,7 +264,7 @@ def atom_heights(grid: Grid, level: int, theta: float):
     A scalar on a uniform level, one value per cell on a cut level.
     """
     if grid.is_cut(level):
-        return grid.widths(level) ** (-theta)
+        return grid.width_powers(-theta)
     return float(grid.arity) ** (level * theta)
 
 
@@ -273,18 +273,32 @@ def basis_size(grid: Grid, K: int) -> int:
     return (m ** (K + 1) - 1) // (m - 1)
 
 
-def level_offsets(grid: Grid, K: int) -> List[int]:
-    m = grid.arity
+def level_offsets(grid: Grid, K: int) -> Tuple[int, ...]:
+    """The basis index of the first cell of each level 0..K, then the
+    basis size."""
+    return _level_offsets(grid.arity, K)
+
+
+@lru_cache(maxsize=256)
+def _level_offsets(m: int, K: int) -> Tuple[int, ...]:
     off = [0]
     for k in range(K + 1):
         off.append(off[-1] + m ** k)
+    return tuple(off)
+
+
+@lru_cache(maxsize=256)
+def _offset_array(m: int, K: int) -> np.ndarray:
+    """_level_offsets as a read-only array."""
+    off = np.array(_level_offsets(m, K))
+    off.flags.writeable = False
     return off
 
 
 def basis_cells(grid: Grid, index: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(level, index within the level) of basis indices (level offsets)."""
-    off = np.asarray(level_offsets(grid, grid.max_level))
-    level = np.searchsorted(off, index, side="right") - 1
+    off = _offset_array(grid.arity, grid.max_level)
+    level = off.searchsorted(index, side="right") - 1
     return level, index - off[level]
 
 
@@ -318,16 +332,18 @@ def coefficient_norms(member: np.ndarray, level: np.ndarray, value: np.ndarray,
     """
     p = params.p
     # one group per (expansion, level), its entries in entry order
-    n_levels = int(level.max(initial=0)) + 1
-    groups, first, at = np.unique(member * n_levels + level, return_index=True,
-                                  return_inverse=True)
-    a = np.abs(value)[np.argsort(at, kind="stable")]
-    count = np.bincount(at, minlength=groups.size)
-    mass = _group_reductions(a if p == INF else a ** p, np.cumsum(count) - count, count,
-                             np.max if p == INF else np.sum)
+    key = member * (int(level.max(initial=0)) + 1) + level
+    order = key.argsort(kind="stable")
+    key = key[order]
+    new = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    first = new.nonzero()[0]
+    count = np.bincount(new.cumsum() - 1, minlength=first.size)
+    a = np.abs(value)[order]
+    mass = _group_reductions(a if p == INF else a ** p, first, count, p == INF)
     # each expansion's level masses in the order of their first entry
-    owner = groups // n_levels
-    mass = _roots(mass, p)[np.lexsort((first, owner))]
+    owner = member[order[first]]
+    mass = _roots(mass, p)[np.lexsort((order[first], owner))]
     return level_norms(mass, params.q, np.bincount(owner, minlength=size))
 
 
@@ -340,9 +356,8 @@ def level_norms(masses: np.ndarray, q: float, count: Optional[np.ndarray] = None
     finite.
     """
     if count is not None:
-        first = np.cumsum(count) - count
-        total = _group_reductions(masses if q == INF else masses ** q, first, count,
-                                  np.max if q == INF else np.sum)
+        first = count.cumsum() - count
+        total = _group_reductions(masses if q == INF else masses ** q, first, count, q == INF)
     elif q == INF:
         total = masses.max(axis=-1, initial=0.0)
     else:
@@ -371,11 +386,13 @@ def level_masses(vec: np.ndarray, grid: Grid, K: int, p: float) -> np.ndarray:
     bit.
     """
     off = level_offsets(grid, K)
-    a = np.abs(vec)
+    a = np.abs(vec[:off[-1]])
+    if p != INF:
+        a = a ** p
+    reduce = np.maximum.reduce if p == INF else np.add.reduce
     masses = np.empty(vec.shape[1:] + (K + 1,))
     for k in range(K + 1):
-        seg = a[off[k]:off[k + 1]]
-        masses[..., k] = seg.max(axis=0) if p == INF else np.sum(seg ** p, axis=0)
+        masses[..., k] = reduce(a[off[k]:off[k + 1]], axis=0)
     return masses
 
 
@@ -403,34 +420,40 @@ def evaluate(rep: AtomicRep, resolution: Optional[int] = None) -> PiecewiseFn:
     K = grid.max_level if resolution is None else resolution
     m, theta = grid.arity, rep.params.theta
     level, j = rep.cells()
-    if np.any(level > K):
+    if (level > K).any():
         raise ValueError(f"atom at level {level.max()} below resolution {K}")
     height = np.array([float(m) ** (k * theta) for k in range(K + 1)])[level]
     bottom = level == K
-    height[bottom] = np.broadcast_to(atom_heights(grid, K, theta), grid.n_cells(K))[j[bottom]]
-    any_complex = bool(np.any(np.imag(rep.value) != 0))
+    if bottom.any():
+        height[bottom] = np.broadcast_to(atom_heights(grid, K, theta),
+                                         grid.n_cells(K))[j[bottom]]
     amp = rep.value * height
+    if not (np.imag(rep.value) != 0).any():
+        amp = amp.real
     span = m ** (K - level)
-    start = np.cumsum(span) - span
-    vals = np.zeros(grid.n_cells(K), dtype=np.complex128 if any_complex else np.float64)
+    start = span.cumsum() - span
     # entry by entry, each onto the bottom cells of its atom
-    np.add.at(vals, np.arange(span.sum()) + np.repeat(j * span - start, span),
-              np.repeat(amp if any_complex else amp.real, span))
-    return PiecewiseFn(grid, K, vals)
+    return PiecewiseFn(grid, K, accumulate(np.arange(span.sum()) + (j * span - start).repeat(span),
+                                           amp.repeat(span), grid.n_cells(K)))
 
 
 def evaluate_vector(vec: np.ndarray, grid: Grid, K: int, params: BesovParams) -> np.ndarray:
     """evaluate() on a basis-ordered coefficient vector, or on each row of
-    a 2-D block."""
-    m = grid.arity
-    off = level_offsets(grid, K)
-    vals = np.zeros(vec.shape[:-1] + (m ** K,), dtype=vec.dtype)
-    for k in range(K + 1):
-        seg = vec[..., off[k]:off[k + 1]]
-        if not np.any(seg):
-            continue
-        amp = seg * atom_heights(grid, k, params.theta)
-        vals += np.repeat(amp, m ** (K - k), axis=-1)
+    a 2-D block.
+
+    Each bottom cell adds the amplitudes of its atoms level by level from
+    0: the sums down to level k are spread onto the cells of level k + 1,
+    which add their own amplitudes.
+    """
+    m, off = grid.arity, level_offsets(grid, K)
+    # only level K can be cut
+    heights = np.repeat([atom_heights(grid, k, params.theta) for k in range(K)] + [0.0],
+                        np.diff(off))
+    heights[off[K]:] = atom_heights(grid, K, params.theta)
+    amp = vec[..., :off[-1]] * heights
+    vals = amp[..., :1] + 0.0
+    for k in range(1, K + 1):
+        vals = vals.repeat(m, axis=-1) + amp[..., off[k]:off[k + 1]]
     return vals
 
 
@@ -468,71 +491,130 @@ def coefficient_table(f: PiecewiseFn, theta: float,
                                 for k in range(1, K + 1)]
 
 
-@lru_cache(maxsize=256)
-def _subtree_template(m: int, K: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=64)
+def _subtree_templates(m: int, K: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per level k = 0..K, the subtree of cell (k, 0) in tree_rep order
+    (lead) and how far each of its indices moves per cell to the right
+    (step), the levels one after another; and where each level's begins,
+    then the total length."""
     off = np.cumsum([0] + [m ** u for u in range(K)])
-    sizes = m ** np.arange(K - k + 1)
-    lead = np.concatenate([off[k + u] + np.arange(s) for u, s in enumerate(sizes)])
-    step = np.repeat(sizes, sizes)
-    lead.flags.writeable = step.flags.writeable = False
-    return lead, step
+    lead, step, start = [], [], [0]
+    for k in range(K + 1):
+        sizes = m ** np.arange(K - k + 1)
+        lead += [off[k + u] + np.arange(s) for u, s in enumerate(sizes)]
+        step.append(np.repeat(sizes, sizes))
+        start.append(start[-1] + int(sizes.sum()))
+    lead, step, start = np.concatenate(lead), np.concatenate(step), np.array(start)
+    lead.flags.writeable = step.flags.writeable = start.flags.writeable = False
+    return lead, step, start
 
 
-def subtree_indices(grid: Grid, K: int, k: int, js: np.ndarray) -> np.ndarray:
-    """Basis indices (levels 0..K) of the subtrees of the level-k cells js.
-
-    Row i lists the subtree of cell (k, js[i]) in tree_rep order: its root,
-    then level by level with the index ascending.
-    """
-    lead, step = _subtree_template(grid.arity, K, k)
-    return lead + np.multiply.outer(js, step)
+def subtree_indices(grid: Grid, K: int, k, js) -> np.ndarray:
+    """Basis indices (levels 0..K) of the subtrees of the cells (k, js[i]),
+    or (k[i], js[i]) for an array of levels, one after another: each its
+    root, then level by level with the index ascending (tree_rep order)."""
+    k, js = (np.ravel(x) for x in np.broadcast_arrays(k, js))
+    lead, step, start = _subtree_templates(grid.arity, K)
+    size = start[k + 1] - start[k]
+    at = np.arange(size.sum())
+    at -= (size.cumsum() - size - start[k]).repeat(size)
+    out = js.repeat(size)
+    out *= step[at]
+    out += lead[at]
+    return out
 
 
 class PowerTable(NamedTuple):
     """|a|**p (|a| when p is infinite) of the nonzero coefficients of every
     level of a coefficient_table, or of a stack of them, taken once.
 
-    roots[l] and arrays[l] are (kept, run) pairs for the flattened level:
-    kept holds the powers in table order, and run = _running_count of the
-    nonzero mask, so the kept entries of entries [i, e) are
-    kept[run[i]:run[e]].
+    The levels are roots[0..K] then arrays[0..K], each flattened, and kept
+    holds the powers of all of them in that order.  run counts the kept
+    entries before each place of the levels laid end to end, and start[l]
+    is where level l begins there, so the kept entries of entries [i, e)
+    of level l are kept[run[start[l] + i]:run[start[l] + e]].
     """
-    roots: List[Tuple[np.ndarray, np.ndarray]]
-    arrays: List[Tuple[np.ndarray, np.ndarray]]
+    kept: np.ndarray
+    run: np.ndarray
+    start: np.ndarray
 
 
 def power_table(roots: List[np.ndarray], arrays: List[np.ndarray], p: float) -> PowerTable:
     """The PowerTable of a coefficient_table (roots, arrays), or of a stack
     of them (roots[l] and arrays[l] 2-D, one row per table)."""
-    def level(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        a = np.abs(a)
-        nz = a > 0.0
-        return (a[nz] if p == INF else a[nz] ** p), _running_count(nz)
-    return PowerTable([level(a) for a in roots], [level(a) for a in arrays])
+    kept, nonzero = [], []
+    for a in roots + arrays:
+        a = np.abs(np.ravel(a))
+        nonzero.append(a > 0.0)
+        kept.append(a[nonzero[-1]] if p == INF else a[nonzero[-1]] ** p)
+    run = np.zeros(sum(nz.size for nz in nonzero) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(nonzero), out=run[1:])
+    start = np.cumsum([0] + [nz.size for nz in nonzero[:-1]])
+    return PowerTable(np.concatenate(kept), run, start)
 
 
-def _running_count(keep: np.ndarray) -> np.ndarray:
-    """run[i] = how many entries of keep, flattened, hold before entry i
-    (i = 0..keep.size)."""
-    run = np.zeros(keep.size + 1, dtype=np.int64)
-    np.cumsum(keep, axis=None, out=run[1:])
-    return run
+# numpy's pairwise summation (np.sum) adds at most this many entries in its
+# eight interleaved lanes; a longer run is split in two
+_PW_BLOCK = 128
+# what an empty place of a table reads: it leaves a sum, or a max of
+# nonnegative values, as it is; and an empty group
+_PAD_SUM, _PAD_MAX, _EMPTY = np.array([-0.0]), np.array([0.0]), np.zeros(1, dtype=np.int64)
 
 
 def _group_reductions(values: np.ndarray, first: np.ndarray, count: np.ndarray,
-                      reduce: Callable) -> np.ndarray:
-    """reduce of each group values[first[i]:first[i] + count[i]]; 0 for an
-    empty group.
+                      largest: bool = False) -> np.ndarray:
+    """np.sum (np.max with largest) of each group of nonnegative values
+    values[first[i]:first[i] + count[i]], bit for bit; 0 for an empty group.
 
-    Groups are reduced in batches of equal count, each as a 2-D row
-    reduction, so a sum equals np.sum of the group's entries bit for bit
-    (np.sum adds pairwise: the count sets the grouping).
+    All groups at once, on tables of (place, group): np.sum adds a group
+    of fewer than 8 entries one after another from 0, and a group of up to
+    128 in 8 interleaved lanes, combined pairwise before the rest of the
+    group is added; a longer group is split at half its count rounded down
+    to a multiple of 8, and its halves are summed so and added.  A table's
+    rows are added in turn by one np.add.reduce over its first axis, which
+    adds them one after another from 0 while a row holds two groups or
+    more (an empty group is appended to make sure of it).
     """
-    out = np.zeros(count.size)
-    for c in np.unique(count[count > 0]).tolist():
-        rows = np.flatnonzero(count == c)
-        out[rows] = reduce(values[first[rows, None] + np.arange(c)], axis=1)
-    return out
+    # an empty place reads the last entry of pad
+    pad = np.concatenate((values, _PAD_MAX if largest else _PAD_SUM))
+    size, splits = count.size, []
+    first, count = np.concatenate((first, _EMPTY)), np.concatenate((count, _EMPTY))
+    top = int(count.max())
+    if largest:
+        return np.maximum.reduce(_table(pad, first, count, top), axis=0, initial=0.0)[:size]
+    # numpy's halves of every group longer than a block, until none is;
+    # after a split (big, n) group big[i] is the sum of groups n + i and
+    # n + i + big.size
+    while top > _PW_BLOCK:
+        big = (count > _PW_BLOCK).nonzero()[0]
+        half = count[big] // 16 * 8
+        splits.append((big, count.size))
+        first = np.concatenate((first, first[big], first[big] + half))
+        count = np.concatenate((count, half, count[big] - half))
+        count[big] = 0
+        top = int(count.max())
+    full = count & -8                   # the entries the lanes take
+    # the rest after the lanes' total, which takes place 0
+    rest = _table(pad, first + full - 1, count - full + 1, int((count - full).max()) + 1)
+    rest[0] = 0.0
+    width = top & -8
+    if width:
+        lanes = np.add.reduce(_table(pad, first, full, width).reshape(width // 8, 8, -1), axis=0)
+        lanes = lanes[0::2] + lanes[1::2]
+        lanes = lanes[0::2] + lanes[1::2]
+        rest[0] = lanes[0] + lanes[1]
+    sums = np.add.reduce(rest, axis=0)
+    for big, n in reversed(splits):
+        sums[big] = sums[n:n + big.size] + sums[n + big.size:n + 2 * big.size]
+    return sums[:size]
+
+
+def _table(pad: np.ndarray, first: np.ndarray, count: np.ndarray, width: int) -> np.ndarray:
+    """(place, group) table of pad[first[g] + i] for i < count[g], and of
+    pad[-1] at the other places of the width rows."""
+    at = first + np.arange(width)[:, None]
+    np.copyto(at, -1, where=at >= first + count)
+    return pad[at]
 
 
 def subtree_norms(table: PowerTable, m: int, k: int, cells: np.ndarray,
@@ -542,19 +624,20 @@ def subtree_norms(table: PowerTable, m: int, k: int, cells: np.ndarray,
     Read from the power_table (made with params.p) of a coefficient_table,
     or of a stack of them, where cell j of table t is t * m**k + j; equal
     bit for bit to coefficient_norm(subtree_rep(...)) per cell, which
-    drops zero coefficients and levels without a nonzero one.
+    drops zero coefficients and levels without a nonzero one.  The levels
+    of all the subtrees that hold a nonzero coefficient are reduced in one
+    call.
     """
-    p = params.p
-    reduce = np.max if p == INF else np.sum
-    masses, present = [], []
-    for u in range(len(table.arrays) - k):
-        kept, run = table.roots[k] if u == 0 else table.arrays[k + u]
-        first = run[cells * m ** u]
-        count = run[(cells + 1) * m ** u] - first
-        masses.append(_group_reductions(kept, first, count, reduce))
-        present.append(count > 0)
-    masses, present = _roots(np.stack(masses, axis=1), p), np.stack(present, axis=1)
-    return level_norms(masses[present], params.q, present.sum(axis=1))
+    p, K = params.p, table.start.size // 2 - 1
+    # level k + u of a subtree: roots[k] for its root, then arrays[k + u]
+    u = np.arange(K - k + 1)
+    base = table.start[np.where(u == 0, k, K + 1 + k + u)]
+    cells = np.asarray(cells)[:, None]
+    first = table.run[base + cells * m ** u]
+    count = table.run[base + (cells + 1) * m ** u] - first
+    present = count > 0
+    masses = _group_reductions(table.kept, first[present], count[present], p == INF)
+    return level_norms(_roots(masses, p), params.q, present.sum(axis=1))
 
 
 def canonical_rep(f: PiecewiseFn, params: BesovParams, positive: bool = False) -> AtomicRep:

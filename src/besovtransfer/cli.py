@@ -81,9 +81,10 @@ CONFIG = Field({
     "grid": Field({"arity": Field(int, 2), "max_level": Field(int, 1)}),
     "params": Field({**dict.fromkeys(("s", "p", "beta", "eps", "delta", "gamma"), Field(float)),
                      "q": Field(float, also=("inf", math.inf))}),
-    "map": Field({"map": Field(str), "potential": Field(str), "beta": Field(float),
-                  "arity": Field(int, 1), "r_max": Field(int, 1), "exponent": Field(float),
-                  "constant": Field(float),
+    # a JSON config cannot carry the function of the "custom" potential rule
+    "map": Field({"map": Field(str), "potential": Field(("jacobian", "constant")),
+                  "beta": Field(float), "arity": Field(int, 1), "r_max": Field(int, 1),
+                  "exponent": Field(float), "constant": Field(float),
                   **dict.fromkeys(("breakpoints", "slopes", "offsets"), Field([float]))}),
     "analyses": Field([ANALYSES]),
     "constants": Field({**dict.fromkeys(("C_GC", "C_GBS", "C_GBVA"), Field(float, 0)),

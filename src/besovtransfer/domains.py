@@ -36,6 +36,9 @@ import numpy as np
 from .errors import ResolutionError
 from .grid import CellId, Grid, python_pow
 
+# the sign of a run's indices and edges on the left (0) and right (1) side
+_SIDE = np.array([1, -1])
+
 
 class Cover(NamedTuple):
     """Greedy decomposition of a batch of pieces (see cover)."""
@@ -57,15 +60,54 @@ def cover(grid: Grid, lo, hi, depth: int) -> Cover:
     edges, and what lies beside it by more than 1e-15 stays residual.
     What remains below depth is the defect; a depth past grid.max_level
     raises ValueError.
+
+    One pass over a (piece, level, side) table, side 0 the left fringe and
+    side 1 the right, each run [outer, inner) held as signed indices: the
+    left fringe's from a_k, the right one's from -b_k, so that one
+    comparison and one difference serve both sides.
     """
     lo = np.asarray(lo, dtype=float).ravel()
     hi = np.asarray(hi, dtype=float).ravel()
-    (piece, level, i0, i1), first, defect = _greedy_runs(grid, lo, hi, depth)
-    count = i1 - i0
-    start = np.cumsum(count) - count
-    piece, level = np.repeat(piece, count), np.repeat(level, count)
-    index = np.arange(piece.size) - np.repeat(start - i0, count)
-    return Cover(piece, level, index, np.where(first > depth, -1, first), *defect)
+    if depth > grid.max_level:
+        raise ValueError(f"cover depth {depth} is past max_level {grid.max_level}")
+    n, L = lo.size, depth + 1
+    levels = np.arange(L)
+    a, b = grid.contained_runs(levels, lo[:, None], hi[:, None])
+    outer = np.empty((n, L, 2), dtype=np.int64)
+    outer[..., 0], outer[..., 1] = a, -b
+    hit = np.ones((n, L + 1), dtype=bool)       # level L: past every level
+    np.greater(b, a, out=hit[:, :L])
+    first = hit.argmax(axis=1)                  # L where the piece holds no cell
+    after = levels > first[:, None]
+    # both sides hold the first run; past its level a fringe's run ends at
+    # the coarser run refined
+    inner = -outer[..., ::-1]
+    np.copyto(inner[:, 1:], grid.arity * outer[:, :-1], where=after[:, 1:, None])
+    run = inner > outer
+    edge = grid.edge(levels[:, None], outer * _SIDE)
+    # a fringe ends at its first run that leaves 1e-15 or less beside it
+    snap = np.ones((n, L + 1, 2), dtype=bool)
+    np.less_equal(edge[..., 0] - lo[:, None], 1e-15, out=snap[:, :L, 0])
+    np.less_equal(hi[:, None] - edge[..., 1], 1e-15, out=snap[:, :L, 1])
+    snap[:, :L] &= run
+    stop = snap.argmax(axis=1)                  # L where the fringe stays open
+    emit = run & (levels[:, None] <= stop[:, None])
+    emit[..., 1] &= after                       # the first run once, on side 0
+    at = emit.ravel().nonzero()[0]
+    o, i = outer.ravel()[at], inner.ravel()[at]
+    count = i - o
+    piece = (at // (2 * L)).repeat(count)
+    index = np.arange(piece.size) - (count.cumsum() - count - np.where(at & 1, -i, o)).repeat(count)
+    # an open fringe is defect up to the edge of its last run; a piece
+    # holding no cell is defect whole
+    keep = stop == L
+    keep[:, 1] &= first < L
+    d_piece, side = keep.nonzero()
+    e = edge[d_piece, L - 1 - run[d_piece, ::-1, side].argmax(axis=1), side]
+    left = side == 0
+    return Cover(piece, (at // 2 % L).repeat(count), index, np.where(first < L, first, -1),
+                 d_piece, np.where(left, lo[d_piece], e),
+                 np.where(left & (first[d_piece] < L), e, hi[d_piece]))
 
 
 def c_dom(grid: Grid, cov: Cover, lo, hi, alpha: float) -> np.ndarray:
@@ -82,8 +124,7 @@ def c_dom(grid: Grid, cov: Cover, lo, hi, alpha: float) -> np.ndarray:
     run = np.ones(key.size, dtype=bool)
     run[1:] = key[1:] != key[:-1]
     level_sum = np.zeros(int(run.sum()))
-    np.add.at(level_sum, np.cumsum(run) - 1,
-              python_pow(grid.extents(cov.level, cov.index)[2], alpha))
+    np.add.at(level_sum, np.cumsum(run) - 1, grid.measure_powers(cov.level, cov.index, alpha))
     p, lev = cov.piece[run], cov.level[run]
     lam = grid.arity ** (-alpha)
     lam_pow = np.array([lam ** d for d in range(n)])
@@ -91,47 +132,6 @@ def c_dom(grid: Grid, cov: Cover, lo, hi, alpha: float) -> np.ndarray:
     out = np.zeros(cov.k0.size)
     np.maximum.at(out, p, level_sum / (lam_pow[lev - cov.k0[p]] * size[p]))
     return out
-
-
-def _greedy_runs(grid: Grid, lo: np.ndarray, hi: np.ndarray, depth: int):
-    """The runs of cover as (piece, level, i0, i1) arrays ordered by piece,
-    level and index, each piece's first level (depth + 1 if none) and the
-    defect pieces (piece, lo, hi).  On the (piece, level, side) arrays side
-    0 is the left fringe and side 1 the right; both hold the first run.
-    """
-    if depth > grid.max_level:
-        raise ValueError(f"cover depth {depth} is past max_level {grid.max_level}")
-    levels = np.arange(depth + 1)
-    a, b = grid.contained_runs(levels, lo[:, None], hi[:, None])
-    hit = b > a
-    found = hit.any(axis=1)
-    first = np.where(found, hit.argmax(axis=1), depth + 1)
-    top = int(first.min(initial=depth))       # no piece has a run above it
-    levels, a, b = levels[top:], a[:, top:], b[:, top:]
-    rows = np.arange(lo.size)[:, None]
-    # past its first level a fringe's run ends at the coarser run refined
-    after = levels > first[:, None]
-    start, end = a[..., None].repeat(2, axis=2), b[..., None].repeat(2, axis=2)
-    np.copyto(start[:, 1:, 1], grid.arity * b[:, :-1], where=after[:, 1:])
-    np.copyto(end[:, 1:, 0], grid.arity * a[:, :-1], where=after[:, 1:])
-    run = end > start
-    # a fringe ends at its first run that leaves 1e-15 or less beside it
-    edge = grid.edge(levels[:, None], np.where(run, np.stack((a, b), axis=2), 0))
-    snap = run & ((edge - np.stack((lo, hi), axis=1)[:, None]) * [1.0, -1.0] <= 1e-15)
-    final = snap.argmax(axis=1)
-    open_ = ~snap[rows, final, [0, 1]]
-    final[open_] = depth
-    emit = run & (levels[:, None] <= top + final[:, None])
-    emit[..., 1] &= after                 # the first run once, on side 0
-    at = np.flatnonzero(emit)
-    piece, level = at // (2 * levels.size), top + at // 2 % levels.size
-    # an open fringe is defect up to the edge of its last run
-    e_last = edge[rows, -1 - run[:, ::-1].argmax(axis=1), [0, 1]]
-    keep = open_ & (found[:, None] | [True, False])
-    d_lo = np.stack((lo, e_last[:, 1]), axis=1)[keep]
-    d_hi = np.stack((np.where(found, e_last[:, 0], hi), hi), axis=1)[keep]
-    return ((piece, level, start.ravel()[at], end.ravel()[at]), first,
-            (np.nonzero(keep)[0], d_lo, d_hi))
 
 
 @dataclass
@@ -260,7 +260,7 @@ def strong_regularities(grid: Grid, sets: Sequence[Tuple[float, float]], alpha: 
     inter = inter[probed]
     dec = cover(grid, lo[probed], hi[probed], K)
     cost = np.zeros(probed.size)
-    np.add.at(cost, dec.piece, python_pow(grid.extents(dec.level, dec.index)[2], alpha))
+    np.add.at(cost, dec.piece, grid.measure_powers(dec.level, dec.index, alpha))
     defect = np.zeros(probed.size)
     np.add.at(defect, dec.defect_piece, dec.defect_hi - dec.defect_lo)
     if include_defect_cells:
@@ -268,7 +268,7 @@ def strong_regularities(grid: Grid, sets: Sequence[Tuple[float, float]], alpha: 
         np.add.at(n_res_cells, dec.defect_piece,
                   np.ceil((dec.defect_hi - dec.defect_lo) / w_lo).astype(np.int64) + 1)
         cost += n_res_cells * w_hi ** alpha
-    ratio = cost / python_pow(q_meas[probed], alpha)
+    ratio = cost / grid.measure_powers(c_level[probed], c_index[probed], alpha)
     rel_defect = defect / np.maximum(inter, 1e-300)
     # the probed cells of a set are a run of probed
     bounds = np.searchsorted(c_set[probed], np.arange(len(sets) + 1))

@@ -96,7 +96,8 @@ class Branch:
         a, b = self.h_inv(lo), self.h_inv(hi)
         if not self.increasing:
             a, b = b, a
-        a, b = (np.minimum(np.maximum(x, self.dom[0]), self.dom[1]) for x in (a, b))
+        d0, d1 = self.dom
+        a, b = np.minimum(np.maximum(a, d0), d1), np.minimum(np.maximum(b, d0), d1)
         return (float(a), float(b)) if a.ndim == 0 else (a, b)
 
     def pullback_interval(self, lo, hi):
@@ -301,12 +302,17 @@ def per_branch(branches: Sequence[Branch], br: np.ndarray, method: Callable,
                lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """method (Branch.forward_interval or Branch.pullback_interval) of the
     intervals [lo[i], hi[i]) under the branches at positions br[i], one
-    call per branch."""
-    out_lo, out_hi = np.empty(lo.size), np.empty(lo.size)
-    for r in np.unique(br).tolist():
-        sel = br == r
-        out_lo[sel], out_hi[sel] = method(branches[r], lo[sel], hi[sel])
-    return out_lo, out_hi
+    call per branch on its run of the intervals sorted by branch."""
+    order = np.argsort(br, kind="stable")
+    bounds = np.searchsorted(br[order], np.arange(len(branches) + 1)).tolist()
+    lo, hi = lo[order], hi[order]
+    out = np.empty((2, lo.size))
+    for b, i0, i1 in zip(branches, bounds[:-1], bounds[1:]):
+        if i1 > i0:
+            out[0, i0:i1], out[1, i0:i1] = method(b, lo[i0:i1], hi[i0:i1])
+    unsorted = np.empty_like(out)
+    unsorted[:, order] = out
+    return unsorted[0], unsorted[1]
 
 
 def _check_inside_images(grid: Grid, branches: Sequence[Branch], br, level, lo, hi) -> None:
@@ -398,21 +404,19 @@ def _fit_scaling(grid: Grid, branch: Branch, ks: np.ndarray, ratios: np.ndarray,
     if np.any(kq < 0):
         raise CellNotFoundError(f"branch {branch.r}: a forward image holds no cell "
                                 f"up to level {grid.max_level + 16}")
-    shifts, ratios = np.abs(ks - kq).tolist(), ratios.tolist()
-    base = 0.0
-    for rho, sh in zip(ratios, shifts):
-        if sh > 0:
-            base = max(base, rho ** (1.0 / sh))
+    # Python's pow: rho**(1/shift) per sample, base**shift per shift
+    shift = np.abs(ks - kq)
+    base = max([float(python_pow(ratios[shift == s], 1.0 / s).max())
+                for s in np.unique(shift[shift > 0]).tolist()], default=0.0)
     if base == 0.0:
-        base = max(ratios)
+        base = float(ratios.max())
     if base >= 1.0 - 1e-12:
         raise InfeasibleFitError(
             f"branch {branch.r}: no geometric base < 1 fits the scaling samples"
         )
-    front = 1.0
-    for rho, sh in zip(ratios, shifts):
-        front = max(front, rho / base ** sh)
-    return min(shifts), front, base
+    scale = np.array([base ** s for s in range(int(shift.max()) + 1)])
+    front = max(1.0, float((ratios / scale[shift]).max()))
+    return int(shift.min()), front, base
 
 
 def potential_regularity(gbar: PiecewiseFn, branch: Branch, params: BesovParams,
@@ -448,14 +452,14 @@ def _regularities(gbars: Sequence[PiecewiseFn], branches: Sequence[Branch],
     table = power_table(*([np.stack(level) for level in zip(*part)] for part in zip(*tables)),
                         params.p)
     br, ks, js = _probe_cells(grid, _ends(branches, "dom"), top, None)
-    w_lo, w_hi, w_meas = grid.extents(ks, js)
+    w_lo, w_hi, _ = grid.extents(ks, js)
     q_lo, q_hi = per_branch(branches, br, Branch.pullback_interval, w_lo, w_hi)
     kq = _smallest_covering_levels(grid, q_lo, q_hi)
     jq = np.clip(grid.cell_index(kq, 0.5 * (q_lo + q_hi)), 0, grid.arity ** kq - 1)
     c_lo, c_hi, _ = grid.extents(kq, jq)
     f_lo, f_hi = per_branch(branches, br, Branch.forward_interval, c_lo, c_hi)
     ratio = (c_hi - c_lo) / np.maximum(f_hi - f_lo, 1e-300)
-    dens = python_pow(ratio, exponent) * python_pow(w_meas, params.theta_beta)
+    dens = python_pow(ratio, exponent) * grid.measure_powers(ks, js, params.theta_beta)
     worst = np.zeros((len(branches), top + 1))
     for k in range(top + 1):
         sel = ks == k
@@ -494,7 +498,8 @@ class BranchSystem:
     """A map's branches and ledger on its working grid.  The overlap and
     integrability constants are derived from the branches when it is built;
     a copy with other branches (dataclasses.replace) shares the caches,
-    none of which depends on a ledger constant."""
+    none of which depends on a ledger constant, and starts its own
+    certificates, which do."""
 
     spec: MapSpec
     grid: Grid
@@ -507,9 +512,13 @@ class BranchSystem:
     # transfer.CellOperator, built by transfer.cell_operator) by level
     weight_avgs: Dict[Tuple[int, int], PiecewiseFn] = field(
         default_factory=dict, repr=False, compare=False)
-    coeff_tables: Dict[int, Tuple[List[np.ndarray], np.ndarray]] = field(
+    coeff_tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, repr=False, compare=False)
     cell_ops: Dict[int, object] = field(default_factory=dict, repr=False, compare=False)
+    # the slicing certificate and C_D of apply_transfer by Constants (see
+    # transfer.certificate), each made once for this system's ledger
+    certificates: Dict[object, Tuple[object, float]] = field(
+        init=False, default_factory=dict, repr=False, compare=False)
     m_overlap: int = field(init=False)      # sup over probing cells of #branch images met
     n_overlap: int = field(init=False)      # sup over cells of #branch supports containing it
     t_overlap: float = field(init=False)    # sup over probing cells of theta-weighted overlap
@@ -518,9 +527,16 @@ class BranchSystem:
     image_order: np.ndarray = field(init=False, repr=False, compare=False)
     image_lo: np.ndarray = field(init=False, repr=False, compare=False)
     image_hi: np.ndarray = field(init=False, repr=False, compare=False)
+    # per branch position: whether its weight is read from the coefficient
+    # tables (it is not constant), and its constant weight (0 where it is)
+    tabled: np.ndarray = field(init=False, repr=False, compare=False)
+    constant_weight: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.image_order, self.image_lo, self.image_hi = _sorted_images(self.branches)
+        self.tabled = np.array([not b.potential.is_constant() for b in self.branches])
+        self.constant_weight = np.array([0.0 if t else b.potential.value
+                                         for b, t in zip(self.branches, self.tabled.tolist())])
         self.m_overlap, self.n_overlap, self.t_overlap = _measure_overlaps(self)
         self.images_cell_aligned_from = _images_aligned_from(self)
 
@@ -531,16 +547,16 @@ class BranchSystem:
             self.weight_avgs[key] = weight_averages(self.grid, branch, K)
         return self.weight_avgs[key]
 
-    def table(self, K: int) -> Tuple[List[np.ndarray], np.ndarray]:
+    def table(self, K: int) -> Tuple[np.ndarray, np.ndarray]:
         """coefficient_table of every branch's level-K weight averages at the
-        atom exponent (positive construction for positive weights), stacked
-        by branch: row i of roots[k] and of the basis-ordered arrays belongs
-        to the branch at position i; computed once per system."""
+        atom exponent (positive construction for positive weights), as
+        (roots, arrays) basis-ordered and stacked by branch: row i of each
+        belongs to the branch at position i; computed once per system."""
         if K not in self.coeff_tables:
             tables = [coefficient_table(self.averages(b, K), self.params.theta,
                                         b.potential.positive) for b in self.branches]
-            self.coeff_tables[K] = ([np.stack(level) for level in zip(*(t[0] for t in tables))],
-                                    np.stack([np.concatenate(t[1]) for t in tables]))
+            self.coeff_tables[K] = tuple(np.stack([np.concatenate(t[part]) for t in tables])
+                                         for part in (0, 1))
         return self.coeff_tables[K]
 
     @property

@@ -108,9 +108,10 @@ class Grid:
         """Left edges of the cells (level, i), index arrays that broadcast;
         i = n_cells gives 1."""
         e = i * self.nominal_widths(level)
-        cut = np.asarray(level) == self.max_level
-        if self.cuts and cut.any():
-            e = np.where(cut, self._cut_edges[np.where(cut, i, 0)], e)
+        if self.cuts:
+            cut = np.asarray(level) == self.max_level
+            if cut.any():
+                e = np.where(cut, self._cut_edges[np.where(cut, i, 0)], e)
         return e
 
     def edges(self, level: int) -> np.ndarray:
@@ -168,7 +169,8 @@ class Grid:
         found by bisecting the actual edges on a cut level.  The indices
         are int64, so no level may hold 2**62 cells or more.
         """
-        deepest = level if isinstance(level, int) else int(np.max(level, initial=0))
+        level = np.asarray(level)
+        deepest = int(np.maximum.reduce(level, axis=None, initial=0))
         if self.n_cells(deepest) >= 2 ** 62:
             raise ValueError(f"cell indices of level {deepest} overflow int64")
         i0, i1 = self._runs(level, lo, hi)
@@ -177,14 +179,18 @@ class Grid:
     def _runs(self, level, lo, hi) -> Tuple[np.ndarray, np.ndarray]:
         """contained_runs with the indices as floats, on any level."""
         n = self.cell_counts(level)
-        i0 = np.ceil(lo * n - CONTAIN_TOL)
-        i1 = np.floor(hi * n + CONTAIN_TOL)
-        cut = np.asarray(level) == self.max_level
-        if self.cuts and cut.any():
-            tol = CONTAIN_TOL * self.width(self.max_level)
-            i0 = np.where(cut, np.searchsorted(self._cut_edges, lo - tol, side="left"), i0)
-            i1 = np.where(cut, np.searchsorted(self._cut_edges, hi + tol, side="right") - 1, i1)
-        return np.maximum(i0, 0), np.minimum(i1, n)
+        i0 = np.asarray(lo * n - CONTAIN_TOL)
+        i1 = np.asarray(hi * n + CONTAIN_TOL)
+        np.ceil(i0, out=i0)
+        np.floor(i1, out=i1)
+        if self.cuts:
+            cut = np.asarray(level) == self.max_level
+            if cut.any():
+                tol = CONTAIN_TOL * self.width(self.max_level)
+                np.copyto(i0, np.searchsorted(self._cut_edges, lo - tol, side="left"), where=cut)
+                np.copyto(i1, np.searchsorted(self._cut_edges, hi + tol, side="right") - 1,
+                          where=cut)
+        return np.maximum(i0, 0, out=i0), np.minimum(i1, n, out=i1)
 
     def containment_levels(self, lo, hi, up_to: int) -> np.ndarray:
         """Per piece [lo[i], hi[i]), the first level up to up_to at which a
@@ -196,13 +202,85 @@ class Grid:
 
     def extents(self, level, j) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Array form of interval and measure: (lo, hi, |cell|) of the cells
-        (level[i], j[i]), equal to theirs bit for bit; level and j broadcast."""
-        level, j = np.broadcast_arrays(level, j)
+        (level[i], j[i]), equal to theirs bit for bit; level and j broadcast.
+        The ends are those of edge, with the cut cells found once."""
+        level, j = np.asarray(level), np.asarray(j)
+        if level.shape != j.shape:
+            level, j = np.broadcast_arrays(level, j)
         w = self.nominal_widths(level)
+        lo, hi = j * w, (j + 1) * w
         if self.cuts:
             cut = level == self.max_level
-            w = np.where(cut, self._cut_level_widths[np.where(cut, j, 0)], w)
-        return self.edge(level, j), self.edge(level, j + 1), w
+            if cut.any():
+                at = np.where(cut, j, 0)
+                lo = np.where(cut, self._cut_edges[at], lo)
+                hi = np.where(cut, self._cut_edges[at + 1], hi)
+                w = np.where(cut, self._cut_level_widths[at], w)
+        return lo, hi, w
+
+    @cached_property
+    def _measures(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The distinct cell measures: the nominal widths of the levels 0 to
+        max_level + 16, then the other widths of a cut bottom level; and on
+        a cut grid, per bottom cell the position of its width among them."""
+        nominal = self._levels[1]
+        if not self.cuts:
+            return nominal, None
+        widths, at = np.unique(self._cut_level_widths, return_inverse=True)
+        return np.concatenate((nominal, widths)), nominal.size + at
+
+    def _measure_class(self, level, j) -> np.ndarray:
+        """Per cell (level[i], j[i]) the position of its measure in _measures."""
+        level, j = np.asarray(level), np.asarray(j)
+        if level.shape != j.shape:
+            level, j = np.broadcast_arrays(level, j)
+        if not self.cuts:
+            return level
+        cut = level == self.max_level
+        return np.where(cut, self._measures[1][np.where(cut, j, 0)], level)
+
+    @cached_property
+    def _power_tables(self) -> Dict[Tuple[str, float], np.ndarray]:
+        return {}
+
+    def measure_powers(self, level, j, e: float) -> np.ndarray:
+        """|cell|**e of the cells (level[i], j[i]) by Python's pow, equal to
+        python_pow(extents(level, j)[2], e) bit for bit; level and j
+        broadcast.  Read from a table of the powers of the distinct cell
+        measures, made once per grid and exponent."""
+        table = self._power_tables.get(("measure", e))
+        if table is None:
+            table = np.array([w ** e for w in self._measures[0].tolist()])
+            self._power_tables["measure", e] = table
+        return table[self._measure_class(level, j)]
+
+    def width_powers(self, e: float) -> np.ndarray:
+        """widths(max_level) ** e by NumPy's pow on a cut grid, read-only,
+        made once per grid and exponent."""
+        table = self._power_tables.get(("width", e))
+        if table is None:
+            table = self._power_tables["width", e] = self._cut_level_widths ** e
+            table.flags.writeable = False
+        return table
+
+    def measure_ratio_powers(self, level, j, level_q, j_q, e: float) -> np.ndarray:
+        """(|cell| / |cell_q|)**e of the cells (level[i], j[i]) over the
+        cells (level_q[i], j_q[i]) by Python's pow, equal to
+        python_pow(extents(level, j)[2] / extents(level_q, j_q)[2], e) bit
+        for bit.  Read from a table by the two measures, made once per grid
+        and exponent and filled as pairs are asked for."""
+        table = self._power_tables.get(("ratio", e))
+        if table is None:
+            n = self._measures[0].size
+            table = self._power_tables["ratio", e] = np.full((n, n), np.nan)
+        at = (self._measure_class(level, j), self._measure_class(level_q, j_q))
+        out = table[at]
+        new = np.isnan(out)
+        if new.any():
+            w = self._measures[0]
+            a, b = at[0][new], at[1][new]
+            out[new] = table[a, b] = python_pow(w[a] / w[b], e)
+        return out
 
     def cell_index(self, level, x) -> np.ndarray:
         """Per x, the index of the cell of the level holding it, unclipped
@@ -226,25 +304,31 @@ class Grid:
         An upper end within 1e-12 nominal widths past a cell edge does not
         reach into the next cell; empty and reversed pieces meet no cell.
         """
-        lo, hi = (np.ravel(x).astype(float) for x in np.broadcast_arrays(lo, hi))
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        if lo.shape != hi.shape:
+            lo, hi = np.broadcast_arrays(lo, hi)
+        lo, hi = lo.ravel(), hi.ravel()
         n = self.n_cells(level)
         w = self.width(level)
-        edges = self.edges(level)
-        if self.is_cut(level):
-            j0 = np.searchsorted(edges, lo, side="right") - 1
-            j1 = np.searchsorted(edges, hi - 1e-12 * w, side="left")
+        cut = self.is_cut(level)
+        if cut:
+            j0 = np.searchsorted(self._cut_edges, lo, side="right") - 1
+            j1 = np.searchsorted(self._cut_edges, hi - 1e-12 * w, side="left")
         else:
             j0 = (lo / w).astype(np.int64)
             j1 = np.ceil(hi / w - 1e-12).astype(np.int64)
-        j0 = np.maximum(j0, 0)
+        np.maximum(j0, 0, out=j0)
         count = np.maximum(np.minimum(j1, n) - j0, 0)
-        piece = np.repeat(np.arange(lo.size), count)
-        start = np.cumsum(count) - count
-        j = np.arange(piece.size) - np.repeat(start - j0, count)
-        a = np.maximum(edges[j], lo[piece])
-        b = np.minimum(edges[j + 1], hi[piece])
-        keep = b > a
-        return piece[keep], j[keep], a[keep], b[keep], self.widths(level)[j[keep]]
+        piece = np.arange(lo.size).repeat(count)
+        j = np.arange(piece.size) - (count.cumsum() - count - j0).repeat(count)
+        # the cell ends: the cut level's edges, or index times width as edges() has them
+        a = self._cut_edges[j] if cut else j * w
+        b = self._cut_edges[j + 1] if cut else (j + 1) * w
+        np.maximum(a, lo[piece], out=a)
+        np.minimum(b, hi[piece], out=b)
+        keep = (b > a).nonzero()[0]
+        piece, j = piece[keep], j[keep]
+        return piece, j, a[keep], b[keep], self._cut_level_widths[j] if cut else np.full(j.size, w)
 
     def integrate(self, level: int, values: np.ndarray,
                   select: Optional[np.ndarray] = None):

@@ -196,27 +196,28 @@ def _slice_atoms(system: BranchSystem, level, index, coeff, K: int) -> _Slices:
     q_level, q_index = np.asarray(level, dtype=np.int64), np.asarray(index, dtype=np.int64)
     coeff = np.asarray(coeff)
     q_lo, q_hi, q_meas = grid.extents(q_level, q_index)
-    first = np.searchsorted(system.image_hi, q_lo, side="right")
-    count = np.maximum(np.searchsorted(system.image_lo, q_hi, side="left") - first, 0)
-    atom = np.repeat(np.arange(q_lo.size), count)
-    pos = np.arange(atom.size) - np.repeat(np.cumsum(count) - count - first, count)
+    first = system.image_hi.searchsorted(q_lo, side="right")
+    count = np.maximum(system.image_lo.searchsorted(q_hi, side="left") - first, 0)
+    atom = np.arange(q_lo.size).repeat(count)
+    pos = np.arange(atom.size) - (count.cumsum() - count - first).repeat(count)
     s_lo = np.maximum(q_lo[atom], system.image_lo[pos])
     s_hi = np.minimum(q_hi[atom], system.image_hi[pos])
     br = system.image_order[pos]
     order = np.lexsort((br, atom))
     order = order[s_hi[order] - s_lo[order] > 1e-15]
     atom, br, s_lo, s_hi = atom[order], br[order], s_lo[order], s_hi[order]
-    amp = coeff[atom] * python_pow(q_meas, -theta)[atom]
+    amp = coeff[atom] * grid.measure_powers(q_level, q_index, -theta)[atom]
 
     part = np.abs((s_hi - s_lo) - q_meas[atom]) >= 1e-15
-    cov = cover(grid, s_lo[part], s_hi[part], K)
-    part_pair = np.flatnonzero(part)
-    p_pair = np.concatenate([np.flatnonzero(~part), part_pair[cov.piece]])
-    p_level = np.concatenate([q_level[atom[~part]], cov.level])
-    p_index = np.concatenate([q_index[atom[~part]], cov.index])
-    order = np.argsort(p_pair, kind="stable")
-    p_pair, p_level, p_index = p_pair[order], p_level[order], p_index[order]
-    wgt = python_pow(grid.extents(p_level, p_index)[2] / q_meas[atom[p_pair]], theta)
+    whole, part_pair = (~part).nonzero()[0], part.nonzero()[0]
+    cov = cover(grid, s_lo[part_pair], s_hi[part_pair], K)
+    p_pair = np.concatenate((whole, part_pair[cov.piece]))
+    order = p_pair.argsort(kind="stable")
+    p_pair = p_pair[order]
+    p_level = np.concatenate((q_level[atom[whole]], cov.level))[order]
+    p_index = np.concatenate((q_index[atom[whole]], cov.index))[order]
+    q = atom[p_pair]
+    wgt = grid.measure_ratio_powers(p_level, p_index, q_level[q], q_index[q], theta)
     return _Slices(atom, br, amp, p_pair, p_level, p_index, coeff[atom[p_pair]] * wgt,
                   part_pair[cov.defect_piece], cov.defect_lo, cov.defect_hi)
 
@@ -330,14 +331,22 @@ def transfer_atom(system: BranchSystem, level, index, coeff=1.0, K: Optional[int
     K = grid.max_level if K is None else K
     theta = params.theta
     off = np.asarray(level_offsets(grid, K))
-    q_level, q_index, coeff = (np.ravel(x) for x in np.broadcast_arrays(level, index, coeff))
+    q_level, q_index, coeff = np.asarray(level), np.asarray(index), np.asarray(coeff)
+    if not q_level.shape == q_index.shape == coeff.shape:
+        q_level, q_index, coeff = np.broadcast_arrays(q_level, q_index, coeff)
+    q_level, q_index, coeff = q_level.ravel(), q_index.ravel(), coeff.ravel()
     sl = _slice_atoms(system, q_level, q_index, coeff, K)
     p_atom, p_br, p_level = sl.atom[sl.pair], sl.branch[sl.pair], sl.level
     p_lo, p_hi, p_meas = grid.extents(p_level, sl.index)
-    amp = sl.coeff * python_pow(p_meas, -theta)     # the atom's value
+    amp = sl.coeff * grid.measure_powers(p_level, sl.index, -theta)     # the atom's value
 
-    v_lo, v_hi = per_branch(system.branches, p_br, Branch.forward_interval, p_lo, p_hi)
-    f = np.flatnonzero(v_hi - v_lo > 0)
+    # the slice cells and the slices' defect pieces pushed forward at once
+    d_pair, n_p = sl.defect_pair, p_br.size
+    ends = per_branch(system.branches, np.concatenate((p_br, sl.branch[d_pair])),
+                      Branch.forward_interval, np.concatenate((p_lo, sl.defect_lo)),
+                      np.concatenate((p_hi, sl.defect_hi)))
+    (v_lo, d_lo), (v_hi, d_hi) = ((x[:n_p], x[n_p:]) for x in ends)
+    f = (v_hi - v_lo > 0).nonzero()[0]
     cov_v = cover(grid, v_lo[f], v_hi[f], K)
     images = Images(p_br[f], p_level[f], p_meas[f], v_lo[f], v_hi[f], cov_v)
 
@@ -345,35 +354,35 @@ def transfer_atom(system: BranchSystem, level, index, coeff=1.0, K: Optional[int
     # subtree from the branch's coefficient table otherwise
     c_p = f[cov_v.piece]
     c_br, c_level, c_index = p_br[c_p], cov_v.level, cov_v.index
-    tabled = np.array([not b.potential.is_constant() for b in system.branches], dtype=bool)
+    tabled = system.tabled[c_br]
     sub = off[K + 1 - np.arange(K + 1)]        # subtree sizes down to K, by level
-    size = np.where(tabled[c_br], sub[c_level], 1)
-    start = np.cumsum(size) - size
-    flat = ~tabled[c_br]
-    g0 = np.array([b.potential.value if b.potential.is_constant() else 0.0
-                   for b in system.branches])
-    roots, table = ([], np.zeros(0)) if flat.all() else system.table(K)
+    size = np.where(tabled, sub[c_level], 1)
+    start = size.cumsum() - size
+    t, flat = tabled.nonzero()[0], (~tabled).nonzero()[0]
+    roots, table = system.table(K) if t.size else (None, np.zeros(0))
     rows = np.empty(int(size.sum()), dtype=np.int64)
-    vals = np.empty(rows.size, dtype=np.result_type(amp, g0, table))
+    vals = np.empty(rows.size, dtype=np.result_type(amp, system.constant_weight, table))
     keep = np.ones(rows.size, dtype=bool)
-    if flat.any():
-        rows[start[flat]] = off[c_level[flat]] + c_index[flat]
-        vals[start[flat]] = amp[c_p[flat]] * g0[c_br[flat]] * python_pow(
-            grid.extents(c_level[flat], c_index[flat])[2], theta)
-    for k in np.unique(c_level[~flat]).tolist():
-        sel = np.flatnonzero(~flat & (c_level == k))
-        subtree = subtree_indices(grid, K, k, c_index[sel])
-        coefs = table[c_br[sel][:, None], subtree]           # whole-tree coefficients
-        coefs[:, 0] = roots[k][c_br[sel], c_index[sel]]      # each subtree's root
-        at = start[sel][:, None] + np.arange(sub[k])
-        rows[at], vals[at], keep[at] = subtree, amp[c_p[sel]][:, None] * coefs, coefs != 0.0
-    out_atom = np.repeat(p_atom[c_p], size)[keep]
+    rows[start[flat]] = off[c_level[flat]] + c_index[flat]
+    vals[start[flat]] = amp[c_p[flat]] * system.constant_weight[c_br[flat]] \
+        * grid.measure_powers(c_level[flat], c_index[flat], theta)
+    if t.size:
+        # the subtrees laid end to end, each led by its root, and where
+        # each entry goes in the output
+        subtree = subtree_indices(grid, K, c_level[t], c_index[t])
+        count = size[t]
+        head = count.cumsum() - count
+        at = np.arange(subtree.size)
+        at += (start[t] - head).repeat(count)
+        rows[at] = subtree
+        coefs = table[c_br[t].repeat(count), subtree]
+        coefs[head] = roots[c_br[t], subtree[head]]
+        keep[at] = coefs != 0.0
+        vals[at] = amp[c_p[t]].repeat(count) * coefs
+    out_atom = p_atom[c_p].repeat(size)[keep]
 
     # slivers: per (atom, branch) pair those of its image cells, then the
     # slice's own, pushed forward
-    d_pair = sl.defect_pair
-    d_lo, d_hi = per_branch(system.branches, sl.branch[d_pair], Branch.forward_interval,
-                            sl.defect_lo, sl.defect_hi)
     v_p = f[cov_v.defect_piece]
     pair = np.concatenate([sl.pair[v_p], d_pair])
     order = np.argsort(pair, kind="stable")
@@ -397,25 +406,30 @@ def _reaggregate(system: BranchSystem, K: int, slivers: Slivers, n_atoms: int
     defect adds up its per-branch sums in that order.
     """
     grid, theta = system.grid, system.params.theta
-    present, first = np.unique(slivers.branch, return_index=True)
-    present = present[np.argsort(first)]
+    # the branches present, ranked by their first sliver
+    by_branch = slivers.branch.argsort(kind="stable")
+    branch = slivers.branch[by_branch]
+    new = np.ones(branch.size, dtype=bool)
+    np.not_equal(branch[1:], branch[:-1], out=new[1:])
+    present = branch[new][by_branch[new].argsort()]
     rank = np.zeros(len(system.branches), dtype=np.int64)
     rank[present] = np.arange(present.size)
     piece, j, a_, b_, w_j = grid.overlaps(K, slivers.lo, slivers.hi)
-    order = np.argsort(rank[slivers.branch[piece]], kind="stable")
-    piece, j, a_, b_, w_j = (x[order] for x in (piece, j, a_, b_, w_j))
-    bounds = np.searchsorted(rank[slivers.branch[piece]], np.arange(present.size + 1))
+    at = rank[slivers.branch[piece]]
+    order = at.argsort(kind="stable")
+    piece, j, a_, b_, w_j, at = (x[order] for x in (piece, j, a_, b_, w_j, at))
+    bounds = at.searchsorted(np.arange(present.size + 1)).tolist()
     mass = np.concatenate([np.zeros(0)] + [
         system.branches[r].weight_integral(a_[i0:i1], b_[i0:i1])
-        for r, i0, i1 in zip(present.tolist(), bounds[:-1].tolist(), bounds[1:].tolist())])
-    keep = mass != 0.0
-    piece, j, mass, w_j = piece[keep], j[keep], mass[keep], w_j[keep]
+        for r, i0, i1 in zip(present.tolist(), bounds[:-1], bounds[1:])])
+    keep = (mass != 0.0).nonzero()[0]
+    piece, j, mass, w_j, at = piece[keep], j[keep], mass[keep], w_j[keep], at[keep]
     atom, amp = slivers.atom[piece], slivers.amp[piece]
     defect = np.zeros(n_atoms)
     if present.size:
-        sums = np.bincount(atom * present.size + rank[slivers.branch[piece]],
-                           weights=np.abs(amp) * mass, minlength=n_atoms * present.size)
-        defect = np.cumsum(sums.reshape(n_atoms, -1), axis=1)[:, -1]
+        sums = np.bincount(atom * present.size + at, weights=np.abs(amp) * mass,
+                           minlength=n_atoms * present.size)
+        defect = sums.reshape(n_atoms, -1).cumsum(axis=1)[:, -1]
     return atom, j, amp * (mass / w_j) * w_j ** theta, defect
 
 
@@ -454,9 +468,9 @@ def apply_transfer(system: BranchSystem, rep: AtomicRep, mode: str = "analytic",
                         and np.all(np.isreal(vec)) and np.all(np.real(vec) >= -1e-12))
         result = AtomicRep.from_vector(params, grid, vec)
         result.positive_flag = positive
-        cert = slicing_certificates(system, constants)
+        cert, c_d = certificate(system, constants)
         result.meta.update({
-            "certificate_factor": constants.c_gbs * c_d_constant(system) * cert.c_rs1,
+            "certificate_factor": constants.c_gbs * c_d * cert.c_rs1,
             "c_rs1": cert.c_rs1,
             "mode": cert.mode,
             "input_norm": coefficient_norm(rep),
@@ -477,6 +491,17 @@ def apply_transfer(system: BranchSystem, rep: AtomicRep, mode: str = "analytic",
             result = canonical_rep(g, params)
             result.meta["defect_l1"] = defect_l1
     return result
+
+
+def certificate(system: BranchSystem, constants: Constants) -> Tuple[SliceCertificate, float]:
+    """slicing_certificates(system, constants) and c_d_constant(system) of
+    apply_transfer, made once per system and constants: both read only the
+    system's ledger, and a system with another ledger is another object
+    with certificates of its own (BranchSystem.certificates)."""
+    if constants not in system.certificates:
+        system.certificates[constants] = (slicing_certificates(system, constants),
+                                          c_d_constant(system))
+    return system.certificates[constants]
 
 
 def c_d_constant(system: BranchSystem) -> float:

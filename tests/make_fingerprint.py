@@ -1,8 +1,8 @@
 """SHA-256 fingerprint of the CLI outputs, the atom matrix, the ledger, the
 cross-checked transfer on the widened and on the probed system, the sliced
-expansions, a finer-scale flattening,
-the strong-regularity, weight-regularity and integrability reports on six
-fixed systems, and of one Runner run of all nine analyses on one of them.
+expansions, a finer-scale flattening, the strong-regularity,
+weight-regularity and integrability reports on six fixed systems, and of
+one Runner run of all nine analyses on one of them.
 
 `tests/test_fingerprint.py` recomputes every digest and names each entry
 that differs from `tests/fingerprint.json`.  A change that moves outputs

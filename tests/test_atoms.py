@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import besovtransfer.atoms as atoms
 from besovtransfer.atoms import (
     subtree_rep,
     AtomicRep,
@@ -14,6 +15,7 @@ from besovtransfer.atoms import (
     PiecewiseFn,
     atom_rep,
     atom_heights,
+    basis_size,
     besov_to_souza,
     canonical_rep,
     canonical_vector,
@@ -21,6 +23,7 @@ from besovtransfer.atoms import (
     coefficient_table,
     evaluate,
     evaluate_vector,
+    level_offsets,
     multiplier_apply,
     power_table,
     random_block,
@@ -383,7 +386,7 @@ def test_coefficient_table_slices_are_the_subtree_expansions():
                 flat = np.concatenate(arrays)
                 for k in range(K + 1):
                     js = np.arange(m ** k)
-                    gathered = flat[subtree_indices(f.grid, K, k, js)]
+                    gathered = flat[subtree_indices(f.grid, K, k, js)].reshape(js.size, -1)
                     gathered[:, 0] = roots[k]
                     for j in js:
                         W = CellId(k, int(j))
@@ -588,3 +591,63 @@ def test_piecewise_functions_on_other_cells_are_refused():
     assert l1_distance(f + f, f * 2.0) == 0.0
     with pytest.raises(ValueError):
         support_structure(f, build_grid(2, 10))
+
+
+@pytest.mark.parametrize("counts", [(0,), (1, 2, 3, 5, 7, 8), (9, 15, 16, 17, 64, 127, 128),
+                                    (129, 136, 255, 256, 257, 1000, 1024, 4099),
+                                    (0, 1, 8, 9, 128, 129, 4099, 3, 0)],
+                         ids=["empty", "1-8", "9-128", "over-128", "mixed"])
+def test_group_reductions_equal_numpy_per_group(counts):
+    # np.sum adds pairwise in blocks of 128 with 8 lanes, so each count
+    # range takes another branch of the reduction; one group alone, and
+    # many groups in any order, overlapping or apart
+    rng = np.random.default_rng(len(counts))
+    for size in (1, 2, 40):
+        count = rng.choice(counts, size)
+        first = rng.integers(0, 50, size) + np.concatenate([[0], np.cumsum(count)[:-1]])
+        values = rng.random(int(first.max(initial=0) + count.max(initial=0)) + 1)
+        values *= 10.0 ** rng.integers(-12, 12, values.size)
+        values[rng.random(values.size) < 0.1] = 0.0
+        for largest, reduce in ((False, np.sum), (True, np.max)):
+            want = [float(reduce(values[f:f + c])).hex() if c else (0.0).hex()
+                    for f, c in zip(first.tolist(), count.tolist())]
+            got = atoms._group_reductions(values, first, count, largest)
+            assert got.shape == count.shape and got.dtype == np.float64
+            assert [v.hex() for v in got.tolist()] == want
+
+
+def test_evaluate_vector_equals_the_level_by_level_loop():
+    # the spread of the partial sums adds the levels in the loop's order
+    def loop(vec, grid, K, params):
+        off, m = level_offsets(grid, K), grid.arity
+        vals = np.zeros(vec.shape[:-1] + (m ** K,), dtype=vec.dtype)
+        for k in range(K + 1):
+            amp = vec[..., off[k]:off[k + 1]] * atom_heights(grid, k, params.theta)
+            vals += np.repeat(amp, m ** (K - k), axis=-1)
+        return vals
+
+    rng = np.random.default_rng(47)
+    for grid in (GRID, working_grid(MapSpec("beta", beta=1.8), build_grid(2, 8)),
+                 build_grid(3, 4).with_cuts([0.0881, 0.61])):
+        for K in (grid.max_level, grid.max_level - 1, 1):
+            n = basis_size(grid, K)
+            for vec in (rng.standard_normal(n), rng.standard_normal((5, n)),
+                        rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+                vec[rng.random(vec.shape) < 0.3] = 0.0
+                assert _hex(evaluate_vector(vec, grid, K, PARAMS).ravel()) == \
+                    _hex(loop(vec, grid, K, PARAMS).ravel())
+
+
+def test_subtree_indices_of_cells_on_many_levels_come_one_after_another():
+    m, K = 3, 4
+    grid = build_grid(m, K)
+    off = level_offsets(grid, K)
+    rng = np.random.default_rng(53)
+    level = rng.integers(0, K + 1, 30)
+    js = np.array([rng.integers(0, m ** k) for k in level.tolist()])
+    # each cell's root, then the cells below it level by level
+    want = [off[k + u] + j * m ** u + i for k, j in zip(level.tolist(), js.tolist())
+            for u in range(K - k + 1) for i in range(m ** u)]
+    assert subtree_indices(grid, K, level, js).tolist() == want
+    assert subtree_indices(grid, K, 2, js[level == 2]).tolist() == \
+        subtree_indices(grid, K, level[level == 2], js[level == 2]).tolist()

@@ -198,8 +198,10 @@ def test_bad_map_value_seed_or_cap_exits_2_naming_the_field(tmp_path, capsys, ov
     ({"map": "pw_linear", "breakpoints": [0.0, 0.5, 1.0], "slopes": [2.0, 2.0],
       "offsets": [0.5, 0.0]}, "piece 0 maps [0.0,0.5) outside [0,1)"),
     ({"map": "tent"}, "unknown map name: 'tent'"),
-    ({"map": "doubling", "potential": "x"}, "unknown potential rule: 'x'"),
-    ({"map": "doubling", "potential": "custom"}, "custom potential rule needs custom_fn"),
+    ({"map": "doubling", "potential": "x"},
+     "config.map.potential: expected a name from jacobian, constant, got 'x'"),
+    ({"map": "doubling", "potential": "custom"},
+     "config.map.potential: expected a name from jacobian, constant, got 'custom'"),
     ({"map": "doubling", "arity": 5},
      "config.map.arity: not read by map 'doubling' with potential 'jacobian'"),
     ({"map": "beta", "beta": 1.8, "r_max": 3, "constant": 7},
@@ -213,6 +215,18 @@ def test_unusable_map_section_exits_2_with_its_message(tmp_path, capsys, section
     assert main(["ledger", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("potential", ["x", "custom"])
+@pytest.mark.parametrize("analysis", cli.ANALYSES)
+def test_unknown_potential_rule_exits_2_in_every_analysis(tmp_path, capsys, potential,
+                                                          analysis):
+    # validate builds no potential, so the config check alone refuses it
+    cfg = write_config(tmp_path, grid={"arity": 2, "max_level": 6},
+                       map={"map": "doubling", "potential": potential})
+    assert main([analysis, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: config.map.potential: ")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("section, message", [

@@ -578,3 +578,19 @@ def test_a_failing_fit_raises_as_the_branch_by_branch_loop(monkeypatch, kernel_c
     grid = build_grid(2, 6)
     with pytest.raises(InfeasibleFitError, match="branch 3: no probe cells inside image"):
         dynamics._fit_scaling(grid, branch, *next(dynamics._scaling_samples(grid, [branch], 10)))
+
+
+def test_per_branch_equals_the_branch_by_branch_masks():
+    system = make_map(MapSpec("gauss", r_max=20), build_grid(2, 8), PARAMS, probe_level=7)
+    rng = np.random.default_rng(59)
+    br = rng.integers(0, len(system.branches), 300)
+    img = dynamics._ends(system.branches, "img")[br]
+    lo = img[:, 0] + rng.random(br.size) * (img[:, 1] - img[:, 0])
+    hi = np.minimum(lo + rng.random(br.size) * 0.01, img[:, 1])
+    for method in (dynamics.Branch.forward_interval, dynamics.Branch.pullback_interval):
+        want = np.empty((2, br.size))
+        for r in np.unique(br).tolist():
+            sel = br == r
+            want[0, sel], want[1, sel] = method(system.branches[r], lo[sel], hi[sel])
+        got = dynamics.per_branch(system.branches, br, method, lo, hi)
+        assert [a.tobytes() for a in got] == [w.tobytes() for w in want]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from besovtransfer.errors import CapacityError
-from besovtransfer.grid import CellId, Grid, build_grid, validate_grid
+from besovtransfer.atoms import BesovParams
+from besovtransfer.grid import CellId, Grid, build_grid, python_pow, validate_grid
 
 
 def brute_force_k0(grid, pieces):
@@ -255,3 +256,32 @@ def test_extents_of_one_cell_equal_interval_and_measure(grid, cut):
                 got = grid.extents(level, index)
                 assert [np.ndim(x) for x in got] == [ndim] * 3
                 assert [x.item().hex() for x in got] == want, (k, j)
+
+
+@pytest.mark.parametrize("grid", [
+    build_grid(2, 7),
+    build_grid(2, 7).with_cuts([0.6180339887498949, 0.3001]),
+    build_grid(3, 5).with_cuts([0.0881, 0.61]),
+], ids=["dyadic", "dyadic_cut", "triadic_cut"])
+def test_measure_power_tables_equal_python_pow_of_the_extents(grid):
+    # every cell down to the grid's depth, and some below it as the ledger
+    # probes read them; the exponents the route and the ledger use
+    K, m = grid.max_level, grid.arity
+    level = np.concatenate([np.full(m ** k, k) for k in range(K + 1)] + [[K + 3, K + 16]])
+    j = np.concatenate([np.arange(m ** k) for k in range(K + 1)] + [[5, 7]])
+    params = BesovParams()
+    hexes = lambda x: [v.hex() for v in np.ravel(x).tolist()]
+    for e in (params.theta, -params.theta, 1.0 - params.s * params.p):
+        want = python_pow(grid.extents(level, j)[2], e)
+        assert hexes(grid.measure_powers(level, j, e)) == hexes(want)
+        assert hexes(grid.measure_powers(level[::-1], j[::-1], e)) == hexes(want[::-1])
+        # each cell over every cell of a level at or above it that holds it
+        for kq in range(K + 1):
+            inside = (kq <= level) & (level <= K)
+            lp, jp = level[inside], j[inside]
+            lq, jq = np.full(lp.size, kq), jp // m ** (lp - kq)
+            want = python_pow(grid.extents(lp, jp)[2] / grid.extents(lq, jq)[2], e)
+            for _ in range(2):      # the table fills as pairs are asked for
+                assert hexes(grid.measure_ratio_powers(lp, jp, lq, jq, e)) == hexes(want)
+        if grid.cuts:
+            assert hexes(grid.width_powers(e)) == hexes(grid.widths(K) ** e)

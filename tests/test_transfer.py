@@ -388,6 +388,29 @@ def test_assembled_ledgers_do_not_depend_on_the_assembly_order():
     assert ledgers[0][9] != ledgers[0][7]
 
 
+@pytest.mark.parametrize("widened_first", [False, True])
+def test_certificate_is_kept_per_system_not_per_copy(widened_first, monkeypatch):
+    # the widened system shares the probed one's caches, but not its
+    # certificate: each reads its own ledger, in either call order
+    probed = make_map(MapSpec("lorenz_cusp"), build_grid(2, 9), PARAMS)
+    widened = assemble_matrix(probed).system
+    assert widened.weight_avgs is probed.weight_avgs
+    rep = random_rep(probed.grid, PARAMS, np.random.default_rng(1), n_atoms=15)
+    order = (widened, probed) if widened_first else (probed, widened)
+    factor = {id(s): apply_transfer(s, rep, cross_check=True).meta["certificate_factor"]
+              for s in order}
+    assert factor[id(probed)] == pytest.approx(6254.33, abs=0.005)
+    assert factor[id(widened)] == pytest.approx(6311.51, abs=0.005)
+    # the certificate is made once per system and reused
+    calls = []
+    slicing = transfer.slicing_certificates
+    monkeypatch.setattr(transfer, "slicing_certificates",
+                        lambda *args: calls.append(args) or slicing(*args))
+    for s in order:
+        assert apply_transfer(s, rep).meta["certificate_factor"] == factor[id(s)]
+    assert calls == []
+
+
 def _reaggregate_by_branch(system, K, slivers, n_atoms):
     """transfer._reaggregate with one overlaps call per branch."""
     grid, theta = system.grid, system.params.theta
